@@ -16,7 +16,14 @@ latency is exactly the idle time the serial loop wastes and the staged
 executor reclaims. Per-application batch composition is identical in
 both runs, so labels and backend outcomes must match byte for byte;
 the staged run must clear ``REPRO_BENCH_MIN_CONCURRENT_SPEEDUP``
-(default 2x).
+(default 1.3x, the floor CI runs with).
+
+The ratio is Amdahl in label cost: the staged run hides the label stage
+behind the sleeping backend, so what it can gain is bounded by how much
+of the serial loop labeling is. The 3 x (64 trees, depth 12) forests
+below exist to make that stage expensive — a faster forest kernel makes
+serial *and* staged quicker and the ratio smaller, which is why the
+floor sits well under the ratio seen with any one kernel.
 
 Run alone::
 
@@ -56,9 +63,9 @@ LABELS_PER_APP = ("cluster", "risk", "tier")
 # latency; the TPC-H backend pays real MiniDB aggregate CPU.
 PER_BATCH_LATENCY = 0.010
 PER_QUERY_LATENCY = {"snow": 0.0045, "tpch": 0.0030}
-# locally the staged margin is comfortably above 2x; noisy shared CI
-# runners can lower the gate so timing jitter can't fail a green build
-MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_CONCURRENT_SPEEDUP", "2.0"))
+# a floor on overlap, not a performance target: the ratio shrinks as
+# labeling gets cheaper (see the module docstring)
+MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_CONCURRENT_SPEEDUP", "1.3"))
 # one noisy run (GC pause, sibling process) must not flip a green
 # build red: re-measure up to this many times, keep the best attempt
 MAX_ATTEMPTS = int(os.environ.get("REPRO_BENCH_CONCURRENT_ATTEMPTS", "3"))

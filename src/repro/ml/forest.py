@@ -4,6 +4,12 @@ An ensemble of extremely-randomized trees (see :mod:`repro.ml.tree`)
 with optional bootstrap resampling, soft-voted. The public surface
 mirrors the usual fit/predict/predict_proba trio so it can drop into a
 :class:`repro.core.labeler.ClassifierLabeler`.
+
+At the end of ``fit`` the trees' node tables are laid end to end into
+one :class:`~repro.ml.tree.NodeTable` with one root per tree (child ids
+shifted, leaves still pointing at themselves), and prediction is that
+table's level-synchronous descent: at most one numpy step per level of
+the deepest tree, whatever the number of trees or nodes.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import LabelingError
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, NodeTable
 
 
 class RandomizedForestClassifier:
@@ -40,6 +46,8 @@ class RandomizedForestClassifier:
         self.seed = seed
         self.trees_: list[DecisionTreeClassifier] = []
         self.n_classes_ = 0
+        self.n_features_ = 0
+        self.table_: NodeTable | None = None
 
     def fit(
         self, features: np.ndarray, labels: np.ndarray
@@ -68,16 +76,14 @@ class RandomizedForestClassifier:
             )
             tree.fit(x_t, y_t, n_classes=self.n_classes_)
             self.trees_.append(tree)
+        self.table_ = NodeTable.concat([tree.table_ for tree in self.trees_])
+        self.n_features_ = self.table_.n_features
         return self
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        if not self.trees_:
+        if self.table_ is None:
             raise LabelingError("predict called before fit")
-        features = np.asarray(features, dtype=np.float64)
-        probs = np.zeros((len(features), self.n_classes_))
-        for tree in self.trees_:
-            probs += tree.predict_proba(features)
-        return probs / len(self.trees_)
+        return self.table_.predict_proba(features)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(features), axis=1)

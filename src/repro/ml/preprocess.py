@@ -13,12 +13,18 @@ class LabelEncoder:
     def __init__(self) -> None:
         self.classes_: list = []
         self._index: dict = {}
+        self._class_cells = np.empty(0, dtype=object)
 
     def fit(self, labels) -> "LabelEncoder":
         self.classes_ = sorted(set(labels), key=str)
         self._index = {c: i for i, c in enumerate(self.classes_)}
         if not self.classes_:
             raise LabelingError("cannot fit LabelEncoder on no labels")
+        # fromiter keeps a tuple-valued class one cell; asarray would
+        # unpack it into a row
+        self._class_cells = np.fromiter(
+            self.classes_, dtype=object, count=len(self.classes_)
+        )
         return self
 
     def transform(self, labels) -> np.ndarray:
@@ -31,7 +37,7 @@ class LabelEncoder:
         return self.fit(labels).transform(labels)
 
     def inverse_transform(self, codes: np.ndarray) -> list:
-        return [self.classes_[int(code)] for code in codes]
+        return self._class_cells[np.asarray(codes, dtype=np.intp)].tolist()
 
 
 class StandardScaler:

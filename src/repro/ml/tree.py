@@ -6,6 +6,14 @@ at each node, draw ``max_features`` candidate features and one uniform
 random threshold per feature, then keep the candidate with the best
 Gini reduction. Randomized thresholds vectorize beautifully in numpy
 and regularize exactly like the original.
+
+A fitted tree is a table, not an object graph: :class:`NodeTable` holds
+parallel arrays indexed by node id in preorder (root first, then the
+whole left subtree, then the right). A leaf's ``left`` and ``right``
+both point at the leaf itself, so prediction needs no leaf test: it
+steps every row at most ``depth`` times and a row that has arrived
+stays put. ``x <= threshold`` goes left; NaN compares false and goes
+right.
 """
 
 from __future__ import annotations
@@ -17,19 +25,67 @@ import numpy as np
 from repro.errors import LabelingError
 
 
-@dataclass(slots=True)
-class _Node:
-    """One tree node; leaves carry class-count distributions."""
+@dataclass(frozen=True, slots=True)
+class NodeTable:
+    """Read-only node arrays of one tree, or of a forest's trees laid
+    end to end (``roots`` then has one entry per tree)."""
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    counts: np.ndarray | None = None  # only at leaves
+    feature: np.ndarray  # (n_nodes,) split column; 0 at leaves
+    threshold: np.ndarray  # (n_nodes,)
+    left: np.ndarray  # (n_nodes,) child for x <= threshold; itself at leaves
+    right: np.ndarray  # (n_nodes,) child otherwise; itself at leaves
+    value: np.ndarray  # (n_nodes, n_classes) class distribution of the node
+    roots: np.ndarray  # (n_trees,)
+    depth: int  # deepest leaf over all trees (root = 0)
+    n_features: int
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.counts is not None
+    def __post_init__(self) -> None:
+        # built eagerly at fit and shared by serving threads
+        for array in (
+            self.feature, self.threshold, self.left, self.right,
+            self.value, self.roots,
+        ):
+            array.setflags(write=False)
+
+    @classmethod
+    def concat(cls, tables: "list[NodeTable]") -> "NodeTable":
+        """One table for many trees: child and root ids shift by the
+        number of nodes laid down before each tree."""
+        offsets = np.cumsum([0] + [len(t.feature) for t in tables[:-1]])
+        return cls(
+            feature=np.concatenate([t.feature for t in tables]),
+            threshold=np.concatenate([t.threshold for t in tables]),
+            left=np.concatenate([t.left + o for t, o in zip(tables, offsets)]),
+            right=np.concatenate([t.right + o for t, o in zip(tables, offsets)]),
+            value=np.concatenate([t.value for t in tables]),
+            roots=np.concatenate([t.roots + o for t, o in zip(tables, offsets)]),
+            depth=max(t.depth for t in tables),
+            n_features=tables[0].n_features,
+        )
+
+    def predict_proba(self, features: np.ndarray) -> np.ndarray:
+        """Mean leaf distribution over the trees, all trees and rows
+        descending together one level per numpy step."""
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[1] != self.n_features:
+            raise LabelingError(
+                f"expected an (n, {self.n_features}) feature matrix, "
+                f"got shape {features.shape}"
+            )
+        rows = np.arange(len(features))
+        node = np.repeat(self.roots[:, None], len(features), axis=1)
+        for _ in range(self.depth):
+            go_left = features[rows, self.feature[node]] <= self.threshold[node]
+            child = np.where(go_left, self.left[node], self.right[node])
+            if (child == node).all():  # every row is at a leaf
+                break
+            node = child
+        # summed in tree order: float addition is not associative, and
+        # argmax ties must keep resolving the way they always have
+        probs = np.zeros((len(features), self.value.shape[1]))
+        for leaves in node:
+            probs += self.value[leaves]
+        return probs / len(self.roots)
 
 
 class DecisionTreeClassifier:
@@ -61,7 +117,8 @@ class DecisionTreeClassifier:
         self.n_thresholds = max(1, n_thresholds)
         self.seed = seed
         self.n_classes_ = 0
-        self._root: _Node | None = None
+        self.n_features_ = 0
+        self.table_: NodeTable | None = None
 
     def fit(
         self,
@@ -77,34 +134,37 @@ class DecisionTreeClassifier:
         if len(labels) == 0:
             raise LabelingError("cannot fit a tree on zero samples")
         self.n_classes_ = int(n_classes if n_classes else labels.max() + 1)
+        self.n_features_ = features.shape[1]
         rng = np.random.default_rng(self.seed)
-        self._root = self._grow(features, labels, depth=0, rng=rng)
+        nodes: list[tuple] = []
+        depth = self._grow(features, labels, depth=0, rng=rng, nodes=nodes)
+        feature, threshold, left, right, value = zip(*nodes)
+        self.table_ = NodeTable(
+            feature=np.array(feature, dtype=np.intp),
+            threshold=np.array(threshold, dtype=np.float64),
+            left=np.array(left, dtype=np.intp),
+            right=np.array(right, dtype=np.intp),
+            value=np.array(value, dtype=np.float64),
+            roots=np.zeros(1, dtype=np.intp),
+            depth=depth,
+            n_features=self.n_features_,
+        )
         return self
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Per-class probability from the reached leaf's counts."""
-        if self._root is None:
+        if self.table_ is None:
             raise LabelingError("predict called before fit")
-        features = np.asarray(features, dtype=np.float64)
-        out = np.zeros((len(features), self.n_classes_))
-        self._route(self._root, features, np.arange(len(features)), out)
-        return out
+        return self.table_.predict_proba(features)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(features), axis=1)
 
     def depth(self) -> int:
         """Actual depth of the grown tree (root = 0)."""
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            assert node.left is not None and node.right is not None
-            return 1 + max(walk(node.left), walk(node.right))
-
-        if self._root is None:
+        if self.table_ is None:
             raise LabelingError("depth() called before fit")
-        return walk(self._root)
+        return self.table_.depth
 
     # -- growth ------------------------------------------------------------------
 
@@ -114,23 +174,30 @@ class DecisionTreeClassifier:
         labels: np.ndarray,
         depth: int,
         rng: np.random.Generator,
-    ) -> _Node:
+        nodes: list[tuple],
+    ) -> int:
+        """Append this subtree's ``(feature, threshold, left, right,
+        value)`` rows to ``nodes`` in preorder; returns its depth."""
         counts = np.bincount(labels, minlength=self.n_classes_).astype(np.float64)
         n = len(labels)
-        if (
+        me = len(nodes)
+        split = None
+        if not (
             n < self.min_samples_split
             or (self.max_depth is not None and depth >= self.max_depth)
             or counts.max() == n  # pure
         ):
-            return _Node(counts=counts)
-
-        split = self._best_random_split(features, labels, counts, rng)
+            split = self._best_random_split(features, labels, counts, rng)
         if split is None:
-            return _Node(counts=counts)
+            nodes.append((0, 0.0, me, me, counts / n))
+            return 0
         feature, threshold, mask = split
-        left = self._grow(features[mask], labels[mask], depth + 1, rng)
-        right = self._grow(features[~mask], labels[~mask], depth + 1, rng)
-        return _Node(feature=feature, threshold=threshold, left=left, right=right)
+        nodes.append(())  # claims id ``me``; children are numbered after it
+        below_left = self._grow(features[mask], labels[mask], depth + 1, rng, nodes)
+        right, mask = len(nodes), ~mask
+        below_right = self._grow(features[mask], labels[mask], depth + 1, rng, nodes)
+        nodes[me] = (feature, threshold, me + 1, right, counts / n)
+        return 1 + max(below_left, below_right)
 
     def _best_random_split(
         self,
@@ -181,25 +248,6 @@ class DecisionTreeClassifier:
                     best_gain = gain
                     best = (int(feature), float(threshold), mask)
         return best
-
-    def _route(
-        self,
-        node: _Node,
-        features: np.ndarray,
-        idx: np.ndarray,
-        out: np.ndarray,
-    ) -> None:
-        if node.is_leaf:
-            assert node.counts is not None
-            total = node.counts.sum()
-            out[idx] = node.counts / total if total > 0 else node.counts
-            return
-        assert node.left is not None and node.right is not None
-        mask = features[idx, node.feature] <= node.threshold
-        if mask.any():
-            self._route(node.left, features, idx[mask], out)
-        if (~mask).any():
-            self._route(node.right, features, idx[~mask], out)
 
 
 def _gini(counts: np.ndarray, n: int) -> float:

@@ -167,9 +167,10 @@ class InferencePipeline:
             with m.stage("predict"):
                 for classifier in group:
                     predictions = classifier.predict_vectors(unique_vectors)
-                    template_values = np.empty(len(unique_ids), dtype=object)
-                    for j, value in enumerate(predictions):
-                        template_values[j] = value
+                    # fromiter: a tuple-valued label stays one cell
+                    template_values = np.fromiter(
+                        predictions, dtype=object, count=len(unique_ids)
+                    )
                     columnar.add_column(
                         classifier.label_name, template_values, inverse
                     )
