@@ -72,36 +72,22 @@ if TYPE_CHECKING:  # avoid an import cycle with repro.core
     from repro.core.labeled_query import LabeledQuery
 
 
-def _queries_of(messages: "Sequence[LabeledQuery] | ColumnarSlice") -> "list[str]":
-    """Raw SQL texts of a dispatch group, without materializing labels.
-
-    Columnar slices read straight from the batch's text array; message
-    lists fall back to the per-object attribute walk.
-    """
-    if isinstance(messages, ColumnarSlice):
-        return messages.queries()
-    return [m.query for m in messages]
-
-
-def _merge_segments(segments: list):
+def _merge_segments(segments: "list[ColumnarSlice]") -> "ColumnarSlice | None":
     """Rejoin parked queue segments into one dispatch group.
 
     Slices of one columnar batch merge back into a single zero-copy
-    slice; anything else (message lists, slices of different batches)
-    flattens to a message list — the only point where a parked slice
-    materializes row objects.
+    slice. Slices of different batches re-enter through the boundary
+    constructor: their rows materialize — the only point where a parked
+    slice builds row objects — into one fresh batch whose route label
+    is read off the messages themselves.
     """
     if not segments:
-        return []
-    if len(segments) == 1:
-        return segments[0]
-    if all(isinstance(s, ColumnarSlice) for s in segments) and all(
-        s.batch is segments[0].batch for s in segments[1:]
-    ):
-        return ColumnarSlice(
-            segments[0].batch, np.concatenate([s.indices for s in segments])
-        )
-    return [m for segment in segments for m in segment]
+        return None
+    first = segments[0]
+    if all(s.batch is first.batch for s in segments[1:]):
+        return first.batch.select(np.concatenate([s.indices for s in segments]))
+    merged = ColumnarBatch([m for segment in segments for m in segment])
+    return merged.select(np.arange(len(merged)))
 
 
 class SpillPolicy(str, Enum):
@@ -174,7 +160,9 @@ class _ParkedSegment:
 
     __slots__ = ("messages", "enqueued_at", "retries")
 
-    def __init__(self, messages, enqueued_at: float, retries: int) -> None:
+    def __init__(
+        self, messages: ColumnarSlice, enqueued_at: float, retries: int
+    ) -> None:
         self.messages = messages
         self.enqueued_at = enqueued_at
         self.retries = retries
@@ -231,9 +219,9 @@ class BackendBinding:
         # the feedback the routing policies consume: EWMA execute
         # latency + admission churn, fed by the router's dispatch path
         self.load_signal = LoadSignal()
-        # parked work is stored as *segments* (a ColumnarSlice or a
-        # message list per enqueue), so queue spill keeps the columnar
-        # form — rows materialize only if mixed segments merge
+        # parked work is stored as *segments* (one ColumnarSlice per
+        # enqueue), so queue spill keeps the columnar form — rows
+        # materialize only if segments of different batches merge
         self._pending: deque[_ParkedSegment] = deque()
         self._pending_rows = 0
         self._queue_capacity = queue_capacity
@@ -245,14 +233,12 @@ class BackendBinding:
 
     # -- pending queue (QUEUE spill policy) ---------------------------------------
 
-    def enqueue(
-        self, messages: "Sequence[LabeledQuery] | ColumnarSlice", retries: int = 0
-    ) -> tuple[int, int]:
-        """Park messages for later; returns (queued, overflowed).
+    def enqueue(self, messages: ColumnarSlice, retries: int = 0) -> tuple[int, int]:
+        """Park rows for later; returns (queued, overflowed).
 
         The room-limited head is parked as one segment — slicing a
         :class:`~repro.runtime.columnar.ColumnarSlice` yields another
-        slice, so columnar overflow parks without materializing rows.
+        slice, so overflow parks without materializing rows.
         ``retries`` carries how many failed drains this work has
         already been through (the eviction bound's odometer).
         """
@@ -266,66 +252,27 @@ class BackendBinding:
                 self._pending_rows += take
         return take, len(messages) - take
 
-    def take_pending(
-        self, n: int | None = None
-    ) -> "list[LabeledQuery] | ColumnarSlice":
-        """Pop up to ``n`` parked rows (all of them when None).
-
-        Segments from one columnar batch come back merged as a single
-        slice; heterogeneous runs flatten to a message list. Age
-        eviction does **not** run here — this is the raw drain the
-        router wraps with :meth:`take_for_drain`.
-        """
-        messages, _retries, _evicted = self._take(n, evict=False)
-        return messages
-
     def take_for_drain(self):
         """Pop every parked row, evicting out-of-date segments.
 
         Returns ``(messages, retries, evicted)``: the live rows merged
-        into one group, the highest retry count among them (so the
-        router's re-park bumps the right odometer), and how many rows
-        aged out (``queue_max_age_seconds``) and were dropped.
+        into one group (None when nothing live was parked), the highest
+        retry count among them (so the router's re-park bumps the right
+        odometer), and how many rows aged out
+        (``queue_max_age_seconds``) and were dropped.
         """
-        return self._take(None, evict=True)
-
-    def _take(self, n: int | None, evict: bool):
         max_age = self.queue_max_age_seconds
-        now = self.clock() if (evict and max_age is not None) else 0.0
+        now = self.clock() if max_age is not None else 0.0
         with self._pending_lock:
-            if n is None or n > self._pending_rows:
-                n = self._pending_rows
-            segments = []
-            retries = 0
-            evicted = 0
-            need = n
-            # evicted segments free their rows without consuming the
-            # caller's budget, so the deque can run dry before need does
-            while need > 0 and self._pending:
-                parked = self._pending.popleft()
-                self._pending_rows -= len(parked)
-                if (
-                    evict
-                    and max_age is not None
-                    and now - parked.enqueued_at > max_age
-                ):
-                    # aged out while parked: drop the whole segment
-                    # without consuming the caller's row budget
-                    evicted += len(parked)
-                    continue
-                if len(parked) > need:
-                    keep = _ParkedSegment(
-                        parked.messages[need:], parked.enqueued_at, parked.retries
-                    )
-                    self._pending.appendleft(keep)
-                    self._pending_rows += len(keep)
-                    parked = _ParkedSegment(
-                        parked.messages[:need], parked.enqueued_at, parked.retries
-                    )
-                segments.append(parked.messages)
-                retries = max(retries, parked.retries)
-                need -= len(parked)
-        return _merge_segments(segments), retries, evicted
+            parked = list(self._pending)
+            self._pending.clear()
+            self._pending_rows = 0
+        live = [
+            p for p in parked if max_age is None or now - p.enqueued_at <= max_age
+        ]
+        evicted = sum(map(len, parked)) - sum(map(len, live))
+        retries = max((p.retries for p in live), default=0)
+        return _merge_segments([p.messages for p in live]), retries, evicted
 
     @property
     def pending_depth(self) -> int:
@@ -716,7 +663,7 @@ class BatchRouter:
     def dispatch(
         self,
         application: str,
-        batch: "Sequence[LabeledQuery] | ColumnarBatch",
+        batch: "ColumnarBatch | Sequence[LabeledQuery]",
         default: str | None = None,
     ) -> DispatchReport:
         """Route one labeled batch; returns what happened per backend.
@@ -727,53 +674,23 @@ class BatchRouter:
         parallel on the shared pool (errors from every group are
         awaited; the first, in group order, is re-raised).
 
-        A :class:`~repro.runtime.columnar.ColumnarBatch` is partitioned
-        by its route-label array — labels resolve once per distinct
-        template and the per-backend groups are zero-copy row slices;
-        no per-message objects are built unless a spill path needs
-        them. A plain message list takes the original per-message path.
+        This is the public boundary: a plain message list becomes a
+        :class:`~repro.runtime.columnar.ColumnarBatch` here, once, and
+        everything below is columnar. The batch is partitioned by its
+        route label — labels resolve once per distinct value and the
+        per-backend groups are zero-copy row slices; no per-message
+        objects are built unless a spill path needs them.
         """
         if not batch:
             return DispatchReport(application=application)
-        policy = self.policy
+        if not isinstance(batch, ColumnarBatch):
+            batch = ColumnarBatch(batch)
         with self.metrics.stage("route"):
-            if isinstance(batch, ColumnarBatch):
-                groups = self._group_columnar(batch, default, policy)
-            else:
-                groups = self._group_messages(batch, default, policy)
+            groups = self._group_columnar(batch, default, self.policy)
         return DispatchReport(
             application=application,
             decisions=tuple(self._dispatch_groups(groups)),
         )
-
-    def _group_messages(
-        self,
-        batch: "Sequence[LabeledQuery]",
-        default: str | None,
-        policy: RoutingPolicy | None,
-    ) -> "dict[str, list[LabeledQuery]]":
-        groups: dict[str, list[LabeledQuery]] = {}
-        if policy is None:
-            for message in batch:
-                groups.setdefault(
-                    self.resolve(message, default), []
-                ).append(message)
-            return groups
-        targets: dict[object, str | None] = {}
-        view_cache: dict = {}
-        for message in batch:
-            label = message.label(self.route_label)
-            if label not in targets:
-                targets[label] = self._policy_target(
-                    label, policy, view_cache
-                )
-            target = targets[label]
-            if target is None:
-                # policy abstained: the static chain decides
-                target = self.resolve(message, default)
-            groups.setdefault(target, []).append(message)
-        self._note_policy_targets(targets)
-        return groups
 
     def _group_columnar(
         self,
@@ -781,20 +698,28 @@ class BatchRouter:
         default: str | None,
         policy: RoutingPolicy | None,
     ) -> "dict[str, ColumnarSlice]":
-        """Partition a columnar batch by its route-label column.
+        """Partition a columnar batch by its route label.
 
-        Placement is decided once per distinct label (exactly like the
-        per-message path — same policy consultations, same bookkeeping)
-        but over the *template* axis, then scattered to rows with one
-        fancy index. Group ordering matches the per-message path:
-        backends appear in order of their first message in the batch,
-        and rows within a group keep batch order.
+        Placement is decided once per distinct label — one policy
+        consultation, one bookkeeping entry — over the *template* axis,
+        then scattered to rows with one fancy index. Backends appear in
+        order of their first message in the batch, and rows within a
+        group keep batch order.
         """
         column = batch.column(self.route_label)
         if column is None:
-            # unlabeled for the route key: every row resolves as None
-            template_labels: Sequence[object] = np.array([None], dtype=object)
-            inverse = np.zeros(len(batch), dtype=np.intp)
+            # no predicted column for the route key: the label, if any,
+            # is the one each message arrived with
+            codes: dict[object, int] = {}
+            inverse = np.fromiter(
+                (
+                    codes.setdefault(m.label(self.route_label), len(codes))
+                    for m in batch.messages
+                ),
+                dtype=np.intp,
+                count=len(batch),
+            )
+            template_labels: Sequence[object] = list(codes)
         else:
             template_labels = column.template_values
             inverse = column.inverse
@@ -848,7 +773,7 @@ class BatchRouter:
                 per_label[target] = per_label.get(target, 0) + 1
 
     def _dispatch_groups(
-        self, groups: "dict[str, list[LabeledQuery] | ColumnarSlice]"
+        self, groups: "dict[str, ColumnarSlice]"
     ) -> "list[RouteDecision]":
         """Offer every per-backend group; in parallel when k > 1.
 
@@ -893,7 +818,7 @@ class BatchRouter:
         return [decision for group in collected for decision in group]
 
     def _dispatch_group(
-        self, name: str, messages: "list[LabeledQuery] | ColumnarSlice"
+        self, name: str, messages: ColumnarSlice
     ) -> "list[RouteDecision]":
         binding = self.registry.get(name)
         # parked work goes first: FIFO across dispatches
@@ -1035,9 +960,7 @@ class BatchRouter:
             self.metrics.add(breaker_closes=1)
 
     def _failover_target(
-        self,
-        binding: BackendBinding,
-        messages: "list[LabeledQuery] | ColumnarSlice",
+        self, binding: BackendBinding, messages: ColumnarSlice
     ) -> str | None:
         """A healthy sibling to take over a group the binding can't run.
 
@@ -1053,13 +976,10 @@ class BatchRouter:
         label = None
         if len(messages):
             try:
-                if isinstance(messages, ColumnarSlice):
-                    # read the label from the column arrays — indexing
-                    # the slice would materialize a per-row message,
-                    # and to_messages() is the only place that may
-                    label = messages.label_at(0, self.route_label)
-                else:
-                    label = messages[0].label(self.route_label)
+                # read the label from the column arrays — indexing the
+                # slice would materialize a per-row message, and
+                # to_messages() is the only place that may
+                label = messages.label_at(0, self.route_label)
             except Exception:
                 label = None
         with self._lock:
@@ -1100,11 +1020,7 @@ class BatchRouter:
             return name
         return None
 
-    def _execute_with_retry(
-        self,
-        binding: BackendBinding,
-        admitted: "list[LabeledQuery] | ColumnarSlice",
-    ):
+    def _execute_with_retry(self, binding: BackendBinding, admitted: ColumnarSlice):
         """Run one admitted group, re-attempting under the retry policy.
 
         Returns ``(result, retries_used, deadline_expired, error)`` —
@@ -1126,15 +1042,13 @@ class BatchRouter:
             result: BatchResult | None = None
             try:
                 with self.metrics.stage("execute"):
-                    if isinstance(admitted, ColumnarSlice):
-                        # template-aware dispatch: the batch's interned
-                        # ids travel with the texts so prepared-execution
-                        # backends skip re-fingerprinting
-                        result = binding.backend.execute_templated(
-                            admitted.queries(), admitted.fingerprint_ids()
-                        )
-                    else:
-                        result = binding.backend.execute(_queries_of(admitted))
+                    # template-aware dispatch: the batch's interned ids
+                    # (None for a batch built outside the pipeline)
+                    # travel with the texts so prepared-execution
+                    # backends skip re-fingerprinting
+                    result = binding.backend.execute_templated(
+                        admitted.queries(), admitted.fingerprint_ids()
+                    )
             except Exception as exc:  # noqa: BLE001 - resilience boundary
                 error = exc
             if error is None:
@@ -1169,7 +1083,7 @@ class BatchRouter:
     def _offer(
         self,
         binding: BackendBinding,
-        messages: "list[LabeledQuery] | ColumnarSlice",
+        messages: ColumnarSlice,
         allow_spill: bool,
         from_queue: bool = False,
         spilled_from: str = "",
@@ -1348,7 +1262,7 @@ class BatchRouter:
     def _short_circuit(
         self,
         binding: BackendBinding,
-        messages: "list[LabeledQuery] | ColumnarSlice",
+        messages: ColumnarSlice,
         n: int,
         allow_failover: bool,
         from_queue: bool,

@@ -51,7 +51,7 @@ class QWorker:
         self._sinks: list[Callable[[str, list[LabeledQuery]], None]] = []
         # the database-bound path: set by the service to route labeled
         # batches through the backend layer
-        self._dispatcher: Callable[[list[LabeledQuery]], object] | None = None
+        self._dispatcher: Callable[[ColumnarBatch], object] | None = None
         self.last_dispatch: object | None = None
 
     # -- classifier management -----------------------------------------------------
@@ -81,12 +81,12 @@ class QWorker:
         self._sinks.append(sink)
 
     def set_dispatcher(
-        self, dispatcher: Callable[[list[LabeledQuery]], object] | None
+        self, dispatcher: Callable[[ColumnarBatch], object] | None
     ) -> None:
         """Wire the database-bound path (e.g. ``BatchRouter.dispatch``).
 
-        The dispatcher receives each labeled batch when
-        ``forward_to_database`` is set; its report is kept on
+        The dispatcher receives each labeled batch, in columnar form,
+        when ``forward_to_database`` is set; its report is kept on
         ``last_dispatch``.
         """
         self._dispatcher = dispatcher
@@ -116,20 +116,6 @@ class QWorker:
             dispatch_error = exc
         self.raise_failures(errors, dispatch_error)
         return columnar.to_messages() if self.forward_to_database else []
-
-    def label_batch(
-        self,
-        batch: list[LabeledQuery],
-        collect_errors: list[Exception] | None = None,
-    ) -> list[LabeledQuery]:
-        """Stage A of the worker, with per-query messages out.
-
-        Object-boundary wrapper over :meth:`label_batch_columnar` for
-        callers that want ``list[LabeledQuery]`` directly.
-        """
-        return self.label_batch_columnar(
-            batch, collect_errors=collect_errors
-        ).to_messages()
 
     def label_batch_columnar(
         self,
@@ -166,15 +152,13 @@ class QWorker:
             self.raise_failures(errors, None)
         return columnar
 
-    def dispatch_labeled(self, labeled: "list[LabeledQuery] | ColumnarBatch"):
+    def dispatch_labeled(self, labeled: ColumnarBatch):
         """Stage B of the worker: hand a labeled batch to the dispatcher.
 
         Runs the database-bound path even when a training sink failed —
         forks must not drop critical-path work. Returns the dispatch
         report (also kept on ``last_dispatch``), or None when the
-        worker is in forked mode or has no dispatcher. Accepts either
-        the columnar form (preferred — the router dispatches it
-        array-natively) or a plain message list.
+        worker is in forked mode or has no dispatcher.
         """
         if not self.forward_to_database or self._dispatcher is None or not labeled:
             return None

@@ -293,14 +293,13 @@ class QuercService:
         Returns the labeled batch plus the router's
         :class:`~repro.backends.router.DispatchReport` — ``None`` when
         the application is unbound or in forked (non-forwarding) mode.
+        Runs the staged executor's two stages inline, so the serial
+        and the concurrent entry points cannot diverge.
         """
-        app = self.application(batch.application)
-        messages = [_to_message(record) for record in batch.records]
-        labeled = app.worker.process_batch(messages)
-        # the worker clears last_dispatch per call, so whatever is
-        # there now belongs to this batch (or no dispatch happened)
-        report = app.worker.last_dispatch
-        return labeled, report if isinstance(report, DispatchReport) else None
+        application = batch.application
+        return self._stage_dispatch(
+            application, self._stage_label(application, batch)
+        )
 
     # -- concurrent stream processing ---------------------------------------------
 
@@ -482,7 +481,8 @@ class QuercService:
         """Executor stage B: route + execute, then surface failures.
 
         Only here — after dispatch — does the columnar batch
-        materialize per-query messages for the caller's result list.
+        materialize per-query messages for the caller's result list
+        (none in forked mode: the batch went to the sinks, not onward).
         """
         columnar, sink_errors = staged
         app = self.application(application)
@@ -493,7 +493,7 @@ class QuercService:
         except Exception as exc:  # noqa: BLE001 - aggregate with sink failures
             dispatch_error = exc
         app.worker.raise_failures(sink_errors, dispatch_error)
-        labeled = columnar.to_messages()
+        labeled = columnar.to_messages() if app.worker.forward_to_database else []
         return labeled, report if isinstance(report, DispatchReport) else None
 
     def stats(self) -> dict:

@@ -8,10 +8,11 @@ only cache-missing templates with **one** ``transform`` call per
 distinct embedder, and fans the shared vectors out to every
 classifier. Batches stay **columnar** end to end: labels are recorded
 as template-granularity arrays on a :class:`ColumnarBatch` that flows
-through the router and staged executor, materializing per-query
-messages once at the ``to_messages()`` boundary. A bounded
+through the router and staged executor — the only path there is; a
+message list is converted once at the public boundary — materializing
+per-query messages once at the ``to_messages()`` boundary. A bounded
 :class:`EmbeddingCache` carries template vectors across batches and
-workers (string-keyed entries plus id-indexed matrix lanes);
+workers in id-indexed matrix lanes;
 :class:`RuntimeMetrics` exposes per-stage timings, cache hit rate,
 fingerprint-memo hit rate, and dedup ratio through
 ``QuercService.stats()``.

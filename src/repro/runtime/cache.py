@@ -1,25 +1,20 @@
 """Bounded LRU cache of template embeddings.
 
 Production workloads collapse onto a small set of query templates
-(LearnedWMP observes this directly), so the vector for a template —
-keyed by ``(embedder_name, template_fingerprint)`` — is worth keeping
-hot. The cache is bounded and LRU-evicting so a worker serving a
-long-tailed workload cannot grow without limit, and thread-safe so one
-cache can back every Qworker in a service.
+(LearnedWMP observes this directly), so the vector for a template is
+worth keeping hot. The cache is bounded and LRU-evicting so a worker
+serving a long-tailed workload cannot grow without limit, and
+thread-safe so one cache can back every Qworker in a service.
 
-Two key schemes share the cache's counters and capacity:
-
-* the original string-keyed entries (``get``/``put`` and their batch
-  forms), an OrderedDict LRU;
-* *matrix lanes* (``get_matrix``/``put_matrix``), one per embedder
-  namespace: a contiguous ``(rows, dimension)`` array indexed by the
-  dense fingerprint ids of
-  :class:`repro.sql.normalizer.FingerprintInterner`. A whole batch of
-  lookups is one fancy index under one lock acquisition — no per-row
-  Python copies — which is what the columnar pipeline runs on. Lane
-  rows are bounded by the interner's id space, and whole lanes are
-  LRU-evicted when the combined size exceeds ``capacity`` (a dead
-  embedder's lane ages out like its string entries would).
+There is one key scheme: *matrix lanes* (``get_matrix``/``put_matrix``),
+one per embedder namespace — a contiguous ``(rows, dimension)`` array
+indexed by the dense fingerprint ids of
+:class:`repro.sql.normalizer.FingerprintInterner`. A whole batch of
+lookups is one fancy index under one lock acquisition — no per-row
+Python copies — which is what the columnar pipeline runs on. Lane rows
+are bounded by the interner's id space, and whole lanes are LRU-evicted
+when the combined size exceeds ``capacity`` (a dead embedder's lane
+ages out).
 """
 
 from __future__ import annotations
@@ -30,8 +25,6 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.errors import ServiceError
-
-CacheKey = tuple[str, str]  # (embedder_name, template_fingerprint)
 
 
 class _MatrixLane:
@@ -55,79 +48,17 @@ class _MatrixLane:
 
 
 class EmbeddingCache:
-    """LRU map from (embedder_name, fingerprint) to an embedding vector."""
+    """Per-embedder, id-indexed stores of template embedding vectors."""
 
     def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ServiceError("cache capacity must be >= 1")
         self.capacity = int(capacity)
-        self._data: OrderedDict[CacheKey, np.ndarray] = OrderedDict()
         self._lanes: OrderedDict[str, _MatrixLane] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    def get(self, embedder_name: str, fingerprint: str) -> np.ndarray | None:
-        """The cached vector, refreshed as most-recently-used, or None."""
-        key = (embedder_name, fingerprint)
-        with self._lock:
-            vector = self._data.get(key)
-            if vector is None:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return vector
-
-    def get_many(
-        self, embedder_name: str, fingerprints: "list[str]"
-    ) -> "list[np.ndarray | None]":
-        """Look up a whole batch under one lock acquisition.
-
-        Returns one entry per fingerprint (None on miss), refreshing
-        hits as most-recently-used and counting hits/misses exactly as
-        the per-key :meth:`get` would — but without paying the lock
-        once per fingerprint on the pipeline's per-batch hot path.
-        """
-        out: list[np.ndarray | None] = []
-        with self._lock:
-            for fingerprint in fingerprints:
-                key = (embedder_name, fingerprint)
-                vector = self._data.get(key)
-                if vector is None:
-                    self.misses += 1
-                else:
-                    self._data.move_to_end(key)
-                    self.hits += 1
-                out.append(vector)
-        return out
-
-    def put(self, embedder_name: str, fingerprint: str, vector: np.ndarray) -> None:
-        """Insert (or refresh) one template vector, evicting LRU entries."""
-        self.put_many(embedder_name, [(fingerprint, vector)])
-
-    def put_many(
-        self,
-        embedder_name: str,
-        entries: "list[tuple[str, np.ndarray]]",
-    ) -> None:
-        """Insert (or refresh) a batch of template vectors under one
-        lock acquisition, evicting LRU entries once at the end."""
-        frozen_entries = []
-        for fingerprint, vector in entries:
-            frozen = np.array(vector, dtype=np.float64, copy=True)
-            frozen.setflags(write=False)  # cached rows are shared; never mutate
-            frozen_entries.append(((embedder_name, fingerprint), frozen))
-        with self._lock:
-            for key, frozen in frozen_entries:
-                self._data[key] = frozen
-                self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-                self.evictions += 1
-
-    # -- vectorized, id-keyed lanes (the columnar hot path) ----------------------
 
     def get_matrix(
         self, embedder_name: str, ids: np.ndarray, dimension: int
@@ -138,8 +69,7 @@ class EmbeddingCache:
         and ``(k,)``: rows with ``miss_mask`` False were filled from
         the cache by a single fancy-index copy; rows with it True
         (negative ids, ids past the lane, never-stored ids) are zeros
-        for the caller to fill and :meth:`put_matrix` back. Hits and
-        misses land in the same counters as the string-keyed lookups.
+        for the caller to fill and :meth:`put_matrix` back.
         """
         ids = np.asarray(ids, dtype=np.int64)
         k = len(ids)
@@ -204,8 +134,7 @@ class EmbeddingCache:
         alone — it is still bounded by the interner's id space.
         """
         while (
-            len(self._data) + sum(l.valid_count for l in self._lanes.values())
-            > self.capacity
+            sum(l.valid_count for l in self._lanes.values()) > self.capacity
             and len(self._lanes) > 1
         ):
             oldest = next(iter(self._lanes))
@@ -216,13 +145,7 @@ class EmbeddingCache:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._data) + sum(
-                lane.valid_count for lane in self._lanes.values()
-            )
-
-    def __contains__(self, key: CacheKey) -> bool:
-        with self._lock:
-            return key in self._data
+            return sum(lane.valid_count for lane in self._lanes.values())
 
     @property
     def hit_rate(self) -> float:
@@ -232,9 +155,8 @@ class EmbeddingCache:
             return self.hits / total if total else 0.0
 
     def clear(self) -> None:
-        """Drop all entries (string-keyed and lanes); counters persist."""
+        """Drop every lane; counters persist."""
         with self._lock:
-            self._data.clear()
             self._lanes.clear()
 
     def snapshot(self) -> dict:
@@ -248,12 +170,13 @@ class EmbeddingCache:
         dict itself is built outside the lock, so monitoring never
         makes the lookup hot path queue behind formatting.
 
-        ``size`` counts cached vectors across both key schemes;
-        ``matrix_rows`` is the lane-resident share of it.
+        ``size`` and ``matrix_rows`` both count the cached vectors
+        (two names for one number: the snapshot keeps its shape).
         """
         with self._lock:
-            matrix_rows = sum(lane.valid_count for lane in self._lanes.values())
-            size = len(self._data) + matrix_rows
+            size = matrix_rows = sum(
+                lane.valid_count for lane in self._lanes.values()
+            )
             lanes = len(self._lanes)
             hits = self.hits
             misses = self.misses

@@ -140,13 +140,15 @@ class ColumnarBatch:
 
 
 class ColumnarSlice:
-    """A row subset of a :class:`ColumnarBatch` for dispatch groups.
+    """A row subset of a :class:`ColumnarBatch` — the router's currency.
 
-    Quacks enough like ``list[LabeledQuery]`` for the router's offer
-    path — ``len``, slicing, iteration — but keeps the columnar form:
-    ``queries()`` reads straight from the batch's text array, and
-    per-message materialization happens only when a spill path really
-    iterates the slice (queueing parked work, fallback hand-off).
+    Every dispatch group, admitted head, overflow tail and parked queue
+    segment is one of these: ``len`` and slicing split a group without
+    copying, ``queries()`` / ``fingerprint_ids()`` read straight from
+    the batch's arrays for execution, and ``label_at`` reads one row's
+    label. Iterating (or integer-indexing) a slice is the only thing
+    that materializes per-row messages, and the router does that in
+    exactly one place: merging parked segments of different batches.
     """
 
     __slots__ = ("batch", "indices")
@@ -176,9 +178,9 @@ class ColumnarSlice:
         """Row ``i``'s value for one label — columnarly, no message built.
 
         Reads the predicted value straight from the batch's label
-        column (template array + inverse), falling back to the
-        original message's pre-labeling labels; unlike indexing the
-        slice, no ``with_labels`` copy is materialized. The router's
+        column (template array + inverse), falling back to the label
+        the original message arrived with; unlike indexing the slice,
+        no ``with_labels`` copy is materialized. The router's
         failover/breaker paths use this to learn a doomed group's
         route label without breaching the ``to_messages()`` boundary.
         """

@@ -11,7 +11,8 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 STAGES = ("fingerprint", "dedup", "embed", "predict", "scatter")
 # the router's dispatch path reports into the same object
@@ -72,37 +73,9 @@ class RuntimeMetrics:
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
-
-    _COUNTERS = (
-        "batches",
-        "queries",
-        "unique_templates",
-        "embedded_templates",
-        "transform_calls",
-        "cache_hits",
-        "cache_misses",
-        "fingerprint_memo_hits",
-        "fingerprint_memo_misses",
-        "intern_overflow",
-        "retries",
-        "failovers",
-        "deadline_expiries",
-        "queue_evictions",
-        "breaker_opens",
-        "breaker_half_opens",
-        "breaker_closes",
-        "server_sessions",
-        "server_sessions_closed",
-        "server_sessions_shed",
-        "server_frames_in",
-        "server_frames_out",
-        "server_frames_shed",
-        "server_bytes_in",
-        "server_bytes_out",
-        "server_protocol_errors",
-        "server_queries",
-        "server_queries_shed",
-    )
+    # every ``int`` field above, filled in below the class: counters are
+    # named once, by their field declaration
+    _COUNTERS: ClassVar[tuple[str, ...]] = ()
 
     def add(self, **deltas: int) -> None:
         """Atomically apply a delta to one or more counters."""
@@ -160,60 +133,26 @@ class RuntimeMetrics:
         without their misses) — but the dict is built and the derived
         ratios computed *outside* it, so a dashboard polling
         ``stats()`` never makes the hot path's writers queue behind
-        formatting work (see the contention note in
-        ``benchmarks/results/hot_path.txt``).
+        formatting work. ``server_*`` counters nest under ``server``;
+        every other counter is a top-level key.
         """
         with self._lock:
-            batches = self.batches
-            queries = self.queries
-            unique = self.unique_templates
-            embedded = self.embedded_templates
-            transforms = self.transform_calls
-            hits = self.cache_hits
-            misses = self.cache_misses
-            memo_hits = self.fingerprint_memo_hits
-            memo_misses = self.fingerprint_memo_misses
-            overflow = self.intern_overflow
-            resilience = {
-                "retries": self.retries,
-                "failovers": self.failovers,
-                "deadline_expiries": self.deadline_expiries,
-                "queue_evictions": self.queue_evictions,
-                "breaker_opens": self.breaker_opens,
-                "breaker_half_opens": self.breaker_half_opens,
-                "breaker_closes": self.breaker_closes,
-            }
-            server = {
-                "sessions": self.server_sessions,
-                "sessions_closed": self.server_sessions_closed,
-                "sessions_shed": self.server_sessions_shed,
-                "frames_in": self.server_frames_in,
-                "frames_out": self.server_frames_out,
-                "frames_shed": self.server_frames_shed,
-                "bytes_in": self.server_bytes_in,
-                "bytes_out": self.server_bytes_out,
-                "protocol_errors": self.server_protocol_errors,
-                "queries": self.server_queries,
-                "queries_shed": self.server_queries_shed,
-            }
+            out = {name: getattr(self, name) for name in self._COUNTERS}
             stage_seconds = dict(self.stage_seconds)
-        memo_total = memo_hits + memo_misses
+        server = {
+            name.removeprefix("server_"): out.pop(name)
+            for name in self._COUNTERS
+            if name.startswith("server_")
+        }
+        queries, unique = out["queries"], out["unique_templates"]
+        lookups = out["cache_hits"] + out["cache_misses"]
+        memo_total = out["fingerprint_memo_hits"] + out["fingerprint_memo_misses"]
         return {
-            "batches": batches,
-            "queries": queries,
-            "unique_templates": unique,
-            "embedded_templates": embedded,
-            "transform_calls": transforms,
-            "cache_hits": hits,
-            "cache_misses": misses,
-            "cache_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-            "fingerprint_memo_hits": memo_hits,
-            "fingerprint_memo_misses": memo_misses,
+            **out,
+            "cache_hit_rate": out["cache_hits"] / lookups if lookups else 0.0,
             "fingerprint_memo_hit_rate": (
-                memo_hits / memo_total if memo_total else 0.0
+                out["fingerprint_memo_hits"] / memo_total if memo_total else 0.0
             ),
-            "intern_overflow": overflow,
-            **resilience,
             "server": server,
             "dedup_ratio": 1.0 - unique / queries if queries else 0.0,
             "stage_seconds": stage_seconds,
@@ -225,3 +164,8 @@ class RuntimeMetrics:
             for name in self._COUNTERS:
                 setattr(self, name, 0)
             self.stage_seconds = {name: 0.0 for name in _ALL_STAGES}
+
+
+RuntimeMetrics._COUNTERS = tuple(
+    f.name for f in fields(RuntimeMetrics) if f.type in ("int", int)
+)

@@ -26,7 +26,8 @@ The pipeline restructures one batch's inference as:
    form directly.
 
 For deterministic embedders (e.g. bag-of-tokens) the output is
-semantically equivalent to the legacy per-classifier path, up to
+semantically equivalent to labeling with each classifier on its own
+(:meth:`~repro.core.classifier.QueryClassifier.label_batch`), up to
 floating-point batch-shape jitter (~1e-16: BLAS rounds a k-row matmul
 differently from an n-row one). Predicting over unique templates is
 exact for the row-independent estimators in this repo (forests route
@@ -93,24 +94,6 @@ class InferencePipeline:
         self._name_lock = threading.Lock()
 
     # -- batch labeling (the Qworker path) ----------------------------------------
-
-    def run(
-        self,
-        batch: "Sequence[LabeledQuery]",
-        classifiers: "Sequence[QueryClassifier]",
-    ) -> "list[LabeledQuery]":
-        """Label a batch with every classifier; per-query messages out.
-
-        Object-boundary wrapper over :meth:`run_columnar` for callers
-        that want ``list[LabeledQuery]`` directly.
-        """
-        if not batch:
-            return []
-        if not classifiers:  # no inference happened; don't skew metrics
-            return list(batch)
-        columnar = self.run_columnar(batch, classifiers)
-        with self.metrics.stage("scatter"):
-            return columnar.to_messages()
 
     def run_columnar(
         self,

@@ -12,20 +12,28 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.backends import (
     AdmissionController,
     BackendRegistry,
     BatchRouter,
+    Blackout,
+    CircuitBreaker,
+    FaultInjectingBackend,
+    LeastLoadedPolicy,
     MiniDBBackend,
     NullBackend,
+    RetryPolicy,
     SpillPolicy,
     TokenBucket,
 )
 from repro.core.labeled_query import LabeledQuery
+from repro.core.qworker import QWorker
 from repro.errors import AdmissionError, BackendError
 from repro.minidb import materialize_log_tables
+from repro.runtime.columnar import ColumnarBatch
 from repro.runtime.metrics import RuntimeMetrics
 from repro.workloads import (
     QueryStream,
@@ -49,6 +57,32 @@ class FakeClock:
 def make_batch(n: int, cluster: str = "", query: str = "select 1") -> list[LabeledQuery]:
     labels = {"cluster": cluster} if cluster else {}
     return [LabeledQuery.make(f"{query} -- {i}", **labels) for i in range(n)]
+
+
+def _label_column_batch(messages: list[LabeledQuery]) -> ColumnarBatch:
+    """The shape the pipeline emits: the route label predicted into a
+    ``LabelColumn``, the messages themselves carrying none."""
+    batch = ColumnarBatch([LabeledQuery.make(m.query) for m in messages])
+    batch.add_column(
+        "cluster",
+        np.array([m.label("cluster") for m in messages], dtype=object),
+        np.arange(len(messages), dtype=np.intp),
+    )
+    return batch
+
+
+# the three inputs ``BatchRouter.dispatch`` must treat identically
+INPUT_FORMS = {
+    "messages": lambda messages: messages,
+    "bare_batch": ColumnarBatch,
+    "label_column": _label_column_batch,
+}
+
+
+@pytest.fixture(params=sorted(INPUT_FORMS))
+def form(request):
+    """One of the three input forms, as ``form(messages) -> batch``."""
+    return INPUT_FORMS[request.param]
 
 
 class TestTokenBucket:
@@ -316,30 +350,33 @@ class TestBatchRouterResolution:
 
 
 class TestBatchRouterDispatch:
-    def test_empty_batch_is_a_noop(self):
+    """Every case runs over the three input forms (the ``form`` fixture)
+    with the same pinned numbers: the form must not change a decision."""
+
+    def test_empty_batch_is_a_noop(self, form):
         registry, router = make_router()
         registry.register(NullBackend("DB(A)"))
-        report = router.dispatch("X", [])
+        report = router.dispatch("X", form([]))
         assert report.decisions == ()
 
-    def test_splits_batch_by_predicted_label(self):
+    def test_splits_batch_by_predicted_label(self, form):
         registry, router = make_router()
         a, b = NullBackend("DB(A)"), NullBackend("DB(B)")
         registry.register(a)
         registry.register(b)
         router.set_route("east", "DB(A)")
         router.set_route("west", "DB(B)")
-        batch = make_batch(6, "east") + make_batch(4, "west")
+        batch = form(make_batch(6, "east") + make_batch(4, "west"))
         report = router.dispatch("X", batch)
         assert report.offered == 10
         assert report.admitted == 10
         assert a.accepted == 6
         assert b.accepted == 4
 
-    def test_reject_policy_counts_overflow(self):
+    def test_reject_policy_counts_overflow(self, form):
         registry, router = make_router()
         registry.register(NullBackend("DB(A)"), max_in_flight=3)
-        report = router.dispatch("X", make_batch(8, "DB(A)"))
+        report = router.dispatch("X", form(make_batch(8, "DB(A)")))
         assert report.admitted == 3
         assert report.rejected == 5
         counters = registry.get("DB(A)").counters.snapshot()
@@ -349,23 +386,23 @@ class TestBatchRouterDispatch:
         # slots were released after the synchronous execute
         assert registry.get("DB(A)").admission.in_flight == 0
 
-    def test_queue_policy_parks_and_drains_fifo(self):
+    def test_queue_policy_parks_and_drains_fifo(self, form):
         registry, router = make_router()
         backend = NullBackend("DB(A)")
         registry.register(
             backend, max_in_flight=2, spill=SpillPolicy.QUEUE, queue_capacity=10
         )
-        first = router.dispatch("X", make_batch(5, "DB(A)", query="first"))
+        first = router.dispatch("X", form(make_batch(5, "DB(A)", query="first")))
         assert first.admitted == 2
         assert first.queued == 3
         assert registry.get("DB(A)").pending_depth == 3
         # next dispatch retries the parked tail before new arrivals
-        second = router.dispatch("X", make_batch(2, "DB(A)", query="second"))
+        second = router.dispatch("X", form(make_batch(2, "DB(A)", query="second")))
         from_queue = [d for d in second.decisions if d.from_queue]
         assert from_queue and from_queue[0].admitted == 2
         assert all("first" in q for q in backend.recent()[2:4])
 
-    def test_queue_capacity_overflow_rejected(self):
+    def test_queue_capacity_overflow_rejected(self, form):
         registry, router = make_router()
         registry.register(
             NullBackend("DB(A)"),
@@ -373,18 +410,18 @@ class TestBatchRouterDispatch:
             spill=SpillPolicy.QUEUE,
             queue_capacity=2,
         )
-        report = router.dispatch("X", make_batch(6, "DB(A)"))
+        report = router.dispatch("X", form(make_batch(6, "DB(A)")))
         assert report.admitted == 1
         assert report.queued == 2
         assert report.rejected == 3
 
-    def test_explicit_drain(self):
+    def test_explicit_drain(self, form):
         registry, router = make_router()
         backend = NullBackend("DB(A)")
         registry.register(
             backend, max_in_flight=2, spill=SpillPolicy.QUEUE, queue_capacity=10
         )
-        router.dispatch("X", make_batch(6, "DB(A)"))
+        router.dispatch("X", form(make_batch(6, "DB(A)")))
         assert registry.get("DB(A)").pending_depth == 4
         drained = router.drain("DB(A)")
         # drain decisions are queue retries, so read them directly
@@ -393,14 +430,14 @@ class TestBatchRouterDispatch:
         assert all(d.from_queue for d in drained.decisions)
         assert registry.get("DB(A)").pending_depth == 2
 
-    def test_fallback_spills_one_hop(self):
+    def test_fallback_spills_one_hop(self, form):
         registry, router = make_router()
         primary, sibling = NullBackend("DB(A)"), NullBackend("DB(B)")
         registry.register(
             primary, max_in_flight=2, spill=SpillPolicy.FALLBACK, fallback="DB(B)"
         )
         registry.register(sibling, max_in_flight=3)
-        report = router.dispatch("X", make_batch(9, "DB(A)"))
+        report = router.dispatch("X", form(make_batch(9, "DB(A)")))
         assert primary.accepted == 2
         assert sibling.accepted == 3  # fallback admitted what its gate allows
         assert report.rejected == 4  # sibling overflow is rejected, not cascaded
@@ -418,30 +455,30 @@ class TestBatchRouterDispatch:
         assert b_counters["admitted"] == 3
         assert b_counters["rejected"] == 4
 
-    def test_rate_limit_recovers_over_time(self):
+    def test_rate_limit_recovers_over_time(self, form):
         clock = FakeClock()
         registry = BackendRegistry()
         router = BatchRouter(registry, metrics=RuntimeMetrics())
         backend = NullBackend("DB(A)")
         registry.register(backend, rate=2.0, burst=4, clock=clock)
-        assert router.dispatch("X", make_batch(6, "DB(A)")).admitted == 4
-        assert router.dispatch("X", make_batch(6, "DB(A)")).admitted == 0
+        assert router.dispatch("X", form(make_batch(6, "DB(A)"))).admitted == 4
+        assert router.dispatch("X", form(make_batch(6, "DB(A)"))).admitted == 0
         clock.advance(3.0)  # refill capped at burst=4
-        report = router.dispatch("X", make_batch(6, "DB(A)"))
+        report = router.dispatch("X", form(make_batch(6, "DB(A)")))
         assert report.admitted == 4
         assert report.rejected == 2
 
-    def test_dispatch_times_route_and_execute_stages(self):
+    def test_dispatch_times_route_and_execute_stages(self, form):
         metrics = RuntimeMetrics()
         registry = BackendRegistry()
         router = BatchRouter(registry, metrics=metrics)
         registry.register(NullBackend("DB(A)"))
-        router.dispatch("X", make_batch(3, "DB(A)"))
+        router.dispatch("X", form(make_batch(3, "DB(A)")))
         snap = metrics.snapshot()["stage_seconds"]
         assert snap["route"] > 0.0
         assert snap["execute"] > 0.0
 
-    def test_queue_policy_with_full_queue_rejects_everything(self):
+    def test_queue_policy_with_full_queue_rejects_everything(self, form):
         """A queue already at capacity parks nothing: pure overflow."""
         registry, router = make_router()
         backend = NullBackend("DB(A)")
@@ -449,12 +486,12 @@ class TestBatchRouterDispatch:
             backend, max_in_flight=1, spill=SpillPolicy.QUEUE, queue_capacity=3
         )
         # fill the queue exactly to capacity (1 admitted, 3 parked)
-        first = router.dispatch("X", make_batch(4, "DB(A)", query="fill"))
+        first = router.dispatch("X", form(make_batch(4, "DB(A)", query="fill")))
         assert first.queued == 3
         assert registry.get("DB(A)").pending_depth == 3
         # hold the only slot so the retry can't drain the queue
         assert registry.get("DB(A)").admission.admit(1) == 1
-        second = router.dispatch("X", make_batch(5, "DB(A)", query="late"))
+        second = router.dispatch("X", form(make_batch(5, "DB(A)", query="late")))
         # the retry re-parked the 3 old messages; the queue is full
         # again, so all 5 new arrivals are rejected outright
         assert second.queued == 0
@@ -468,7 +505,7 @@ class TestBatchRouterDispatch:
         assert sum(d.admitted for d in drained.decisions) == 1
         assert all("fill" in q for q in backend.recent()[-1:])
 
-    def test_fallback_to_rejecting_sibling_drops_overflow(self):
+    def test_fallback_to_rejecting_sibling_drops_overflow(self, form):
         """FALLBACK overflow offered to a saturated sibling is rejected
         by the sibling's own gate — never queued, never cascaded."""
         registry, router = make_router()
@@ -483,7 +520,7 @@ class TestBatchRouterDispatch:
         )
         # saturate the sibling's gate completely
         assert registry.get("DB(B)").admission.admit(4) == 4
-        report = router.dispatch("X", make_batch(6, "DB(A)"))
+        report = router.dispatch("X", form(make_batch(6, "DB(A)")))
         assert primary.accepted == 2
         assert sibling.accepted == 0  # gate admitted nothing
         assert registry.get("DB(B)").pending_depth == 0  # and parked nothing
@@ -495,7 +532,7 @@ class TestBatchRouterDispatch:
         assert b_counters["queued"] == 0
         registry.get("DB(B)").admission.release(4)
 
-    def test_snapshot_mid_dispatch_is_internally_consistent(self):
+    def test_snapshot_mid_dispatch_is_internally_consistent(self, form):
         """Concurrent snapshots always reconcile: dispatched ==
         admitted + rejected + queued + spilled, per backend — the
         disposition lands in one atomic counter update."""
@@ -520,7 +557,7 @@ class TestBatchRouterDispatch:
         def writer():
             try:
                 for _ in range(200):
-                    router.dispatch("X", make_batch(5, "DB(A)"))
+                    router.dispatch("X", form(make_batch(5, "DB(A)")))
             except Exception as exc:  # pragma: no cover - failure detail
                 errors.append(exc)
 
@@ -538,7 +575,7 @@ class TestBatchRouterDispatch:
         counters = registry.get("DB(A)").counters.snapshot()
         assert counters["dispatched"] == 4 * 200 * 5
 
-    def test_concurrent_dispatch_counters_consistent(self):
+    def test_concurrent_dispatch_counters_consistent(self, form):
         registry, router = make_router()
         registry.register(NullBackend("DB(A)"))
         errors = []
@@ -546,7 +583,7 @@ class TestBatchRouterDispatch:
         def worker():
             try:
                 for _ in range(25):
-                    router.dispatch("X", make_batch(4, "DB(A)"))
+                    router.dispatch("X", form(make_batch(4, "DB(A)")))
             except Exception as exc:  # pragma: no cover - failure detail
                 errors.append(exc)
 
@@ -560,6 +597,157 @@ class TestBatchRouterDispatch:
         assert counters["dispatched"] == 8 * 25 * 4
         assert counters["admitted"] == 8 * 25 * 4
         assert registry.get("DB(A)").admission.in_flight == 0
+
+
+def _decision_key(decision):
+    return (
+        decision.backend,
+        decision.offered,
+        decision.admitted,
+        decision.rejected,
+        decision.queued,
+        decision.spilled_to,
+        decision.spilled_from,
+        decision.from_queue,
+        decision.retries,
+        decision.failover_to,
+        decision.failover_from,
+        decision.breaker_open,
+    )
+
+
+def _mixed(n: int, query: str = "select 1") -> list[LabeledQuery]:
+    """n messages alternating cluster=east / cluster=west."""
+    return [
+        LabeledQuery.make(f"{query} -- {i}", cluster=("east", "west")[i % 2])
+        for i in range(n)
+    ]
+
+
+def _two_backends(a_kwargs=None, b_kwargs=None, a_wrap=lambda backend: backend):
+    """east -> DB(A), west -> DB(B); returns (router, {name: NullBackend})."""
+    registry = BackendRegistry()
+    router = BatchRouter(registry, metrics=RuntimeMetrics(), fanout_workers=0)
+    sinks = {"DB(A)": NullBackend("DB(A)"), "DB(B)": NullBackend("DB(B)")}
+    registry.register(a_wrap(sinks["DB(A)"]), **(a_kwargs or {}))
+    registry.register(sinks["DB(B)"], **(b_kwargs or {}))
+    router.set_route("east", "DB(A)")
+    router.set_route("west", "DB(B)")
+    return router, sinks
+
+
+def _scenario_static():
+    return _two_backends(), [_mixed(6)]
+
+
+def _scenario_policy():
+    # least-loaded over explicit candidate sets swaps the static table:
+    # DB(B) holds parked work, so "west" moves onto DB(A), while "east"
+    # may only go to DB(B) (and drains the parked rows ahead of itself)
+    router, sinks = _two_backends()
+    router.set_policy(LeastLoadedPolicy())
+    router.set_candidates("east", ["DB(B)"])
+    router.set_candidates("west", ["DB(A)", "DB(B)"])
+    parked = ColumnarBatch(make_batch(3, "west", query="parked"))
+    router.registry.get("DB(B)").enqueue(parked.select(np.arange(3)))
+    return (router, sinks), [_mixed(6)]
+
+
+def _scenario_reject():
+    return _two_backends(a_kwargs={"max_in_flight": 2}), [_mixed(8)]
+
+
+def _scenario_queue():
+    fleet = _two_backends(
+        a_kwargs={"max_in_flight": 2, "spill": "queue", "queue_capacity": 3}
+    )
+    # the second batch drains the first's parked tail ahead of itself
+    return fleet, [_mixed(10, "first"), _mixed(4, "second")]
+
+
+def _scenario_fallback():
+    fleet = _two_backends(
+        a_kwargs={"max_in_flight": 1, "spill": "fallback", "fallback": "DB(B)"},
+        b_kwargs={"max_in_flight": 5},
+    )
+    return fleet, [_mixed(8)]
+
+
+def _scenario_breaker_open():
+    breaker = CircuitBreaker(
+        failure_threshold=1, recovery_seconds=1000.0, clock=FakeClock()
+    )
+    breaker.record_failure()  # DB(A) is already tripped
+    return _two_backends(a_kwargs={"breaker": breaker}), [_mixed(6)]
+
+
+def _scenario_failover():
+    clock = FakeClock()
+    fleet = _two_backends(
+        a_kwargs={
+            "retry": RetryPolicy(max_attempts=2, clock=clock, sleep=lambda _s: None)
+        },
+        a_wrap=lambda backend: FaultInjectingBackend(
+            backend, [Blackout(0.0, 100.0)], clock=clock
+        ),
+    )
+    return fleet, [_mixed(6)]
+
+
+class TestDispatchInputEquivalence:
+    """``dispatch(list)`` == ``dispatch(ColumnarBatch)``, decision for
+    decision and query for query, on every path a group can take."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            _scenario_static,
+            _scenario_policy,
+            _scenario_reject,
+            _scenario_queue,
+            _scenario_fallback,
+            _scenario_breaker_open,
+            _scenario_failover,
+        ],
+    )
+    def test_same_decisions_and_backend_order_for_every_form(self, scenario):
+        outcomes = {}
+        for name, form in INPUT_FORMS.items():
+            (router, sinks), batches = scenario()
+            decisions = [
+                _decision_key(d)
+                for messages in batches
+                for d in router.dispatch("X", form(messages)).decisions
+            ]
+            outcomes[name] = (
+                decisions,
+                {backend: sink.recent() for backend, sink in sinks.items()},
+            )
+        want_decisions, want_received = outcomes["messages"]
+        assert len({d[0] for d in want_decisions}) == 2  # both backends decided
+        for name in ("bare_batch", "label_column"):
+            assert outcomes[name][0] == want_decisions, name
+            assert outcomes[name][1] == want_received, name
+
+    def test_prelabeled_messages_route_by_their_own_label(self):
+        """The route label on the messages (no classifier predicts it)
+        groups exactly as ``resolve(message)`` says — through
+        ``dispatch`` in either form and through a worker."""
+        messages = _mixed(6)
+        want = [("DB(A)", 3), ("DB(B)", 3)]
+        for form in INPUT_FORMS.values():
+            router, _ = _two_backends()
+            report = router.dispatch("X", form(messages))
+            assert [(d.backend, d.offered) for d in report.decisions] == want
+        router, sinks = _two_backends()
+        assert [router.resolve(m) for m in messages] == ["DB(A)", "DB(B)"] * 3
+        worker = QWorker("X")
+        worker.set_dispatcher(lambda labeled: router.dispatch("X", labeled))
+        worker.process_batch(messages)
+        decisions = worker.last_dispatch.decisions
+        assert [(d.backend, d.offered) for d in decisions] == want
+        assert sinks["DB(A)"].recent() == [m.query for m in messages[0::2]]
+        assert sinks["DB(B)"].recent() == [m.query for m in messages[1::2]]
 
 
 class TestEndToEndRouting:

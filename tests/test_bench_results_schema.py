@@ -38,7 +38,6 @@ def test_every_known_benchmark_has_a_record():
         "dispatch",
         "forecast",
         "load_aware",
-        "many_tenant",
         "server",
     ):
         assert (results / f"BENCH_{name}.json").is_file(), (

@@ -119,7 +119,9 @@ class TestColumnarEquivalence:
         for classifier in classifiers:
             legacy = classifier.label_batch(legacy)
 
-        piped = InferencePipeline().run(list(messages), classifiers)
+        piped = (
+            InferencePipeline().run_columnar(list(messages), classifiers).to_messages()
+        )
 
         assert len(piped) == len(legacy) == len(queries)
         for want, got in zip(legacy, piped):

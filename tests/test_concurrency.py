@@ -197,9 +197,9 @@ class TestConcurrentPipeline:
         # (deterministic embedder, so labels must match across runs)
         reference = {
             m.query: {c.label_name: m.label(c.label_name) for c in classifiers}
-            for m in InferencePipeline().run(
-                [LabeledQuery.make(q) for q in corpus], classifiers
-            )
+            for m in InferencePipeline()
+            .run_columnar([LabeledQuery.make(q) for q in corpus], classifiers)
+            .to_messages()
         }
         pipeline = InferencePipeline(cache=EmbeddingCache(capacity=256))
 
@@ -213,7 +213,9 @@ class TestConcurrentPipeline:
             for _ in range(n_batches):
                 picks = rng.choice(len(corpus), size=20, replace=True)
                 batch = [LabeledQuery.make(corpus[j]) for j in picks]
-                outputs[i].extend(pipeline.run(batch, classifiers))
+                outputs[i].extend(
+                    pipeline.run_columnar(batch, classifiers).to_messages()
+                )
 
         threads = [
             threading.Thread(target=worker, args=(i,)) for i in range(n_threads)
@@ -252,52 +254,21 @@ class TestConcurrentPipeline:
 
 
 class TestEmbeddingCacheConcurrency:
-    def test_bulk_ops_roundtrip_and_refresh_lru(self):
-        cache = EmbeddingCache(capacity=3)
-        cache.put_many("e", [(f"fp{i}", np.full(2, float(i))) for i in range(3)])
-        got = cache.get_many("e", ["fp0", "missing", "fp2"])
-        assert got[1] is None
-        assert np.array_equal(got[0], np.zeros(2))
-        assert np.array_equal(got[2], np.full(2, 2.0))
-        assert cache.hits == 2 and cache.misses == 1
-        # fp0 and fp2 were refreshed; inserting one more evicts fp1
-        cache.put("e", "fp3", np.full(2, 3.0))
-        assert cache.get("e", "fp1") is None
-        assert cache.get("e", "fp0") is not None
-        assert cache.evictions == 1
-
-    def test_put_many_evicts_in_one_pass(self):
-        cache = EmbeddingCache(capacity=2)
-        cache.put_many("e", [(f"fp{i}", np.zeros(1)) for i in range(5)])
-        assert len(cache) == 2
-        assert cache.evictions == 3
-        assert ("e", "fp4") in cache and ("e", "fp3") in cache
-
-    def test_cached_rows_are_immutable(self):
-        cache = EmbeddingCache(capacity=4)
-        source = np.ones(3)
-        cache.put_many("e", [("fp", source)])
-        source[:] = 99.0  # caller mutating its array must not reach the cache
-        (row,) = cache.get_many("e", ["fp"])
-        assert np.array_equal(row, np.ones(3))
-        try:
-            row[0] = 5.0
-            raised = False
-        except ValueError:
-            raised = True
-        assert raised
-
     def test_snapshot_is_internally_consistent_under_load(self):
-        cache = EmbeddingCache(capacity=64)
+        # two lanes of up to 200 rows under a 256-row capacity: lookups,
+        # stores and whole-lane evictions all race the snapshots
+        cache = EmbeddingCache(capacity=256)
         stop = threading.Event()
         failures: list[str] = []
 
         def hammer(seed):
             rng = np.random.default_rng(seed)
+            lane = f"e{seed % 2}"
             while not stop.is_set():
-                fp = f"fp{rng.integers(0, 200)}"
-                if cache.get("e", fp) is None:
-                    cache.put("e", fp, np.zeros(4))
+                ids = rng.choice(200, size=4, replace=False)
+                _, miss = cache.get_matrix(lane, ids, dimension=4)
+                if miss.any():
+                    cache.put_matrix(lane, ids[miss], np.zeros((miss.sum(), 4)))
 
         threads = [threading.Thread(target=hammer, args=(i,)) for i in range(4)]
         for t in threads:

@@ -110,7 +110,7 @@ class TestSpillMaterialization:
 
         # draining the parked slice touches the 5 spilled rows — and
         # only those; the admitted head (rows 0-2) is never rebuilt
-        parked = binding.take_pending()
+        parked, _retries, _evicted = binding.take_for_drain()
         drained = list(parked)
         assert [m.query for m in drained] == [
             f"select {i} from t" for i in range(3, 8)
@@ -119,6 +119,40 @@ class TestSpillMaterialization:
         # the spilled rows carry their labels despite lazy build
         assert {m.label("cluster") for m in drained} == {"east"}
         assert batch._materialized is None
+
+    def test_queue_drain_merges_parked_segments_of_two_batches(
+        self, materialized_rows
+    ):
+        """Parked rows of different batches re-enter as one group: only
+        they materialize (once, to build the merged batch), they drain
+        as a single ``from_queue`` decision, and in parking order."""
+        registry = BackendRegistry()
+        backend = NullBackend("DB(A)")
+        binding = registry.register(
+            backend, max_in_flight=2, spill=SpillPolicy.QUEUE, queue_capacity=16
+        )
+        router = BatchRouter(registry, default_backend="DB(A)")
+        first, second = columnar_batch(5), columnar_batch(4, cluster="west")
+        router.dispatch("app", first)  # admits rows 0-1, parks 2-4
+        # hold the gate shut so the second dispatch parks all 4 rows
+        # behind the re-parked tail of the first
+        assert binding.admission.admit(2) == 2
+        router.dispatch("app", second)
+        binding.admission.release(2)
+        assert binding.pending_depth == 7
+        assert materialized_rows == []
+
+        binding.admission.resize(max_in_flight=16)
+        report = router.drain("DB(A)")
+        (decision,) = report.decisions
+        assert decision.from_queue and decision.admitted == 7
+        assert backend.recent()[-7:] == [
+            f"select {i} from t" for i in (2, 3, 4, 0, 1, 2, 3)
+        ]
+        # per-row builds of exactly the parked rows, per source batch
+        assert sorted(materialized_rows) == [0, 1, 2, 2, 3, 3, 4]
+        assert first._materialized is None and second._materialized is None
+        assert binding.pending_depth == 0
 
     def test_fallback_spill_executes_sibling_columnar(self, materialized_rows):
         registry = BackendRegistry()

@@ -587,6 +587,8 @@ class TestProcessRoutedConcurrent:
         service.register_backend(NullBackend("DB(Y)"))
         service.add_application("X", backend="DB(X)")
         service.add_application("Y", backend="DB(Y)")
+        # forked mode: labels go to the sinks, nothing is forwarded
+        service.add_application("Z", forward_to_database=False)
         return service
 
     def _batches(self) -> list[StreamBatch]:
@@ -598,17 +600,26 @@ class TestProcessRoutedConcurrent:
 
     def test_matches_serial_process_routed(self):
         batches = self._batches()
+        # the two inputs with no dispatch: a forked application's batch
+        # (labeled for the sinks, [] returned) and an empty batch
+        forked = _batch("Z", 0)
+        empty = StreamBatch(application="X", time_step=99, records=())
+        batches[3:3] = [forked, empty]
         concurrent = self._service()
         serial = self._service()
         got = concurrent.process_routed_concurrent(batches)
         want = [serial.process_routed(b) for b in batches]
         assert len(got) == len(want) == len(batches)
-        for (got_labeled, got_report), (want_labeled, want_report) in zip(
-            got, want
+        for batch, (got_labeled, got_report), (want_labeled, want_report) in zip(
+            batches, got, want
         ):
             assert [m.query for m in got_labeled] == [
                 m.query for m in want_labeled
             ]
+            if batch is forked or batch is empty:
+                assert (got_labeled, got_report) == ([], None)
+                assert (want_labeled, want_report) == ([], None)
+                continue
             assert got_report is not None and want_report is not None
             assert got_report.offered == want_report.offered
             assert got_report.admitted == want_report.admitted

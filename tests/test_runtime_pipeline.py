@@ -62,61 +62,28 @@ def _make_classifier(label_name, embedder, train_queries, labels, seed=0):
 
 
 class TestEmbeddingCache:
-    def test_eviction_at_capacity(self):
-        cache = EmbeddingCache(capacity=2)
-        for i in range(3):
-            cache.put("e", f"fp{i}", np.full(4, float(i)))
-        assert len(cache) == 2
-        assert cache.get("e", "fp0") is None  # LRU entry evicted
-        assert cache.get("e", "fp2") is not None
-        assert cache.evictions == 1
-
-    def test_lru_refresh_on_get(self):
-        cache = EmbeddingCache(capacity=2)
-        cache.put("e", "a", np.zeros(2))
-        cache.put("e", "b", np.ones(2))
-        cache.get("e", "a")  # refresh a; b becomes LRU
-        cache.put("e", "c", np.full(2, 2.0))
-        assert cache.get("e", "b") is None
-        assert cache.get("e", "a") is not None
-
     def test_hit_miss_accounting(self):
         cache = EmbeddingCache(capacity=8)
         assert cache.hit_rate == 0.0
-        cache.put("e", "x", np.zeros(2))
-        assert cache.get("e", "x") is not None
-        assert cache.get("e", "ghost") is None
+        cache.put_matrix("e", np.array([4]), np.zeros((1, 2)))
+        _, miss = cache.get_matrix("e", np.array([4, 5]), dimension=2)
+        assert list(miss) == [False, True]
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.hit_rate == pytest.approx(0.5)
 
     def test_keys_are_namespaced_by_embedder(self):
         cache = EmbeddingCache(capacity=8)
-        cache.put("e1", "fp", np.zeros(2))
-        assert cache.get("e2", "fp") is None
+        cache.put_matrix("e1", np.array([0]), np.zeros((1, 2)))
+        _, miss = cache.get_matrix("e2", np.array([0]), dimension=2)
+        assert miss.all()
 
-    def test_cached_vectors_are_frozen(self):
+    def test_stored_rows_are_copies_of_the_source(self):
         cache = EmbeddingCache(capacity=2)
-        source = np.ones(3)
-        cache.put("e", "fp", source)
-        source[0] = 99.0  # caller mutation must not leak into the cache
-        vec = cache.get("e", "fp")
-        assert vec[0] == 1.0
-        with pytest.raises(ValueError):
-            vec[0] = 5.0
-
-    def test_get_many_vectors_are_frozen(self):
-        """Aliasing regression: batch lookups return the same frozen
-        rows as ``get`` — a caller scribbling on a returned vector must
-        raise instead of silently corrupting every future hit."""
-        cache = EmbeddingCache(capacity=8)
-        cache.put_many("e", [("a", np.ones(3)), ("b", np.full(3, 2.0))])
-        got_a, got_b, ghost = cache.get_many("e", ["a", "b", "ghost"])
-        assert ghost is None
-        assert (cache.hits, cache.misses) == (2, 1)
-        for vec in (got_a, got_b):
-            with pytest.raises(ValueError):
-                vec[0] = 99.0
-        assert cache.get("e", "a")[0] == 1.0
+        source = np.ones((1, 3))
+        cache.put_matrix("e", np.array([0]), source)
+        source[0, 0] = 99.0  # caller mutation must not leak into the cache
+        out, _ = cache.get_matrix("e", np.array([0]), dimension=3)
+        assert out[0, 0] == 1.0
 
     def test_matrix_lane_roundtrip(self):
         cache = EmbeddingCache(capacity=64)
@@ -233,7 +200,7 @@ class TestPipelineDedup:
 
         pipe = InferencePipeline()
         batch = [LabeledQuery.make(r.query) for r in snowsim_records[100:180]]
-        labeled = pipe.run(batch, classifiers)
+        labeled = pipe.run_columnar(batch, classifiers).to_messages()
 
         assert len(counting.calls) == 1  # 3 classifiers, 1 shared embedder
         assert len(labeled) == len(batch)
@@ -261,15 +228,15 @@ class TestPipelineDedup:
 
         pipe = InferencePipeline()
         batch = [LabeledQuery.make(r.query) for r in snowsim_records[60:100]]
-        pipe.run(batch, classifiers)
+        pipe.run_columnar(batch, classifiers)
         assert len(bow.calls) == 1
         assert len(d2v.calls) == 1
 
     def test_empty_batch_and_no_classifiers(self, fitted_bow):
         pipe = InferencePipeline()
-        assert pipe.run([], []) == []
+        assert pipe.run_columnar([], []).to_messages() == []
         batch = [LabeledQuery.make("SELECT 1")]
-        assert pipe.run(batch, []) == batch
+        assert pipe.run_columnar(batch, []).to_messages() == batch
         assert pipe.embed(fitted_bow, []).shape == (0, fitted_bow.dimension)
         # none of the above did inference; metrics must not drift
         assert pipe.metrics.batches == 0
@@ -438,7 +405,7 @@ class TestLegacyEquivalence:
         for classifier in classifiers:
             legacy = classifier.label_batch(legacy)
 
-        piped = InferencePipeline().run(batch, classifiers)
+        piped = InferencePipeline().run_columnar(batch, classifiers).to_messages()
 
         assert len(piped) == len(legacy)
         for a, b in zip(piped, legacy):
@@ -650,6 +617,39 @@ class TestRuntimeMetrics:
     def test_add_rejects_unknown_counter(self):
         with pytest.raises(KeyError):
             RuntimeMetrics().add(no_such_counter=1)
+        with pytest.raises(KeyError):  # a field, but not a counter
+            RuntimeMetrics().add(stage_seconds=1)
+
+    def test_snapshot_views_cover_every_counter_once(self):
+        """The key sets ``snapshot()`` has always had, with every counter
+        landing in exactly one of the flat / ``server`` views."""
+        metrics = RuntimeMetrics()
+        metrics.add(**{name: i + 1 for i, name in enumerate(metrics._COUNTERS)})
+        snap = metrics.snapshot()
+        assert set(snap) == {
+            "batches", "queries", "unique_templates", "embedded_templates",
+            "transform_calls", "cache_hits", "cache_misses", "cache_hit_rate",
+            "fingerprint_memo_hits", "fingerprint_memo_misses",
+            "fingerprint_memo_hit_rate", "intern_overflow", "retries",
+            "failovers", "deadline_expiries", "queue_evictions",
+            "breaker_opens", "breaker_half_opens", "breaker_closes",
+            "server", "dedup_ratio", "stage_seconds",
+        }  # fmt: skip
+        assert set(snap["server"]) == {
+            "sessions", "sessions_closed", "sessions_shed", "frames_in",
+            "frames_out", "frames_shed", "bytes_in", "bytes_out",
+            "protocol_errors", "queries", "queries_shed",
+        }  # fmt: skip
+        assert len(metrics._COUNTERS) == 28
+        for i, name in enumerate(metrics._COUNTERS):
+            view, key = (
+                (snap["server"], name.removeprefix("server_"))
+                if name.startswith("server_")
+                else (snap, name)
+            )
+            assert view[key] == i + 1, name
+        assert snap["cache_hit_rate"] == pytest.approx(6 / 13)
+        assert snap["dedup_ratio"] == pytest.approx(1 - 3 / 2)
 
     def test_reset_keeps_routing_stage_keys(self):
         metrics = RuntimeMetrics()
