@@ -8,14 +8,13 @@ captured as failed outcomes so one bad query cannot poison its batch;
 ``strict=True`` turns the first failure into a raised
 :class:`~repro.errors.BackendError` instead.
 
-Execution is *prepared* by default: queries plan through the
-database's template plan cache
-(:class:`~repro.minidb.plancache.PlanCache`), keyed by the interned
-template ids the dispatch path hands to :meth:`execute_templated` —
-or resolved here through the process-wide fingerprint memo when a
-caller only has text. Rows are byte-identical to unprepared
-execution; ``prepared=False`` restores per-query planning (the
-benchmark baseline).
+Execution is *prepared*: queries plan through the database's template
+plan cache (:class:`~repro.minidb.plancache.PlanCache`), keyed by the
+interned template ids the dispatch path hands to
+:meth:`execute_templated` — or resolved here through the process-wide
+fingerprint memo when a caller only has text. Rows are byte-identical
+to unprepared execution (``Database.execute``, the oracle the tests
+compare against).
 """
 
 from __future__ import annotations
@@ -40,13 +39,11 @@ class MiniDBBackend(Backend):
         database: Database,
         config: IndexConfig | None = None,
         strict: bool = False,
-        prepared: bool = True,
     ) -> None:
         super().__init__(name)
         self.database = database
         self.config = config
         self.strict = strict
-        self.prepared = prepared
         self._lock = threading.Lock()
         self._executed = 0
         self._failed = 0
@@ -57,52 +54,31 @@ class MiniDBBackend(Backend):
     def execute_templated(
         self, queries: Sequence[str], template_ids: Sequence[int] | None = None
     ) -> BatchResult:
+        """Execute per query; a fault becomes a failed outcome, or — in
+        strict mode — aborts the batch with a :class:`BackendError`
+        that names the offending query's index and template key (and
+        carries them as ``query_index`` / ``template_key``) so
+        operators can attribute the fault without replaying the batch.
+        """
         queries = list(queries)
         keys = self._template_keys(queries, template_ids)
-        outcomes = (
-            self._execute_strict(queries, keys)
-            if self.strict
-            else self._execute_lenient(queries, keys)
-        )
-        ok = sum(1 for o in outcomes if o.ok)
-        with self._lock:
-            self._executed += ok
-            self._failed += len(outcomes) - ok
-        return BatchResult(backend=self.name, outcomes=tuple(outcomes))
-
-    def _template_keys(
-        self, queries: list[str], template_ids: Sequence[int] | None
-    ) -> list[object] | None:
-        """Plan-cache keys aligned with ``queries`` (None = unprepared).
-
-        Dispatch-supplied interned ids are used as-is; negative ids
-        (batch-local intern overflow — meaningless across batches)
-        become ``None`` so the engine falls back to the fingerprint
-        string. Text-only calls resolve ids and fingerprints in one
-        vectorized probe of the process-wide memo.
-        """
-        if not self.prepared:
-            return None
-        if template_ids is not None:
-            return [int(i) if i >= 0 else None for i in template_ids]
-        ids, fps, _, _ = template_fingerprint_ids(queries)
-        return [int(i) if i >= 0 else fp for i, fp in zip(ids, fps)]
-
-    def _execute_lenient(
-        self, queries: Sequence[str], keys: list[object] | None
-    ) -> list[QueryOutcome]:
-        """Per-query execution; faults become failed outcomes."""
         outcomes: list[QueryOutcome] = []
-        for i, sql in enumerate(queries):
+        for i, (sql, key) in enumerate(zip(queries, keys)):
             start = time.perf_counter()
             try:
-                if keys is None:
-                    result = self.database.execute(sql, self.config)
-                else:
-                    result = self.database.execute_prepared(
-                        sql, self.config, fingerprint_key=keys[i]
-                    )
+                result = self.database.execute_prepared(
+                    sql, self.config, fingerprint_key=key
+                )
             except Exception as exc:  # noqa: BLE001 - engine faults become outcomes
+                if self.strict:
+                    error = BackendError(
+                        f"backend {self.name!r} failed executing a strict "
+                        f"batch of {len(queries)} at query {i} "
+                        f"(template {key!r}): {exc}"
+                    )
+                    error.query_index = i
+                    error.template_key = key
+                    raise error from exc
                 outcomes.append(
                     QueryOutcome(
                         query=sql,
@@ -122,56 +98,27 @@ class MiniDBBackend(Backend):
                     result=result,
                 )
             )
-        return outcomes
+        ok = sum(1 for o in outcomes if o.ok)
+        with self._lock:
+            self._executed += ok
+            self._failed += len(outcomes) - ok
+        return BatchResult(backend=self.name, outcomes=tuple(outcomes))
 
-    def _execute_strict(
-        self, queries: list[str], keys: list[object] | None
-    ) -> list[QueryOutcome]:
-        """All-or-nothing batch through ``execute_many`` (one shared
-        executor); the first engine fault aborts the whole batch. The
-        raised :class:`BackendError` names the offending query's index
-        and template key (and carries them as ``query_index`` /
-        ``template_key`` attributes) so operators can attribute the
-        fault without replaying the batch."""
-        start = time.perf_counter()
-        try:
-            if keys is None:
-                results = self.database.execute_many(queries, self.config)
-            else:
-                results = self.database.execute_many_prepared(
-                    queries, self.config, fingerprint_keys=keys
-                )
-        except Exception as exc:  # noqa: BLE001 - surface as a backend fault
-            index = getattr(exc, "query_index", None)
-            template = (
-                keys[index]
-                if keys is not None and index is not None and index < len(keys)
-                else None
-            )
-            where = (
-                f" at query {index} (template {template!r})"
-                if index is not None
-                else ""
-            )
-            error = BackendError(
-                f"backend {self.name!r} failed executing a strict batch "
-                f"of {len(queries)}{where}: {exc}"
-            )
-            error.query_index = index
-            error.template_key = template
-            raise error from exc
-        per_query = (time.perf_counter() - start) / max(1, len(queries))
-        return [
-            QueryOutcome(
-                query=sql,
-                ok=True,
-                n_rows=result.n_rows,
-                cost_units=result.actual_cost,
-                latency_seconds=per_query,
-                result=result,
-            )
-            for sql, result in zip(queries, results)
-        ]
+    def _template_keys(
+        self, queries: list[str], template_ids: Sequence[int] | None
+    ) -> list[object]:
+        """Plan-cache keys aligned with ``queries``.
+
+        Dispatch-supplied interned ids are used as-is; negative ids
+        (batch-local intern overflow — meaningless across batches)
+        become ``None`` so the engine falls back to the fingerprint
+        string. Text-only calls resolve ids and fingerprints in one
+        vectorized probe of the process-wide memo.
+        """
+        if template_ids is not None:
+            return [int(i) if i >= 0 else None for i in template_ids]
+        ids, fps, _, _ = template_fingerprint_ids(queries)
+        return [int(i) if i >= 0 else fp for i, fp in zip(ids, fps)]
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -181,6 +128,5 @@ class MiniDBBackend(Backend):
             "tables": sorted(self.database.tables),
             "executed": executed,
             "failed": failed,
-            "prepared": self.prepared,
             "plan_cache": self.database.plan_cache.stats(),
         }

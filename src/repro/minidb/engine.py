@@ -113,42 +113,12 @@ class Database:
     def execute(
         self, sql: str, config: IndexConfig | None = None
     ) -> QueryResult:
-        """Plan under ``config``, execute, and report both cost views."""
-        executor = Executor(self._tables, self.catalog, self.cost_model)
-        return self._run_one(executor, sql, config)
+        """Plan under ``config``, execute, and report both cost views.
 
-    def execute_many(
-        self, sqls: list[str], config: IndexConfig | None = None
-    ) -> list[QueryResult]:
-        """Execute a batch, sharing one executor across the queries —
-        all-or-nothing: the first failure aborts the batch (used by
-        strict-mode backends; lenient backends execute per query).
-        The aborting exception carries ``query_index`` — the position
-        of the offending query — so callers can attribute the fault."""
-        executor = Executor(self._tables, self.catalog, self.cost_model)
-        results: list[QueryResult] = []
-        for i, sql in enumerate(sqls):
-            try:
-                results.append(self._run_one(executor, sql, config))
-            except Exception as exc:
-                exc.query_index = i
-                raise
-        return results
-
-    # -- prepared execution ---------------------------------------------------------
-
-    def prepare(self, sql: str, config: IndexConfig | None = None) -> PlanNode:
-        """Plan ``sql`` through the template plan cache.
-
-        Same contract as :meth:`plan`, but queries sharing a template
-        (same fingerprint, index config and LIMIT values) reuse one
-        cached plan with fresh literals re-bound, subject to the
-        catalog-epoch and literal-sensitivity guards in
-        :class:`~repro.minidb.plancache.PlanCache`. Verified-hot
-        templates skip parsing entirely (the binding is extracted from
-        the text by the template's recipe).
+        The unprepared route: every call parses and plans from scratch.
+        It is the oracle prepared execution is checked against.
         """
-        return self._prepared_plan_text(sql, config, None)
+        return self._finish(self.plan(sql, config))
 
     def execute_prepared(
         self,
@@ -156,40 +126,19 @@ class Database:
         config: IndexConfig | None = None,
         fingerprint_key: object | None = None,
     ) -> QueryResult:
-        """Like :meth:`execute`, planning through the plan cache.
+        """Like :meth:`execute`, planning through the template plan cache.
 
+        Queries sharing a template (same fingerprint, index config and
+        LIMIT values) reuse one cached plan with fresh literals
+        re-bound, subject to the catalog-epoch and literal-sensitivity
+        guards in :class:`~repro.minidb.plancache.PlanCache`.
         ``fingerprint_key`` is an optional precomputed template key (an
         interned fingerprint id or fingerprint string) so batch callers
         don't re-fingerprint; rows are byte-identical to ``execute``.
         """
-        executor = Executor(self._tables, self.catalog, self.cost_model)
-        return self._run_one_prepared(executor, sql, config, fingerprint_key)
+        return self._finish(self._prepared_plan(sql, config, fingerprint_key))
 
-    def execute_many_prepared(
-        self,
-        sqls: list[str],
-        config: IndexConfig | None = None,
-        fingerprint_keys: list[object] | None = None,
-    ) -> list[QueryResult]:
-        """Prepared counterpart of :meth:`execute_many` (all-or-nothing,
-        one shared executor). ``fingerprint_keys`` aligns with ``sqls``;
-        ``None`` entries are fingerprinted on demand. The aborting
-        exception carries ``query_index`` like :meth:`execute_many`."""
-        executor = Executor(self._tables, self.catalog, self.cost_model)
-        if fingerprint_keys is None:
-            fingerprint_keys = [None] * len(sqls)
-        results: list[QueryResult] = []
-        for i, (sql, key) in enumerate(zip(sqls, fingerprint_keys)):
-            try:
-                results.append(
-                    self._run_one_prepared(executor, sql, config, key)
-                )
-            except Exception as exc:
-                exc.query_index = i
-                raise
-        return results
-
-    def _prepared_plan_text(
+    def _prepared_plan(
         self,
         sql: str,
         config: IndexConfig | None,
@@ -200,7 +149,7 @@ class Database:
         Verified-hot templates are served by
         :meth:`~repro.minidb.plancache.PlanCache.try_fast` — binding
         values extracted straight from the text, no parse; everything
-        else falls through to the parse + :meth:`PlanCache.fetch` path.
+        else parses and goes through :meth:`PlanCache.fetch`.
         """
         if fingerprint_key is None:
             fingerprint_key = template_fingerprint(sql)
@@ -210,25 +159,13 @@ class Database:
         if plan is not None:
             return plan
         stmt = parse_select(sql)
-        return self._prepared_plan(sql, stmt, config, fingerprint_key)
-
-    def _prepared_plan(
-        self,
-        sql: str,
-        stmt,
-        config: IndexConfig | None,
-        fingerprint_key: object | None = None,
-    ) -> PlanNode:
         binding = extract_parameters(stmt)
         planner = self._planner(config)
         if not binding.rebind_safe:
             self._plan_cache.note_uncacheable()
             return planner.plan(stmt)
-        if fingerprint_key is None:
-            fingerprint_key = template_fingerprint(sql)
-        key = (fingerprint_key, config, binding.limits)
         return self._plan_cache.fetch(
-            key,
+            (fingerprint_key, config, binding.limits),
             self._catalog_epoch,
             stmt,
             binding,
@@ -236,23 +173,8 @@ class Database:
             sql=sql,
         )
 
-    def _run_one_prepared(
-        self,
-        executor: Executor,
-        sql: str,
-        config: IndexConfig | None,
-        fingerprint_key: object | None = None,
-    ) -> QueryResult:
-        plan = self._prepared_plan_text(sql, config, fingerprint_key)
-        return self._finish(executor, plan)
-
-    def _run_one(
-        self, executor: Executor, sql: str, config: IndexConfig | None
-    ) -> QueryResult:
-        plan = self.plan(sql, config)
-        return self._finish(executor, plan)
-
-    def _finish(self, executor: Executor, plan: PlanNode) -> QueryResult:
+    def _finish(self, plan: PlanNode) -> QueryResult:
+        executor = Executor(self._tables, self.catalog, self.cost_model)
         frame, stats = executor.run(plan)
         columns = list(frame.columns)
         rows = _frame_rows(frame)

@@ -8,7 +8,12 @@ separate template IR: cache the plan built for a template's first
 binding, remember which literal instances inside it correspond to
 which binding slot, and serve later queries by substituting their
 freshly-parsed literals into a structurally-shared copy of the cached
-plan. Planning (join enumeration, index selection, selectivity
+plan. That copy, and the ``plan_shape`` signature the guards below
+compare, are both made by one structural walk over dataclass fields,
+tuples and dict values (:func:`_parts` is the only code here that
+knows how a plan is laid out), so a plan-node kind or expression field
+added to the planner is re-bound and rendered without a change here.
+Planning (join enumeration, index selection, selectivity
 estimation) is paid once per template instead of once per query — and
 once a template has cleared verification, even *parsing* is skipped:
 the binding values are extracted straight from the query text by the
@@ -51,8 +56,10 @@ from __future__ import annotations
 import re
 import threading
 from collections import OrderedDict
-from dataclasses import replace
-from typing import Callable, Hashable
+from dataclasses import fields, is_dataclass
+from functools import lru_cache
+from itertools import repeat
+from typing import Callable, Hashable, get_args
 
 from repro.sql import ast
 from repro.sql.params import (
@@ -62,232 +69,115 @@ from repro.sql.params import (
     iter_literal_slots,
 )
 
-from repro.minidb.planner import (
-    AggCompareNode,
-    AggregateNode,
-    AggregateSpec,
-    DerivedNode,
-    DistinctNode,
-    FilterNode,
-    HashJoinNode,
-    IndexNLJoinNode,
-    LimitNode,
-    PlanNode,
-    ProjectNode,
-    ProjectedSingle,
-    ScanNode,
-    SemiJoinNode,
-    SortNode,
-    SubqueryInFilterNode,
-)
+from repro.minidb.planner import PlanNode
 
 __all__ = ["PlanCache", "PlanRebinder", "plan_shape"]
+
+
+# ---------------------------------------------------------------------------
+# the structural walk
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> tuple[str, ...]:
+    """Constructor-order field names of a dataclass, () for a leaf type."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else ()
+
+
+def _parts(obj) -> tuple:
+    """What ``obj`` holds: tuple items, dict values, dataclass fields
+    (plan nodes, ``AggregateSpec``, ``Index``, ``sql.ast`` expressions);
+    nothing for a leaf. The one place that knows how a plan is laid out
+    — re-binding and ``plan_shape`` both read plans through it."""
+    if isinstance(obj, tuple):
+        return obj
+    if isinstance(obj, dict):
+        return tuple(obj.values())
+    return tuple([getattr(obj, name) for name in _field_names(type(obj))])
+
+
+def _with_parts(obj, parts: list):
+    """A copy of ``obj`` holding ``parts`` instead (dict keys are kept)."""
+    if isinstance(obj, tuple):
+        return tuple(parts)
+    if isinstance(obj, dict):
+        return dict(zip(obj, parts))
+    return type(obj)(*parts)
 
 
 # ---------------------------------------------------------------------------
 # plan-shape signature
 # ---------------------------------------------------------------------------
 
+# What ``Literal.__str__`` (``repr`` of the value) can put into a
+# rendered expression: a number, or a string in either quoting. Plan
+# nodes also carry rendered expressions as wiring labels (projection
+# item names, subquery output names, sort-key names), and an unaliased
+# literal item inside a subquery — legal to re-bind, see
+# ``repro.sql.params._rebind_safe`` — bakes the literal's value into
+# those labels. The labels stay internally consistent under rebinding
+# (producer and consumer both keep the plan-time string), so one fold
+# serves labels and expressions alike. Word-adjacent digits (col2,
+# __agg0, log_12) are left alone. (A quote character in an identifier
+# would misalign the fold; the shape only feeds the advisory
+# literal-sensitivity guard, rows never depend on it.)
+_RENDERED_LITERAL = re.compile(
+    r"(?<![\w.])\d+(?:\.\d+)?(?:[eE][+-]?\d+)?(?![\w.])"
+    r"|'(?:[^'\\]|\\.)*'"
+    r'|"(?:[^"\\]|\\.)*"'
+)
+_TEXTUAL = frozenset((str, *get_args(ast.Expr)))  # rendered by their own __str__
+_ESTIMATES = ("est_rows", "est_cost")  # the optimizer's view, not plan structure
+
 
 def plan_shape(plan: PlanNode) -> str:
     """Structural signature of a plan with literal values folded.
 
-    Two plans share a shape iff they make the same choices — node
-    kinds, scan tables/indexes/covering, join strategies and keys,
-    predicate structure — regardless of the literal constants embedded
-    in their predicates. This is what the literal-sensitivity guard
-    compares across bindings.
+    Renders every field of every node except the optimizer's
+    estimates, expressions through their own ``__str__``, so two plans
+    share a shape iff they make the same choices — node kinds, scan
+    tables/indexes/covering, join strategies and keys, predicate
+    structure — regardless of the literal constants embedded in them.
+    This is what the literal-sensitivity guard compares across
+    bindings.
     """
-    parts: list[str] = []
-    _shape(plan, parts)
-    return "|".join(parts)
+    out: list[str] = []
+    _render(plan, out)
+    return "".join(out)
 
 
-# Plan nodes carry *rendered* expression strings as wiring labels
-# (projection item names, subquery output names, sort-key names). An
-# unaliased literal item inside a subquery — legal to re-bind, see
-# ``repro.sql.params._rebind_safe`` — bakes the literal's value into
-# those labels. The labels stay internally consistent under rebinding
-# (producer and consumer both keep the plan-time string), so for shape
-# comparison literal values inside them are folded like predicate
-# literals. Word-adjacent digits (col2, __agg0, log_12) are left alone.
-_NAME_LITERAL = re.compile(
-    r"(?<![\w.])\d+(?:\.\d+)?(?:[eE][+-]?\d+)?(?![\w.])|'(?:[^']|'')*'"
-)
-
-
-def _fold_name(name: str) -> str:
-    return _NAME_LITERAL.sub("?", name)
-
-
-def _fold_names(names) -> str:
-    return ",".join(_fold_name(n) for n in names)
-
-
-def _shape(node: PlanNode | None, out: list[str]) -> None:
-    if node is None:
-        out.append("-")
+def _render(obj, out: list[str]) -> None:
+    kind = type(obj)
+    if kind in _TEXTUAL:
+        text = str(obj)
+        # a bare identifier (most labels) cannot hold a rendered literal
+        if not text.isidentifier():
+            text = _RENDERED_LITERAL.sub("?", text)
+        out.append(text)
         return
-    if isinstance(node, ScanNode):
-        index = node.index.name if node.index is not None else "-"
-        out.append(
-            f"Scan({node.table} as {node.binding} ix={index}"
-            f" cover={node.covering} seek={_fold(node.seek_predicate)}"
-            f" pred=[{','.join(_fold(p) for p in node.predicates)}]"
-            f" cols={','.join(node.columns)})"
-        )
-        return
-    if isinstance(node, DerivedNode):
-        out.append(f"Derived({node.alias} out={_fold_names(node.output_names)})")
-        _shape(node.child, out)
-        return
-    if isinstance(node, FilterNode):
-        out.append(f"Filter({_fold(node.predicate)})")
-        _shape(node.child, out)
-        for sub in node.scalar_subplans.values():
-            out.append("ScalarSub:")
-            _shape(sub, out)
-        return
-    if isinstance(node, SubqueryInFilterNode):
-        out.append(f"SubqueryIn({_fold(node.expr)} neg={node.negated})")
-        _shape(node.child, out)
-        _shape(node.subplan, out)
-        return
-    if isinstance(node, HashJoinNode):
-        out.append(
-            f"HashJoin({node.join_type}"
-            f" lk={','.join(map(str, node.left_keys))}"
-            f" rk={','.join(map(str, node.right_keys))}"
-            f" res={_fold(node.residual)})"
-        )
-        _shape(node.left, out)
-        _shape(node.right, out)
-        return
-    if isinstance(node, IndexNLJoinNode):
-        index = node.index.name if node.index is not None else "-"
-        out.append(
-            f"IndexNLJoin({node.inner_table} as {node.inner_binding}"
-            f" ix={index} cover={node.covering}"
-            f" ok={','.join(map(str, node.outer_keys))}"
-            f" ik={','.join(map(str, node.inner_keys))}"
-            f" flt=[{','.join(_fold(p) for p in node.inner_filters)}]"
-            f" res={_fold(node.residual)})"
-        )
-        _shape(node.outer, out)
-        return
-    if isinstance(node, SemiJoinNode):
-        rename = ",".join(
-            f"{_fold_name(k)}>{_fold_name(v)}"
-            for k, v in sorted(node.inner_rename.items())
-        )
-        out.append(
-            f"SemiJoin(neg={node.negated}"
-            f" ok={','.join(map(str, node.outer_keys))}"
-            f" ik={_fold_names(node.inner_keys)}"
-            f" res={_fold(node.residual)} ren={rename})"
-        )
-        _shape(node.child, out)
-        _shape(node.inner, out)
-        return
-    if isinstance(node, AggCompareNode):
-        out.append(
-            f"AggCompare(op={node.op} val={_fold_name(node.value_name)}"
-            f" ok={','.join(map(str, node.outer_keys))}"
-            f" ik={_fold_names(node.inner_key_names)}"
-            f" outer={_fold(node.outer_expr)})"
-        )
-        _shape(node.child, out)
-        _shape(node.inner, out)
-        return
-    if isinstance(node, AggregateNode):
-        groups = ",".join(f"{_fold_name(n)}={_fold(e)}" for n, e in node.group_exprs)
-        aggs = ",".join(f"{s.name}={_fold(s.call)}" for s in node.aggregates)
-        out.append(
-            f"Aggregate(g=[{groups}] a=[{aggs}] having={_fold(node.having)})"
-        )
-        _shape(node.child, out)
-        for sub in node.scalar_subplans.values():
-            out.append("ScalarSub:")
-            _shape(sub, out)
-        return
-    if isinstance(node, ProjectNode):
-        items = ",".join(f"{_fold_name(n)}={_fold(e)}" for n, e in node.items)
-        out.append(f"Project([{items}])")
-        _shape(node.child, out)
-        return
-    if isinstance(node, SortNode):
-        keys = ",".join(
-            f"{_fold_name(n)}:{'a' if asc else 'd'}" for n, asc in node.keys
-        )
-        out.append(f"Sort([{keys}])")
-        _shape(node.child, out)
-        return
-    if isinstance(node, LimitNode):
-        out.append(f"Limit({node.limit})")
-        _shape(node.child, out)
-        return
-    if isinstance(node, DistinctNode):
-        out.append("Distinct")
-        _shape(node.child, out)
-        return
-    if isinstance(node, ProjectedSingle):
-        out.append(f"ProjectedSingle(out={_fold_names(node.output_names)})")
-        _shape(node.child, out)
-        return
-    out.append(type(node).__name__)  # future node kinds: shape by name
-    for child in node.children():
-        _shape(child, out)
-
-
-def _fold(expr: ast.Expr | None) -> str:
-    """Render an expression with literal values replaced by ``?``."""
-    if expr is None:
-        return "-"
-    if isinstance(expr, ast.Literal):
-        return "?"
-    if isinstance(expr, (ast.Column, ast.Star)):
-        return str(expr)
-    if isinstance(expr, ast.BinaryOp):
-        return f"({_fold(expr.left)} {expr.op} {_fold(expr.right)})"
-    if isinstance(expr, ast.UnaryOp):
-        return f"({expr.op} {_fold(expr.operand)})"
-    if isinstance(expr, ast.FunctionCall):
-        inner = "*" if expr.star else ", ".join(_fold(a) for a in expr.args)
-        d = "DISTINCT " if expr.distinct else ""
-        return f"{expr.name}({d}{inner})"
-    if isinstance(expr, ast.CaseExpr):
-        parts = " ".join(
-            f"WHEN {_fold(c)} THEN {_fold(v)}" for c, v in expr.whens
-        )
-        tail = f" ELSE {_fold(expr.default)}" if expr.default is not None else ""
-        return f"CASE {parts}{tail} END"
-    if isinstance(expr, ast.InList):
-        neg = "NOT " if expr.negated else ""
-        items = ", ".join(_fold(i) for i in expr.items)
-        return f"({_fold(expr.expr)} {neg}IN ({items}))"
-    if isinstance(expr, ast.Between):
-        neg = "NOT " if expr.negated else ""
-        return (
-            f"({_fold(expr.expr)} {neg}BETWEEN"
-            f" {_fold(expr.low)} AND {_fold(expr.high)})"
-        )
-    if isinstance(expr, ast.Like):
-        neg = "NOT " if expr.negated else ""
-        return f"({_fold(expr.expr)} {neg}LIKE {_fold(expr.pattern)})"
-    if isinstance(expr, ast.IsNull):
-        neg = "NOT " if expr.negated else ""
-        return f"({_fold(expr.expr)} IS {neg}NULL)"
-    if isinstance(expr, ast.InSubquery):
-        neg = "NOT " if expr.negated else ""
-        return f"({_fold(expr.expr)} {neg}IN <sub>)"
-    # Exists/ScalarSubquery render opaquely; their structure is covered
-    # by the subplans the planner compiled them into.
-    return str(expr)
+    names = _field_names(kind)
+    if names or kind is tuple or kind is dict:
+        out.append(kind.__name__)
+        out.append("(")
+        for name, part in zip(names or repeat(""), _parts(obj)):
+            if name not in _ESTIMATES:
+                _render(part, out)
+                out.append(",")
+        out.append(")")
+    else:
+        out.append(repr(obj))  # None, bools, ints (LIMIT)
 
 
 # ---------------------------------------------------------------------------
 # plan re-binding
 # ---------------------------------------------------------------------------
+
+# Subquery expression nodes are opaque to a re-bind: the executor keys
+# subplans on ``id()`` of them, so they must come through by identity,
+# and the raw subquery statement inside them was compiled into a
+# subplan whose literals re-bind through the plan side.
+_OPAQUE = (ast.InSubquery, ast.Exists, ast.ScalarSubquery)
 
 
 class PlanRebinder:
@@ -296,21 +186,26 @@ class PlanRebinder:
     Built from the template statement the plan was compiled from: a
     deterministic literal-slot walk (:func:`iter_literal_slots`) gives
     each literal instance an ordinal, and — because the planner carried
-    those instances into the plan by identity — rewriting plan
-    expressions by instance identity re-binds exactly the template's
-    slots. Subtrees without slots are shared with the cached plan;
-    ``ScalarSubquery``/``InSubquery``/``Exists`` expression nodes are
-    kept by identity (the executor resolves their subplans through
-    ``id(node)``) with their interior literals re-bound through the
-    subplan side instead.
+    those instances into the plan by identity — rewriting the plan by
+    instance identity re-binds exactly the template's slots.
+
+    The first re-bind walks the plan once and keeps, for every
+    container (node, expression, tuple, dict) that lies on a path from
+    the root to a slot, which of its parts lead on; re-binds visit only
+    those and share everything else with the cached plan. (Most
+    long-tail templates are planned once and never re-bound, so the
+    walk waits for the first re-bind.) Within one re-bind a container
+    reachable twice (a scan's seek predicate is also one of its
+    predicates) maps to one new instance, so identity relations inside
+    the plan survive.
     """
 
-    __slots__ = ("_ordinals", "_plan", "_base_slots")
+    __slots__ = ("_plan", "_base_slots", "_root")
 
     def __init__(self, stmt: ast.SelectStatement, plan: PlanNode) -> None:
         self._base_slots = tuple(iter_literal_slots(stmt))
-        self._ordinals = {id(s): i for i, s in enumerate(self._base_slots)}
         self._plan = plan
+        self._root = _UNMARKED
 
     @property
     def arity(self) -> int:
@@ -323,216 +218,59 @@ class PlanRebinder:
                 f"arity mismatch: plan has {len(self._base_slots)} slots,"
                 f" got {len(slots)}"
             )
-        if all(new == old for new, old in zip(slots, self._base_slots)):
-            return self._plan
-        repl = {
-            id(old): new
+        # an equal literal keeps the cached instance, so paths to
+        # slots whose value did not change stay shared as well
+        bound = [
+            old if new == old else new
             for old, new in zip(self._base_slots, slots)
-            if new != old
-        }
-        return _rebind_plan(self._plan, repl)
+        ]
+        if all(new is old for new, old in zip(bound, self._base_slots)):
+            return self._plan
+        if self._root is _UNMARKED:
+            ordinals = {id(s): i for i, s in enumerate(self._base_slots)}
+            self._root = _mark(self._plan, ordinals, {})
+        if self._root is None:  # no slot made it into the plan
+            return self._plan
+        return _rebind(self._root, bound, {})
 
 
-def _rebind_plan(node: PlanNode | None, repl: dict[int, ast.Literal]):
-    if node is None:
-        return None
-    if isinstance(node, ScanNode):
-        preds = _retuple(node.predicates, repl)
-        seek = _rx(node.seek_predicate, repl)
-        if preds is node.predicates and seek is node.seek_predicate:
-            return node
-        return replace(node, predicates=preds, seek_predicate=seek)
-    if isinstance(node, DerivedNode):
-        child = _rebind_plan(node.child, repl)
-        return node if child is node.child else replace(node, child=child)
-    if isinstance(node, FilterNode):
-        child = _rebind_plan(node.child, repl)
-        pred = _rx(node.predicate, repl)
-        subs = _resubplans(node.scalar_subplans, repl)
-        if (
-            child is node.child
-            and pred is node.predicate
-            and subs is node.scalar_subplans
-        ):
-            return node
-        return replace(node, child=child, predicate=pred, scalar_subplans=subs)
-    if isinstance(node, SubqueryInFilterNode):
-        child = _rebind_plan(node.child, repl)
-        expr = _rx(node.expr, repl)
-        sub = _rebind_plan(node.subplan, repl)
-        if child is node.child and expr is node.expr and sub is node.subplan:
-            return node
-        return replace(node, child=child, expr=expr, subplan=sub)
-    if isinstance(node, HashJoinNode):
-        left = _rebind_plan(node.left, repl)
-        right = _rebind_plan(node.right, repl)
-        res = _rx(node.residual, repl)
-        if left is node.left and right is node.right and res is node.residual:
-            return node
-        return replace(node, left=left, right=right, residual=res)
-    if isinstance(node, IndexNLJoinNode):
-        outer = _rebind_plan(node.outer, repl)
-        filters = _retuple(node.inner_filters, repl)
-        res = _rx(node.residual, repl)
-        if (
-            outer is node.outer
-            and filters is node.inner_filters
-            and res is node.residual
-        ):
-            return node
-        return replace(node, outer=outer, inner_filters=filters, residual=res)
-    if isinstance(node, SemiJoinNode):
-        child = _rebind_plan(node.child, repl)
-        inner = _rebind_plan(node.inner, repl)
-        res = _rx(node.residual, repl)
-        if child is node.child and inner is node.inner and res is node.residual:
-            return node
-        return replace(node, child=child, inner=inner, residual=res)
-    if isinstance(node, AggCompareNode):
-        child = _rebind_plan(node.child, repl)
-        inner = _rebind_plan(node.inner, repl)
-        outer_expr = _rx(node.outer_expr, repl)
-        if (
-            child is node.child
-            and inner is node.inner
-            and outer_expr is node.outer_expr
-        ):
-            return node
-        return replace(node, child=child, inner=inner, outer_expr=outer_expr)
-    if isinstance(node, AggregateNode):
-        child = _rebind_plan(node.child, repl)
-        groups = _repairs(node.group_exprs, repl)
-        aggs = _respecs(node.aggregates, repl)
-        having = _rx(node.having, repl)
-        subs = _resubplans(node.scalar_subplans, repl)
-        if (
-            child is node.child
-            and groups is node.group_exprs
-            and aggs is node.aggregates
-            and having is node.having
-            and subs is node.scalar_subplans
-        ):
-            return node
-        return replace(
-            node,
-            child=child,
-            group_exprs=groups,
-            aggregates=aggs,
-            having=having,
-            scalar_subplans=subs,
-        )
-    if isinstance(node, ProjectNode):
-        child = _rebind_plan(node.child, repl)
-        items = _repairs(node.items, repl)
-        if child is node.child and items is node.items:
-            return node
-        return replace(node, child=child, items=items)
-    if isinstance(node, (DistinctNode, SortNode, LimitNode)):
-        child = _rebind_plan(node.child, repl)
-        return node if child is node.child else replace(node, child=child)
-    if isinstance(node, ProjectedSingle):
-        child = _rebind_plan(node.child, repl)
-        if child is node.child:
-            return node
-        rebuilt = ProjectedSingle(child, node.output_names)
-        rebuilt.est_rows, rebuilt.est_cost = node.est_rows, node.est_cost
-        return rebuilt
-    return node  # leaf-like / unknown nodes carry no rebindable literals
+_UNMARKED = object()
 
 
-def _retuple(exprs: tuple, repl: dict[int, ast.Literal]) -> tuple:
-    out = tuple(_rx(e, repl) for e in exprs)
-    return exprs if all(a is b for a, b in zip(out, exprs)) else out
+def _mark(obj, ordinals: dict[int, int], seen: dict[int, object]):
+    """The re-bind path through ``obj``: a slot's ordinal; for a
+    container with slots beneath it ``(obj, parts, [(position, path of
+    that part), ...])``; None when no slot lies beneath."""
+    key = id(obj)
+    if key in ordinals:
+        return ordinals[key]
+    if key in seen:
+        return seen[key]
+    below = []
+    parts = () if isinstance(obj, _OPAQUE) else _parts(obj)
+    for position, part in enumerate(parts):
+        part_path = _mark(part, ordinals, seen)
+        if part_path is not None:
+            below.append((position, part_path))
+    seen[key] = path = (obj, parts, below) if below else None
+    return path
 
 
-def _repairs(pairs: tuple, repl: dict[int, ast.Literal]) -> tuple:
-    out = tuple((name, _rx(e, repl)) for name, e in pairs)
-    changed = any(a[1] is not b[1] for a, b in zip(out, pairs))
-    return out if changed else pairs
-
-
-def _respecs(
-    specs: tuple[AggregateSpec, ...], repl: dict[int, ast.Literal]
-) -> tuple[AggregateSpec, ...]:
-    out = []
-    changed = False
-    for spec in specs:
-        call = _rx(spec.call, repl)
-        if call is spec.call:
-            out.append(spec)
-        else:
-            out.append(AggregateSpec(spec.name, call))
-            changed = True
-    return tuple(out) if changed else specs
-
-
-def _resubplans(
-    subs: dict[int, PlanNode], repl: dict[int, ast.Literal]
-) -> dict[int, PlanNode]:
-    # keys are id()s of subquery nodes in the predicate — _rx keeps those
-    # nodes by identity, so the keys stay valid across a rebind
-    out = {k: _rebind_plan(v, repl) for k, v in subs.items()}
-    changed = any(out[k] is not subs[k] for k in subs)
-    return out if changed else subs
-
-
-def _rx(expr: ast.Expr | None, repl: dict[int, ast.Literal]):
-    """Rewrite an expression substituting literal instances from ``repl``;
-    returns ``expr`` itself when nothing underneath changed."""
-    if expr is None:
-        return None
-    new = repl.get(id(expr))
-    if new is not None:
-        return new
-    if isinstance(expr, (ast.Column, ast.Star, ast.Literal)):
-        return expr
-    if isinstance(expr, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
-        # atomic: the executor keys subplans by id() of these nodes;
-        # literals inside re-bind through the subplan side
-        return expr
-    if isinstance(expr, ast.BinaryOp):
-        left, right = _rx(expr.left, repl), _rx(expr.right, repl)
-        if left is expr.left and right is expr.right:
-            return expr
-        return ast.BinaryOp(expr.op, left, right)
-    if isinstance(expr, ast.UnaryOp):
-        operand = _rx(expr.operand, repl)
-        return expr if operand is expr.operand else ast.UnaryOp(expr.op, operand)
-    if isinstance(expr, ast.FunctionCall):
-        args = tuple(_rx(a, repl) for a in expr.args)
-        if all(a is b for a, b in zip(args, expr.args)):
-            return expr
-        return ast.FunctionCall(expr.name, args, expr.distinct, expr.star)
-    if isinstance(expr, ast.CaseExpr):
-        whens = tuple((_rx(c, repl), _rx(v, repl)) for c, v in expr.whens)
-        default = _rx(expr.default, repl)
-        if default is expr.default and all(
-            a[0] is b[0] and a[1] is b[1] for a, b in zip(whens, expr.whens)
-        ):
-            return expr
-        return ast.CaseExpr(whens, default)
-    if isinstance(expr, ast.InList):
-        inner = _rx(expr.expr, repl)
-        items = tuple(_rx(i, repl) for i in expr.items)
-        if inner is expr.expr and all(a is b for a, b in zip(items, expr.items)):
-            return expr
-        return ast.InList(inner, items, expr.negated)
-    if isinstance(expr, ast.Between):
-        inner = _rx(expr.expr, repl)
-        low, high = _rx(expr.low, repl), _rx(expr.high, repl)
-        if inner is expr.expr and low is expr.low and high is expr.high:
-            return expr
-        return ast.Between(inner, low, high, expr.negated)
-    if isinstance(expr, ast.Like):
-        inner = _rx(expr.expr, repl)
-        pattern = _rx(expr.pattern, repl)
-        if inner is expr.expr and pattern is expr.pattern:
-            return expr
-        return ast.Like(inner, pattern, expr.negated)
-    if isinstance(expr, ast.IsNull):
-        inner = _rx(expr.expr, repl)
-        return expr if inner is expr.expr else ast.IsNull(inner, expr.negated)
-    return expr
+def _rebind(path, bound: list[ast.Literal], done: dict[int, object]):
+    if type(path) is int:
+        return bound[path]
+    obj, parts, below = path
+    new = done.get(id(obj))
+    if new is None:
+        fresh = None
+        for position, part_path in below:
+            part = _rebind(part_path, bound, done)
+            if part is not parts[position]:
+                if fresh is None:
+                    fresh = list(parts)
+                fresh[position] = part
+        done[id(obj)] = new = obj if fresh is None else _with_parts(obj, fresh)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +282,6 @@ class _Entry:
     __slots__ = (
         "plan",
         "rebinder",
-        "shape",
         "kinds",
         "epoch",
         "seen",
@@ -555,14 +292,12 @@ class _Entry:
         self,
         plan: PlanNode,
         rebinder: PlanRebinder,
-        shape: str,
         kinds: tuple[str, ...],
         epoch: int,
         first: tuple,
     ) -> None:
         self.plan = plan
         self.rebinder = rebinder
-        self.shape = shape
         self.kinds = kinds
         self.epoch = epoch
         self.seen: set[tuple] = {first}  # distinct shape-verified bindings
@@ -642,7 +377,6 @@ class PlanCache:
                 self._entries[key] = _Entry(
                     plan,
                     rebinder,
-                    plan_shape(plan),
                     binding.kinds,
                     epoch,
                     binding.values,
@@ -682,7 +416,7 @@ class PlanCache:
                 # still verifying: plan fresh and compare shapes
                 plan = plan_fresh()
                 self._misses += 1
-                if plan_shape(plan) != entry.shape:
+                if plan_shape(plan) != plan_shape(entry.plan):
                     entry.literal_sensitive = True
                     self._sensitive_templates += 1
                 else:

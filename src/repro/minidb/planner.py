@@ -17,7 +17,7 @@ the executor can later report the same formulas over *true* counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.errors import PlanningError
 from repro.minidb.catalog import Catalog
@@ -41,7 +41,14 @@ class PlanNode:
     est_cost: float = 0.0  # cumulative, includes children
 
     def children(self) -> list["PlanNode"]:
-        return []
+        """Child plans in field order, scalar subplans included."""
+        out: list[PlanNode] = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value.values() if isinstance(value, dict) else (value,):
+                if isinstance(v, PlanNode):
+                    out.append(v)
+        return out
 
     def describe(self, indent: int = 0) -> str:
         pad = "  " * indent
@@ -74,9 +81,6 @@ class DerivedNode(PlanNode):
     alias: str = ""
     output_names: tuple[str, ...] = ()
 
-    def children(self) -> list[PlanNode]:
-        return [self.child] if self.child else []
-
 
 @dataclass
 class FilterNode(PlanNode):
@@ -84,11 +88,6 @@ class FilterNode(PlanNode):
     predicate: ast.Expr | None = None
     # plans for uncorrelated scalar subqueries inside the predicate
     scalar_subplans: dict[int, PlanNode] = field(default_factory=dict)
-
-    def children(self) -> list[PlanNode]:
-        out = [self.child] if self.child else []
-        out.extend(self.scalar_subplans.values())
-        return out
 
 
 @dataclass
@@ -100,9 +99,6 @@ class SubqueryInFilterNode(PlanNode):
     subplan: PlanNode | None = None
     negated: bool = False
 
-    def children(self) -> list[PlanNode]:
-        return [n for n in (self.child, self.subplan) if n]
-
 
 @dataclass
 class HashJoinNode(PlanNode):
@@ -112,9 +108,6 @@ class HashJoinNode(PlanNode):
     left_keys: tuple[ast.Column, ...] = ()
     right_keys: tuple[ast.Column, ...] = ()
     residual: ast.Expr | None = None
-
-    def children(self) -> list[PlanNode]:
-        return [n for n in (self.left, self.right) if n]
 
 
 @dataclass
@@ -132,9 +125,6 @@ class IndexNLJoinNode(PlanNode):
     inner_keys: tuple[ast.Column, ...] = ()
     residual: ast.Expr | None = None
 
-    def children(self) -> list[PlanNode]:
-        return [self.outer] if self.outer else []
-
 
 @dataclass
 class SemiJoinNode(PlanNode):
@@ -148,9 +138,6 @@ class SemiJoinNode(PlanNode):
     negated: bool = False
     # inner output name -> qualified key the residual expects (l2__x -> l2.x)
     inner_rename: dict[str, str] = field(default_factory=dict)
-
-    def children(self) -> list[PlanNode]:
-        return [n for n in (self.child, self.inner) if n]
 
 
 @dataclass
@@ -170,9 +157,6 @@ class AggCompareNode(PlanNode):
     op: str = "="
     outer_expr: ast.Expr | None = None
 
-    def children(self) -> list[PlanNode]:
-        return [n for n in (self.child, self.inner) if n]
-
 
 @dataclass
 class AggregateSpec:
@@ -190,27 +174,16 @@ class AggregateNode(PlanNode):
     having: ast.Expr | None = None  # aggregates rewritten to synthetic cols
     scalar_subplans: dict[int, PlanNode] = field(default_factory=dict)
 
-    def children(self) -> list[PlanNode]:
-        out = [self.child] if self.child else []
-        out.extend(self.scalar_subplans.values())
-        return out
-
 
 @dataclass
 class ProjectNode(PlanNode):
     child: PlanNode | None = None
     items: tuple[tuple[str, ast.Expr], ...] = ()  # (output name, expr)
 
-    def children(self) -> list[PlanNode]:
-        return [self.child] if self.child else []
-
 
 @dataclass
 class DistinctNode(PlanNode):
     child: PlanNode | None = None
-
-    def children(self) -> list[PlanNode]:
-        return [self.child] if self.child else []
 
 
 @dataclass
@@ -218,17 +191,28 @@ class SortNode(PlanNode):
     child: PlanNode | None = None
     keys: tuple[tuple[str, bool], ...] = ()  # (output column, ascending)
 
-    def children(self) -> list[PlanNode]:
-        return [self.child] if self.child else []
-
 
 @dataclass
 class LimitNode(PlanNode):
     child: PlanNode | None = None
     limit: int = 0
 
-    def children(self) -> list[PlanNode]:
-        return [self.child] if self.child else []
+
+@dataclass
+class ProjectedSingle(PlanNode):
+    """Wrapper exposing a subplan's output names to executor helpers."""
+
+    child: PlanNode | None = None
+    output_names: tuple[str, ...] = ()
+
+
+def _projected(child: PlanNode, names: list[str]) -> ProjectedSingle:
+    return ProjectedSingle(
+        est_rows=child.est_rows,
+        est_cost=child.est_cost,
+        child=child,
+        output_names=tuple(names),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +743,7 @@ class Planner:
             return SubqueryInFilterNode(
                 child=node,
                 expr=expr,
-                subplan=ProjectedSingle(subplan, names),
+                subplan=_projected(subplan, names),
                 negated=negated,
                 est_rows=max(1.0, node.est_rows * sel),
                 est_cost=node.est_cost
@@ -783,7 +767,7 @@ class Planner:
         def walk(e: ast.Expr) -> None:
             if isinstance(e, ast.ScalarSubquery):
                 plan, names = self._plan_select(e.subquery, outer_scope=None)
-                subplans[id(e)] = ProjectedSingle(plan, names)
+                subplans[id(e)] = _projected(plan, names)
                 return
             for child in ast.iter_children(e):
                 walk(child)
@@ -827,7 +811,7 @@ class Planner:
         sel = 0.1 if negated else 0.5
         return SemiJoinNode(
             child=node,
-            inner=ProjectedSingle(inner_plan, inner_names),
+            inner=_projected(inner_plan, inner_names),
             outer_keys=tuple(p[0] for p in eq_pairs),
             inner_keys=key_names,
             residual=residual,
@@ -870,7 +854,7 @@ class Planner:
         inner_plan, inner_names = self._plan_select(inner_stmt, outer_scope=None)
         return AggCompareNode(
             child=node,
-            inner=ProjectedSingle(inner_plan, inner_names),
+            inner=_projected(inner_plan, inner_names),
             outer_keys=tuple(outer for outer, _ in eq_pairs),
             inner_key_names=tuple(f"__key{i}" for i in range(len(eq_pairs))),
             value_name="__value",
@@ -1291,18 +1275,6 @@ class Planner:
             if str(item.expr) == text:
                 return name
         raise PlanningError(f"ORDER BY expression {text} not in select list")
-
-
-class ProjectedSingle(PlanNode):
-    """Wrapper exposing a subplan's output names to executor helpers."""
-
-    def __init__(self, child: PlanNode, names: list[str]) -> None:
-        super().__init__(est_rows=child.est_rows, est_cost=child.est_cost)
-        self.child = child
-        self.output_names = list(names)
-
-    def children(self) -> list[PlanNode]:
-        return [self.child]
 
 
 # ---------------------------------------------------------------------------

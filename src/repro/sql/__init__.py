@@ -21,7 +21,6 @@ from repro.sql.parser import parse_select
 from repro.sql.params import (
     FastBindingRecipe,
     ParameterBinding,
-    bind_parameters,
     build_fast_recipe,
     extract_parameters,
     iter_literal_slots,
@@ -38,7 +37,6 @@ __all__ = [
     "parse_select",
     "FastBindingRecipe",
     "ParameterBinding",
-    "bind_parameters",
     "build_fast_recipe",
     "extract_parameters",
     "iter_literal_slots",

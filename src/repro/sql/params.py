@@ -9,7 +9,10 @@ the *bindings* (the ordered literal values). Two queries with the same
 template fingerprint parse to identically-shaped ASTs, so their walks
 visit corresponding literal slots in the same order — which is what
 lets prepared execution plan a template once and re-bind fresh
-literals per query (see :mod:`repro.minidb.plancache`).
+literals per query. The re-binding itself happens on the *plan*, by
+literal identity (see :mod:`repro.minidb.plancache`); this module only
+extracts, from a parsed statement or — for verified templates —
+straight from the text (:class:`FastBindingRecipe`).
 
 Three statement features need care:
 
@@ -86,29 +89,6 @@ def extract_parameters(stmt: ast.SelectStatement) -> ParameterBinding:
         limits=limits,
         rebind_safe=_rebind_safe(stmt),
     )
-
-
-def bind_parameters(
-    template: ast.SelectStatement, values: tuple
-) -> ast.SelectStatement:
-    """Re-bind fresh literal ``values`` into ``template``, deep-shared.
-
-    Returns a statement where the i-th literal slot (walk order)
-    carries ``values[i]``; every subtree without a slot is shared with
-    the template by identity. Raises ``ValueError`` when the value
-    count does not match the template's slot count.
-    """
-    slots = tuple(_walk_stmt(template))
-    if len(values) != len(slots):
-        raise ValueError(
-            f"binding arity mismatch: template has {len(slots)} slots, "
-            f"got {len(values)} values"
-        )
-    replacements = {
-        id(slot): ast.Literal(value, slot.kind)
-        for slot, value in zip(slots, values)
-    }
-    return _rebind_stmt(template, replacements)
 
 
 # ---------------------------------------------------------------------------
@@ -260,156 +240,6 @@ def _subqueries_safe(expr: ast.Expr) -> bool:
             return _subqueries_safe(expr.expr)
         return True
     return all(_subqueries_safe(child) for child in ast.iter_children(expr))
-
-
-# ---------------------------------------------------------------------------
-# re-binding (deep-shared rebuild)
-# ---------------------------------------------------------------------------
-
-
-def _rebind_stmt(
-    stmt: ast.SelectStatement, repl: dict[int, ast.Literal]
-) -> ast.SelectStatement:
-    items = tuple(
-        _rebuild(item, ast.SelectItem(_rebind_expr(item.expr, repl), item.alias))
-        for item in stmt.items
-    )
-    relations = tuple(_rebind_rel(rel, repl) for rel in stmt.relations)
-    where = None if stmt.where is None else _rebind_expr(stmt.where, repl)
-    group_by = tuple(_rebind_expr(g, repl) for g in stmt.group_by)
-    having = None if stmt.having is None else _rebind_expr(stmt.having, repl)
-    order_by = tuple(
-        _rebuild(o, ast.OrderItem(_rebind_expr(o.expr, repl), o.ascending))
-        for o in stmt.order_by
-    )
-    rebuilt = ast.SelectStatement(
-        items=items,
-        relations=relations,
-        where=where,
-        group_by=group_by,
-        having=having,
-        order_by=order_by,
-        limit=stmt.limit,
-        distinct=stmt.distinct,
-    )
-    return _share(stmt, rebuilt)
-
-
-def _rebind_rel(rel: ast.Relation, repl: dict[int, ast.Literal]) -> ast.Relation:
-    if isinstance(rel, ast.SubqueryRef):
-        return _share(rel, ast.SubqueryRef(_rebind_stmt(rel.subquery, repl), rel.alias))
-    if isinstance(rel, ast.Join):
-        return _share(
-            rel,
-            ast.Join(
-                rel.kind,
-                _rebind_rel(rel.left, repl),
-                _rebind_rel(rel.right, repl),
-                None
-                if rel.condition is None
-                else _rebind_expr(rel.condition, repl),
-            ),
-        )
-    return rel
-
-
-def _rebind_expr(expr: ast.Expr, repl: dict[int, ast.Literal]) -> ast.Expr:
-    replacement = repl.get(id(expr))
-    if replacement is not None:
-        return replacement
-    if isinstance(expr, (ast.Column, ast.Star, ast.Literal)):
-        return expr
-    if isinstance(expr, ast.InSubquery):
-        return _share(
-            expr,
-            ast.InSubquery(
-                _rebind_expr(expr.expr, repl),
-                _rebind_stmt(expr.subquery, repl),
-                expr.negated,
-            ),
-        )
-    if isinstance(expr, ast.Exists):
-        return _share(
-            expr, ast.Exists(_rebind_stmt(expr.subquery, repl), expr.negated)
-        )
-    if isinstance(expr, ast.ScalarSubquery):
-        return _share(expr, ast.ScalarSubquery(_rebind_stmt(expr.subquery, repl)))
-    if isinstance(expr, ast.BinaryOp):
-        return _share(
-            expr,
-            ast.BinaryOp(
-                expr.op,
-                _rebind_expr(expr.left, repl),
-                _rebind_expr(expr.right, repl),
-            ),
-        )
-    if isinstance(expr, ast.UnaryOp):
-        return _share(expr, ast.UnaryOp(expr.op, _rebind_expr(expr.operand, repl)))
-    if isinstance(expr, ast.FunctionCall):
-        return _share(
-            expr,
-            ast.FunctionCall(
-                expr.name,
-                tuple(_rebind_expr(a, repl) for a in expr.args),
-                expr.distinct,
-                expr.star,
-            ),
-        )
-    if isinstance(expr, ast.CaseExpr):
-        return _share(
-            expr,
-            ast.CaseExpr(
-                tuple(
-                    (_rebind_expr(c, repl), _rebind_expr(v, repl))
-                    for c, v in expr.whens
-                ),
-                None
-                if expr.default is None
-                else _rebind_expr(expr.default, repl),
-            ),
-        )
-    if isinstance(expr, ast.InList):
-        return _share(
-            expr,
-            ast.InList(
-                _rebind_expr(expr.expr, repl),
-                tuple(_rebind_expr(i, repl) for i in expr.items),
-                expr.negated,
-            ),
-        )
-    if isinstance(expr, ast.Between):
-        return _share(
-            expr,
-            ast.Between(
-                _rebind_expr(expr.expr, repl),
-                _rebind_expr(expr.low, repl),
-                _rebind_expr(expr.high, repl),
-                expr.negated,
-            ),
-        )
-    if isinstance(expr, ast.Like):
-        return _share(
-            expr,
-            ast.Like(
-                _rebind_expr(expr.expr, repl),
-                _rebind_expr(expr.pattern, repl),
-                expr.negated,
-            ),
-        )
-    if isinstance(expr, ast.IsNull):
-        return _share(
-            expr, ast.IsNull(_rebind_expr(expr.expr, repl), expr.negated)
-        )
-    return expr
-
-
-def _share(original, rebuilt):
-    """Return ``original`` when the rebuild changed nothing (deep-shared)."""
-    return original if rebuilt == original else rebuilt
-
-
-def _rebuild(original, rebuilt):
-    return original if rebuilt == original else rebuilt
 
 
 # ---------------------------------------------------------------------------

@@ -240,10 +240,26 @@ class TestMiniDBBackend:
         assert result.failed_count == 2
         assert all(o.error for o in result.outcomes)
 
-    def test_strict_mode_raises(self, snow_db):
+    def test_strict_mode_raises(self, snow_db, snow_records):
         backend = MiniDBBackend("DB(A)", snow_db, strict=True)
         with pytest.raises(BackendError):
             backend.execute(["select * from no_such_table"])
+        # the fault names the offending query: its position in the batch
+        # and the template key it was planned under
+        good = next(
+            o.query
+            for o in MiniDBBackend("probe", snow_db)
+            .execute([r.query for r in snow_records[:30]])
+            .outcomes
+            if o.ok
+        )
+        with pytest.raises(BackendError) as caught:
+            backend.execute_templated(
+                [good, good, "select * from no_such_table", good], [5, 5, 9, 5]
+            )
+        assert caught.value.query_index == 2
+        assert caught.value.template_key == 9
+        assert "at query 2 (template 9)" in str(caught.value)
 
     def test_strict_mode_batch_results(self, snow_db, snow_records):
         backend = MiniDBBackend("DB(A)", snow_db, strict=True)

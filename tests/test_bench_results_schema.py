@@ -35,7 +35,6 @@ def test_every_known_benchmark_has_a_record():
     results = REPO_ROOT / "benchmarks" / "results"
     for name in (
         "concurrent",
-        "dispatch",
         "forecast",
         "load_aware",
         "server",

@@ -4,26 +4,39 @@ Unit tests pin the :class:`~repro.minidb.plancache.PlanCache` protocol
 — LRU eviction, catalog-epoch invalidation, the literal-sensitivity
 bail-out, kind-mismatch and rebind-unsafe bypasses — and a hypothesis
 property pins the headline contract: prepared execution is
-byte-identical to per-query planning (rows, columns, plan shapes, and
-failures) for every generated query, hot or cold cache.
+byte-identical to per-query planning (rows, columns, costs, plan
+shapes, and failures) for every generated query, hot or cold cache.
+The parse-free path (:class:`~repro.sql.params.FastBindingRecipe`) is
+pinned against the parser, and the backend adapter against
+``Database.execute``.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_property_based import simple_select
+from test_property_based import number, simple_select, string_literal
 
+from repro.backends import MiniDBBackend
+from repro.errors import ParseError
+from repro.minidb import materialize_log_tables
 from repro.minidb.datagen import generate_tpch_database
 from repro.minidb.engine import Database
 from repro.minidb.indexes import Index, IndexConfig
 from repro.minidb.plancache import PlanCache, plan_shape
 from repro.minidb.storage import Table
-from repro.sql.params import extract_parameters
+from repro.sql.normalizer import template_fingerprint, template_fingerprint_ids
+from repro.sql.params import build_fast_recipe, extract_parameters
 from repro.sql.parser import parse_select
-from repro.workloads import generate_tpch_workload
+from repro.workloads import (
+    SnowSimConfig,
+    generate_snowsim_workload,
+    generate_tpch_workload,
+)
 
 
 def _tiny_db(plan_cache: PlanCache | None = None) -> Database:
@@ -292,6 +305,7 @@ def _observe(run, sql):
         # groups yield nan, and (nan,) != (nan,) under tuple equality
         repr(result.rows),
         result.n_rows,
+        result.actual_cost,
         plan_shape(result.plan),
     )
 
@@ -322,3 +336,196 @@ class TestPreparedEquivalence:
             want = _observe(db.execute, sql)
             got = _observe(db.execute_prepared, sql)
             assert got == want, sql
+
+
+# -- a re-bound plan keeps its identity relations -----------------------------
+
+
+def _scans(plan):
+    if type(plan).__name__ == "ScanNode":
+        yield plan
+    for child in plan.children():
+        yield from _scans(child)
+
+
+class TestPreparedIndexSeek:
+    def test_seek_plan_matches_unprepared_past_verification(self):
+        """A scan's seek predicate is also one of its predicates; the
+        executor tells them apart by identity, so a re-bound plan must
+        keep them one object or the seek predicate is evaluated — and
+        charged — twice. Checked on both routes to a re-bind: the
+        parse-free ``try_fast`` route and parse + ``fetch``."""
+        db, _ = _tpch()
+        cfg = IndexConfig([Index("orders", ("o_orderkey",))])
+        fast = (
+            "select o_orderkey, o_totalprice from orders "
+            "where o_orderkey = {n} and o_totalprice > 10"
+        )
+        # a block comment sends a text past the fast scanner: no recipe,
+        # so every hit of this template re-binds through parse + fetch
+        parsed = (
+            "select o_orderkey from orders /* parse route */ "
+            "where o_orderkey = {n} and o_totalprice > 10"
+        )
+
+        def recipe(sql):
+            return build_fast_recipe(sql, extract_parameters(parse_select(sql)))
+
+        assert recipe(fast.format(n=1)) is not None
+        assert recipe(parsed.format(n=1)) is None
+
+        bindings = db.plan_cache.verify_bindings + 5
+        for template in (fast, parsed):
+            hits = db.plan_cache.stats()["hits"]
+            for n in range(1, bindings + 1):
+                sql = template.format(n=n)
+                want = db.execute(sql, cfg)
+                assert any(s.seek_predicate is not None for s in _scans(want.plan))
+                got = db.execute_prepared(sql, cfg)
+                assert (got.rows, got.actual_cost, plan_shape(got.plan)) == (
+                    want.rows,
+                    want.actual_cost,
+                    plan_shape(want.plan),
+                ), sql
+            # the comparison above ran on re-bound plans, not fresh ones
+            served = db.plan_cache.stats()["hits"] - hits
+            assert served == bindings - db.plan_cache.verify_bindings
+
+
+# -- property: the parse-free recipe agrees with the parser -------------------
+
+# few templates x many instances: a narrow tenant profile gives SnowSim
+# a bounded template population instead of one-off queries
+_SNOW_CONFIG = SnowSimConfig(
+    account_profile=((73881, 8), (18487, 6), (5471, 4)),
+    tables_per_account=(3, 5),
+    total_queries=300,
+    seed=5,
+)
+
+
+def _snow_queries() -> list[str]:
+    return [r.query for r in generate_snowsim_workload(_SNOW_CONFIG)]
+
+
+def _parsed_binding(sql):
+    try:
+        return extract_parameters(parse_select(sql))
+    except ParseError:
+        return None
+
+
+def _check_recipe_agrees_with_parser(queries) -> int:
+    """For each template in ``queries``: a recipe built from its first
+    parseable instance extracts, from every same-fingerprint text,
+    either nothing or exactly the parser's ``(values, limits)``."""
+    groups: dict[str, list[str]] = {}
+    for sql in queries:
+        groups.setdefault(template_fingerprint(sql), []).append(sql)
+    recipes = 0
+    for members in groups.values():
+        base = _parsed_binding(members[0])
+        if base is None:
+            continue
+        recipe = build_fast_recipe(members[0], base)
+        if recipe is None:
+            continue
+        recipes += 1
+        for sql in members:
+            extracted = recipe.extract(sql)
+            if extracted is None:
+                continue
+            want = _parsed_binding(sql)
+            assert want is not None, sql
+            values, limits = extracted
+            assert limits == want.limits, sql
+            assert [(type(v), v) for v in values] == [
+                (type(v), v) for v in want.values
+            ], sql
+    return recipes
+
+
+_NUMBER_TOKEN = re.compile(r"(?<![\w.'])\d+(?![\w.'])")
+_STRING_TOKEN = re.compile(r"'[^']*'")
+
+
+@st.composite
+def same_template_selects(draw):
+    """A generated SELECT plus re-drawn-literal variants of it."""
+    base = draw(simple_select())
+    variants = [base]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        sql = _NUMBER_TOKEN.sub(lambda m: str(draw(number)), base)
+        sql = _STRING_TOKEN.sub(lambda m: f"'{draw(string_literal)}'", sql)
+        variants.append(sql)
+    return variants
+
+
+class TestFastRecipeAgreesWithParser:
+    def test_tpch_pool(self):
+        pool = generate_tpch_workload(instances_per_template=4, seed=13)
+        assert _check_recipe_agrees_with_parser(pool) > 0
+
+    def test_snowsim_sample(self):
+        assert _check_recipe_agrees_with_parser(_snow_queries()) > 0
+
+    @given(same_template_selects())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_selects(self, variants):
+        _check_recipe_agrees_with_parser(variants)
+
+
+# -- the backend adapter against the unprepared oracle ------------------------
+# (timer-free twins of the retired benchmarks/test_bench_dispatch.py)
+
+
+def _tenant_streams():
+    snow = _snow_queries()
+    return {
+        "snow": (materialize_log_tables(snow, rows_per_table=8), snow),
+        "tpch": (
+            generate_tpch_database(exec_scale=0.0005, virtual_scale=0.0005, seed=42),
+            generate_tpch_workload(instances_per_template=4, seed=11),
+        ),
+    }
+
+
+def _oracle(db: Database, sql: str) -> tuple:
+    try:
+        result = db.execute(sql)
+    except Exception:  # noqa: BLE001 - a failing query must fail prepared too
+        return (False, 0, 0.0, None)
+    return (True, result.n_rows, result.actual_cost, repr(result.rows))
+
+
+class TestBackendMatchesUnpreparedOracle:
+    def test_templated_outcomes_match_database_execute_cold_and_warm(self):
+        for name, (db, queries) in _tenant_streams().items():
+            want = [_oracle(db, sql) for sql in queries]
+            assert any(w[0] for w in want)
+            ids, _, _, _ = template_fingerprint_ids(queries)
+            backend = MiniDBBackend(f"DB({name})", db)
+            for temperature in ("cold", "warm"):
+                result = backend.execute_templated(queries, ids)
+                got = [
+                    (
+                        o.ok,
+                        o.n_rows,
+                        o.cost_units,
+                        repr(o.result.rows) if o.ok else None,
+                    )
+                    for o in result.outcomes
+                ]
+                assert got == want, (name, temperature)
+                assert all(bool(o.error) != o.ok for o in result.outcomes)
+
+    def test_few_template_stream_hits_once_warm(self):
+        for name, (db, queries) in _tenant_streams().items():
+            backend = MiniDBBackend(f"DB({name})", db)
+            backend.execute(queries)  # verification + recipes happen here
+            cold = db.plan_cache.stats()
+            backend.execute(queries)
+            warm = db.plan_cache.stats()
+            hits = warm["hits"] - cold["hits"]
+            misses = warm["misses"] - cold["misses"]
+            assert hits / (hits + misses) > 0.9, (name, cold, warm)
