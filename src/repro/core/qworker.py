@@ -109,13 +109,8 @@ class QWorker:
             return []
         errors: list[Exception] = []
         columnar = self.label_batch_columnar(batch, collect_errors=errors)
-        dispatch_error: Exception | None = None
-        try:
-            self.dispatch_labeled(columnar)
-        except Exception as exc:  # noqa: BLE001 - don't eat sink failures
-            dispatch_error = exc
-        self.raise_failures(errors, dispatch_error)
-        return columnar.to_messages() if self.forward_to_database else []
+        labeled, _ = self.finish_labeled(columnar, errors)
+        return labeled
 
     def label_batch_columnar(
         self,
@@ -149,7 +144,7 @@ class QWorker:
             except Exception as exc:  # noqa: BLE001 - isolate sinks from each other
                 errors.append(exc)
         if collect_errors is None:
-            self.raise_failures(errors, None)
+            self._raise_failures(errors, None)
         return columnar
 
     def dispatch_labeled(self, labeled: ColumnarBatch):
@@ -165,17 +160,32 @@ class QWorker:
         self.last_dispatch = self._dispatcher(labeled)
         return self.last_dispatch
 
-    def raise_failures(
+    def finish_labeled(
+        self, labeled: ColumnarBatch, sink_errors: list[Exception]
+    ) -> tuple[list[LabeledQuery], object | None]:
+        """The stage pair's tail: dispatch, surface failures, materialize.
+
+        The one spelling behind :meth:`process_batch` and the service's
+        stage B, so both report sink and dispatch failures identically
+        — and only after every sink (and the dispatcher) saw the batch.
+        Returns the per-query messages (none in forked mode: the batch
+        went to the sinks, not onward) and the dispatch report.
+        """
+        dispatch_error: Exception | None = None
+        report = None
+        try:
+            report = self.dispatch_labeled(labeled)
+        except Exception as exc:  # noqa: BLE001 - don't eat sink failures
+            dispatch_error = exc
+        self._raise_failures(sink_errors, dispatch_error)
+        return (labeled.to_messages() if self.forward_to_database else []), report
+
+    def _raise_failures(
         self,
         sink_errors: list[Exception],
         dispatch_error: Exception | None,
     ) -> None:
-        """Surface everything that failed for one batch, in one error.
-
-        Shared by the serial path and the staged executor so both
-        report sink and dispatch failures identically — and only after
-        every sink (and the dispatcher) saw the batch.
-        """
+        """Surface everything that failed for one batch, in one error."""
         if not sink_errors and dispatch_error is None:
             return
         parts = []

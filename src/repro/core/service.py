@@ -342,7 +342,6 @@ class QuercService:
         self,
         batches: "Iterable[StreamBatch]",
         queue_depth: int = 4,
-        tuner: BatchSizeTuner | None = None,
         label_workers: int = 2,
         dispatch_workers: int = 4,
     ) -> "list[tuple[list[LabeledQuery], DispatchReport | None]]":
@@ -377,7 +376,6 @@ class QuercService:
         """
         executor = self.create_staged_executor(
             queue_depth=queue_depth,
-            tuner=tuner if tuner is not None else self._tuner,
             label_workers=label_workers,
             dispatch_workers=dispatch_workers,
         )
@@ -392,7 +390,6 @@ class QuercService:
     def create_staged_executor(
         self,
         queue_depth: int = 4,
-        tuner: BatchSizeTuner | None = None,
         label_workers: int = 2,
         dispatch_workers: int = 4,
     ) -> StagedExecutor:
@@ -406,35 +403,30 @@ class QuercService:
         executor through here, so a network batch takes *exactly* the
         library path. The caller must ``close()`` it.
         """
-        active_tuner = tuner if tuner is not None else self._tuner
+        tuner = self._tuner
         provisioner = self._provisioner
         feedback = None
-        if active_tuner is not None or provisioner is not None:
+        if tuner is not None or provisioner is not None:
             # close the admission loop: every dispatch report's
             # offered/admitted shortfall shrinks that tenant's batches;
             # resilience churn (retries, failovers) shrinks them too —
             # a flaky backend gets cheaper groups to re-run. The
             # provisioner rides the same completions: it observes each
             # tenant's arrivals + label mix and replans on its interval
-            def feedback(
-                application: str,
-                result,
-                _tuner=active_tuner,
-                _provisioner=provisioner,
-            ):
-                if _provisioner is not None:
-                    _provisioner.observe_result(application, result)
-                    _provisioner.tick()
-                if _tuner is None:
+            def feedback(application: str, result):
+                if provisioner is not None:
+                    provisioner.observe_result(application, result)
+                    provisioner.tick()
+                if tuner is None:
                     return
                 _, report = result
                 if not isinstance(report, DispatchReport):
                     return
                 if report.offered:
-                    _tuner.observe_admission(
+                    tuner.observe_admission(
                         report.offered, report.admitted, application=application
                     )
-                _tuner.observe_faults(
+                tuner.observe_faults(
                     report.retries, report.failovers, application=application
                 )
 
@@ -442,7 +434,7 @@ class QuercService:
             self._stage_label,
             self._stage_dispatch,
             queue_depth=queue_depth,
-            tuner=active_tuner,
+            tuner=tuner,
             dispatch_feedback=feedback,
             label_workers=label_workers,
             dispatch_workers=dispatch_workers,
@@ -485,15 +477,8 @@ class QuercService:
         (none in forked mode: the batch went to the sinks, not onward).
         """
         columnar, sink_errors = staged
-        app = self.application(application)
-        dispatch_error: Exception | None = None
-        report = None
-        try:
-            report = app.worker.dispatch_labeled(columnar)
-        except Exception as exc:  # noqa: BLE001 - aggregate with sink failures
-            dispatch_error = exc
-        app.worker.raise_failures(sink_errors, dispatch_error)
-        labeled = columnar.to_messages() if app.worker.forward_to_database else []
+        worker = self.application(application).worker
+        labeled, report = worker.finish_labeled(columnar, sink_errors)
         return labeled, report if isinstance(report, DispatchReport) else None
 
     def stats(self) -> dict:

@@ -59,13 +59,21 @@ bounded (``submit`` blocks the producer), and the ready-queues are
 bounded by construction — invariant 2 means each queue holds at most
 one entry per application.
 
+Each stage is described once, by a private ``_Stage`` record (stage
+function, completion hook, ready-queue, workers, occupancy marks), and
+both run one worker loop: pop the ready lane's next batch, run the
+stage function and its hook, then hand the batch to the next stage's
+queue — or, after the last stage or an error, resolve its future.
+Anything per-stage (a wait timestamp taken at enqueue and read at pop,
+a differently ordered ready-queue) therefore has one place to go.
+
 A :class:`~repro.runtime.tuner.BatchSizeTuner` can be attached; every
-stage-A completion feeds it a ``(queries, seconds)`` observation, so
-the stream layer's batch sizes track the labeling cost the pool is
-actually measuring. ``dispatch_feedback`` runs on the worker that
-completed stage B, before the batch's future resolves. Neither hook
-can kill a worker: their failures are counted per lane and the batch
-still resolves.
+stage-A completion feeds it a ``(queries, seconds)`` observation — the
+tuner's only labeling feed — so the stream layer's batch sizes track
+the labeling cost the pool is actually measuring. ``dispatch_feedback``
+runs on the worker that completed stage B, before the batch's future
+resolves. Neither hook can kill a worker: their failures are counted
+per lane and the batch still resolves.
 """
 
 from __future__ import annotations
@@ -75,6 +83,7 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ServiceError
@@ -150,8 +159,10 @@ class StagedFuture:
 class _Lane:
     """One application's scheduling state: queues and counters, no threads.
 
-    ``cond``'s lock guards every mutable field. ``label_busy`` /
-    ``dispatch_busy`` are true while the lane is on the corresponding
+    ``cond``'s lock guards every mutable field. Per-stage state is kept
+    as pairs indexed by stage position (0 = label, 1 = dispatch):
+    ``queues`` is ``(ingress, handoff)`` — stage *i* pops ``queues[i]``
+    — and ``busy[i]`` is true while the lane is on stage *i*'s
     ready-queue *or* a worker is running that stage for it — the
     at-most-one-in-flight-per-stage invariant is exactly "this flag is
     set". Producers blocked on a full ingress wait on ``cond``; a
@@ -162,19 +173,14 @@ class _Lane:
     __slots__ = (
         "application",
         "cond",
-        "ingress",
-        "handoff",
+        "queues",
         "closed",
-        "label_busy",
-        "dispatch_busy",
+        "busy",
         "submitted",
-        "labeled_batches",
+        "batches",
         "labeled_queries",
-        "dispatched_batches",
-        "label_seconds",
-        "dispatch_seconds",
-        "label_errors",
-        "dispatch_errors",
+        "seconds",
+        "errors",
         "feedback_errors",
         "max_handoff_depth",
     )
@@ -182,19 +188,16 @@ class _Lane:
     def __init__(self, application: str) -> None:
         self.application = application
         self.cond = threading.Condition()
-        self.ingress: deque = deque()  # (item, future), bounded via cond
-        self.handoff: deque = deque()  # (staged, future), bounded by depth
+        # ingress holds (item, future), bounded via cond; the hand-off
+        # holds (staged, future), bounded by queue_depth
+        self.queues: tuple[deque, deque] = (deque(), deque())
         self.closed = False
-        self.label_busy = False
-        self.dispatch_busy = False
+        self.busy = [False, False]
         self.submitted = 0
-        self.labeled_batches = 0
+        self.batches = [0, 0]  # completed without error, per stage
         self.labeled_queries = 0
-        self.dispatched_batches = 0
-        self.label_seconds = 0.0
-        self.dispatch_seconds = 0.0
-        self.label_errors = 0
-        self.dispatch_errors = 0
+        self.seconds = [0.0, 0.0]
+        self.errors = [0, 0]
         self.feedback_errors = 0
         self.max_handoff_depth = 0
 
@@ -202,20 +205,49 @@ class _Lane:
         with self.cond:
             return {
                 "submitted": self.submitted,
-                "labeled_batches": self.labeled_batches,
+                "labeled_batches": self.batches[0],
                 "labeled_queries": self.labeled_queries,
-                "dispatched_batches": self.dispatched_batches,
-                "label_seconds": self.label_seconds,
-                "dispatch_seconds": self.dispatch_seconds,
-                "label_errors": self.label_errors,
-                "dispatch_errors": self.dispatch_errors,
+                "dispatched_batches": self.batches[1],
+                "label_seconds": self.seconds[0],
+                "dispatch_seconds": self.seconds[1],
+                "label_errors": self.errors[0],
+                "dispatch_errors": self.errors[1],
                 "feedback_errors": self.feedback_errors,
-                "ingress_depth": len(self.ingress),
-                "handoff_depth": len(self.handoff),
+                "ingress_depth": len(self.queues[0]),
+                "handoff_depth": len(self.queues[1]),
                 "max_handoff_depth": self.max_handoff_depth,
-                "label_busy": self.label_busy,
-                "dispatch_busy": self.dispatch_busy,
+                "label_busy": self.busy[0],
+                "dispatch_busy": self.busy[1],
             }
+
+
+@dataclass(eq=False)
+class _Stage:
+    """One stage of the pool, described once.
+
+    ``index`` is the stage's position in every per-stage pair on a
+    :class:`_Lane`; ``fn(application, payload)`` does the work and
+    ``hook(lane, payload, result, elapsed)`` runs after each success.
+    ``ready`` holds at most one entry per lane (plus shutdown and
+    retire tokens), so it is bounded by the tenant count. ``workers``
+    (the target), ``spawned`` (keeps thread names unique across
+    generations) and ``threads`` change only under the executor's
+    resize lock; the occupancy marks — workers inside ``fn`` now, the
+    lifetime peak, the peak since the last ``pool_window`` reset — only
+    under its pool lock.
+    """
+
+    index: int
+    name: str
+    fn: Callable[[str, Any], Any]
+    hook: Callable[[_Lane, Any, Any, float], None] | None
+    workers: int
+    ready: queue.SimpleQueue = field(default_factory=queue.SimpleQueue)
+    spawned: int = 0
+    threads: list[threading.Thread] = field(default_factory=list)
+    active: int = 0
+    max_active: int = 0
+    window_max_active: int = 0
 
 
 class StagedExecutor:
@@ -265,23 +297,14 @@ class StagedExecutor:
             raise ServiceError("queue_depth must be >= 1")
         if label_workers < 1 or dispatch_workers < 1:
             raise ServiceError("label_workers and dispatch_workers must be >= 1")
-        self._label_fn = label_fn
-        self._dispatch_fn = dispatch_fn
         self.queue_depth = int(queue_depth)
-        self.label_workers = int(label_workers)
-        self.dispatch_workers = int(dispatch_workers)
         self.tuner = tuner
-        self._dispatch_feedback = dispatch_feedback
         self._clock = clock
         self._lanes: dict[str, _Lane] = {}
         self._lanes_lock = threading.Lock()
         self._closed = False
         self._close_done = threading.Event()
         self._started_at = clock()
-        # each ready-queue holds at most one entry per lane (plus the
-        # shutdown sentinels), so both are bounded by the tenant count
-        self._label_ready: queue.SimpleQueue = queue.SimpleQueue()
-        self._dispatch_ready: queue.SimpleQueue = queue.SimpleQueue()
         # accepted-future ledger: submit increments, resolution
         # decrements; close() drains by waiting for zero. Worker-death
         # bookkeeping shares the condition: a dying worker notifies, so
@@ -289,52 +312,48 @@ class StagedExecutor:
         self._drain = threading.Condition()
         self._outstanding = 0
         self._workers_alive = 0  # incremented by _spawn_worker
-        # pool occupancy (workers currently inside a stage fn)
+        # guards every stage's occupancy marks. The window marks are the
+        # same signal as the lifetime peaks, but resettable
+        # (pool_window) so a periodic planner sees each interval's
+        # saturation, not history's
         self._pool_lock = threading.Lock()
-        self._label_active = 0
-        self._dispatch_active = 0
-        self._max_label_active = 0
-        self._max_dispatch_active = 0
-        # interval-windowed high-water marks: same signal as the
-        # lifetime peaks, but resettable (pool_window) so a periodic
-        # planner sees each interval's saturation, not history's
-        self._window_max_label_active = 0
-        self._window_max_dispatch_active = 0
         self._window_started_at = clock()
-        # live resize bookkeeping: spawn indices keep thread names
-        # unique across generations, the ledger counts resizes
+        # live resize bookkeeping: the ledger counts resizes
         self._resize_lock = threading.Lock()
-        self._label_spawned = 0
-        self._dispatch_spawned = 0
         self._resizes = 0
         self._workers_retired = 0
-        self._label_threads: list[threading.Thread] = []
-        self._dispatch_threads: list[threading.Thread] = []
-        for _ in range(self.label_workers):
-            self._spawn_worker("label")
-        for _ in range(self.dispatch_workers):
-            self._spawn_worker("dispatch")
+        feedback = None
+        if dispatch_feedback is not None:
+            def feedback(lane: _Lane, staged: Any, result: Any, elapsed: float):
+                dispatch_feedback(lane.application, result)
 
-    def _spawn_worker(self, stage: str) -> None:
+        self._stages = (
+            _Stage(0, "label", label_fn, self._after_label, int(label_workers)),
+            _Stage(1, "dispatch", dispatch_fn, feedback, int(dispatch_workers)),
+        )
+        for stage in self._stages:
+            for _ in range(stage.workers):
+                self._spawn_worker(stage)
+
+    @property
+    def label_workers(self) -> int:
+        return self._stages[0].workers
+
+    @property
+    def dispatch_workers(self) -> int:
+        return self._stages[1].workers
+
+    def _spawn_worker(self, stage: _Stage) -> None:
         """Start one stage worker and record it (caller must hold
         ``_resize_lock`` when resizing; construction is single-threaded)."""
-        if stage == "label":
-            index, self._label_spawned = self._label_spawned, self._label_spawned + 1
-            thread = threading.Thread(
-                target=self._label_loop, name=f"querc-label-{index}", daemon=True
-            )
-            self._label_threads.append(thread)
-        else:
-            index, self._dispatch_spawned = (
-                self._dispatch_spawned,
-                self._dispatch_spawned + 1,
-            )
-            thread = threading.Thread(
-                target=self._dispatch_loop,
-                name=f"querc-dispatch-{index}",
-                daemon=True,
-            )
-            self._dispatch_threads.append(thread)
+        thread = threading.Thread(
+            target=self._worker_loop,
+            args=(stage,),
+            name=f"querc-{stage.name}-{stage.spawned}",
+            daemon=True,
+        )
+        stage.spawned += 1
+        stage.threads.append(thread)
         with self._drain:
             self._workers_alive += 1
         thread.start()
@@ -351,19 +370,7 @@ class StagedExecutor:
         future, that future is guaranteed to resolve (value or error),
         even if :meth:`close` races the submission.
         """
-        lane = self._lane(application)
-        future = StagedFuture(application)
-        with lane.cond:
-            while len(lane.ingress) >= self.queue_depth and not lane.closed:
-                lane.cond.wait()
-            if lane.closed:
-                raise ServiceError("executor is closed")
-            lane.ingress.append((item, future))
-            lane.submitted += 1
-            with self._drain:
-                self._outstanding += 1
-            self._maybe_schedule_label(lane)
-        return future
+        return self._offer(application, item, block=True)
 
     def try_submit(self, application: str, item: Any) -> StagedFuture | None:
         """Non-blocking :meth:`submit`: ``None`` when the lane is full.
@@ -376,18 +383,28 @@ class StagedExecutor:
         as ``submit``'s: it will resolve, even across a racing
         :meth:`close`.
         """
+        return self._offer(application, item, block=False)
+
+    def _offer(
+        self, application: str, item: Any, block: bool
+    ) -> StagedFuture | None:
+        """The one accept path: a batch is accepted exactly when its
+        lane is open and its ingress has room."""
         lane = self._lane(application)
+        ingress = lane.queues[0]
         with lane.cond:
+            while len(ingress) >= self.queue_depth and not lane.closed:
+                if not block:
+                    return None
+                lane.cond.wait()
             if lane.closed:
                 raise ServiceError("executor is closed")
-            if len(lane.ingress) >= self.queue_depth:
-                return None
             future = StagedFuture(application)
-            lane.ingress.append((item, future))
+            ingress.append((item, future))
             lane.submitted += 1
             with self._drain:
                 self._outstanding += 1
-            self._maybe_schedule_label(lane)
+            self._maybe_schedule(lane, self._stages[0])
         return future
 
     def map(self, items, application_of=None) -> list:
@@ -416,31 +433,26 @@ class StagedExecutor:
                 lane = self._lanes[application] = _Lane(application)
         return lane
 
-    def _maybe_schedule_label(self, lane: _Lane) -> None:
-        """Put the lane on the stage-A ready-queue if eligible.
+    def _maybe_schedule(self, lane: _Lane, stage: _Stage) -> None:
+        """Put the lane on the stage's ready-queue if eligible.
 
         Caller holds ``lane.cond``. Eligible means: work waiting, no
-        batch of this lane already in stage A, and room in the
-        hand-off — a full hand-off keeps the lane un-ready instead of
-        letting a label worker block on it, so a slow backend
-        backpressures its own tenant without stalling the shared pool.
+        batch of this lane already in this stage, and room in the next
+        stage's queue — a full hand-off keeps the lane un-ready for
+        stage A instead of letting a label worker block on it, so a
+        slow backend backpressures its own tenant without stalling the
+        shared pool. (The last stage feeds a future, never a queue.)
         """
+        here = stage.index
+        if lane.busy[here] or not lane.queues[here]:
+            return
         if (
-            lane.label_busy
-            or not lane.ingress
-            or len(lane.handoff) >= self.queue_depth
+            here + 1 < len(lane.queues)
+            and len(lane.queues[here + 1]) >= self.queue_depth
         ):
             return
-        lane.label_busy = True
-        self._label_ready.put(lane)
-
-    def _maybe_schedule_dispatch(self, lane: _Lane) -> None:
-        """Put the lane on the stage-B ready-queue if eligible (caller
-        holds ``lane.cond``)."""
-        if lane.dispatch_busy or not lane.handoff:
-            return
-        lane.dispatch_busy = True
-        self._dispatch_ready.put(lane)
+        lane.busy[here] = True
+        stage.ready.put(lane)
 
     # -- workers -------------------------------------------------------------------
 
@@ -454,32 +466,6 @@ class StagedExecutor:
             if self._outstanding <= 0:
                 self._drain.notify_all()
 
-    def _pool_enter(self, stage: str) -> None:
-        with self._pool_lock:
-            if stage == "label":
-                self._label_active += 1
-                self._max_label_active = max(
-                    self._max_label_active, self._label_active
-                )
-                self._window_max_label_active = max(
-                    self._window_max_label_active, self._label_active
-                )
-            else:
-                self._dispatch_active += 1
-                self._max_dispatch_active = max(
-                    self._max_dispatch_active, self._dispatch_active
-                )
-                self._window_max_dispatch_active = max(
-                    self._window_max_dispatch_active, self._dispatch_active
-                )
-
-    def _pool_exit(self, stage: str) -> None:
-        with self._pool_lock:
-            if stage == "label":
-                self._label_active -= 1
-            else:
-                self._dispatch_active -= 1
-
     def _worker_exit(self) -> None:
         """Count a worker out (sentinel or death) and wake the drain.
 
@@ -491,14 +477,16 @@ class StagedExecutor:
             self._workers_alive -= 1
             self._drain.notify_all()
 
-    def _label_loop(self) -> None:
+    def _worker_loop(self, stage: _Stage) -> None:
         # the loop shape guarantees a worker survives *anything* a batch
-        # throws at it: once (item, future) is popped, the except/finally
-        # pair resolves the future and releases the lane no matter what
-        # fails inside — stage fn, hooks, even an injected clock
+        # throws at it: once (payload, future) is popped, the
+        # except/finally pair resolves the future and releases the lane
+        # no matter what fails inside — stage fn, hooks, even an
+        # injected clock
+        here = stage.index
         try:
             while True:
-                lane = self._label_ready.get()
+                lane = stage.ready.get()
                 if lane is _SENTINEL:
                     return
                 if lane is _RETIRE:
@@ -506,121 +494,86 @@ class StagedExecutor:
                         self._workers_retired += 1
                     return
                 with lane.cond:
-                    item, future = lane.ingress.popleft()
-                    # ingress slot freed: wake one blocked producer
-                    lane.cond.notify()
+                    payload, future = lane.queues[here].popleft()
+                    if here == 0:
+                        # ingress slot freed: wake one blocked producer
+                        lane.cond.notify()
+                    else:
+                        # a hand-off slot freed: the stage before may
+                        # resume this lane
+                        self._maybe_schedule(lane, self._stages[here - 1])
                 try:
-                    self._label_one(lane, item, future)
+                    self._run_one(stage, lane, payload, future)
                 except BaseException as exc:  # noqa: BLE001 - never kill the worker
                     if not future.done():
                         with lane.cond:
-                            lane.label_errors += 1
+                            lane.errors[here] += 1
                         self._resolve_future(future, error=exc)
                 finally:
                     with lane.cond:
-                        lane.label_busy = False
-                        self._maybe_schedule_label(lane)
+                        lane.busy[here] = False
+                        self._maybe_schedule(lane, stage)
         finally:
             self._worker_exit()
 
-    def _label_one(self, lane: _Lane, item: Any, future: StagedFuture) -> None:
-        """Run one batch through stage A and hand it to stage B."""
-        self._pool_enter("label")
-        try:
-            start = self._clock()
-            try:
-                staged = self._label_fn(lane.application, item)
-                error: BaseException | None = None
-            except BaseException as exc:  # noqa: BLE001 - resolve, don't kill the worker
-                staged, error = None, exc
-            elapsed = self._clock() - start
-        finally:
-            self._pool_exit("label")
-        if error is not None:
-            with lane.cond:
-                lane.label_errors += 1
-                lane.label_seconds += elapsed
-            self._resolve_future(future, error=error)
-            return
-        try:
-            n = len(item)
-        except Exception:  # noqa: BLE001 - a hostile __len__ must not kill the worker
-            n = 1
-        with lane.cond:
-            lane.labeled_batches += 1
-            lane.label_seconds += elapsed
-            lane.labeled_queries += n
-        if self.tuner is not None:
-            try:
-                self.tuner.observe(n, elapsed, application=lane.application)
-            except BaseException:  # noqa: BLE001 - observations never kill a worker
-                with lane.cond:
-                    lane.feedback_errors += 1
-        with lane.cond:
-            lane.handoff.append((staged, future))
-            lane.max_handoff_depth = max(
-                lane.max_handoff_depth, len(lane.handoff)
-            )
-            self._maybe_schedule_dispatch(lane)
-
-    def _dispatch_loop(self) -> None:
-        try:
-            while True:
-                lane = self._dispatch_ready.get()
-                if lane is _SENTINEL:
-                    return
-                if lane is _RETIRE:
-                    with self._drain:
-                        self._workers_retired += 1
-                    return
-                with lane.cond:
-                    staged, future = lane.handoff.popleft()
-                    # a hand-off slot freed: stage A may resume this lane
-                    self._maybe_schedule_label(lane)
-                try:
-                    self._dispatch_one(lane, staged, future)
-                except BaseException as exc:  # noqa: BLE001 - never kill the worker
-                    if not future.done():
-                        with lane.cond:
-                            lane.dispatch_errors += 1
-                        self._resolve_future(future, error=exc)
-                finally:
-                    with lane.cond:
-                        lane.dispatch_busy = False
-                        self._maybe_schedule_dispatch(lane)
-        finally:
-            self._worker_exit()
-
-    def _dispatch_one(
-        self, lane: _Lane, staged: Any, future: StagedFuture
+    def _run_one(
+        self, stage: _Stage, lane: _Lane, payload: Any, future: StagedFuture
     ) -> None:
-        """Run one staged batch through stage B and resolve its future."""
-        self._pool_enter("dispatch")
+        """Run one batch through ``stage``, then hand it to the next
+        stage — or, after the last stage or an error, resolve its future."""
+        here = stage.index
+        with self._pool_lock:
+            stage.active += 1
+            stage.max_active = max(stage.max_active, stage.active)
+            stage.window_max_active = max(stage.window_max_active, stage.active)
         try:
             start = self._clock()
             try:
-                result = self._dispatch_fn(lane.application, staged)
+                result = stage.fn(lane.application, payload)
                 error: BaseException | None = None
             except BaseException as exc:  # noqa: BLE001 - resolve, don't kill the worker
                 result, error = None, exc
             elapsed = self._clock() - start
         finally:
-            self._pool_exit("dispatch")
-        feedback_failed = False
-        if error is None and self._dispatch_feedback is not None:
+            with self._pool_lock:
+                stage.active -= 1
+        hook_failed = False
+        if error is None and stage.hook is not None:
             try:
-                self._dispatch_feedback(lane.application, result)
-            except BaseException:  # noqa: BLE001 - feedback never fails the batch
-                feedback_failed = True
+                stage.hook(lane, payload, result, elapsed)
+            except BaseException:  # noqa: BLE001 - a hook never fails the batch or the worker
+                hook_failed = True
         with lane.cond:
-            lane.dispatch_seconds += elapsed
-            if error is None:
-                lane.dispatched_batches += 1
-            else:
-                lane.dispatch_errors += 1
-            if feedback_failed:
+            lane.seconds[here] += elapsed
+            if hook_failed:
                 lane.feedback_errors += 1
+            if error is not None:
+                lane.errors[here] += 1
+            else:
+                lane.batches[here] += 1
+                if here + 1 < len(self._stages):
+                    handoff = lane.queues[here + 1]
+                    handoff.append((result, future))
+                    lane.max_handoff_depth = max(
+                        lane.max_handoff_depth, len(handoff)
+                    )
+                    self._maybe_schedule(lane, self._stages[here + 1])
+                    return
         self._resolve_future(future, value=result, error=error)
+
+    def _after_label(
+        self, lane: _Lane, item: Any, staged: Any, elapsed: float
+    ) -> None:
+        """Stage A's completion hook: count the batch's queries and
+        feed the tuner its ``(queries, seconds)`` observation."""
+        try:
+            n = len(item)
+        except Exception:  # noqa: BLE001 - a hostile __len__ must not kill the worker
+            n = 1
+        with lane.cond:
+            lane.labeled_queries += n
+        if self.tuner is not None:
+            self.tuner.observe(n, elapsed, application=lane.application)
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -637,43 +590,46 @@ class StagedExecutor:
         stage boundary* — between batches, never inside one — so lanes,
         per-application FIFO order, and byte-identical outcomes are all
         preserved; the thread count converges to the new target as the
-        tokens are drained. Both targets must stay >= 1. Safe to call
-        from any thread, including a dispatch-feedback hook running on
-        a pool worker (the worker that applies a shrink can be the one
-        that later retires). Raises once the executor is closed.
+        tokens are drained. Both targets must stay >= 1, and both are
+        validated before either pool changes — a rejected call leaves
+        the pool exactly as it was. Safe to call from any thread,
+        including a dispatch-feedback hook running on a pool worker
+        (the worker that applies a shrink can be the one that later
+        retires). Raises once the executor is closed.
         """
+        targets = list(zip(self._stages, (label_workers, dispatch_workers)))
         with self._resize_lock:
             with self._lanes_lock:
                 if self._closed:
                     raise ServiceError("executor is closed")
+            for stage, target in targets:
+                if target is not None and target < 1:
+                    raise ServiceError(f"{stage.name}_workers must be >= 1")
             changed = False
-            if label_workers is not None and label_workers != self.label_workers:
-                if label_workers < 1:
-                    raise ServiceError("label_workers must be >= 1")
-                delta = label_workers - self.label_workers
-                self.label_workers = int(label_workers)
+            for stage, target in targets:
+                if target is None or target == stage.workers:
+                    continue
+                delta = target - stage.workers
+                stage.workers = int(target)
                 for _ in range(delta):
-                    self._spawn_worker("label")
+                    self._spawn_worker(stage)
                 for _ in range(-delta):
-                    self._label_ready.put(_RETIRE)
-                changed = True
-            if (
-                dispatch_workers is not None
-                and dispatch_workers != self.dispatch_workers
-            ):
-                if dispatch_workers < 1:
-                    raise ServiceError("dispatch_workers must be >= 1")
-                delta = dispatch_workers - self.dispatch_workers
-                self.dispatch_workers = int(dispatch_workers)
-                for _ in range(delta):
-                    self._spawn_worker("dispatch")
-                for _ in range(-delta):
-                    self._dispatch_ready.put(_RETIRE)
+                    stage.ready.put(_RETIRE)
                 changed = True
             if changed:
                 with self._drain:
                     self._resizes += 1
         return self.stats()["pool"]
+
+    def _window_marks(self) -> dict:
+        """The window view ``pool_window()`` and ``stats()["pool"]``
+        share (caller holds ``_pool_lock``)."""
+        label, dispatch = self._stages
+        return {
+            "window_max_label_active": label.window_max_active,
+            "window_max_dispatch_active": dispatch.window_max_active,
+            "window_seconds": max(self._clock() - self._window_started_at, 0.0),
+        }
 
     def pool_window(self, reset: bool = False) -> dict:
         """Occupancy high-water marks since the last window reset.
@@ -687,16 +643,10 @@ class StagedExecutor:
         counts against the new window.
         """
         with self._pool_lock:
-            window = {
-                "window_max_label_active": self._window_max_label_active,
-                "window_max_dispatch_active": self._window_max_dispatch_active,
-                "window_seconds": max(
-                    self._clock() - self._window_started_at, 0.0
-                ),
-            }
+            window = self._window_marks()
             if reset:
-                self._window_max_label_active = self._label_active
-                self._window_max_dispatch_active = self._dispatch_active
+                for stage in self._stages:
+                    stage.window_max_active = stage.active
                 self._window_started_at = self._clock()
         return window
 
@@ -740,22 +690,19 @@ class StagedExecutor:
                 # wait needs no poll timeout
                 while self._outstanding > 0 and self._workers_alive > 0:
                     self._drain.wait()
-            for _ in self._label_threads:
-                self._label_ready.put(_SENTINEL)
-            for _ in self._dispatch_threads:
-                self._dispatch_ready.put(_SENTINEL)
-            for thread in self._label_threads + self._dispatch_threads:
-                thread.join()
+            for stage in self._stages:
+                for _ in stage.threads:
+                    stage.ready.put(_SENTINEL)
+            for stage in self._stages:
+                for thread in stage.threads:
+                    thread.join()
             # belt and braces: no future may ever be stranded by close()
             leftovers: list[StagedFuture] = []
             for lane in lanes:
                 with lane.cond:
-                    leftovers.extend(
-                        f for _, f in list(lane.ingress) + list(lane.handoff)
-                        if not f.done()
-                    )
-                    lane.ingress.clear()
-                    lane.handoff.clear()
+                    for waiting in lane.queues:
+                        leftovers.extend(f for _, f in waiting if not f.done())
+                        waiting.clear()
             for future in leftovers:
                 future._resolve(
                     error=ServiceError("executor closed before the batch ran")
@@ -796,23 +743,20 @@ class StagedExecutor:
             workers_alive = self._workers_alive
             resizes = self._resizes
             retired = self._workers_retired
+        label, dispatch = self._stages
         with self._pool_lock:
             pool = {
-                "label_workers": self.label_workers,
-                "dispatch_workers": self.dispatch_workers,
-                "threads": self.label_workers + self.dispatch_workers,
+                "label_workers": label.workers,
+                "dispatch_workers": dispatch.workers,
+                "threads": label.workers + dispatch.workers,
                 "workers_alive": workers_alive,
                 "resizes": resizes,
                 "workers_retired": retired,
-                "label_active": self._label_active,
-                "dispatch_active": self._dispatch_active,
-                "max_label_active": self._max_label_active,
-                "max_dispatch_active": self._max_dispatch_active,
-                "window_max_label_active": self._window_max_label_active,
-                "window_max_dispatch_active": self._window_max_dispatch_active,
-                "window_seconds": max(
-                    self._clock() - self._window_started_at, 0.0
-                ),
+                "label_active": label.active,
+                "dispatch_active": dispatch.active,
+                "max_label_active": label.max_active,
+                "max_dispatch_active": dispatch.max_active,
+                **self._window_marks(),
             }
         return {
             "queue_depth": self.queue_depth,

@@ -1,11 +1,12 @@
 """Batch-size autotuning from observed stage timings.
 
 The stream layer has to pick a batch size before it knows what the
-batch costs; the runtime knows exactly what batches cost (per-stage
-wall time in :class:`~repro.runtime.metrics.RuntimeMetrics`, per-batch
+batch costs; the runtime knows exactly what batches cost (per-batch
 timings in the staged executor) but has no say in batching. The
 :class:`BatchSizeTuner` closes that loop: it consumes per-batch
-``(queries, seconds)`` observations of the labeling stage and
+``(queries, seconds)`` observations of the labeling stage — the
+:class:`~repro.runtime.executor.StagedExecutor` stage pool is their
+one feed, attributing each batch to its application — and
 recommends the largest batch size whose expected stage-A latency still
 fits a configured budget — big batches keep the embed stage saturated
 (more dedup mass, fewer ``transform`` calls), small batches bound the
@@ -37,12 +38,6 @@ import time
 from collections.abc import Callable
 
 from repro.errors import ServiceError
-from repro.runtime.metrics import STAGES as LABEL_STAGES
-
-# LABEL_STAGES are the pipeline's stage-A timings that feed
-# observe_stats(); ROUTING_STAGES (route/execute) are stage B and
-# deliberately excluded — batch size should track labeling cost, not
-# backend latency
 
 
 class _LaneState:
@@ -123,9 +118,6 @@ class BatchSizeTuner:
         self.rejection_threshold = float(rejection_threshold)
         self._clock = clock
         self._lanes: dict[str, _LaneState] = {}
-        # per-application baselines for observe_stats(); one shared
-        # baseline would attribute tenant A's labeling cost to B
-        self._last_stats: dict[str, dict] = {}
         self._lock = threading.Lock()
 
     # -- observations --------------------------------------------------------------
@@ -239,75 +231,6 @@ class BatchSizeTuner:
                 )
                 lane.size = max(self.min_size, int(shrunk))
             return lane.size
-
-    def observe_stats(
-        self,
-        runtime_snapshot: dict,
-        application: str = "",
-        backends_snapshot: dict | None = None,
-    ) -> int:
-        """Feed the tuner from ``QuercService.stats()`` views.
-
-        Computes the delta in labeling-stage seconds and query count
-        since the previous call (baselines are kept per
-        ``application``) and treats it as one aggregate observation —
-        the hook for tuning off service-level metrics when per-batch
-        timings aren't available. When ``backends_snapshot``
-        (``stats()["backends"]``) is given, the dispatched/admitted
-        deltas across every backend feed :meth:`observe_admission` as
-        well, so a rejecting gate shrinks the recommendation even on
-        this aggregate path.
-
-        Attribution is only as scoped as the snapshot: the service's
-        default ``RuntimeMetrics`` aggregates every tenant, so with a
-        multi-application service this hook mixes tenants' labeling
-        cost into whichever ``application`` it is called for. Use it
-        with a single-tenant service (or a per-tenant metrics view);
-        the staged executor's per-batch :meth:`observe` feed is the
-        correctly-attributed path.
-        """
-        seconds = sum(
-            runtime_snapshot.get("stage_seconds", {}).get(s, 0.0)
-            for s in LABEL_STAGES
-        )
-        queries = int(runtime_snapshot.get("queries", 0))
-        offered = admitted = 0
-        if backends_snapshot:
-            # terminal outcomes only: "dispatched" re-counts fallback
-            # hand-offs and queue retries, which would overstate the
-            # rejection fraction when nothing was actually lost
-            admitted = int(
-                sum(b.get("admitted", 0) for b in backends_snapshot.values())
-            )
-            rejected = int(
-                sum(b.get("rejected", 0) for b in backends_snapshot.values())
-            )
-            offered = admitted + rejected
-        with self._lock:
-            previous = self._last_stats.get(application)
-            baseline = {
-                "seconds": seconds,
-                "queries": queries,
-                "offered": offered,
-                "admitted": admitted,
-            }
-            if not backends_snapshot and previous is not None:
-                # a snapshot-less call must not zero the admission
-                # baseline, or the next snapshot call would re-feed
-                # the whole cumulative history as one delta
-                baseline["offered"] = previous.get("offered", 0)
-                baseline["admitted"] = previous.get("admitted", 0)
-            self._last_stats[application] = baseline
-        if previous is not None:
-            seconds -= previous["seconds"]
-            queries -= previous["queries"]
-            offered -= previous.get("offered", 0)
-            admitted -= previous.get("admitted", 0)
-        if backends_snapshot and offered > 0:
-            self.observe_admission(offered, admitted, application=application)
-        if queries <= 0 or seconds < 0:
-            return self.recommend(application)
-        return self.observe(queries, seconds, application=application)
 
     # -- recommendations -----------------------------------------------------------
 

@@ -451,75 +451,6 @@ class TestTunerAdmissionFeedback:
         tuner.observe_admission(64, 64, application="X")
         assert tuner.recommend("X") == after_label  # no second step
 
-    def test_snapshotless_observe_stats_keeps_admission_baseline(self):
-        """Alternating calls with and without backends_snapshot must
-        not re-feed the lifetime admission history as one delta."""
-        tuner = BatchSizeTuner(initial=64, min_size=8)
-        runtime = {"stage_seconds": {}, "queries": 0}
-        history = {"DB(A)": {"admitted": 50, "rejected": 950}}
-        tuner.observe_stats(runtime, application="X", backends_snapshot=history)
-        after_first = tuner.snapshot()["applications"]["X"]
-        size_after_first = tuner.recommend("X")
-        # a snapshot-less call in between…
-        tuner.observe_stats(runtime, application="X")
-        # …then the same cumulative history again: delta must be zero,
-        # so neither the EWMA nor the size moves a second time
-        tuner.observe_stats(runtime, application="X", backends_snapshot=history)
-        lane = tuner.snapshot()["applications"]["X"]
-        assert lane["rejection_ewma"] == after_first["rejection_ewma"]
-        assert lane["admission_samples"] == after_first["admission_samples"]
-        assert tuner.recommend("X") == size_after_first
-
-    def test_observe_stats_consumes_backend_deltas(self):
-        tuner = BatchSizeTuner(initial=64, min_size=8, rejection_threshold=0.05)
-        runtime = {"stage_seconds": {}, "queries": 0}
-        backends = {"DB(A)": {"admitted": 0, "rejected": 0}}
-        tuner.observe_stats(runtime, application="X", backends_snapshot=backends)
-        # each snapshot delta: 10 admitted, 90 rejected by the gate
-        for step in range(1, 7):
-            backends = {
-                "DB(A)": {"admitted": 10 * step, "rejected": 90 * step}
-            }
-            tuner.observe_stats(
-                runtime, application="X", backends_snapshot=backends
-            )
-        assert tuner.recommend("X") < 64
-
-    def test_observe_stats_ignores_fallback_double_counting(self):
-        """A fallback hand-off re-counts 'dispatched' at the sibling;
-        the admission feed must read terminal outcomes, not offers."""
-        tuner = BatchSizeTuner(initial=64, min_size=8)
-        runtime = {"stage_seconds": {}, "queries": 0}
-        tuner.observe_stats(
-            runtime,
-            application="X",
-            backends_snapshot={
-                "DB(A)": {"dispatched": 0, "admitted": 0, "rejected": 0},
-                "DB(B)": {"dispatched": 0, "admitted": 0, "rejected": 0},
-            },
-        )
-        # 10 offered: 5 admitted at origin, 5 spilled and all admitted
-        # by the sibling — dispatched sums to 15 but nothing was lost
-        for step in range(1, 5):
-            tuner.observe_stats(
-                runtime,
-                application="X",
-                backends_snapshot={
-                    "DB(A)": {
-                        "dispatched": 10 * step,
-                        "admitted": 5 * step,
-                        "rejected": 0,
-                    },
-                    "DB(B)": {
-                        "dispatched": 5 * step,
-                        "admitted": 5 * step,
-                        "rejected": 0,
-                    },
-                },
-            )
-        assert tuner.recommend("X") == 64  # zero real rejection, no shrink
-        assert tuner.snapshot()["applications"]["X"]["rejection_ewma"] == 0.0
-
     def test_invalid_rejection_threshold(self):
         with pytest.raises(ServiceError):
             BatchSizeTuner(rejection_threshold=0.0)
@@ -596,3 +527,69 @@ class TestServiceRoutingPolicy:
         _, report = service.process_routed(batch)
         assert report is not None
         assert report.decisions[0].backend == "DB(B)"
+
+    def test_policy_moves_placement_not_labels(self, fitted_bow, snowsim_records):
+        """A skewed static table pins most labels to the slow backend;
+        ``LatencyEwmaPolicy`` drains them onto the fast one — and the
+        labels each query gets are the same under either placement."""
+        from repro import QuercService
+        from repro.core import QueryClassifier
+        from repro.core.labeler import ClassifierLabeler
+        from repro.ml.forest import RandomizedForestClassifier
+        from repro.sql.normalizer import template_fingerprint
+        from repro.workloads import QueryLogRecord, QueryStream
+
+        n_labels = 5
+        train = [r.query for r in snowsim_records[:200]]
+        labeler = ClassifierLabeler(
+            RandomizedForestClassifier(n_trees=6, max_depth=6, seed=1)
+        )
+        labeler.fit(
+            fitted_bow.transform(train),
+            [int(template_fingerprint(q)[:8], 16) % n_labels for q in train],
+        )
+        classifier = QueryClassifier(
+            "cluster", fitted_bow, labeler, embedder_name="bow-route"
+        )
+        serve = [QueryLogRecord(query=r.query) for r in snowsim_records[200:296]]
+        batches = list(QueryStream("X", serve, batch_size=8).batches())
+
+        def run(policy):
+            service = QuercService()
+            for name, per_query in (("DB(alpha)", 0.002), ("DB(beta)", 0.0002)):
+                service.register_backend(
+                    LatencyProxyBackend(
+                        NullBackend(f"{name}-engine"),
+                        per_query_seconds=per_query,
+                        sleep=lambda _s: None,
+                        name=name,
+                    )
+                )
+            service.add_application("X", backend="DB(alpha)")
+            service.attach_classifier("X", classifier)
+            for label in range(n_labels - 1):
+                service.map_route(label, "DB(alpha)")
+            service.map_route(n_labels - 1, "DB(beta)")
+            if policy is not None:
+                service.set_routing_policy(policy)
+            try:
+                labels = [
+                    [(m.query, m.label("cluster")) for m in labeled]
+                    for labeled, _ in map(service.process_routed, batches)
+                ]
+                return labels, service.stats()
+            finally:
+                service.close()
+
+        static_labels, static = run(None)
+        policy_labels, policy = run(LatencyEwmaPolicy())
+        assert policy_labels == static_labels
+        dispatched = {
+            side: {name: b["dispatched"] for name, b in stats["backends"].items()}
+            for side, stats in (("static", static), ("policy", policy))
+        }
+        assert dispatched["static"]["DB(alpha)"] > dispatched["static"]["DB(beta)"]
+        assert dispatched["policy"]["DB(beta)"] > dispatched["policy"]["DB(alpha)"]
+        assert sum(dispatched["policy"].values()) == len(serve)
+        assert policy["routing"]["policy"]["name"] == "latency_ewma"
+        assert policy["routing"]["reranks"] > 0

@@ -48,14 +48,12 @@ def test_ci_workflow_exists_and_carries_the_perf_gates():
     ci = WORKFLOWS / "ci.yml"
     assert ci.is_file()
     text = ci.read_text(encoding="utf-8")
-    for gate in (
-        "REPRO_BENCH_MIN_CONCURRENT_SPEEDUP",
-        "REPRO_BENCH_MIN_LOADAWARE_SPEEDUP",
+    # exactly the two logical-time gates: the wall-clock serving
+    # benches (and their floors) are retired behind benchmarks/spine
+    assert set(re.findall(r"REPRO_BENCH_\w+", text)) == {
         "REPRO_BENCH_MIN_RESILIENCE_GOODPUT",
-        "REPRO_BENCH_MIN_SERVER_QPS",
         "REPRO_BENCH_MIN_FORECAST_P95_GAIN",
-    ):
-        assert gate in text, f"ci.yml lost the {gate} gate"
+    }
 
 
 def test_ci_workflow_references_only_existing_benchmarks():

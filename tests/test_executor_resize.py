@@ -24,6 +24,7 @@ import pytest
 
 from repro.backends.admission import AdmissionController, TokenBucket
 from repro.errors import AdmissionError, ServiceError
+from repro.forecast import Blueprint, BlueprintDiff, PredictiveProvisioner
 from repro.runtime.executor import StagedExecutor
 
 WAIT = 10.0
@@ -160,13 +161,60 @@ class TestExecutorResize:
         with pytest.raises(ServiceError, match="closed"):
             ex.resize(label_workers=3)
 
+    @pytest.mark.parametrize("bad", [(4, 0), (0, 4)])
+    def test_rejected_resize_changes_neither_pool(self, bad):
+        """Both targets are validated before either is applied: a call
+        that names one valid and one invalid target leaves the pool —
+        and so the provisioner's ``applied`` report — exactly as it was."""
+        def ledger(pool: dict) -> dict:
+            return {
+                key: pool[key]
+                for key in (
+                    "label_workers", "dispatch_workers", "workers_alive",
+                    "resizes", "workers_retired",
+                )
+            }
+
+        label_workers, dispatch_workers = bad
+        with doubling_executor(label_workers=2, dispatch_workers=2) as ex:
+            before = ledger(ex.stats()["pool"])
+            with pytest.raises(ServiceError, match=">= 1"):
+                ex.resize(
+                    label_workers=label_workers, dispatch_workers=dispatch_workers
+                )
+            assert ledger(ex.stats()["pool"]) == before
+            # the provisioner reports the same truth: nothing applied
+            provisioner = PredictiveProvisioner(clock=FakeClock())
+            provisioner.bind(executor=ex)
+            applied = provisioner.apply(
+                BlueprintDiff(
+                    current=Blueprint(label_workers=2, dispatch_workers=2),
+                    recommended=Blueprint(
+                        label_workers=label_workers,
+                        dispatch_workers=dispatch_workers,
+                    ),
+                )
+            )
+            assert applied["pool"] is False
+            assert provisioner.snapshot()["apply_errors"] == 1
+            assert ledger(ex.stats()["pool"]) == before
+            # a following valid resize still converges
+            ex.resize(label_workers=3, dispatch_workers=1)
+            assert [ex.submit("X", i).result(WAIT) for i in range(4)] == [
+                1, 3, 5, 7,
+            ]
+            assert wait_for_workers(ex, 4) == 4
+            pool = ex.stats()["pool"]
+            assert (pool["label_workers"], pool["dispatch_workers"]) == (3, 1)
+            assert pool["resizes"] == 1 and pool["workers_retired"] == 1
+
     def test_worker_names_stay_unique_across_generations(self):
         """Shrink-then-grow must not reuse thread names — the spawn
         index is per-stage monotonic, so dumps stay unambiguous."""
         with doubling_executor(label_workers=2, dispatch_workers=1) as ex:
             ex.resize(label_workers=1)
             ex.resize(label_workers=3)
-            names = [t.name for t in ex._label_threads]
+            names = [t.name for t in ex._stages[0].threads]
             assert len(names) == len(set(names)) == 4  # 2 + 2 spawned
 
     def test_pool_window_resets_to_current_occupancy(self):

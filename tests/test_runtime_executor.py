@@ -42,6 +42,14 @@ class FakeClock:
         self.now += seconds
 
 
+class _Hostile(BaseException):
+    """Not an ``Exception``: only a ``BaseException`` guard catches it."""
+
+
+def _identity(app, item):
+    return item
+
+
 def _records(n: int, tag: str = "q") -> list[QueryLogRecord]:
     return [QueryLogRecord(query=f"select {tag}_{i} from t") for i in range(n)]
 
@@ -128,31 +136,36 @@ class TestStagedExecutor:
         assert seen["X"] == [i for i in range(20) if i % 2 == 0]
         assert seen["Y"] == [i for i in range(20) if i % 2 == 1]
 
-    def test_label_error_resolves_future_and_spares_the_lane(self):
-        def label(app, item):
+    @pytest.mark.parametrize("stage", ["label", "dispatch"])
+    @pytest.mark.parametrize("error", [ValueError, _Hostile])
+    def test_stage_error_resolves_future_and_spares_the_lane(self, stage, error):
+        """Either stage function raising — an ``Exception`` or a bare
+        ``BaseException`` — fails that batch only: its future carries
+        the error, the worker stays alive, the lane's next batch
+        completes, and the stage's error counter moves by exactly one."""
+        def maybe_raise(app, item):
             if item == "bad":
-                raise ValueError("boom")
+                raise error("boom")
             return item
 
-        with StagedExecutor(label, lambda app, item: item) as ex:
+        fns = {"label": _identity, "dispatch": _identity, stage: maybe_raise}
+        with StagedExecutor(
+            fns["label"], fns["dispatch"], label_workers=1, dispatch_workers=1
+        ) as ex:
             bad = ex.submit("X", "bad")
             good = ex.submit("X", "good")
-            with pytest.raises(ValueError, match="boom"):
+            with pytest.raises(error, match="boom"):
                 bad.result(WAIT)
             assert good.result(WAIT) == "good"
             stats = ex.stats()
-        assert stats["lanes"]["X"]["label_errors"] == 1
-        assert stats["lanes"]["X"]["dispatched_batches"] == 1
-
-    def test_dispatch_error_resolves_future(self):
-        def dispatch(app, item):
-            raise RuntimeError("db down")
-
-        with StagedExecutor(lambda app, item: item, dispatch) as ex:
-            future = ex.submit("X", 1)
-            with pytest.raises(RuntimeError, match="db down"):
-                future.result(WAIT)
-            assert ex.stats()["lanes"]["X"]["dispatch_errors"] == 1
+        assert stats["pool"]["workers_alive"] == 2
+        lane = stats["lanes"]["X"]
+        other = "dispatch" if stage == "label" else "label"
+        assert lane[f"{stage}_errors"] == 1
+        assert lane[f"{other}_errors"] == 0
+        assert lane["dispatched_batches"] == 1
+        # the failed batch left stage A only when stage B is what failed
+        assert lane["labeled_batches"] == (1 if stage == "label" else 2)
 
     def test_submit_after_close_raises(self):
         ex = StagedExecutor(lambda app, item: item, lambda app, item: item)
@@ -220,6 +233,35 @@ class TestStagedExecutor:
         ) as ex:
             [f.result(WAIT) for f in [ex.submit("X", i) for i in range(12)]]
             stats = ex.stats()
+            window = ex.pool_window()
+        # the full key sets: consumers (service stats, the provisioner,
+        # the spine tracer) read these by name
+        assert set(stats) == {
+            "queue_depth", "tenants", "pool", "lanes",
+            "busy_seconds", "wall_seconds", "overlap",
+        }
+        assert set(stats["pool"]) == {
+            "label_workers", "dispatch_workers", "threads",
+            "workers_alive", "resizes", "workers_retired",
+            "label_active", "dispatch_active",
+            "max_label_active", "max_dispatch_active",
+            "window_max_label_active", "window_max_dispatch_active",
+            "window_seconds",
+        }
+        assert set(stats["lanes"]["X"]) == {
+            "submitted", "labeled_batches", "labeled_queries",
+            "dispatched_batches", "label_seconds", "dispatch_seconds",
+            "label_errors", "dispatch_errors", "feedback_errors",
+            "ingress_depth", "handoff_depth", "max_handoff_depth",
+            "label_busy", "dispatch_busy",
+        }
+        assert set(window) == {
+            "window_max_label_active", "window_max_dispatch_active",
+            "window_seconds",
+        }
+        # both views read the same marks
+        for key in ("window_max_label_active", "window_max_dispatch_active"):
+            assert stats["pool"][key] == window[key]
         lane = stats["lanes"]["X"]
         assert lane["submitted"] == lane["labeled_batches"] == 12
         assert lane["dispatched_batches"] == 12
@@ -432,43 +474,53 @@ class TestSharedStagePool:
         assert not any(t.is_alive() for t in closers)
         assert future.result(WAIT) == 1
 
-    def test_hostile_hooks_never_kill_a_worker(self):
-        """A tuner/feedback hook raising — even a BaseException — is
-        counted per lane; the batch resolves, the pool survives, and
-        close() still drains (a dead worker would wedge it)."""
-
-        class Hostile(BaseException):
-            pass
+    @pytest.mark.parametrize(
+        "hostile",
+        [("label",), ("dispatch",), ("label", "dispatch")],
+        ids=["label", "dispatch", "both"],
+    )
+    def test_hostile_hooks_never_kill_a_worker(self, hostile):
+        """A stage's completion hook raising — the tuner after stage A,
+        the feedback after stage B, even a BaseException — is counted
+        per lane; the batch resolves, the pool survives, and close()
+        still drains (a dead worker would wedge it)."""
+        seen: list[str] = []
 
         class ExplodingLen:
             def __len__(self):
                 raise ValueError("no length for you")
 
-        class ExplodingTuner:
-            def observe(self, *args, **kwargs):
-                raise Hostile("tuner down")
-
-            def observe_admission(self, *args, **kwargs):
-                raise Hostile("tuner down")
+        class Tuner:
+            def observe(self, queries, seconds, application=""):
+                if "label" in hostile:
+                    raise _Hostile("tuner down")
+                seen.append("tuner")
 
         def feedback(app, result):
-            raise Hostile("feedback down")
+            if "dispatch" in hostile:
+                raise _Hostile("feedback down")
+            seen.append("feedback")
 
         with StagedExecutor(
-            lambda app, item: item,
+            _identity,
             lambda app, item: "placed",
-            tuner=ExplodingTuner(),
+            tuner=Tuner(),
             dispatch_feedback=feedback,
             label_workers=1,
             dispatch_workers=1,
         ) as ex:
             futures = [ex.submit("X", ExplodingLen()) for _ in range(3)]
             assert [f.result(WAIT) for f in futures] == ["placed"] * 3
-            lane = ex.stats()["lanes"]["X"]
-        # both hooks failed on every batch: tuner on stage A, feedback
-        # on stage B — and none of it failed a batch or a worker
-        assert lane["feedback_errors"] == 6
-        assert lane["dispatched_batches"] == 3
+            stats = ex.stats()
+        lane = stats["lanes"]["X"]
+        # a hostile hook failed on every batch — and none of it failed
+        # a batch or a worker, or kept the healthy hook from running
+        assert lane["feedback_errors"] == 3 * len(hostile)
+        assert len(seen) == 3 * (2 - len(hostile))
+        assert lane["dispatched_batches"] == lane["labeled_batches"] == 3
+        assert lane["labeled_queries"] == 3  # an unsizable batch counts as one
+        assert lane["label_errors"] == lane["dispatch_errors"] == 0
+        assert stats["pool"]["workers_alive"] == 2
 
     def test_raising_clock_resolves_the_batch_and_spares_the_worker(self):
         """Even the injected clock blowing up mid-batch must resolve
@@ -509,8 +561,10 @@ class TestSharedStagePool:
         """close() racing a producer blocked on a full ingress: every
         accepted future resolves, the blocked submit raises."""
         gate = threading.Event()
+        labeling = threading.Event()
 
         def label(app, item):
+            labeling.set()
             assert gate.wait(WAIT)
             return item
 
@@ -530,8 +584,9 @@ class TestSharedStagePool:
 
         producer = threading.Thread(target=produce)
         producer.start()
-        while len(accepted) < 1:  # producer is now blocked on depth-1 ingress
-            time.sleep(0.001)
+        # batch 0 is stuck inside stage A, so the producer is filling —
+        # or already blocked on — the depth-1 ingress behind it
+        assert labeling.wait(WAIT)
         closer = threading.Thread(target=ex.close)
         closer.start()
         gate.set()  # un-stick stage A so the drain can complete
@@ -635,6 +690,16 @@ class TestProcessRoutedConcurrent:
         assert set(stats["executor"]["lanes"]) == {"X", "Y"}
         assert stats["executor"]["lanes"]["X"]["labeled_queries"] == 40
         assert set(stats["tuner"]["applications"]) == {"X", "Y"}
+        # the pool is the tuner's feed: one observation per labeled batch
+        for app, lane in stats["executor"]["lanes"].items():
+            assert (
+                stats["tuner"]["applications"][app]["samples"]
+                == lane["labeled_batches"]
+            )
+        # every query was placed exactly once on its tenant's backend
+        for name, queries in (("DB(X)", 40), ("DB(Y)", 24)):
+            backend = stats["backends"][name]
+            assert backend["dispatched"] == backend["admitted"] == queries
 
     def test_sink_failure_surfaces_after_dispatch_ran(self):
         """The training fork failing must not stop the batch from
@@ -754,26 +819,6 @@ class TestBatchSizeTuner:
         assert tuner.observe(0, 1.0) == 32
         assert tuner.observe(10, -1.0) == 32
         assert tuner.snapshot()["applications"] == {}
-
-    def test_observe_stats_uses_label_stage_deltas(self):
-        tuner = BatchSizeTuner(
-            initial=32, min_size=4, max_size=512, target_seconds=0.05,
-            clock=FakeClock(),
-        )
-        first = {
-            "queries": 100,
-            "stage_seconds": {"embed": 0.5, "predict": 0.5, "route": 99.0},
-        }
-        # first call has no baseline: the cumulative totals are the delta
-        assert tuner.observe_stats(first) == 16  # 10ms/query, shrink capped
-        second = {
-            "queries": 200,
-            "stage_seconds": {"embed": 0.55, "predict": 0.55, "route": 999.0},
-        }
-        # delta: 100 queries, 0.1s; ewma-smoothed cost 6.4ms/query
-        # -> ideal ~7.8, floored at half the current size
-        assert tuner.observe_stats(second) == 8
-        assert tuner.snapshot()["applications"][""]["samples"] == 2
 
     def test_injectable_clock_stamps_observations(self):
         clock = FakeClock()

@@ -42,7 +42,13 @@ from repro.core.labeler import ClassifierLabeler
 from repro.errors import ServerReplyError
 from repro.minidb import materialize_log_tables
 from repro.ml.forest import RandomizedForestClassifier
-from repro.server import AsyncQuercClient, EdgeAdmission, QuercServer
+from repro.server import (
+    AsyncQuercClient,
+    EdgeAdmission,
+    QuercClient,
+    QuercServer,
+    ServerThread,
+)
 from repro.server.protocol import jsonable, labeled_to_wire, report_to_wire
 from repro.sql.normalizer import template_fingerprint
 from repro.workloads import QueryLogRecord, StreamBatch
@@ -202,9 +208,13 @@ class TestWireEquivalence:
     ):
         """8 asyncio clients across 4 tenants, interleaved submits: every
         result frame equals the library run's serialization of the same
-        batch."""
+        batch — which in turn equals the serial ``process_routed`` loop's
+        (labels and backend outcomes, MiniDB behind both)."""
         batches = build_batches(serving_queries)
         library = build_service(
+            serving_databases, fitted_bow, serving_classifiers
+        )
+        serial = build_service(
             serving_databases, fitted_bow, serving_classifiers
         )
         try:
@@ -212,8 +222,16 @@ class TestWireEquivalence:
                 library_wire(r)
                 for r in library.process_routed_concurrent(batches)
             ]
+            assert [
+                library_wire(serial.process_routed(b)) for b in batches
+            ] == expected
+            # the staged run placed every query exactly once
+            placed = library.stats()["backends"]
+            assert all(b["dispatched"] == b["admitted"] for b in placed.values())
+            assert sum(b["admitted"] for b in placed.values()) == len(batches) * BATCH
         finally:
             library.close()
+            serial.close()
 
         served = build_service(
             serving_databases, fitted_bow, serving_classifiers
@@ -267,6 +285,43 @@ class TestWireEquivalence:
         assert stats["queries"] == len(batches) * BATCH
         assert stats["frames_shed"] == 0
         served.close()
+
+    def test_blocking_client_session_matches_library_path_byte_for_byte(
+        self, serving_databases, serving_queries, fitted_bow, serving_classifiers
+    ):
+        """The other client: one blocking ``QuercClient`` on a
+        ``ServerThread``, naming the tenant per call, one round-trip per
+        batch — same frames as the library run, in submission order."""
+        batches = build_batches(serving_queries)
+        library = build_service(
+            serving_databases, fitted_bow, serving_classifiers
+        )
+        try:
+            expected = [
+                library_wire(r) for r in library.process_routed_concurrent(batches)
+            ]
+        finally:
+            library.close()
+        served = build_service(
+            serving_databases, fitted_bow, serving_classifiers
+        )
+        try:
+            with ServerThread(QuercServer(served)) as st:
+                with QuercClient(*st.address) as client:
+                    results = [
+                        client.run_batch(
+                            [r.query for r in batch.records],
+                            application=batch.application,
+                            timestamps=[r.timestamp for r in batch.records],
+                        )
+                        for batch in batches
+                    ]
+            assert [client_wire(r) for r in results] == expected
+            stats = served.stats()["server"]
+            assert stats["sessions"] == 1
+            assert stats["queries"] == len(batches) * BATCH
+        finally:
+            served.close()
 
     def test_starved_pool_small_windows_all_batches_complete(
         self,

@@ -31,9 +31,8 @@ When ``REPRO_BENCH_MIN_RESILIENCE_GOODPUT`` is set and a
 compared against the floor as an *advisory* check: a shortfall prints
 a warning but never fails the run (the benchmark itself enforces the
 gate when it executes — this is the post-hoc reminder for runs that
-only validated committed records). ``REPRO_BENCH_MIN_SERVER_QPS``
-works the same way against ``BENCH_server.json``'s concurrent-fleet
-throughput, and ``REPRO_BENCH_MIN_FORECAST_P95_GAIN`` against
+only validated committed records).
+``REPRO_BENCH_MIN_FORECAST_P95_GAIN`` works the same way against
 ``BENCH_forecast.json``'s predictive-vs-static p95 ratio.
 """
 
@@ -132,40 +131,6 @@ def advisory_resilience_goodput(results_dir: Path = RESULTS_DIR) -> list[str]:
     return []
 
 
-def advisory_server_qps(results_dir: Path = RESULTS_DIR) -> list[str]:
-    """Advisory warnings (never failures) for the serving-tier record.
-
-    Compares ``BENCH_server.json``'s ``qps.concurrent_sessions`` (the
-    loopback fleet's end-to-end throughput) against
-    ``REPRO_BENCH_MIN_SERVER_QPS`` when both exist.
-    """
-    floor_text = os.environ.get("REPRO_BENCH_MIN_SERVER_QPS", "")
-    if not floor_text:
-        return []
-    try:
-        floor = float(floor_text)
-    except ValueError:
-        return [
-            "advisory: REPRO_BENCH_MIN_SERVER_QPS="
-            f"{floor_text!r} is not a number; skipping the server qps check"
-        ]
-    path = results_dir / "BENCH_server.json"
-    if not path.is_file():
-        return []
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return []  # the schema check already reports unreadable records
-    qps = record.get("qps")
-    value = qps.get("concurrent_sessions") if isinstance(qps, dict) else None
-    if _is_positive_number(value) and value < floor:
-        return [
-            f"advisory: server fleet throughput {value:.0f} q/s is below "
-            f"the REPRO_BENCH_MIN_SERVER_QPS floor of {floor:.0f}"
-        ]
-    return []
-
-
 def advisory_forecast_p95_gain(results_dir: Path = RESULTS_DIR) -> list[str]:
     """Advisory warnings (never failures) for the forecast record.
 
@@ -206,8 +171,6 @@ def main() -> int:
             print(problem, file=sys.stderr)
         return 1
     for warning in advisory_resilience_goodput():
-        print(warning, file=sys.stderr)
-    for warning in advisory_server_qps():
         print(warning, file=sys.stderr)
     for warning in advisory_forecast_p95_gain():
         print(warning, file=sys.stderr)
