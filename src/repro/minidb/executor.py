@@ -5,6 +5,11 @@ re-applies the optimizer's :class:`CostModel` formulas to the *observed*
 row counts (scaled by the catalog's virtual row multiplier). The gap
 between a plan's ``est_cost`` and the executor's ``actual_cost`` is
 exactly the misestimation the Figure 4 experiment visualises.
+
+Key handling has one encoder and one matcher. ``_dense_codes`` turns key
+columns into dense non-negative order-preserving ``int64`` codes
+(``value - min`` for integer-like columns, ``np.unique`` otherwise), and
+joins, semi-joins, grouping and sorting address count tables with them.
 """
 
 from __future__ import annotations
@@ -88,8 +93,6 @@ class Executor:
                     frame.n_rows * self._mult * self._cost.filter_eval * len(rest)
                 )
                 frame = frame.mask(mask)
-            elif rest:
-                stats.cost_units += 0.0
             return frame
 
         stats.cost_units += self._cost.scan(virtual_n, node.covering)
@@ -275,7 +278,7 @@ class Executor:
             [inner.columns[k] for k in node.inner_keys],
         )
         if node.residual is None:
-            has_match = np.isin(child_codes, inner_codes)
+            has_match = _count_table(child_codes, inner_codes)[child_codes] > 0
         else:
             outer_idx, inner_idx = _equi_match(child_codes, inner_codes)
             pair = child.take(outer_idx)
@@ -289,7 +292,7 @@ class Executor:
             )
             stats.cost_units += pair.n_rows * self._mult * self._cost.filter_eval
             has_match = np.zeros(child.n_rows, dtype=bool)
-            np.logical_or.at(has_match, outer_idx[ok], True)
+            has_match[outer_idx[ok]] = True
         if node.negated:
             has_match = ~has_match
         return child.mask(has_match)
@@ -305,19 +308,14 @@ class Executor:
             [evaluate(k, child) for k in node.outer_keys],
             [inner.columns[k] for k in node.inner_key_names],
         )
-        values = inner.columns[node.value_name]
-        order = np.argsort(inner_codes, kind="stable")
-        sorted_codes = inner_codes[order]
-        pos = np.searchsorted(sorted_codes, child_codes)
-        pos_clipped = np.minimum(pos, len(sorted_codes) - 1) if len(sorted_codes) else pos
-        found = (
-            (pos < len(sorted_codes)) & (sorted_codes[pos_clipped] == child_codes)
-            if len(sorted_codes)
-            else np.zeros(child.n_rows, dtype=bool)
-        )
+        # each outer row compares against the first inner row with its key
+        table = _count_table(child_codes, inner_codes)
+        order, starts = _build_runs(table, inner_codes)
+        found = table[child_codes] > 0
         mapped = np.zeros(child.n_rows, dtype=np.float64)
-        if len(sorted_codes):
-            mapped[found] = values[order][pos_clipped[found]]
+        mapped[found] = inner.columns[node.value_name][
+            order[starts[child_codes[found]]]
+        ]
 
         outer_vals = evaluate(node.outer_expr, child)
         ops = {
@@ -361,16 +359,10 @@ class Executor:
                 out.dtypes[spec.name] = "float"
             return self._apply_having(node, out, stats)
 
-        codes = _group_codes([a for _, a, _ in group_arrays])
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        boundaries = np.empty(len(sorted_codes), dtype=bool)
-        boundaries[0] = True
-        boundaries[1:] = sorted_codes[1:] != sorted_codes[:-1]
-        starts = np.flatnonzero(boundaries)
-        group_of_sorted = np.cumsum(boundaries) - 1
+        order, starts = _group_runs(_group_codes([a for _, a, _ in group_arrays]))
         n_groups = len(starts)
-        counts = np.diff(np.append(starts, len(sorted_codes)))
+        counts = np.diff(np.append(starts, frame.n_rows))
+        group_of_sorted = np.repeat(np.arange(n_groups), counts)
 
         out = Frame(n_rows=n_groups)
         first_of_group = order[starts]
@@ -418,9 +410,8 @@ class Executor:
         stats.cost_units += self._cost.aggregate(frame.n_rows * self._mult)
         if frame.n_rows == 0:
             return frame
-        codes = _group_codes(list(frame.columns.values()))
-        _, first_idx = np.unique(codes, return_index=True)
-        return frame.take(np.sort(first_idx))
+        order, starts = _group_runs(_group_codes(list(frame.columns.values())))
+        return frame.take(np.sort(order[starts]))
 
     def _exec_sort(self, node: P.SortNode, stats: ExecutionStats) -> Frame:
         frame = self._exec(node.child, stats)
@@ -430,10 +421,9 @@ class Executor:
         keys = []
         for name, ascending in reversed(node.keys):
             values = frame.columns[name]
-            if values.dtype.kind in ("U", "S"):
-                _, codes = np.unique(values, return_inverse=True)
-                values = codes
-            values = values.astype(np.float64)
+            if values.dtype.kind != "f":
+                # exact ranks: float64 would tie distinct int64 above 2**53
+                values = _group_codes([values])
             keys.append(values if ascending else -values)
         order = np.lexsort(keys)
         return frame.take(order)
@@ -455,42 +445,130 @@ class Executor:
 # ---------------------------------------------------------------------------
 
 
+_MAX_SPAN = 1 << 62
+
+
+def _dense_codes(sides: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """The one key encoder: aligned key columns -> dense ``int64`` codes.
+
+    ``sides`` is one list of columns (grouping, sorting) or two aligned
+    lists (both inputs of a join), encoded jointly: each column is
+    encoded over the concatenation of its sides. Codes are non-negative,
+    equal exactly when the key tuples are equal, ordered like the tuples,
+    and span at most ``4 * rows + 1024`` values, so the tables the
+    matcher indexes with them stay proportional to the rows in hand. A
+    running code is re-ranked through ``np.unique`` before a further
+    column would push its span past 2**62 (``int64`` would wrap), and at
+    the end when it outgrew the allowance.
+    """
+    sizes = [len(side[0]) for side in sides]
+    allowance = 4 * sum(sizes) + 1024
+    codes, span = None, 1
+    for parts in zip(*sides):
+        column, column_span = _column_codes(
+            np.asarray(parts[0]) if len(parts) == 1 else np.concatenate(parts),
+            allowance,
+        )
+        if codes is None:
+            codes, span = column, column_span
+            continue
+        if span * column_span > _MAX_SPAN:
+            codes, span = _rank(codes)
+        codes = codes * column_span + column
+        span *= column_span
+    if span > allowance:
+        codes, span = _rank(codes)
+    if len(sides) == 1:
+        return [codes]
+    return [codes[: sizes[0]], codes[sizes[0] :]]
+
+
+def _column_codes(values: np.ndarray, allowance: int) -> tuple[np.ndarray, int]:
+    """One key column as codes in ``[0, span)``."""
+    if len(values) and values.dtype.kind in "bi":
+        # integers, bools and day-count dates rank themselves: no sort
+        low = int(values.min())
+        span = int(values.max()) - low + 1
+        if span <= allowance:
+            return np.subtract(values, low, dtype=np.int64), span
+    return _rank(values)
+
+
+def _rank(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Sort-based ranks, for keys that are not small dense integers."""
+    uniq, inverse = np.unique(values, return_inverse=True)
+    return inverse, max(len(uniq), 1)
+
+
 def _composite_codes(
     left_keys: list[np.ndarray], right_keys: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Encode aligned multi-column keys as comparable int64 codes."""
+    """Encode aligned multi-column join keys of both sides as dense codes."""
     if len(left_keys) != len(right_keys) or not left_keys:
         raise ExecutionError("mismatched join key lists")
-    left_codes = np.zeros(len(left_keys[0]), dtype=np.int64)
-    right_codes = np.zeros(len(right_keys[0]), dtype=np.int64)
-    for lk, rk in zip(left_keys, right_keys):
-        both = np.concatenate([np.asarray(lk), np.asarray(rk)])
-        uniq, inverse = np.unique(both, return_inverse=True)
-        li = inverse[: len(lk)]
-        ri = inverse[len(lk):]
-        base = len(uniq) + 1
-        left_codes = left_codes * base + li
-        right_codes = right_codes * base + ri
+    left_codes, right_codes = _dense_codes([left_keys, right_keys])
     return left_codes, right_codes
+
+
+def _group_codes(arrays: list[np.ndarray]) -> np.ndarray:
+    """Encode one frame's multi-column keys as dense codes."""
+    return _dense_codes([arrays])[0]
+
+
+def _stable_order(codes: np.ndarray, size: int) -> np.ndarray:
+    """Stable ascending order of codes in ``[0, size)``, 16 bits at a time
+    from the low end: numpy radix-sorts 16-bit keys, and dense codes
+    rarely need a second pass."""
+    order = np.argsort(codes.astype(np.uint16), kind="stable")
+    shift = 16
+    while (size - 1) >> shift > 0:
+        digit = (codes >> shift).astype(np.uint16)[order]
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
+def _group_runs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, starts)``: rows in stable code order and where each
+    distinct code's run starts in it; ``order[starts]`` is the first
+    occurrence of every code."""
+    order = _stable_order(codes, int(codes.max(initial=0)) + 1)
+    sorted_codes = codes[order]
+    boundaries = np.empty(len(codes), dtype=bool)
+    boundaries[:1] = True
+    np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=boundaries[1:])
+    return order, np.flatnonzero(boundaries)
+
+
+def _count_table(probe_codes: np.ndarray, build_codes: np.ndarray) -> np.ndarray:
+    """Build rows per code, indexable by every code of either side."""
+    return np.bincount(
+        build_codes, minlength=int(probe_codes.max(initial=0)) + 1
+    )
+
+
+def _build_runs(
+    table: np.ndarray, build_codes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The build rows in stable code order, and per code where its run
+    starts in that order: counting replaces the search."""
+    return _stable_order(build_codes, len(table)), np.cumsum(table) - table
 
 
 def _equi_match(
     probe_codes: np.ndarray, build_codes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All matching (probe_idx, build_idx) pairs for equal codes."""
-    order = np.argsort(build_codes, kind="stable")
-    sorted_build = build_codes[order]
-    left = np.searchsorted(sorted_build, probe_codes, side="left")
-    right = np.searchsorted(sorted_build, probe_codes, side="right")
-    counts = right - left
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
+    """All matching (probe_idx, build_idx) pairs for equal dense codes,
+    probe-major, build rows in ascending row index."""
+    table = _count_table(probe_codes, build_codes)
+    counts = table[probe_codes]
     probe_idx = np.repeat(np.arange(len(probe_codes)), counts)
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    within = np.arange(total) - offsets
-    build_idx = order[np.repeat(left, counts) + within]
+    if len(probe_idx) == 0:
+        return probe_idx, probe_idx
+    order, starts = _build_runs(table, build_codes)
+    # position in the build order = run start + rank within the probe's run
+    shift = starts[probe_codes] - (np.cumsum(counts) - counts)
+    build_idx = order[np.repeat(shift, counts) + np.arange(len(probe_idx))]
     return probe_idx, build_idx
 
 
@@ -549,14 +627,6 @@ def _null_fill(values: np.ndarray, n: int) -> np.ndarray:
     return np.zeros(n, dtype=values.dtype)
 
 
-def _group_codes(arrays: list[np.ndarray]) -> np.ndarray:
-    codes = np.zeros(len(arrays[0]), dtype=np.int64)
-    for values in arrays:
-        uniq, inverse = np.unique(np.asarray(values), return_inverse=True)
-        codes = codes * (len(uniq) + 1) + inverse
-    return codes
-
-
 def _agg_input(call: ast.FunctionCall, frame: Frame) -> np.ndarray:
     if call.star:
         return np.ones(frame.n_rows)
@@ -585,7 +655,7 @@ def _global_aggregate(call: ast.FunctionCall, frame: Frame) -> float:
         if call.distinct:
             if valid is not None:
                 values = values[valid]
-            return float(len(np.unique(values)))
+            return float(np.count_nonzero(np.bincount(_group_codes([values]))))
         return float(valid.sum()) if valid is not None else float(len(values))
     values = _agg_input(call, frame).astype(np.float64)
     if call.name == "SUM":
@@ -617,15 +687,16 @@ def _grouped_aggregate(
     if call.name == "COUNT":
         valid = _count_valid_mask(call, frame)
         if call.distinct:
-            uniq_counts = np.zeros(n_groups, dtype=np.float64)
-            pair_codes = _group_codes([group_of_sorted, sorted_values])
-            uniq_pairs, first_idx = np.unique(pair_codes, return_index=True)
+            pair_order, pair_starts = _group_runs(
+                _group_codes([group_of_sorted, sorted_values])
+            )
+            first_idx = pair_order[pair_starts]
             groups_of_uniques = group_of_sorted[first_idx]
             if valid is not None:
-                keep = valid[order][first_idx]
-                groups_of_uniques = groups_of_uniques[keep]
-            np.add.at(uniq_counts, groups_of_uniques, 1.0)
-            return uniq_counts
+                groups_of_uniques = groups_of_uniques[valid[order][first_idx]]
+            return np.bincount(groups_of_uniques, minlength=n_groups).astype(
+                np.float64
+            )
         if valid is not None:
             valid_sorted = valid[order].astype(np.float64)
             return np.add.reduceat(valid_sorted, starts)

@@ -9,6 +9,7 @@ re-evaluates the surrounding expression (see ``rewrite_aggregates``).
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -56,12 +57,7 @@ class Frame:
 
     def mask(self, keep: np.ndarray) -> "Frame":
         """Row-subset by boolean mask."""
-        return Frame(
-            columns={k: v[keep] for k, v in self.columns.items()},
-            dtypes=dict(self.dtypes),
-            valid={k: v[keep] for k, v in self.valid.items()},
-            n_rows=int(keep.sum()),
-        )
+        return self.take(np.flatnonzero(keep))
 
     def dtype_of(self, key: str) -> str:
         return self.dtypes.get(key, "float")
@@ -210,16 +206,40 @@ def _evaluate_like(expr: ast.Like, frame: Frame) -> np.ndarray:
     if not isinstance(expr.pattern, ast.Literal):
         raise ExecutionError("LIKE pattern must be a literal")
     pattern = str(expr.pattern.value)
-    regex = re.compile(_like_to_regex(pattern), re.DOTALL)
-    result = np.fromiter(
-        (regex.match(v) is not None for v in values.astype(np.str_)),
-        dtype=bool,
-        count=len(values),
-    )
+    values = values.astype(np.str_, copy=False)
+    if "_" in pattern:
+        regex = _like_regex(pattern)
+        result = np.fromiter(
+            (regex.fullmatch(v) is not None for v in values),
+            dtype=bool,
+            count=len(values),
+        )
+    else:
+        result = _like_pieces(values, pattern.split("%"))
     return ~result if expr.negated else result
 
 
-def _like_to_regex(pattern: str) -> str:
+def _like_pieces(values: np.ndarray, pieces: list[str]) -> np.ndarray:
+    """LIKE with no ``_``: literal pieces between ``%``s, leftmost-first."""
+    head, tail = pieces[0], pieces[-1]
+    if len(pieces) == 1:
+        return values == head
+    result = np.char.startswith(values, head)
+    position = np.full(len(values), len(head))
+    for piece in pieces[1:-1]:
+        if piece:
+            found = np.char.find(values, piece, position)
+            result &= found >= 0
+            position = found + len(piece)
+    if tail:
+        # the tail may not overlap what the earlier pieces consumed
+        result &= np.char.endswith(values, tail)
+        result &= np.char.str_len(values) - len(tail) >= position
+    return result
+
+
+@functools.lru_cache(maxsize=256)
+def _like_regex(pattern: str) -> re.Pattern:
     out = []
     for ch in pattern:
         if ch == "%":
@@ -228,7 +248,7 @@ def _like_to_regex(pattern: str) -> str:
             out.append(".")
         else:
             out.append(re.escape(ch))
-    return "^" + "".join(out) + "$"
+    return re.compile("".join(out), re.DOTALL)
 
 
 def _evaluate_is_null(expr: ast.IsNull, frame: Frame) -> np.ndarray:

@@ -75,3 +75,17 @@ def test_every_job_that_runs_pytest_installs_the_test_extra():
     pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
     extra = re.search(r"^test = \[(.*)\]$", pyproject, re.M)
     assert extra and '"hypothesis"' in extra.group(1) and '"pytest"' in extra.group(1)
+
+
+def test_tier1_matrix_covers_both_numpy_majors():
+    # MiniDB's kernels rely on numpy's 16-bit radix sort and on an
+    # array-valued `start` in np.char.find; pyproject.toml pins no numpy,
+    # so one tier-1 row installs the 1.x major next to the default
+    text = (WORKFLOWS / "ci.yml").read_text(encoding="utf-8")
+    tier1 = text.split("\n  tier1:\n", 1)[1].split("\n  logical-time-benches:\n", 1)[0]
+    assert re.search(
+        r'include:\n(?:\s*#.*\n)*\s*- python-version: "3\.10"\n\s*numpy: "numpy<2"', tier1
+    )
+    assert 'pip install -e ".[test]" "${{ matrix.numpy }}"' in tier1
+    src = (REPO_ROOT / "src" / "repro" / "minidb").glob("*.py")
+    assert not [p.name for p in src if "np.strings." in p.read_text(encoding="utf-8")]

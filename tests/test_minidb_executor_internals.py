@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import minidb_sort_oracle as oracle
 from repro.errors import ExecutionError
 from repro.minidb.executor import (
     _composite_codes,
+    _count_table,
     _equi_match,
     _group_codes,
+    _group_runs,
+    _stable_order,
 )
 
 
@@ -59,6 +64,12 @@ class TestCompositeCodes:
         lc, rc = _composite_codes(left, right)
         assert lc[1] == rc[0]
 
+    def test_empty_side_of_another_dtype(self):
+        # an aggregate over no rows hands the join a float64 ``zeros(0)``
+        lc, rc = _composite_codes([np.array([7, 9, 7])], [np.zeros(0)])
+        assert lc[0] == lc[2] != lc[1] and len(rc) == 0
+        assert all(len(idx) == 0 for idx in _equi_match(lc, rc))
+
     def test_mismatched_key_lists_raise(self):
         with pytest.raises(ExecutionError):
             _composite_codes([np.array([1])], [])
@@ -76,3 +87,138 @@ class TestGroupCodes:
         codes = _group_codes([a, b])
         expected = len({(x, y) for x, y in zip(a.tolist(), b.tolist())})
         assert len(np.unique(codes)) == expected
+
+
+# ---------------------------------------------------------------------------
+# dense-code kernels vs the sort-based key handling they replaced
+# ---------------------------------------------------------------------------
+
+# value pools per key family: small enough that both sides collide, and
+# both sides of one column may take different dtypes of its family
+_POOLS = {
+    "dense": (np.arange(-3, 9), (np.int64, np.int32)),
+    # span far beyond 4 * rows + 1024: the np.unique route
+    "sparse": (
+        np.array([-(10**15), -70_000, -7, 0, 3, 65_535, 65_536, 10**9, 2**40]),
+        (np.int64,),
+    ),
+    "bool": (np.array([False, True]), (np.bool_, np.int64)),
+    "date": (np.arange(8_760, 8_772), (np.int32,)),
+    "float": (np.array([-1.5, 0.0, 0.25, 2.5, 1e300]), (np.float64,)),
+    "str": (np.array(["", "a", "ab", "b", "zebra"]), (np.str_,)),
+}
+
+
+@st.composite
+def _two_sided_keys(draw):
+    """1-4 aligned key columns for a left and a right input."""
+    n_left = draw(st.integers(0, 24))
+    n_right = draw(st.integers(0, 24))
+    left, right = [], []
+    for family in draw(st.lists(st.sampled_from(sorted(_POOLS)), min_size=1, max_size=4)):
+        pool, dtypes = _POOLS[family]
+        for side, n in ((left, n_left), (right, n_right)):
+            picks = draw(
+                st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n)
+            )
+            dtype = draw(st.sampled_from(dtypes))
+            side.append(pool[np.asarray(picks, dtype=np.intp)].astype(dtype))
+    return left, right
+
+
+class TestDenseKernelsMatchTheSortOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_two_sided_keys())
+    def test_join_pairs_identical_in_order(self, keys):
+        left, right = keys
+        got = _equi_match(*_composite_codes(left, right))
+        want = oracle.equi_match(*oracle.composite_codes(left, right))
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_two_sided_keys())
+    def test_semi_join_membership_is_isin(self, keys):
+        left, right = keys
+        probe, build = _composite_codes(left, right)
+        want = np.isin(*oracle.composite_codes(left, right))
+        assert np.array_equal(_count_table(probe, build)[probe] > 0, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_two_sided_keys())
+    def test_group_order_and_first_occurrences(self, keys):
+        columns, _ = keys
+        order, starts = _group_runs(_group_codes(columns))
+        want = oracle.group_codes(columns)
+        assert np.array_equal(order, np.argsort(want, kind="stable"))
+        assert np.array_equal(
+            order[starts], np.unique(want, return_index=True)[1]
+        )
+
+    @pytest.mark.parametrize("top", [65_535, 65_536, 70_000])
+    def test_join_across_the_radix_boundary(self, rng, top):
+        # enough rows that codes up to ``top`` still count as dense, so
+        # the build order needs one 16-bit pass below 2**16 and two above
+        left = [rng.integers(0, top + 1, 20_000)]
+        right = [rng.integers(0, top + 1, 20_000)]
+        left[0][:2] = right[0][:2] = (top, 0)
+        left_codes, right_codes = _composite_codes(left, right)
+        assert max(left_codes.max(), right_codes.max()) == top
+        got = _equi_match(left_codes, right_codes)
+        want = oracle.equi_match(*oracle.composite_codes(left, right))
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(0, 40), min_size=0, max_size=60),
+        st.sampled_from([0, 2**16 - 20, 2**32 - 20, 2**48 - 20]),
+    )
+    def test_stable_order_is_a_stable_argsort(self, small, offset):
+        codes = np.asarray(small, dtype=np.int64) + offset
+        size = int(codes.max(initial=0)) + 1
+        assert np.array_equal(
+            _stable_order(codes, size), np.argsort(codes, kind="stable")
+        )
+
+
+class TestWideKeysDoNotWrap:
+    """Six to eight columns of 3,000 distinct values each: the mixed-radix
+    product passes 2**63, which the sort-based codes wrapped silently."""
+
+    @staticmethod
+    def _columns(rng, n_columns):
+        base = [rng.permutation(3_000) for _ in range(n_columns)]
+        again = rng.integers(0, 3_000, 600)  # repeated tuples
+        return [np.concatenate([column, column[again]]) for column in base]
+
+    @staticmethod
+    def _assert_ranks_tuples(codes, columns):
+        assert codes.min() >= 0
+        # np.unique over rows sorts them lexicographically: its inverse
+        # is each tuple's rank, and dense codes must rank identically
+        tuple_rank = np.unique(
+            np.stack(columns, axis=1), axis=0, return_inverse=True
+        )[1].reshape(-1)
+        assert np.array_equal(
+            np.unique(codes, return_inverse=True)[1], tuple_rank
+        )
+
+    @pytest.mark.parametrize("n_columns", [6, 7, 8])
+    def test_group_side(self, rng, n_columns):
+        columns = self._columns(rng, n_columns)
+        self._assert_ranks_tuples(_group_codes(columns), columns)
+
+    @pytest.mark.parametrize("n_columns", [6, 7, 8])
+    def test_join_side(self, rng, n_columns):
+        columns = self._columns(rng, n_columns)
+        left = [column[:2_000] for column in columns]
+        right = [column[2_000:] for column in columns]
+        left_codes, right_codes = _composite_codes(left, right)
+        self._assert_ranks_tuples(
+            np.concatenate([left_codes, right_codes]), columns
+        )
+
+    def test_identity_columns(self):
+        # the issue's reproducer: minimum code was -9.2e18 before the fix
+        assert _group_codes([np.arange(3_000)] * 6).min() >= 0

@@ -1,11 +1,15 @@
 """Unit tests for vectorized expression evaluation."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExecutionError
 from repro.minidb.expressions import Frame, evaluate, rewrite_aggregates
 from repro.minidb.storage import date_to_days
+from repro.sql import ast
 from repro.sql.parser import parse_select
 
 
@@ -104,6 +108,61 @@ class TestLike:
             n_rows=2,
         )
         assert evaluate(where_of("s like 'a.b'"), f).tolist() == [True, False]
+
+
+    def test_tail_may_not_overlap_head(self):
+        f = Frame(columns={"t.s": np.array(["ab", "abb", "abab"])}, n_rows=3)
+        assert evaluate(where_of("s like 'ab%b'"), f).tolist() == [
+            False, True, True,
+        ]
+
+    def test_trailing_newline_is_part_of_the_value(self):
+        # `$` in the former per-row regex also matched before a final "\n"
+        f = Frame(columns={"t.s": np.array(["ab\n", "ab"])}, n_rows=2)
+        like = ast.Like(ast.Column("s"), ast.Literal("ab", "string"))
+        assert evaluate(like, f).tolist() == [False, True]
+        like = ast.Like(ast.Column("s"), ast.Literal("a_", "string"))
+        assert evaluate(like, f).tolist() == [False, True]
+
+    def test_non_string_input_is_cast(self):
+        f = Frame(columns={"t.n": np.array([10, 21, 110])}, n_rows=3)
+        assert evaluate(where_of("n like '1%0'"), f).tolist() == [
+            True, False, True,
+        ]
+
+    def test_empty_frame(self):
+        f = Frame(columns={"t.s": np.array([], dtype=np.str_)}, n_rows=0)
+        for pattern in ("a", "a%", "%a%b", "a_"):
+            like = ast.Like(ast.Column("s"), ast.Literal(pattern, "string"))
+            assert evaluate(like, f).tolist() == []
+
+    # regex metacharacters, a newline, and nothing else to collide on
+    _TEXT = st.text(alphabet="ab.*\\\n", max_size=4)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        pieces=st.lists(_TEXT, min_size=1, max_size=4),
+        wildcard=st.sampled_from(["%", "%", "%%", "_"]),
+        values=st.lists(_TEXT.map(lambda t: t * 2) | _TEXT, max_size=8),
+        negated=st.booleans(),
+    )
+    def test_matches_the_per_row_regex(self, pieces, wildcard, values, negated):
+        """Empty pieces give leading/trailing/doubled ``%``; one piece is
+        plain equality; ``_`` keeps the regex path honest."""
+        pattern = wildcard.join(pieces)
+        regex = re.compile(
+            "".join(
+                ".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
+                for ch in pattern
+            ),
+            re.DOTALL,
+        )
+        f = Frame(
+            columns={"t.s": np.array(values, dtype=np.str_)}, n_rows=len(values)
+        )
+        like = ast.Like(ast.Column("s"), ast.Literal(pattern, "string"), negated)
+        expected = [(regex.fullmatch(v) is not None) != negated for v in values]
+        assert evaluate(like, f).tolist() == expected
 
 
 class TestLogic:

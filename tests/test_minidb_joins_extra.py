@@ -4,7 +4,8 @@ cross joins, self-joins, and INLJ/hash equivalence under every path."""
 import numpy as np
 import pytest
 
-from repro.minidb import Index, IndexConfig
+from repro.minidb import Database, Index, IndexConfig
+from repro.minidb.storage import Table
 
 
 class TestMultiKeyJoins:
@@ -67,6 +68,77 @@ class TestSemiJoinResiduals:
         has = tpch_db.execute(base.format("exists")).rows[0][0]
         hasnt = tpch_db.execute(base.format("not exists")).rows[0][0]
         assert has + hasnt == total
+
+
+@pytest.fixture(scope="module")
+def keyed_db():
+    """Two small tables joinable on an integer key (dense codes, no sort)
+    or on its string twin (the ``np.unique`` route)."""
+    a_id = np.array([1, 2, 3, 4, 5, 6])
+    b_id = np.array([1, 1, 2, 4, 4, 4, 9])
+    db = Database()
+    db.load_table(
+        Table(
+            "a",
+            {"id": "int", "name": "str", "v": "float"},
+            {
+                "id": a_id,
+                "name": np.array([f"n{i}" for i in a_id]),
+                "v": np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+            },
+        )
+    )
+    db.load_table(
+        Table(
+            "b",
+            {"oid": "int", "oname": "str", "w": "float"},
+            {
+                "oid": b_id,
+                "oname": np.array([f"n{i}" for i in b_id]),
+                "w": np.array([0.5, 3.0, 9.0, 1.0, 5.0, 2.0, 7.0]),
+            },
+        )
+    )
+    return db
+
+
+@pytest.mark.parametrize("key", ["id = oid", "name = oname"], ids=["int", "str"])
+class TestResidualsOnBothKeyRoutes:
+    """``a.v`` is 1..6 by id; b holds (1: .5, 3), (2: 9), (4: 1, 5, 2), (9: 7)."""
+
+    def test_left_join_with_residual(self, keyed_db, key):
+        result = keyed_db.execute(
+            f"select id, count(oid) as n, sum(w) as total from a "
+            f"left outer join b on {key} and w > v group by id order by id"
+        )
+        assert [(i, n) for i, n, _ in result.rows] == [
+            (1, 1), (2, 1), (3, 0), (4, 1), (5, 0), (6, 0)
+        ]
+        assert [t for _, n, t in result.rows if n] == [3.0, 9.0, 5.0]
+
+    def test_not_exists_with_residual_q21_shape(self, keyed_db, key):
+        sql = "select id from a where {} (select * from b where " + key + " and w > v) order by id"
+        assert keyed_db.execute(sql.format("not exists")).rows == [(3,), (5,), (6,)]
+        assert keyed_db.execute(sql.format("exists")).rows == [(1,), (2,), (4,)]
+
+    def test_agg_compare_with_no_inner_rows(self, keyed_db, key):
+        sql = "select id from a where v < (select max(w) from b where " + key + "{}) order by id"
+        assert keyed_db.execute(sql.format(" and w > 100")).rows == []
+        assert keyed_db.execute(sql.format("")).rows == [(1,), (2,), (4,)]
+
+
+class TestOrderByIsExact:
+    @pytest.mark.parametrize("stored, direction", [
+        ([2**53 + 1, 2**53], ""),
+        ([2**53, 2**53 + 1], " desc"),
+    ])
+    def test_int64_above_float_precision(self, stored, direction):
+        # float64 cannot tell these two apart, and a tie keeps the stored
+        # (here: wrong) order; ranks must not go through it
+        db = Database()
+        db.load_table(Table("t", {"k": "int"}, {"k": np.array(stored)}))
+        rows = db.execute(f"select k from t order by k{direction}").rows
+        assert [k for (k,) in rows] == stored[::-1]
 
 
 class TestCrossJoin:

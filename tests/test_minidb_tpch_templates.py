@@ -60,3 +60,28 @@ def test_workload_is_template_major():
     for t in range(22):
         block = templates[t * 3 : (t + 1) * 3]
         assert len(set(block)) == 1
+
+
+@pytest.mark.parametrize("template_id", TPCH_TEMPLATE_IDS)
+def test_dense_kernels_change_nothing_observable(tpch_db, monkeypatch, template_id):
+    """Every template, three seeds, prepared and unprepared: the shipped
+    dense-code kernels against the sort-based ones they replaced."""
+    import minidb_sort_oracle as oracle
+    from repro.minidb import executor
+
+    def observe():
+        seen = []
+        for seed in (3, 11, 29):
+            sql = tpch_query(template_id, seed=seed)
+            for run in (tpch_db.execute, tpch_db.execute_prepared):
+                result = run(sql)
+                seen.append(
+                    (result.rows, result.actual_cost, result.stats.rows_scanned)
+                )
+        return seen
+
+    shipped = observe()
+    monkeypatch.setattr(executor, "_composite_codes", oracle.composite_codes)
+    monkeypatch.setattr(executor, "_equi_match", oracle.equi_match)
+    monkeypatch.setattr(executor, "_group_codes", oracle.group_codes)
+    assert observe() == shipped
