@@ -490,8 +490,9 @@ class QuercService:
         ``backends`` carries per-backend dispatch counters (dispatched,
         admitted, rejected, spilled, queued, executed, latency) plus
         admission-gate state and the load signal the policies rank on;
-        ``plan_cache`` the summed prepared-execution counters (hits,
-        misses, invalidations, literal-sensitive bail-outs) of every
+        ``plan_cache`` the summed prepared-execution counters (hits and
+        the parse-free share of them, misses, invalidations, evictions
+        and admission refusals, literal-sensitive bail-outs) of every
         backend exposing a plan cache, with the fleet-wide hit rate;
         ``routing`` the policy layer — installed policy, route table,
         candidate sets, per-label placement decisions, and every
@@ -585,9 +586,11 @@ def _aggregate_plan_cache(backends_snapshot: dict) -> dict | None:
         "size",
         "capacity",
         "hits",
+        "fast_hits",
         "misses",
         "invalidated",
         "evicted",
+        "admission_refused",
         "uncacheable",
         "literal_sensitive_templates",
         "literal_sensitive_skips",

@@ -45,10 +45,23 @@ Soundness guards, in order of application:
   back to per-query planning forever. Rows stay byte-identical either
   way — the guard protects plan *quality* from silently regressing.
 
-The cache is a bounded LRU guarded by one lock; planning happens under
-the lock, which serializes concurrent misses for the same template (a
-feature: no duplicate planning work) and keeps the guard bookkeeping
-race-free.
+The cache keeps one record per template ``(fingerprint_key, config)``:
+the template's recipe (or the proven "no recipe") and its plans, one
+per LIMIT tuple. Records live in one LRU; ``capacity`` bounds the
+plans across them, an eviction takes the least recently used record's
+oldest plan, and a record — recipe included — goes with its last
+plan, so a hot template never loses its recipe while its plan stays
+cached. A frequency doorkeeper (TinyLFU-style) stands in front of that
+LRU: it keeps an aged access count per template key (every ``fetch``
+and every ``try_fast`` hit counts; all counts halve after every
+``10 × capacity`` recorded accesses), and when the cache is full a new
+plan replaces the LRU victim only if its template has been seen at
+least as often as the victim's. Ties admit, so a stream of strangers
+behaves as plain LRU; a refused newcomer is planned and served as
+usual, just not cached — one-shot templates cannot evict the head.
+Everything sits behind one lock; planning happens under it, which
+serializes concurrent misses for the same template (a feature: no
+duplicate planning work) and keeps the guard bookkeeping race-free.
 """
 
 from __future__ import annotations
@@ -304,14 +317,26 @@ class _Entry:
         self.literal_sensitive = False
 
 
+class _Template:
+    """Everything cached for one template: its parse-free recipe (None
+    when the template must take the parse path) and its plans, one per
+    LIMIT tuple, oldest first."""
+
+    __slots__ = ("recipe", "plans")
+
+    def __init__(self, recipe: FastBindingRecipe | None) -> None:
+        self.recipe = recipe
+        self.plans: dict[tuple, _Entry] = {}
+
+
 class PlanCache:
-    """Bounded, thread-safe LRU of prepared template plans.
+    """Bounded, thread-safe cache of prepared template plans.
 
     ``fetch`` is the whole protocol: callers hand it the cache key,
     the current catalog epoch, the query's extracted binding and a
     ``plan_fresh`` thunk; it returns a plan — cached, re-bound, or
-    freshly planned — applying the invalidation and
-    literal-sensitivity rules documented in the module docstring.
+    freshly planned — applying the invalidation, literal-sensitivity
+    and admission rules documented in the module docstring.
     """
 
     def __init__(self, capacity: int = 256, verify_bindings: int = 3) -> None:
@@ -319,24 +344,27 @@ class PlanCache:
             raise ValueError("capacity must be >= 1")
         self._capacity = capacity
         self._verify = max(1, verify_bindings)
-        self._entries: OrderedDict[Hashable, _Entry] = OrderedDict()
-        # (fingerprint_key, config) -> FastBindingRecipe | None; None
-        # records "this template needs the parse path" so it is probed
-        # only once. Keyed coarser than entries (no limits) because the
-        # recipe is a property of the template text, not of the plan.
-        self._recipes: OrderedDict[Hashable, FastBindingRecipe | None] = OrderedDict()
+        # (fingerprint_key, config) -> _Template, least recently used
+        # first; ``_size`` counts the plans across them
+        self._templates: OrderedDict[Hashable, _Template] = OrderedDict()
+        self._size = 0
+        # the doorkeeper: aged access count per template key
+        self._counts: dict[Hashable, int] = {}
+        self._recorded = 0
         self._lock = threading.Lock()
         self._hits = 0
+        self._fast_hits = 0
         self._misses = 0
         self._invalidated = 0
         self._evicted = 0
+        self._refused = 0
         self._uncacheable = 0
         self._sensitive_templates = 0
         self._sensitive_skips = 0
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return self._size
 
     @property
     def verify_bindings(self) -> int:
@@ -360,42 +388,43 @@ class PlanCache:
 
         ``key`` must be ``(fingerprint_key, config, limits)``. When
         ``sql`` is given, the template's parse-free extraction recipe
-        is derived from it on first contact so later texts can take
-        :meth:`try_fast`.
+        is derived from it when the template's record is created, so
+        later texts can take :meth:`try_fast`.
         """
+        template_key, limits = key[:2], key[2]
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry.epoch != epoch:
-                del self._entries[key]
-                self._invalidated += 1
-                entry = None
+            self._count(template_key)
+            record = self._templates.get(template_key)
+            entry = None
+            if record is not None:
+                self._templates.move_to_end(template_key)
+                entry = record.plans.get(limits)
 
-            if entry is None:
+            if entry is None or entry.epoch != epoch:
                 plan = plan_fresh()
                 self._misses += 1
-                rebinder = PlanRebinder(stmt, plan)
-                self._entries[key] = _Entry(
+                if entry is not None:
+                    # planned against an older catalog: replaced in place
+                    self._invalidated += 1
+                elif self._admit(template_key):
+                    if record is None:
+                        record = self._templates[template_key] = _Template(
+                            None if sql is None else build_fast_recipe(sql, binding)
+                        )
+                    self._size += 1
+                else:
+                    self._refused += 1
+                    return plan
+                record.plans[limits] = _Entry(
                     plan,
-                    rebinder,
+                    PlanRebinder(stmt, plan),
                     binding.kinds,
                     epoch,
                     binding.values,
                 )
-                self._entries.move_to_end(key)
-                while len(self._entries) > self._capacity:
-                    self._entries.popitem(last=False)
-                    self._evicted += 1
-                if sql is not None:
-                    template_key = key[:2]
-                    if template_key not in self._recipes:
-                        self._recipes[template_key] = build_fast_recipe(
-                            sql, binding
-                        )
-                        while len(self._recipes) > 2 * self._capacity:
-                            self._recipes.popitem(last=False)
+                if self._size > self._capacity:
+                    self._evict_one()
                 return plan
-
-            self._entries.move_to_end(key)
 
             if entry.literal_sensitive:
                 self._sensitive_skips += 1
@@ -446,16 +475,18 @@ class PlanCache:
         """
         template_key = (fingerprint_key, config)
         with self._lock:
-            recipe = self._recipes.get(template_key)
+            record = self._templates.get(template_key)
+        recipe = None if record is None else record.recipe
         if recipe is None:
             return None
         extracted = recipe.extract(sql)
         if extracted is None:
             return None
         values, limits = extracted
-        key = (fingerprint_key, config, limits)
         with self._lock:
-            entry = self._entries.get(key)
+            # the record may have been evicted since the first lookup
+            record = self._templates.get(template_key)
+            entry = None if record is None else record.plans.get(limits)
             if (
                 entry is None
                 or entry.epoch != epoch
@@ -465,19 +496,55 @@ class PlanCache:
                 return None
             if values not in entry.seen and len(entry.seen) < self._verify:
                 return None  # still inside the verification window
-            self._entries.move_to_end(key)
+            self._templates.move_to_end(template_key)
+            self._count(template_key)
             self._hits += 1
+            self._fast_hits += 1
             slots = tuple(
                 ast.Literal(value, kind)
                 for value, kind in zip(values, entry.kinds)
             )
             return entry.rebinder.rebind(slots)
 
+    # -- the LRU and its doorkeeper (callers hold the lock) ---------------------
+
+    def _count(self, template_key: Hashable) -> None:
+        """Record one access of ``template_key``. Every ``10 × capacity``
+        recorded accesses all counts halve and zeros are dropped, so old
+        traffic fades and the table holds about that many keys."""
+        counts = self._counts
+        counts[template_key] = counts.get(template_key, 0) + 1
+        self._recorded += 1
+        if self._recorded >= 10 * self._capacity:
+            self._recorded = 0
+            self._counts = {k: c >> 1 for k, c in counts.items() if c > 1}
+
+    def _admit(self, template_key: Hashable) -> bool:
+        """May a new plan of ``template_key`` take a slot? Always while
+        there is room; when full, only if the template has been seen at
+        least as often as the LRU victim's (ties admit)."""
+        if self._size < self._capacity:
+            return True
+        victim = next(iter(self._templates))
+        counts = self._counts
+        return counts.get(template_key, 0) >= counts.get(victim, 0)
+
+    def _evict_one(self) -> None:
+        """Drop the LRU record's oldest plan, and the record (recipe
+        included) with its last plan."""
+        victim_key, victim = next(iter(self._templates.items()))
+        del victim.plans[next(iter(victim.plans))]
+        self._size -= 1
+        self._evicted += 1
+        if not victim.plans:
+            del self._templates[victim_key]
+
     def invalidate_all(self) -> int:
-        """Drop every entry (e.g. after a manual catalog rewrite)."""
+        """Drop every plan (e.g. after a manual catalog rewrite)."""
         with self._lock:
-            n = len(self._entries)
-            self._entries.clear()
+            n = self._size
+            self._templates.clear()
+            self._size = 0
             self._invalidated += n
             return n
 
@@ -485,13 +552,15 @@ class PlanCache:
         with self._lock:
             total = self._hits + self._misses
             return {
-                "size": len(self._entries),
+                "size": self._size,
                 "capacity": self._capacity,
                 "hits": self._hits,
+                "fast_hits": self._fast_hits,
                 "misses": self._misses,
                 "hit_rate": (self._hits / total) if total else 0.0,
                 "invalidated": self._invalidated,
                 "evicted": self._evicted,
+                "admission_refused": self._refused,
                 "uncacheable": self._uncacheable,
                 "literal_sensitive_templates": self._sensitive_templates,
                 "literal_sensitive_skips": self._sensitive_skips,

@@ -1,11 +1,13 @@
 """Prepared execution: the template plan cache and its guards.
 
 Unit tests pin the :class:`~repro.minidb.plancache.PlanCache` protocol
-— LRU eviction, catalog-epoch invalidation, the literal-sensitivity
-bail-out, kind-mismatch and rebind-unsafe bypasses — and a hypothesis
-property pins the headline contract: prepared execution is
-byte-identical to per-query planning (rows, columns, costs, plan
-shapes, and failures) for every generated query, hot or cold cache.
+— LRU eviction, recipe lifetime, the frequency doorkeeper,
+catalog-epoch invalidation, the literal-sensitivity bail-out,
+kind-mismatch and rebind-unsafe bypasses — and hypothesis properties
+pin the headline contract: prepared execution is byte-identical to
+per-query planning (rows, columns, costs, plan shapes, and failures)
+for every generated query, hot or cold cache, and under eviction
+pressure at tiny capacities.
 The parse-free path (:class:`~repro.sql.params.FastBindingRecipe`) is
 pinned against the parser, and the backend adapter against
 ``Database.execute``.
@@ -22,8 +24,8 @@ from hypothesis import strategies as st
 from test_property_based import number, simple_select, string_literal
 
 from repro.backends import MiniDBBackend
-from repro.errors import ParseError
-from repro.minidb import materialize_log_tables
+from repro.errors import ParseError, SQLError
+from repro.minidb import engine, materialize_log_tables
 from repro.minidb.datagen import generate_tpch_database
 from repro.minidb.engine import Database
 from repro.minidb.indexes import Index, IndexConfig
@@ -53,6 +55,14 @@ def _tiny_db(plan_cache: PlanCache | None = None) -> Database:
         )
     )
     return db
+
+
+# fourteen distinct templates over ``_tiny_db``'s table, each used once
+_ONE_OFFS = [
+    f"select {cols} from t where {col} > 1"
+    for cols in ("a", "b", "s", "a, s", "b, s", "s, a", "s, b")
+    for col in ("a", "b")
+]
 
 
 class TestPlanCacheProtocol:
@@ -196,16 +206,113 @@ class TestPlanCacheProtocol:
         assert a.n_rows == 2 and b.n_rows == 4
         assert db.plan_cache.stats()["size"] == 2
 
+    def test_hot_template_keeps_its_recipe_under_one_off_churn(self, monkeypatch):
+        """A template's recipe lives as long as its cached plan: more
+        than ``2 × capacity`` one-off templates passing through must not
+        send a hot, verified template back to the parser."""
+        db = _tiny_db(PlanCache(capacity=2))
+        hot = "select a, b from t where a = {}"
+        for i in range(db.plan_cache.verify_bindings):
+            db.execute_prepared(hot.format(i))  # clears verification
+        parsed: list[str] = []
+
+        def counting_parse(sql):
+            parsed.append(sql)
+            return parse_select(sql)
+
+        monkeypatch.setattr(engine, "parse_select", counting_parse)
+        for i, sql in enumerate(_ONE_OFFS):
+            db.execute_prepared(sql)
+            db.execute_prepared(hot.format(10 + i))
+        parsed.clear()
+        for i in range(6):
+            db.execute_prepared(hot.format(100 + i))
+        assert parsed == []
+        # every hot query after verification was a parse-free hit
+        assert db.plan_cache.stats()["fast_hits"] == len(_ONE_OFFS) + 6
+
+    def test_doorkeeper_refuses_one_shots_when_full(self):
+        """Full cache: a template seen less often than the LRU victim's
+        is planned and served but not cached; the head stays hot."""
+        db = _tiny_db(PlanCache(capacity=1))
+        for i in range(5):
+            db.execute_prepared(f"select a from t where a = {i}")
+        one_shot = db.execute_prepared("select b from t where b = 20")
+        assert one_shot.rows == db.execute("select b from t where b = 20").rows
+        stats = db.plan_cache.stats()
+        assert (stats["size"], stats["evicted"], stats["admission_refused"]) == (1, 0, 1)
+        db.execute_prepared("select a from t where a = 9")
+        assert db.plan_cache.stats()["fast_hits"] == stats["fast_hits"] + 1
+
+    def test_doorkeeper_counts_age(self):
+        """Counts halve every ``10 × capacity`` recorded accesses, so a
+        template that went quiet is displaced sooner than its raw count
+        says: with capacity 1, eight accesses of A and then B — B's
+        second access is the tenth, halving A to 4 and B to 1; B is
+        admitted (ties admit) on its fifth access, not its eighth."""
+        db = _tiny_db(PlanCache(capacity=1))
+        for i in range(8):
+            db.execute_prepared(f"select a from t where a = {i}")
+        for n in range(1, 6):
+            db.execute_prepared(f"select b from t where b = {n}")
+            stats = db.plan_cache.stats()
+            assert stats["admission_refused"] == min(n, 4), n
+        assert stats["evicted"] == 1
+
+    def test_concurrent_churn_keeps_bound_and_counters(self):
+        """More threads than cores, a short switch interval, hot and
+        one-off templates through a tiny cache: every query is exactly
+        one hit or one miss (a lost counter update breaks the sum), the
+        plans stay within capacity, and every row is right."""
+        import sys
+        import threading
+
+        db = _tiny_db(PlanCache(capacity=3))
+        hot = [f"select a, b from t where a = {i}" for i in range(5)]
+        want = {sql: db.execute(sql).rows for sql in hot + _ONE_OFFS}
+        per_thread, n_threads = 80, 6
+        errors: list[BaseException] = []
+
+        def worker(offset):
+            try:
+                for i in range(per_thread):
+                    sql = hot[i % 5] if i % 2 else _ONE_OFFS[(offset + i) % len(_ONE_OFFS)]
+                    assert db.execute_prepared(sql).rows == want[sql], sql
+            except BaseException as exc:  # noqa: BLE001 - collected
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(n,)) for n in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        stats = db.plan_cache.stats()
+        assert stats["hits"] + stats["misses"] == per_thread * n_threads
+        plans = sum(len(r.plans) for r in db.plan_cache._templates.values())
+        assert stats["size"] == plans <= 3
+        assert stats["fast_hits"] > 0 and stats["evicted"] > 0
+
     def test_stats_shape(self):
         stats = PlanCache(capacity=7).stats()
         for field in (
             "size",
             "capacity",
             "hits",
+            "fast_hits",
             "misses",
             "hit_rate",
             "invalidated",
             "evicted",
+            "admission_refused",
             "uncacheable",
             "literal_sensitive_templates",
             "literal_sensitive_skips",
@@ -529,3 +636,132 @@ class TestBackendMatchesUnpreparedOracle:
             hits = warm["hits"] - cold["hits"]
             misses = warm["misses"] - cold["misses"]
             assert hits / (hits + misses) > 0.9, (name, cold, warm)
+
+
+# -- differential under eviction pressure -------------------------------------
+
+_SEEK_CONFIG = IndexConfig([Index("orders", ("o_orderkey",))])
+_MIXED_TABLES = None
+
+
+def _mixed_tables() -> list[Table]:
+    """TPC-H and narrow-profile SnowSim tables side by side."""
+    global _MIXED_TABLES
+    if _MIXED_TABLES is None:
+        tpch, _ = _tpch()
+        snow = materialize_log_tables(_snow_queries(), rows_per_table=8)
+        assert not set(tpch.tables) & set(snow.tables)
+        _MIXED_TABLES = [*tpch.tables.values(), *snow.tables.values()]
+    return _MIXED_TABLES
+
+
+_TEMPLATE_GROUPS = None
+
+
+def _template_groups() -> list[list[str]]:
+    """SnowSim and TPC-H instances grouped by template fingerprint."""
+    global _TEMPLATE_GROUPS
+    if _TEMPLATE_GROUPS is None:
+        groups: dict[str, list[str]] = {}
+        pool = generate_tpch_workload(instances_per_template=4, seed=13)
+        for sql in [*_snow_queries(), *pool]:
+            groups.setdefault(template_fingerprint(sql), []).append(sql)
+        _TEMPLATE_GROUPS = list(groups.values())
+    return _TEMPLATE_GROUPS
+
+
+@st.composite
+def pressure_stream(draw):
+    """A few templates — SnowSim, TPC-H and generated — each drawn many
+    times with varying literals into a stream, so some turn hot while
+    others stay one-shots, with ``load_table`` calls (catalog epoch
+    bumps) between."""
+    templates = draw(
+        st.lists(st.sampled_from(_template_groups()), min_size=2, max_size=6)
+    ) + draw(st.lists(same_template_selects(), max_size=2))
+    query = st.tuples(
+        st.just("query"),
+        st.sampled_from(templates).flatmap(st.sampled_from),
+        st.sampled_from((None, _SEEK_CONFIG)),
+    )
+    queries = draw(st.lists(query, min_size=20, max_size=60))
+    loads = draw(st.sets(st.sampled_from(range(len(queries))), max_size=len(queries) // 8))
+    stream = []
+    for i, step in enumerate(queries):
+        if i in loads:
+            stream.append(("load", None, None))
+        stream.append(step)
+    return stream
+
+
+def _check_cache_invariants(db: Database, sql, config, recipes: dict) -> None:
+    """After one query: plans within capacity, no empty record, a proven
+    recipe kept for as long as its template stays cached, and the
+    query's own cached plan (if any) from the current catalog epoch."""
+    cache = db.plan_cache
+    templates = cache._templates
+    stats = cache.stats()
+    assert stats["size"] == sum(len(r.plans) for r in templates.values())
+    assert stats["size"] <= stats["capacity"]
+    for key in [k for k in recipes if k not in templates]:
+        del recipes[key]
+    for key, record in templates.items():
+        assert record.plans, key
+        if key in recipes:
+            assert record.recipe is recipes[key], key
+        elif record.recipe is not None:
+            recipes[key] = record.recipe
+    try:
+        limits = extract_parameters(parse_select(sql)).limits
+    except SQLError:
+        return
+    record = templates.get((template_fingerprint(sql), config))
+    entry = None if record is None else record.plans.get(limits)
+    assert entry is None or entry.epoch == db.catalog_epoch, sql
+
+
+def _replay(stream, capacity: int, oracle: bool) -> list[tuple]:
+    """Run ``stream`` through a fresh ``PlanCache(capacity)``; with
+    ``oracle``, hold every query to ``Database.execute`` and check the
+    cache invariants. Returns the counters after every query."""
+    db = Database(plan_cache=PlanCache(capacity=capacity))
+    for table in _mixed_tables():
+        db.load_table(table)
+    recipes: dict = {}
+    trace = []
+    for step, (op, arg, flag) in enumerate(stream):
+        if op == "load":
+            db.load_table(
+                Table(name=f"ddl_{step}", dtypes={"c": "int"}, columns={"c": np.arange(2)})
+            )
+            continue
+        sql, config = arg, flag
+        got = _observe(lambda s: db.execute_prepared(s, config), sql)
+        if oracle:
+            assert got == _observe(lambda s: db.execute(s, config), sql), sql
+            _check_cache_invariants(db, sql, config, recipes)
+        stats = db.plan_cache.stats()
+        trace.append(
+            tuple(
+                stats[name]
+                for name in (
+                    "hits",
+                    "fast_hits",
+                    "misses",
+                    "evicted",
+                    "admission_refused",
+                    "invalidated",
+                )
+            )
+        )
+    return trace
+
+
+class TestPreparedUnderEvictionPressure:
+    @given(pressure_stream())
+    @settings(max_examples=30, deadline=None)
+    def test_prepared_matches_oracle_and_replays(self, stream):
+        for capacity in (1, 2, 8):
+            trace = _replay(stream, capacity, oracle=True)
+            # admission and eviction are a pure function of the stream
+            assert _replay(stream, capacity, oracle=False) == trace

@@ -15,7 +15,8 @@ Schema (extra fields are welcome — these are the floor):
   batch sizes, thread budgets, ...);
 * ``speedup`` — the headline ratio, a finite number > 0;
 * ``qps``     — an object mapping each measured path to a finite
-  throughput number > 0 (at least one entry).
+  throughput number > 0 (at least one entry); the logical-time benches
+  report goodput per logical second, so their records never drift.
 
 Run from anywhere::
 
