@@ -201,7 +201,7 @@ class CircuitBreaker:
         self._opens = 0
         self._closes = 0
         self._half_opens = 0
-        self._short_circuits = 0  # allow() calls refused while open
+        self._refused = 0  # allow() calls refused while open
 
     # -- state ---------------------------------------------------------------------
 
@@ -263,11 +263,11 @@ class CircuitBreaker:
             if state is BreakerState.HALF_OPEN and self._state is BreakerState.OPEN:
                 self._transition(BreakerState.HALF_OPEN)
             if self._state is BreakerState.OPEN:
-                self._short_circuits += 1
+                self._refused += 1
                 return 0
             if self._state is BreakerState.HALF_OPEN:
                 if self._probes_in_flight >= self.half_open_probes:
-                    self._short_circuits += 1
+                    self._refused += 1
                     return 0
                 self._probes_in_flight += 1
                 return n
@@ -323,7 +323,7 @@ class CircuitBreaker:
                 "opens": self._opens,
                 "closes": self._closes,
                 "half_opens": self._half_opens,
-                "short_circuits": self._short_circuits,
+                "short_circuits": self._refused,
                 "probes_in_flight": self._probes_in_flight,
                 "failure_threshold": self.failure_threshold,
                 "failure_rate_threshold": self.failure_rate_threshold,

@@ -174,28 +174,40 @@ class _ParkedSegment:
 class BackendBinding:
     """One registered backend plus its gate, spill policy and queue.
 
+    The binding options are declared here once; ``register`` and
+    ``QuercService.register_backend`` only forward them.
+    ``max_in_flight`` / ``rate`` / ``burst`` configure the binding's own
+    :class:`AdmissionController` (on ``clock``).
+
     ``retry`` / ``breaker`` (both optional) make the binding resilient:
     see :mod:`repro.backends.resilience`. ``queue_max_retries`` bounds
     how many times one parked QUEUE segment may be re-parked after a
     failed drain; ``queue_max_age_seconds`` bounds how long it may sit
     parked at all (measured on ``clock``). Work past either bound is
     *evicted* — dropped and counted in ``queue_evicted`` — instead of
-    waiting forever on a backend that never drains.
+    waiting forever on a backend that never drains. All four default
+    to None — an unconfigured binding dispatches exactly as before.
     """
 
     def __init__(
         self,
         backend: Backend,
-        admission: AdmissionController,
-        spill: SpillPolicy = SpillPolicy.REJECT,
+        max_in_flight: int | None = None,
+        rate: float | None = None,
+        burst: float | None = None,
+        spill: SpillPolicy | str = SpillPolicy.REJECT,
         fallback: str | None = None,
         queue_capacity: int = 256,
+        clock=time.monotonic,
         retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
         queue_max_retries: int | None = None,
         queue_max_age_seconds: float | None = None,
-        clock=time.monotonic,
     ) -> None:
+        admission = AdmissionController(
+            max_in_flight=max_in_flight, rate=rate, burst=burst, clock=clock
+        )
+        spill = SpillPolicy(spill)
         if spill is SpillPolicy.FALLBACK and not fallback:
             raise BackendError(
                 f"backend {backend.name!r}: FALLBACK spill needs a fallback name"
@@ -424,43 +436,9 @@ class BackendRegistry:
         self._bindings: dict[str, BackendBinding] = {}
         self._lock = threading.Lock()
 
-    def register(
-        self,
-        backend: Backend,
-        max_in_flight: int | None = None,
-        rate: float | None = None,
-        burst: float | None = None,
-        spill: SpillPolicy | str = SpillPolicy.REJECT,
-        fallback: str | None = None,
-        queue_capacity: int = 256,
-        clock=time.monotonic,
-        retry: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
-        queue_max_retries: int | None = None,
-        queue_max_age_seconds: float | None = None,
-    ) -> BackendBinding:
-        """Bind a backend behind a fresh admission controller.
-
-        ``retry`` / ``breaker`` opt the binding into the resilience
-        layer (:mod:`repro.backends.resilience`); the queue bounds cap
-        how long / how often QUEUE-spill work may stay parked. All four
-        default to None — an unconfigured binding dispatches exactly as
-        before.
-        """
-        binding = BackendBinding(
-            backend=backend,
-            admission=AdmissionController(
-                max_in_flight=max_in_flight, rate=rate, burst=burst, clock=clock
-            ),
-            spill=SpillPolicy(spill),
-            fallback=fallback,
-            queue_capacity=queue_capacity,
-            retry=retry,
-            breaker=breaker,
-            queue_max_retries=queue_max_retries,
-            queue_max_age_seconds=queue_max_age_seconds,
-            clock=clock,
-        )
+    def register(self, backend: Backend, **options) -> BackendBinding:
+        """Bind a backend; ``options`` are :class:`BackendBinding`'s."""
+        binding = BackendBinding(backend, **options)
         with self._lock:
             if backend.name in self._bindings:
                 raise BackendError(f"backend {backend.name!r} already registered")
@@ -615,43 +593,48 @@ class BatchRouter:
         builds them once, and every label in the batch ranks against
         the same load snapshot.
         """
-        with self._lock:
-            names = self._candidates.get(label)
-            mapped = self._routes.get(label)
-        if names is None:
-            names = self.registry.names()
-        if mapped is None and label is not None and label in self.registry:
-            mapped = str(label)
+        names = self._candidate_names(label)
         if not names:
             return None
+        with self._lock:
+            self._reranks += 1
+        return next(iter(self._rank(label, policy, names, view_cache)), None)
+
+    def _candidate_names(self, label) -> "Sequence[str]":
+        """The label's explicit candidate set, else every backend."""
+        names = self.candidates(label)
+        return self.registry.names() if names is None else names
+
+    def _rank(self, label, policy: RoutingPolicy, names, view_cache: dict) -> list[str]:
+        """The policy's preference order over the registered ``names``.
+
+        The ranking may only pick from that set — a policy returning an
+        outside name (even the static target) is ignored.
+        """
         allowed = tuple(sorted(name for name in names if name in self.registry))
         views = view_cache.get(allowed)
         if views is None:
             views = view_cache[allowed] = [
                 self.registry.get(name).load_view() for name in allowed
             ]
-        with self._lock:
-            self._reranks += 1
-        # the ranking may only pick from the label's candidate set — a
-        # policy returning an outside name (even `mapped`) is ignored
-        for name in policy.rank(label, views, mapped=mapped):
-            if name in allowed:
-                return name
-        return None
+        ranking = policy.rank(label, views, mapped=self._static_target(label))
+        return [name for name in ranking if name in allowed]
 
     def resolve(self, message: "LabeledQuery", default: str | None = None) -> str:
         """Backend name for one labeled message."""
         return self._resolve_label(message.label(self.route_label), default)
 
-    def _resolve_label(self, label, default: str | None = None) -> str:
-        """The static chain for one predicted label value."""
+    def _static_target(self, label) -> str | None:
+        """The route table's entry, else a label that names a backend."""
         with self._lock:
             mapped = self._routes.get(label)
-        if mapped is not None:
-            return mapped
-        if label is not None and label in self.registry:
-            return str(label)
-        target = default or self.default_backend
+        if mapped is None and label is not None and label in self.registry:
+            mapped = str(label)
+        return mapped
+
+    def _resolve_label(self, label, default: str | None = None) -> str:
+        """The static chain for one predicted label value."""
+        target = self._static_target(label) or default or self.default_backend
         if target is None:
             raise BackendError(
                 f"no route for {self.route_label}={label!r} and no default backend"
@@ -733,14 +716,9 @@ class BatchRouter:
             target = resolved.get(label)
             if target is None:
                 if policy is not None:
-                    if label not in targets:
-                        targets[label] = self._policy_target(
-                            label, policy, view_cache
-                        )
-                    target = targets[label]
-                if policy is None or target is None:
-                    # no policy, or it abstained: the static chain decides
-                    target = self._resolve_label(label, default)
+                    targets[label] = self._policy_target(label, policy, view_cache)
+                # no policy, or it abstained: the static chain decides
+                target = targets.get(label) or self._resolve_label(label, default)
                 resolved[label] = target
             pos = name_pos.get(target)
             if pos is None:
@@ -823,7 +801,7 @@ class BatchRouter:
         binding = self.registry.get(name)
         # parked work goes first: FIFO across dispatches
         decisions = self._drain_pending(binding)
-        decisions.extend(self._offer(binding, messages, allow_spill=True))
+        decisions.extend(self._offer(binding, messages))
         return decisions
 
     def _fanout_pool(self) -> ThreadPoolExecutor | None:
@@ -942,9 +920,7 @@ class BatchRouter:
             self.metrics.add(queue_evictions=evicted)
         if not parked:
             return []
-        return self._offer(
-            binding, parked, allow_spill=True, from_queue=True, queue_retries=retries
-        )
+        return self._offer(binding, parked, from_queue=True, queue_retries=retries)
 
     def _bind_breaker(self, breaker: CircuitBreaker) -> None:
         """Feed breaker transitions into RuntimeMetrics (idempotent)."""
@@ -968,10 +944,11 @@ class BatchRouter:
         routing policy's ranking over the group's label (the label of
         the group's first message — groups are label-homogeneous except
         when several labels map to one backend, where any of them is an
-        acceptable re-resolution key), then the static route table,
-        then the remaining registered backends by name. Candidate-set
-        constraints for the label are honored; backends whose own
-        circuit is open are skipped. None when nothing healthy remains.
+        acceptable re-resolution key), then the static chain's target
+        (the same :meth:`_static_target` placement uses), then the
+        remaining candidates by name. Candidate-set constraints for the
+        label are honored; backends whose own circuit is open are
+        skipped. None when nothing healthy remains.
         """
         label = None
         if len(messages):
@@ -982,34 +959,17 @@ class BatchRouter:
                 label = messages.label_at(0, self.route_label)
             except Exception:
                 label = None
-        with self._lock:
-            names = self._candidates.get(label)
-            mapped = self._routes.get(label)
-            policy = self._policy
-        candidates = list(names) if names is not None else self.registry.names()
-        ordered: list[str] = []
-
-        def push(name: str | None) -> None:
-            if name and name not in ordered:
-                ordered.append(name)
-
-        push(binding.fallback)
+        candidates = self._candidate_names(label)
+        policy = self.policy
+        ranked: list[str] = []
         if policy is not None and candidates:
-            views = [
-                self.registry.get(c).load_view()
-                for c in candidates
-                if c in self.registry
-            ]
             try:
-                for name in policy.rank(label, views, mapped=mapped):
-                    push(name)
+                ranked = self._rank(label, policy, candidates, {})
             except Exception:
                 pass  # a broken policy must not mask the failover path
-        push(mapped)
-        for name in sorted(candidates):
-            push(name)
-        for name in ordered:
-            if name == binding.name or name not in self.registry:
+        chain = [binding.fallback, *ranked, self._static_target(label)]
+        for name in dict.fromkeys([*chain, *sorted(candidates)]):
+            if not name or name == binding.name or name not in self.registry:
                 continue
             sibling = self.registry.get(name)
             if (
@@ -1084,17 +1044,22 @@ class BatchRouter:
         self,
         binding: BackendBinding,
         messages: ColumnarSlice,
-        allow_spill: bool,
         from_queue: bool = False,
         spilled_from: str = "",
         failover_from: str = "",
         queue_retries: int = 0,
-        allow_failover: bool = True,
     ) -> list[RouteDecision]:
-        """Admit what the gate allows, spill the rest, execute.
+        """One hop: breaker gate → admission gate → overflow
+        disposition → execute with retry → failover.
 
-        Returns one decision for this binding, plus the fallback
-        sibling's decision when overflow was spilled across. The
+        Every hop — fresh group, drained queue segment, FALLBACK
+        overflow, breaker hand-off, post-execution failover — runs this
+        sequence. Only a first hop (no ``spilled_from`` /
+        ``failover_from``) may spill by policy or hand work to a
+        sibling; a later hop rejects what it cannot take (no cascading).
+
+        Returns one decision for this binding, plus the sibling's
+        decisions when work was handed across. The
         overflow is dispositioned *before* execution, so a backend
         that raises (strict mode) can never silently drop it. The
         dispatch-side counters land in **one** atomic ``add``, so a
@@ -1107,10 +1072,12 @@ class BatchRouter:
         Resilience hooks, all inert when the binding carries neither a
         retry policy nor a breaker:
 
-        * an **open breaker** short-circuits before the admission gate
-          — the whole group re-resolves to a healthy sibling through
-          the fallback machinery (counted as spill), or is shed when
-          none exists;
+        * an **open breaker** admits nothing and never touches the
+          admission gate — the whole group re-resolves to a healthy
+          sibling through the fallback machinery (counted as spill at
+          the origin, offered fresh at the sibling), or is shed when
+          none exists. Either way the origin's gate statistics record a
+          full rejection, so the load-aware policies keep steering away;
         * a group whose every execute attempt **raised** (retry
           exhaustion or deadline expiry) fails over to a sibling as a
           recovery pass (``failover_from`` decisions, excluded from the
@@ -1120,14 +1087,12 @@ class BatchRouter:
           re-parked past ``queue_max_retries`` is evicted instead.
         """
         n = len(messages)
+        first_hop = not (spilled_from or failover_from)
         breaker = binding.breaker
         if breaker is not None:
             self._bind_breaker(breaker)
-            if breaker.allow(n) <= 0:
-                return self._short_circuit(
-                    binding, messages, n, allow_failover, from_queue, spilled_from
-                )
-        admitted_n = binding.admission.admit(n)
+        breaker_open = breaker is not None and breaker.allow(n) <= 0
+        admitted_n = 0 if breaker_open else binding.admission.admit(n)
         binding.load_signal.observe_admission(n, admitted_n)
         admitted, overflow = messages[:admitted_n], messages[admitted_n:]
 
@@ -1135,7 +1100,11 @@ class BatchRouter:
         spilled_to = ""
         sibling_decisions: list[RouteDecision] = []
         if overflow:
-            policy = binding.spill if allow_spill else SpillPolicy.REJECT
+            policy = binding.spill if first_hop else SpillPolicy.REJECT
+            fallback = binding.fallback
+            if breaker_open:
+                fallback = first_hop and self._failover_target(binding, overflow)
+                policy = SpillPolicy.FALLBACK if fallback else SpillPolicy.REJECT
             if policy is SpillPolicy.QUEUE:
                 park_retries = queue_retries + 1 if from_queue else 0
                 if (
@@ -1151,10 +1120,11 @@ class BatchRouter:
                         overflow, retries=park_retries
                     )
             elif policy is SpillPolicy.FALLBACK:
-                spilled_to = binding.fallback or ""
+                spilled_to = fallback or ""
                 spilled = len(overflow)
             else:
                 rejected = len(overflow)
+        handoff = breaker_open and bool(spilled_to)
         # one add per offer: a snapshot taken mid-dispatch can never
         # see a dispatched count without its disposition
         binding.counters.add(
@@ -1165,18 +1135,18 @@ class BatchRouter:
             queued=queued,
             spilled=spilled,
             queue_evicted=evicted,
+            failovers_out=1 if handoff else 0,
             failovers_in=1 if failover_from else 0,
         )
         if evicted:
             self.metrics.add(queue_evictions=evicted)
+        if handoff:
+            self.metrics.add(failovers=1)
         if spilled_to:
             sibling = self.registry.get(spilled_to)
             # one hop only: the sibling's own overflow is rejected
             sibling_decisions = self._offer(
-                sibling, overflow, allow_spill=False,
-                from_queue=from_queue,
-                spilled_from=binding.name,
-                allow_failover=False,
+                sibling, overflow, from_queue=from_queue, spilled_from=binding.name
             )
 
         result: BatchResult | None = None
@@ -1223,9 +1193,7 @@ class BatchRouter:
                     deadline_expiries=1 if deadline_expired else 0,
                 )
                 failover_to = (
-                    self._failover_target(binding, admitted)
-                    if allow_failover
-                    else None
+                    first_hop and self._failover_target(binding, admitted)
                 ) or ""
                 if not failover_to:
                     raise error
@@ -1234,10 +1202,8 @@ class BatchRouter:
                 failover_decisions = self._offer(
                     self.registry.get(failover_to),
                     admitted,
-                    allow_spill=False,
                     from_queue=from_queue,
                     failover_from=binding.name,
-                    allow_failover=False,
                 )
         return [
             RouteDecision(
@@ -1253,66 +1219,9 @@ class BatchRouter:
                 retries=retries_used,
                 failover_to=failover_to,
                 failover_from=failover_from,
+                breaker_open=breaker_open,
                 deadline_expired=deadline_expired,
             ),
             *sibling_decisions,
             *failover_decisions,
-        ]
-
-    def _short_circuit(
-        self,
-        binding: BackendBinding,
-        messages: ColumnarSlice,
-        n: int,
-        allow_failover: bool,
-        from_queue: bool,
-        spilled_from: str,
-    ) -> list[RouteDecision]:
-        """Handle an offer the open breaker refused outright.
-
-        The group never touches the admission gate. With a healthy
-        sibling available the whole group re-resolves there through the
-        fallback machinery (counted as spill at the origin, offered
-        fresh at the sibling); otherwise it is shed and counted as
-        rejected. Either way the origin's gate statistics record a
-        full rejection, so the load-aware policies keep steering away.
-        """
-        binding.load_signal.observe_admission(n, 0)
-        target = self._failover_target(binding, messages) if allow_failover else None
-        if target is not None:
-            binding.counters.add(
-                batches=1, dispatched=n, spilled=n, failovers_out=1
-            )
-            self.metrics.add(failovers=1)
-            sibling_decisions = self._offer(
-                self.registry.get(target),
-                messages,
-                allow_spill=False,
-                from_queue=from_queue,
-                spilled_from=binding.name,
-                allow_failover=False,
-            )
-            return [
-                RouteDecision(
-                    backend=binding.name,
-                    offered=n,
-                    admitted=0,
-                    spilled_to=target,
-                    spilled_from=spilled_from,
-                    from_queue=from_queue,
-                    breaker_open=True,
-                ),
-                *sibling_decisions,
-            ]
-        binding.counters.add(batches=1, dispatched=n, rejected=n)
-        return [
-            RouteDecision(
-                backend=binding.name,
-                offered=n,
-                admitted=0,
-                rejected=n,
-                spilled_from=spilled_from,
-                from_queue=from_queue,
-                breaker_open=True,
-            )
         ]

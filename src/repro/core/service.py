@@ -21,7 +21,6 @@ from repro.backends.router import (
     BackendRegistry,
     BatchRouter,
     DispatchReport,
-    SpillPolicy,
 )
 from repro.core.classifier import QueryClassifier
 from repro.core.deployment import DeployedModel, ModelRegistry
@@ -137,42 +136,17 @@ class QuercService:
 
     # -- backend layer ------------------------------------------------------------
 
-    def register_backend(
-        self,
-        backend: Backend,
-        max_in_flight: int | None = None,
-        rate: float | None = None,
-        burst: float | None = None,
-        spill: SpillPolicy | str = SpillPolicy.REJECT,
-        fallback: str | None = None,
-        queue_capacity: int = 256,
-        retry: "RetryPolicy | None" = None,
-        breaker: "CircuitBreaker | None" = None,
-        queue_max_retries: int | None = None,
-        queue_max_age_seconds: float | None = None,
-    ) -> BackendBinding:
+    def register_backend(self, backend: Backend, **options) -> BackendBinding:
         """Register a database behind per-backend admission control.
 
-        ``retry`` / ``breaker`` opt the backend into the resilience
-        layer (:mod:`repro.backends.resilience`): bounded re-execution
-        of wholesale failures, circuit breaking, and failover to a
-        healthy sibling. The queue bounds cap parked QUEUE-spill work
-        by retries / age. All default to None (the pre-resilience
-        behavior).
+        ``options`` are :class:`~repro.backends.router.BackendBinding`'s
+        (admission limits, spill policy, queue bounds, and the
+        ``retry`` / ``breaker`` resilience layer —
+        :mod:`repro.backends.resilience`: bounded re-execution of
+        wholesale failures, circuit breaking, and failover to a healthy
+        sibling).
         """
-        return self.backends.register(
-            backend,
-            max_in_flight=max_in_flight,
-            rate=rate,
-            burst=burst,
-            spill=spill,
-            fallback=fallback,
-            queue_capacity=queue_capacity,
-            retry=retry,
-            breaker=breaker,
-            queue_max_retries=queue_max_retries,
-            queue_max_age_seconds=queue_max_age_seconds,
-        )
+        return self.backends.register(backend, **options)
 
     def bind_application(self, application: str, backend_name: str) -> Application:
         """Make ``backend_name`` the application's default database and

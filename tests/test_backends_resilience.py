@@ -624,6 +624,62 @@ class TestRouterResilience:
         assert report.decisions[0].failover_to == "warm"
         assert warm.accepted == 2
 
+    def test_failover_hop_refused_by_sibling_breaker_keeps_failover_from(self):
+        """The sibling's breaker refuses the recovery pass: its decision
+        is still the recovery half of a failover, not new work."""
+        clock = FakeClock()
+        registry, router = make_router(default_backend="primary")
+        registry.register(
+            FaultInjectingBackend(
+                NullBackend("primary"), [Blackout(0.0, 100.0)], clock=clock
+            ),
+            retry=RetryPolicy(max_attempts=1, clock=clock, sleep=lambda _s: None),
+        )
+        breaker = CircuitBreaker(
+            failure_threshold=1, recovery_seconds=10.0, clock=clock
+        )
+        registry.register(NullBackend("standby"), breaker=breaker)
+        breaker.record_failure()  # trip the standby
+        clock.advance(11.0)  # past recovery: half-open, not skipped as open
+        assert breaker.allow(1) == 1  # someone else holds the one probe slot
+        report = router.dispatch("app", make_batch(3))
+        origin, recovery = report.decisions
+        assert origin.failover_to == "standby"
+        assert recovery.backend == "standby"
+        assert recovery.breaker_open
+        assert recovery.rejected == 3
+        assert recovery.failover_from == "primary"
+        assert report.offered == 3
+        standby = registry.get("standby")
+        assert standby.counters.value("failovers_in") == 1
+        assert_invariant(standby)
+
+    @pytest.mark.parametrize("case", ["route", "label"])
+    def test_failover_follows_the_static_chain(self, case):
+        """Failover re-resolves through the same static chain placement
+        uses: a route-table entry, or a label naming a backend."""
+        clock = FakeClock()
+        registry, router = make_router(default_backend="A")
+        registry.register(
+            FaultInjectingBackend(
+                NullBackend("A"), [Blackout(0.0, 100.0)], clock=clock
+            ),
+            retry=RetryPolicy(max_attempts=1, clock=clock, sleep=lambda _s: None),
+        )
+        healthy = NullBackend("B")
+        registry.register(healthy)
+        router.set_policy(LeastLoadedPolicy())
+        label = "x" if case == "route" else "B"
+        if case == "route":
+            router.set_route("x", "B")
+        router.set_candidates(label, ["A"])  # placement may only pick A
+        report = router.dispatch("app", make_batch(2, cluster=label))
+        origin, recovery = report.decisions
+        assert (origin.backend, origin.failover_to) == ("A", "B")
+        assert recovery.failover_from == "A"
+        assert healthy.accepted == 2
+        assert report.offered == 2
+
     def test_failover_skips_open_circuit_siblings(self):
         clock = FakeClock()
         registry, router = make_router(default_backend="primary")
@@ -781,8 +837,10 @@ class TestRouterResilience:
         registry.register(NullBackend("c"))
         total_ok = 0
         for _ in range(25):
-            report = router.dispatch("app", make_batch(4))
+            batch = make_batch(4)
+            report = router.dispatch("app", batch)
             total_ok += report.executed_ok
+            assert report.offered == len(batch)
             for name in ("a", "b", "c"):
                 assert_invariant(registry.get(name))
             clock.advance(1.0)

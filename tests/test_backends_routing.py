@@ -329,6 +329,20 @@ class TestBackendRegistry:
                 NullBackend("DB(A)"), spill=SpillPolicy.FALLBACK
             )
 
+    def test_options_forward_to_the_binding_and_unknown_ones_raise(self):
+        from repro.core.service import QuercService
+
+        service = QuercService()
+        binding = service.register_backend(
+            NullBackend("DB(A)"), max_in_flight=2, spill="queue"
+        )
+        assert binding.spill is SpillPolicy.QUEUE
+        assert binding.admission.admit(5) == 2
+        for register in (service.register_backend, service.backends.register):
+            with pytest.raises(TypeError):
+                register(NullBackend("DB(B)"), max_inflight=2)
+        assert service.backends.names() == ["DB(A)"]
+
 
 def make_router(**bindings_kwargs):
     registry = BackendRegistry()
@@ -530,7 +544,7 @@ class TestBatchRouterDispatch:
             primary, max_in_flight=2, spill=SpillPolicy.FALLBACK, fallback="DB(B)"
         )
         # the sibling itself spills to a queue, but overflow handed
-        # over by a FALLBACK hop must not be parked (allow_spill=False)
+        # over by a FALLBACK hop must not be parked (only a first hop spills)
         registry.register(
             sibling, max_in_flight=4, spill=SpillPolicy.QUEUE, queue_capacity=8
         )
@@ -730,11 +744,11 @@ class TestDispatchInputEquivalence:
         outcomes = {}
         for name, form in INPUT_FORMS.items():
             (router, sinks), batches = scenario()
-            decisions = [
-                _decision_key(d)
-                for messages in batches
-                for d in router.dispatch("X", form(messages)).decisions
-            ]
+            decisions = []
+            for messages in batches:
+                report = router.dispatch("X", form(messages))
+                assert report.offered == len(messages)
+                decisions.extend(_decision_key(d) for d in report.decisions)
             outcomes[name] = (
                 decisions,
                 {backend: sink.recent() for backend, sink in sinks.items()},

@@ -1,12 +1,13 @@
-"""The CI workflow stays single-sourced and wired to the bench gates.
+"""The CI workflow stays single-sourced and free of perf gates.
 
 A stray copy of the workflow outside ``.github/workflows/`` (e.g. a
 ``tools/ci.yml`` left behind by a refactor) silently drifts from the
 one CI actually runs; this guard keeps ``.github/workflows/`` the only
-home. It also pins that the workflow carries the advisory perf gates —
-including the resilience goodput floor — and references only benchmark
-files that exist, so a renamed bench can't leave CI pointing at
-nothing.
+home. It also pins that the workflow carries no ``REPRO_BENCH_*``
+gate — the serving path is measured by ``benchmarks/spine`` and the
+logical-time scenarios are plain tests with constant floors — and
+references only benchmark files that exist, so a renamed bench can't
+leave CI pointing at nothing.
 """
 
 from __future__ import annotations
@@ -48,12 +49,10 @@ def test_ci_workflow_exists_and_carries_the_perf_gates():
     ci = WORKFLOWS / "ci.yml"
     assert ci.is_file()
     text = ci.read_text(encoding="utf-8")
-    # exactly the two logical-time gates: the wall-clock serving
-    # benches (and their floors) are retired behind benchmarks/spine
-    assert set(re.findall(r"REPRO_BENCH_\w+", text)) == {
-        "REPRO_BENCH_MIN_RESILIENCE_GOODPUT",
-        "REPRO_BENCH_MIN_FORECAST_P95_GAIN",
-    }
+    # no gate left: the wall-clock serving benches are retired behind
+    # benchmarks/spine, and the two logical-time scenarios moved into
+    # tests/ with their floors as constants
+    assert set(re.findall(r"REPRO_BENCH_\w+", text)) == set()
 
 
 def test_ci_workflow_references_only_existing_benchmarks():
@@ -69,7 +68,7 @@ def test_every_job_that_runs_pytest_installs_the_test_extra():
     text = (WORKFLOWS / "ci.yml").read_text(encoding="utf-8")
     jobs = re.split(r"^  (?=[\w-]+:\n)", text.split("\njobs:\n", 1)[1], flags=re.M)
     runners = [job for job in jobs if "python -m pytest" in job]
-    assert len(runners) >= 2
+    assert runners
     for job in runners:
         assert 'python -m pip install -e ".[test]"' in job, job.splitlines()[0]
     pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
@@ -82,7 +81,7 @@ def test_tier1_matrix_covers_both_numpy_majors():
     # array-valued `start` in np.char.find; pyproject.toml pins no numpy,
     # so one tier-1 row installs the 1.x major next to the default
     text = (WORKFLOWS / "ci.yml").read_text(encoding="utf-8")
-    tier1 = text.split("\n  tier1:\n", 1)[1].split("\n  logical-time-benches:\n", 1)[0]
+    tier1 = text.split("\n  tier1:\n", 1)[1].split("\n  docs-health:\n", 1)[0]
     assert re.search(
         r'include:\n(?:\s*#.*\n)*\s*- python-version: "3\.10"\n\s*numpy: "numpy<2"', tier1
     )
