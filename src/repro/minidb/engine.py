@@ -62,8 +62,10 @@ class Database:
         """Register a materialized table and compute its statistics.
 
         Bumps the catalog epoch: prepared plans compiled against the
-        old catalog are invalidated on their next cache lookup.
+        old catalog are invalidated on their next cache lookup, and the
+        table's text columns are encoded afresh on their next scan.
         """
+        table.drop_encodings()
         self._tables[table.name] = table
         self.catalog.add_table(table.metadata())
         self._catalog_epoch += 1
@@ -195,15 +197,21 @@ class Database:
 
 
 def _frame_rows(frame) -> list[tuple]:
-    """Materialize a frame as python tuples (dates become date objects)."""
+    """Materialize a frame as python tuples: dates become date objects,
+    codes become their text, and an invalid (outer-join) value is None."""
     arrays = []
-    for key, values in frame.columns.items():
+    for key in frame.columns:
+        values = frame.decoded(key)
         if frame.dtypes.get(key) == "date":
-            arrays.append([days_to_date(v) for v in values])
+            column = [days_to_date(v) for v in values]
         elif values.dtype.kind in ("U", "S"):
-            arrays.append([str(v) for v in values])
+            column = [str(v) for v in values]
         elif values.dtype.kind == "f":
-            arrays.append([float(v) for v in values])
+            column = [float(v) for v in values]
         else:
-            arrays.append([int(v) for v in values])
+            column = [int(v) for v in values]
+        valid = frame.valid.get(key)
+        if valid is not None and not valid.all():
+            column = [v if ok else None for v, ok in zip(column, valid.tolist())]
+        arrays.append(column)
     return list(zip(*arrays)) if arrays else []

@@ -6,10 +6,19 @@ row counts (scaled by the catalog's virtual row multiplier). The gap
 between a plan's ``est_cost`` and the executor's ``actual_cost`` is
 exactly the misestimation the Figure 4 experiment visualises.
 
+Text travels as integers. A scan emits each ``str`` column as ``int32``
+codes into the table's sorted dictionary (``Table.encoded``), and
+projection, aggregation, derived tables and joins carry the codes with
+their dictionary. Text appears again only where it must: in the result
+rows, in functions that make new text, in the null tail of a LEFT JOIN,
+in scalar and ``IN`` subquery results, and in key pairs whose sides do
+not share a dictionary.
+
 Key handling has one encoder and one matcher. ``_dense_codes`` turns key
 columns into dense non-negative order-preserving ``int64`` codes
-(``value - min`` for integer-like columns, ``np.unique`` otherwise), and
-joins, semi-joins, grouping and sorting address count tables with them.
+(``value - min`` for integer-like columns, dictionary codes included,
+``np.unique`` otherwise), and joins, semi-joins, grouping and sorting
+address count tables with them.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.minidb.catalog import Catalog
-from repro.minidb.expressions import Frame, evaluate
+from repro.minidb.expressions import COMPARISONS, Frame, evaluate, evaluate_coded
 from repro.minidb.optimizer import CostModel
 from repro.minidb import planner as P
 from repro.minidb.storage import Table
@@ -71,10 +80,7 @@ class Executor:
         table = self._tables[node.table]
         n = table.n_rows
         stats.rows_scanned += n
-        frame = Frame(n_rows=n)
-        for col in node.columns:
-            frame.columns[f"{node.binding}.{col}"] = table.column(col)
-            frame.dtypes[f"{node.binding}.{col}"] = table.dtypes[col]
+        frame = _scan_frame(table, node.binding, node.columns)
 
         virtual_n = n * self._mult
         if node.index is not None and node.seek_predicate is not None:
@@ -110,10 +116,7 @@ class Executor:
         child = self._exec(node.child, stats)
         out = Frame(n_rows=child.n_rows)
         for name in node.output_names:
-            out.columns[f"{node.alias}.{name}"] = child.columns[name]
-            out.dtypes[f"{node.alias}.{name}"] = child.dtypes.get(name, "float")
-            if name in child.valid:
-                out.valid[f"{node.alias}.{name}"] = child.valid[name]
+            out.adopt(f"{node.alias}.{name}", child, name)
         return out
 
     # -- filters -----------------------------------------------------------------
@@ -148,7 +151,7 @@ class Executor:
                     raise ExecutionError(
                         "scalar subquery must produce exactly one row"
                     )
-                value = frame.columns[names[0]][0]
+                value = frame.decoded(names[0])[0]
                 kind = "string" if isinstance(value, str) else "number"
                 cache[id(e)] = ast.Literal(
                     value if isinstance(value, str) else float(value), kind
@@ -180,7 +183,7 @@ class Executor:
         frame = self._exec(node.child, stats)
         sub = self._exec(node.subplan, stats)
         names = getattr(node.subplan, "output_names", list(sub.columns))
-        values = sub.columns[names[0]] if names else np.zeros(0)
+        values = sub.decoded(names[0]) if names else np.zeros(0)
         if frame.n_rows == 0:
             return frame
         probe = evaluate(node.expr, frame)
@@ -201,9 +204,11 @@ class Executor:
             left_idx = np.repeat(np.arange(n_left), n_right)
             right_idx = np.tile(np.arange(n_right), n_left)
         else:
-            left_codes, right_codes = _composite_codes(
-                [evaluate(k, left) for k in node.left_keys],
-                [evaluate(k, right) for k in node.right_keys],
+            left_codes, right_codes = _key_codes(
+                left,
+                [left.resolve(k) for k in node.left_keys],
+                right,
+                [right.resolve(k) for k in node.right_keys],
             )
             left_idx, right_idx = _equi_match(left_codes, right_codes)
 
@@ -229,14 +234,13 @@ class Executor:
     def _exec_inl_join(self, node: P.IndexNLJoinNode, stats: ExecutionStats) -> Frame:
         outer = self._exec(node.outer, stats)
         table = self._tables[node.inner_table]
-        inner = Frame(n_rows=table.n_rows)
-        for col in node.inner_columns:
-            inner.columns[f"{node.inner_binding}.{col}"] = table.column(col)
-            inner.dtypes[f"{node.inner_binding}.{col}"] = table.dtypes[col]
+        inner = _scan_frame(table, node.inner_binding, node.inner_columns)
 
-        outer_codes, inner_codes = _composite_codes(
-            [evaluate(k, outer) for k in node.outer_keys],
-            [evaluate(k, inner) for k in node.inner_keys],
+        outer_codes, inner_codes = _key_codes(
+            outer,
+            [outer.resolve(k) for k in node.outer_keys],
+            inner,
+            [inner.resolve(k) for k in node.inner_keys],
         )
         outer_idx, inner_idx = _equi_match(outer_codes, inner_codes)
         matched_pairs = len(outer_idx)
@@ -273,9 +277,11 @@ class Executor:
         if child.n_rows == 0:
             return child
 
-        child_codes, inner_codes = _composite_codes(
-            [evaluate(k, child) for k in node.outer_keys],
-            [inner.columns[k] for k in node.inner_keys],
+        child_codes, inner_codes = _key_codes(
+            child,
+            [child.resolve(k) for k in node.outer_keys],
+            inner,
+            list(node.inner_keys),
         )
         if node.residual is None:
             has_match = _count_table(child_codes, inner_codes)[child_codes] > 0
@@ -283,8 +289,7 @@ class Executor:
             outer_idx, inner_idx = _equi_match(child_codes, inner_codes)
             pair = child.take(outer_idx)
             for out_name, key in node.inner_rename.items():
-                pair.columns[key] = inner.columns[out_name][inner_idx]
-                pair.dtypes[key] = inner.dtypes.get(out_name, "float")
+                pair.adopt(key, inner, out_name, inner_idx)
             ok = (
                 evaluate(node.residual, pair).astype(bool)
                 if pair.n_rows
@@ -304,9 +309,11 @@ class Executor:
         if child.n_rows == 0:
             return child
 
-        child_codes, inner_codes = _composite_codes(
-            [evaluate(k, child) for k in node.outer_keys],
-            [inner.columns[k] for k in node.inner_key_names],
+        child_codes, inner_codes = _key_codes(
+            child,
+            [child.resolve(k) for k in node.outer_keys],
+            inner,
+            list(node.inner_key_names),
         )
         # each outer row compares against the first inner row with its key
         table = _count_table(child_codes, inner_codes)
@@ -318,15 +325,7 @@ class Executor:
         ]
 
         outer_vals = evaluate(node.outer_expr, child)
-        ops = {
-            "=": np.equal,
-            "<>": np.not_equal,
-            "<": np.less,
-            ">": np.greater,
-            "<=": np.less_equal,
-            ">=": np.greater_equal,
-        }
-        mask = found & ops[node.op](outer_vals.astype(np.float64), mapped)
+        mask = found & COMPARISONS[node.op](outer_vals.astype(np.float64), mapped)
         return child.mask(mask)
 
     # -- aggregation -----------------------------------------------------------------
@@ -336,7 +335,7 @@ class Executor:
         stats.cost_units += self._cost.aggregate(frame.n_rows * self._mult)
 
         group_arrays = [
-            (name, evaluate(expr, frame), _expr_dtype(expr, frame))
+            (name, *evaluate_coded(expr, frame), _expr_dtype(expr, frame))
             for name, expr in node.group_exprs
         ]
 
@@ -350,26 +349,27 @@ class Executor:
             return self._apply_having(node, out, stats)
 
         if frame.n_rows == 0:
-            out = Frame(n_rows=0)
-            for name, values, dtype in group_arrays:
-                out.columns[name] = values
-                out.dtypes[name] = dtype
+            first_of_group = np.zeros(0, dtype=np.intp)
+        else:
+            order, starts = _group_runs(
+                _group_codes([values for _, values, _, _ in group_arrays])
+            )
+            first_of_group = order[starts]
+        out = Frame(n_rows=len(first_of_group))
+        for name, values, dictionary, dtype in group_arrays:
+            out.columns[name] = values[first_of_group]
+            out.dtypes[name] = dtype
+            if dictionary is not None:
+                out.dicts[name] = dictionary
+        if frame.n_rows == 0:
             for spec in node.aggregates:
                 out.columns[spec.name] = np.zeros(0)
                 out.dtypes[spec.name] = "float"
             return self._apply_having(node, out, stats)
 
-        order, starts = _group_runs(_group_codes([a for _, a, _ in group_arrays]))
         n_groups = len(starts)
         counts = np.diff(np.append(starts, frame.n_rows))
         group_of_sorted = np.repeat(np.arange(n_groups), counts)
-
-        out = Frame(n_rows=n_groups)
-        first_of_group = order[starts]
-        for name, values, dtype in group_arrays:
-            out.columns[name] = values[first_of_group]
-            out.dtypes[name] = dtype
-
         for spec in node.aggregates:
             out.columns[spec.name] = _grouped_aggregate(
                 spec.call, frame, order, starts, counts, group_of_sorted
@@ -394,15 +394,14 @@ class Executor:
         stats.cost_units += frame.n_rows * self._mult * self._cost.output_row
         out = Frame(n_rows=frame.n_rows)
         for name, expr in node.items:
+            if isinstance(expr, ast.Column):
+                out.adopt(name, frame, frame.resolve(expr))
+                continue
             values = evaluate(expr, frame)
             if np.isscalar(values) or getattr(values, "ndim", 1) == 0:
                 values = np.full(frame.n_rows, values)
             out.columns[name] = values
             out.dtypes[name] = _expr_dtype(expr, frame)
-            if isinstance(expr, ast.Column):
-                key = frame.resolve(expr)
-                if key in frame.valid:
-                    out.valid[name] = frame.valid[key]
         return out
 
     def _exec_distinct(self, node: P.DistinctNode, stats: ExecutionStats) -> Frame:
@@ -510,6 +509,39 @@ def _composite_codes(
     return left_codes, right_codes
 
 
+def _key_codes(
+    left: Frame, left_keys: list[str], right: Frame, right_keys: list[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense codes of two frames' aligned key columns. A key pair whose
+    sides hold codes into one dictionary matches on those codes; any
+    other pair matches on values."""
+    left_columns, right_columns = [], []
+    for left_key, right_key in zip(left_keys, right_keys):
+        dictionary = left.dicts.get(left_key)
+        if dictionary is not None and dictionary is right.dicts.get(right_key):
+            left_columns.append(left.columns[left_key])
+            right_columns.append(right.columns[right_key])
+        else:
+            left_columns.append(left.decoded(left_key))
+            right_columns.append(right.decoded(right_key))
+    return _composite_codes(left_columns, right_columns)
+
+
+def _scan_frame(table: Table, binding: str, columns: tuple[str, ...]) -> Frame:
+    """A base table's columns under ``binding``; text columns as codes
+    into the table's dictionary."""
+    frame = Frame(n_rows=table.n_rows)
+    for col in columns:
+        key = f"{binding}.{col}"
+        values = table.column(col)
+        frame.dtypes[key] = table.dtypes[col]
+        if values.dtype.kind == "U" and frame.dtypes[key] == "str":
+            frame.columns[key], frame.dicts[key] = table.encoded(col)
+        else:
+            frame.columns[key] = values
+    return frame
+
+
 def _group_codes(arrays: list[np.ndarray]) -> np.ndarray:
     """Encode one frame's multi-column keys as dense codes."""
     return _dense_codes([arrays])[0]
@@ -576,23 +608,18 @@ def _combine(
     left: Frame, right: Frame, left_idx: np.ndarray, right_idx: np.ndarray
 ) -> Frame:
     out = Frame(n_rows=len(left_idx))
-    for key, values in left.columns.items():
-        out.columns[key] = values[left_idx]
-        out.dtypes[key] = left.dtypes.get(key, "float")
-        if key in left.valid:
-            out.valid[key] = left.valid[key][left_idx]
-    for key, values in right.columns.items():
-        out.columns[key] = values[right_idx]
-        out.dtypes[key] = right.dtypes.get(key, "float")
-        if key in right.valid:
-            out.valid[key] = right.valid[key][right_idx]
+    for key in left.columns:
+        out.adopt(key, left, key, left_idx)
+    for key in right.columns:
+        out.adopt(key, right, key, right_idx)
     return out
 
 
 def _append_unmatched(
     joined: Frame, left: Frame, right: Frame, unmatched: np.ndarray
 ) -> Frame:
-    """LEFT JOIN tail: unmatched left rows with invalid right columns."""
+    """LEFT JOIN tail: unmatched left rows with invalid right columns.
+    Right columns are decoded: the tail's filler is not in a dictionary."""
     n_extra = int(unmatched.sum())
     if n_extra == 0:
         return joined
@@ -601,6 +628,8 @@ def _append_unmatched(
     for key, values in left.columns.items():
         out.columns[key] = np.concatenate([joined.columns[key], values[idx]])
         out.dtypes[key] = left.dtypes.get(key, "float")
+        if key in left.dicts:
+            out.dicts[key] = left.dicts[key]
         if key in joined.valid:
             tail = (
                 left.valid[key][idx]
@@ -608,9 +637,9 @@ def _append_unmatched(
                 else np.ones(n_extra, dtype=bool)
             )
             out.valid[key] = np.concatenate([joined.valid[key], tail])
-    for key, values in right.columns.items():
-        fill = _null_fill(values, n_extra)
-        out.columns[key] = np.concatenate([joined.columns[key], fill])
+    for key in right.columns:
+        head = joined.decoded(key)
+        out.columns[key] = np.concatenate([head, _null_fill(head, n_extra)])
         out.dtypes[key] = right.dtypes.get(key, "float")
         existing = joined.valid.get(key, np.ones(joined.n_rows, dtype=bool))
         out.valid[key] = np.concatenate(
@@ -630,6 +659,8 @@ def _null_fill(values: np.ndarray, n: int) -> np.ndarray:
 def _agg_input(call: ast.FunctionCall, frame: Frame) -> np.ndarray:
     if call.star:
         return np.ones(frame.n_rows)
+    if call.name == "COUNT":  # counts need equality only: codes will do
+        return np.asarray(evaluate_coded(call.args[0], frame)[0])
     return np.asarray(evaluate(call.args[0], frame))
 
 

@@ -1,14 +1,19 @@
 """Vectorized evaluation of AST expressions over column frames.
 
 A :class:`Frame` is the executor's intermediate result: qualified
-column name → numpy array, plus dtype tags and (for outer joins)
-validity masks. Aggregates are *not* evaluated here — the executor
-computes them and binds the results as synthetic columns, then
-re-evaluates the surrounding expression (see ``rewrite_aggregates``).
+column name → numpy array, plus dtype tags, (for outer joins) validity
+masks and (for text columns read from a table) dictionaries. A column
+with a dictionary holds ``int32`` codes into it; ``evaluate`` of a bare
+column decodes, and comparisons with a string literal or a column of the
+same dictionary, ``IN`` and ``LIKE`` answer on the codes instead.
+Aggregates are *not* evaluated here — the executor computes them and
+binds the results as synthetic columns, then re-evaluates the
+surrounding expression (see ``rewrite_aggregates``).
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import re
 from dataclasses import dataclass, field
@@ -30,6 +35,8 @@ class Frame:
     dtypes: dict[str, str] = field(default_factory=dict)
     valid: dict[str, np.ndarray] = field(default_factory=dict)
     n_rows: int = 0
+    # key -> sorted dictionary; that column holds int32 codes into it
+    dicts: dict[str, np.ndarray] = field(default_factory=dict)
 
     def resolve(self, column: ast.Column) -> str:
         """Map a (qualified or bare) column reference to a frame key."""
@@ -53,6 +60,7 @@ class Frame:
             dtypes=dict(self.dtypes),
             valid={k: v[row_idx] for k, v in self.valid.items()},
             n_rows=len(row_idx),
+            dicts=dict(self.dicts),
         )
 
     def mask(self, keep: np.ndarray) -> "Frame":
@@ -62,6 +70,38 @@ class Frame:
     def dtype_of(self, key: str) -> str:
         return self.dtypes.get(key, "float")
 
+    def decoded(self, key: str) -> np.ndarray:
+        """Column ``key``'s values: codes are looked up in their dictionary."""
+        dictionary = self.dicts.get(key)
+        values = self.columns[key]
+        return values if dictionary is None else dictionary[values]
+
+    def adopt(
+        self, key: str, source: "Frame", source_key: str, rows: np.ndarray | None = None
+    ) -> None:
+        """Add ``source``'s column ``source_key`` as ``key`` — values, dtype,
+        validity and dictionary — gathering ``rows`` when given."""
+        values = source.columns[source_key]
+        self.columns[key] = values if rows is None else values[rows]
+        self.dtypes[key] = source.dtype_of(source_key)
+        valid = source.valid.get(source_key)
+        if valid is not None:
+            self.valid[key] = valid if rows is None else valid[rows]
+        dictionary = source.dicts.get(source_key)
+        if dictionary is not None:
+            self.dicts[key] = dictionary
+
+
+def evaluate_coded(
+    expr: ast.Expr, frame: Frame
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(values, None)`` for ``expr``, or ``(codes, dictionary)`` when it
+    is a coded column — for consumers that need equality or order only."""
+    if isinstance(expr, ast.Column):
+        key = frame.resolve(expr)
+        return frame.columns[key], frame.dicts.get(key)
+    return evaluate(expr, frame), None
+
 
 def evaluate(expr: ast.Expr, frame: Frame) -> np.ndarray:
     """Evaluate ``expr`` over every row of ``frame``.
@@ -70,7 +110,7 @@ def evaluate(expr: ast.Expr, frame: Frame) -> np.ndarray:
     Subquery nodes must have been planned away before evaluation.
     """
     if isinstance(expr, ast.Column):
-        return frame.columns[frame.resolve(expr)]
+        return frame.decoded(frame.resolve(expr))
 
     if isinstance(expr, ast.Literal):
         return _literal_array(expr, frame.n_rows)
@@ -100,9 +140,17 @@ def evaluate(expr: ast.Expr, frame: Frame) -> np.ndarray:
         return _evaluate_is_null(expr, frame)
 
     if isinstance(expr, ast.InList):
-        value = evaluate(expr.expr, frame)
-        items = [_coerce_literal_side(item, expr.expr, frame) for item in expr.items]
-        result = np.isin(value, np.asarray(items))
+        items = np.asarray(
+            [_coerce_literal_side(item, expr.expr, frame) for item in expr.items]
+        )
+        if items.dtype.kind == "U":
+            result = _per_value(
+                expr.expr, frame, lambda values: np.isin(values, items)
+            )
+        else:
+            # text against numbers: np.isin's answer depends on the input
+            # size, so it must see the rows, not the dictionary
+            result = np.isin(evaluate(expr.expr, frame), items)
         return ~result if expr.negated else result
 
     if isinstance(expr, ast.CaseExpr):
@@ -157,6 +205,64 @@ def _coerce_literal_side(side: ast.Expr, other: ast.Expr, frame: Frame):
     return evaluate(side, frame)
 
 
+# applied to numbers and codes; text comparisons keep numpy's operators
+COMPARISONS = {
+    "=": np.equal,
+    "<>": np.not_equal,
+    "<": np.less,
+    ">": np.greater,
+    "<=": np.less_equal,
+    ">=": np.greater_equal,
+}
+_FLIPPED = {"=": "=", "<>": "<>", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
+
+
+def _coded_key(expr: ast.Expr, frame: Frame) -> str | None:
+    """The frame key of ``expr`` when it is a column holding codes."""
+    if frame.dicts and isinstance(expr, ast.Column):
+        key = frame.resolve(expr)
+        if key in frame.dicts:
+            return key
+    return None
+
+
+def _coded_comparison(
+    op: str, left: ast.Expr, right: ast.Expr, frame: Frame
+) -> np.ndarray | None:
+    """``left op right`` answered on codes, or None when it needs values.
+
+    Codes order like their text, so two columns of one dictionary compare
+    code to code, and a string literal becomes one position in the sorted
+    dictionary: ``=``/``<>`` test the code found there, the four order
+    operators a range of codes below or above it.
+    """
+    left_key = _coded_key(left, frame)
+    right_key = _coded_key(right, frame)
+    if left_key is not None and right_key is not None:
+        if frame.dicts[left_key] is not frame.dicts[right_key]:
+            return None
+        return COMPARISONS[op](frame.columns[left_key], frame.columns[right_key])
+    if left_key is None:
+        if right_key is None:
+            return None
+        left, right, op, left_key = right, left, _FLIPPED[op], right_key
+    if not (isinstance(right, ast.Literal) and right.kind == "string"):
+        return None
+    dictionary, codes = frame.dicts[left_key], frame.columns[left_key]
+    value = right.value
+    if op in ("<=", ">"):
+        at = bisect.bisect_right(dictionary, value)  # entries <= value
+    else:
+        at = bisect.bisect_left(dictionary, value)  # entries < value
+    if op in ("<", "<="):
+        return codes < at
+    if op in (">", ">="):
+        return codes >= at
+    if at == len(dictionary) or dictionary[at] != value:
+        return np.full(len(codes), op == "<>")
+    return codes == at if op == "=" else codes != at
+
+
 def _evaluate_binary(expr: ast.BinaryOp, frame: Frame) -> np.ndarray:
     op = expr.op
     if op == "AND":
@@ -168,7 +274,10 @@ def _evaluate_binary(expr: ast.BinaryOp, frame: Frame) -> np.ndarray:
             expr.right, frame
         ).astype(bool)
 
-    if op in ("=", "<>", "<", ">", "<=", ">="):
+    if op in COMPARISONS:
+        coded = _coded_comparison(op, expr.left, expr.right, frame)
+        if coded is not None:
+            return coded
         left = _coerce_literal_side(expr.left, expr.right, frame)
         right = _coerce_literal_side(expr.right, expr.left, frame)
         if op == "=":
@@ -201,22 +310,33 @@ def _evaluate_binary(expr: ast.BinaryOp, frame: Frame) -> np.ndarray:
     raise ExecutionError(f"unsupported operator {op}")
 
 
+def _per_value(expr: ast.Expr, frame: Frame, answer) -> np.ndarray:
+    """``answer(values of expr)``, an elementwise test; over a coded column
+    it runs once on the dictionary and each row takes its entry's answer."""
+    values, dictionary = evaluate_coded(expr, frame)
+    if dictionary is None:
+        return answer(values)
+    return answer(dictionary)[values]
+
+
 def _evaluate_like(expr: ast.Like, frame: Frame) -> np.ndarray:
-    values = evaluate(expr.expr, frame)
     if not isinstance(expr.pattern, ast.Literal):
         raise ExecutionError("LIKE pattern must be a literal")
     pattern = str(expr.pattern.value)
+    result = _per_value(expr.expr, frame, lambda values: _like(values, pattern))
+    return ~result if expr.negated else result
+
+
+def _like(values: np.ndarray, pattern: str) -> np.ndarray:
     values = values.astype(np.str_, copy=False)
     if "_" in pattern:
         regex = _like_regex(pattern)
-        result = np.fromiter(
+        return np.fromiter(
             (regex.fullmatch(v) is not None for v in values),
             dtype=bool,
             count=len(values),
         )
-    else:
-        result = _like_pieces(values, pattern.split("%"))
-    return ~result if expr.negated else result
+    return _like_pieces(values, pattern.split("%"))
 
 
 def _like_pieces(values: np.ndarray, pieces: list[str]) -> np.ndarray:

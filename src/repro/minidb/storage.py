@@ -1,13 +1,17 @@
 """Column-oriented storage: one numpy array per column.
 
 Dates are stored as int32 days since 1970-01-01 so comparisons and
-EXTRACT are plain arithmetic. Strings use numpy unicode arrays, which
-keeps equality/comparison vectorized.
+EXTRACT are plain arithmetic. Strings are numpy unicode arrays in
+``Table.columns``; the executor reads them through ``Table.encoded``:
+``int32`` codes into the column's sorted dictionary of distinct values,
+built on the first scan that reads the column and kept on the table, so
+every ``Database`` that loaded it shares one encoding.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +53,13 @@ class Table:
     name: str
     dtypes: dict[str, str]  # column -> "int" | "float" | "str" | "date"
     columns: dict[str, np.ndarray] = field(default_factory=dict)
+    # column -> (the array it encodes, codes, sorted dictionary)
+    _encodings: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _encoding_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         lengths = {len(v) for v in self.columns.values()}
@@ -66,6 +77,30 @@ class Table:
             return self.columns[name]
         except KeyError:
             raise CatalogError(f"unknown column {self.name}.{name}") from None
+
+    def encoded(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(codes, dictionary)`` of a text column: ``dictionary`` is its
+        sorted distinct values and ``dictionary[codes]`` the column.
+
+        Built once and kept while ``columns[name]`` is the same array, so
+        replacing a column's array re-encodes it. Concurrent first reads
+        build it once and all get the same pair.
+        """
+        values = self.column(name)
+        entry = self._encodings.get(name)
+        if entry is None or entry[0] is not values:
+            with self._encoding_lock:
+                entry = self._encodings.get(name)
+                if entry is None or entry[0] is not values:
+                    dictionary, codes = np.unique(values, return_inverse=True)
+                    entry = (values, codes.astype(np.int32), dictionary)
+                    self._encodings[name] = entry
+        return entry[1], entry[2]
+
+    def drop_encodings(self) -> None:
+        """Forget every encoding; the next scan of a column re-encodes it."""
+        with self._encoding_lock:
+            self._encodings.clear()
 
     def metadata(self) -> TableMeta:
         """Compute full statistics for the catalog."""

@@ -77,9 +77,12 @@ def test_every_job_that_runs_pytest_installs_the_test_extra():
 
 
 def test_tier1_matrix_covers_both_numpy_majors():
-    # MiniDB's kernels rely on numpy's 16-bit radix sort and on an
-    # array-valued `start` in np.char.find; pyproject.toml pins no numpy,
-    # so one tier-1 row installs the 1.x major next to the default
+    # MiniDB's kernels rely on numpy's 16-bit radix sort, on an
+    # array-valued `start` in np.char.find, and on np.unique(return_inverse=
+    # True) over `<U` arrays (a 1-D inverse into a dictionary in
+    # code-point order, the order a string literal is bisected in);
+    # pyproject.toml pins no numpy, so one tier-1 row installs the 1.x
+    # major next to the default
     text = (WORKFLOWS / "ci.yml").read_text(encoding="utf-8")
     tier1 = text.split("\n  tier1:\n", 1)[1].split("\n  docs-health:\n", 1)[0]
     assert re.search(

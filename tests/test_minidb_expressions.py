@@ -233,3 +233,104 @@ class TestRewriteAggregates:
             n_rows=1,
         )
         assert evaluate(rewritten, f).tolist() == [2.0]
+
+
+class TestCodedStrings:
+    """A text column held as codes into its sorted dictionary answers
+    every predicate exactly as the same column held as text."""
+
+    # the empty string, a trailing newline, non-ASCII, a prefix chain,
+    # and LIKE's metacharacters as data
+    _WORDS = ["", "a", "ab", "abb", "abc", "b", "ab\n", "é", "日本", "a%", "a_b"]
+    _WORD = st.sampled_from(_WORDS) | st.text("ab\né", max_size=3)
+    _VALUES = st.lists(_WORD, max_size=8)
+    # literals, present in the data or not
+    _LITERALS = st.sampled_from(["aa", "abbb", "c", "\n", "ä"]) | _WORD
+
+    @staticmethod
+    def _frames(columns: dict[str, list[str]], shared: bool):
+        """The same columns as text, and as codes: one dictionary for all
+        of them when ``shared``, else one each."""
+        text = {f"t.{k}": np.array(v, dtype=np.str_) for k, v in columns.items()}
+        n = len(next(iter(text.values())))
+        union = np.unique(np.concatenate(list(text.values())))
+        codes, dicts = {}, {}
+        for key, values in text.items():
+            dictionary = union if shared else np.unique(values)
+            codes[key] = np.searchsorted(dictionary, values).astype(np.int32)
+            dicts[key] = dictionary
+        dtypes = {key: "str" for key in text}
+        return (
+            Frame(columns=text, dtypes=dtypes, n_rows=n),
+            Frame(columns=codes, dtypes=dict(dtypes), n_rows=n, dicts=dicts),
+        )
+
+    def _agree(self, expr, columns, shared=True):
+        text, coded = self._frames(columns, shared)
+        assert evaluate(expr, coded).tolist() == evaluate(expr, text).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=_VALUES,
+        literal=_LITERALS,
+        op=st.sampled_from(["=", "<>", "<", ">", "<=", ">="]),
+        literal_left=st.booleans(),
+    )
+    def test_comparison_with_a_literal(self, values, literal, op, literal_left):
+        sides = [ast.Column("s"), ast.Literal(literal, "string")]
+        if literal_left:
+            sides.reverse()
+        self._agree(ast.BinaryOp(op, *sides), {"s": values})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=_VALUES,
+        items=st.lists(_LITERALS, min_size=1, max_size=4),
+        negated=st.booleans(),
+    )
+    def test_in_list(self, values, items, negated):
+        expr = ast.InList(
+            ast.Column("s"), tuple(ast.Literal(i, "string") for i in items), negated
+        )
+        self._agree(expr, {"s": values})
+
+    def test_in_numbers_reads_the_rows(self):
+        # text IN numbers: np.isin answers by input size (loop vs sort),
+        # so it must see the 80 rows, not the 3-entry dictionary
+        items = tuple(ast.Literal(i, "number") for i in range(1, 13))
+        expr = ast.InList(ast.Column("s"), items)
+        self._agree(expr, {"s": ["1", "b", "1", "c"] * 20})
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=_VALUES,
+        pieces=st.lists(
+            st.sampled_from(["", "a", "b", "ab", "\n", "é"]), min_size=1, max_size=3
+        ),
+        wildcard=st.sampled_from(["%", "_", "%_"]),
+        negated=st.booleans(),
+    )
+    def test_like(self, values, pieces, wildcard, negated):
+        pattern = ast.Literal(wildcard.join(pieces), "string")
+        self._agree(ast.Like(ast.Column("s"), pattern, negated), {"s": values})
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(_LITERALS, _LITERALS), max_size=8),
+        op=st.sampled_from(["=", "<>", "<", ">", "<=", ">="]),
+        shared=st.booleans(),
+    )
+    def test_column_against_column(self, rows, op, shared):
+        """Shared dictionary: codes compare directly; distinct: decoded."""
+        left = [a for a, _ in rows]
+        right = [b for _, b in rows]
+        expr = ast.BinaryOp(op, ast.Column("s"), ast.Column("r"))
+        self._agree(expr, {"s": left, "r": right}, shared)
+
+    def test_column_read_decodes(self):
+        text, coded = self._frames({"s": ["b", "a", "b", ""]}, shared=False)
+        assert coded.columns["t.s"].tolist() == [2, 1, 2, 0]
+        assert evaluate(ast.Column("s"), coded).tolist() == ["b", "a", "b", ""]
+        upper = ast.FunctionCall("UPPER", (ast.Column("s"),))
+        assert evaluate(upper, coded).tolist() == ["B", "A", "B", ""]
+        assert coded.take(np.array([3, 0])).decoded("t.s").tolist() == ["", "b"]

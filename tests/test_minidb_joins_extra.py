@@ -127,6 +127,63 @@ class TestResidualsOnBothKeyRoutes:
         assert keyed_db.execute(sql.format("")).rows == [(1,), (2,), (4,)]
 
 
+class TestLeftJoinNulls:
+    """An unmatched LEFT JOIN row reads NULL (None) in every right-side
+    column, text or number; the text columns travel as dictionary codes
+    up to the null tail."""
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        db = Database()
+        db.load_table(
+            Table(
+                "t",
+                {"id": "int", "s": "str"},
+                {"id": np.array([0, 1, 2]), "s": np.array(["a", "b", "c"])},
+            )
+        )
+        db.load_table(
+            Table(
+                "w",
+                {"name": "str", "v": "int"},
+                {"name": np.array(["b", "c", "c"]), "v": np.array([1, 9, 2])},
+            )
+        )
+        return db
+
+    def test_unmatched_row_reads_none(self, db):
+        rows = db.execute(
+            "select t.id, w.name, w.v from t left join w "
+            "on t.s = w.name and w.v < 5"
+        ).rows
+        assert rows == [(1, "b", 1), (2, "c", 2), (0, None, None)]
+
+    @pytest.mark.parametrize(
+        "where, expected",
+        [
+            ("d.name > 'b'", [(2, "c")]),
+            ("d.name = 'b' or d.name is null", [(1, "b"), (0, None)]),
+            ("d.name in ('a', 'c')", [(2, "c")]),
+            ("d.name like 'b%'", [(1, "b")]),
+        ],
+    )
+    def test_predicate_above_the_null_tail(self, db, where, expected):
+        # the derived table's filter runs over the joined rows, tail included
+        sql = (
+            "select d.id, d.name from (select t.id, w.name from t left join w "
+            "on t.s = w.name and w.v < 5) as d where " + where
+        )
+        assert db.execute(sql).rows == expected
+
+    def test_no_tail_keeps_the_codes(self, db):
+        # every row matches: no tail, so the filter compares codes
+        sql = (
+            "select d.id, d.name from (select t.id, w.name from t left join w "
+            "on t.s = w.name where t.id > 0) as d where d.name >= 'c'"
+        )
+        assert db.execute(sql).rows == [(2, "c"), (2, "c")]
+
+
 class TestOrderByIsExact:
     @pytest.mark.parametrize("stored, direction", [
         ([2**53 + 1, 2**53], ""),

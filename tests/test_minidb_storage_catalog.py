@@ -119,3 +119,87 @@ class TestCatalog:
         assert catalog.which_table("l_orderkey") == "lineitem"
         with pytest.raises(CatalogError):
             catalog.which_table("no_such_col")
+
+
+class TestTextEncoding:
+    """``Table.encoded``: codes into the sorted dictionary, built once per
+    column array and shared by every ``Database`` that loaded the table."""
+
+    @staticmethod
+    def _table(values):
+        return Table(name="t", dtypes={"s": "str"}, columns={"s": np.array(values)})
+
+    def test_codes_index_the_sorted_dictionary(self):
+        codes, dictionary = self._table(["b", "", "é", "b", "ab\n"]).encoded("s")
+        assert dictionary.tolist() == ["", "ab\n", "b", "é"]
+        assert codes.dtype == np.int32
+        assert dictionary[codes].tolist() == ["b", "", "é", "b", "ab\n"]
+
+    def test_built_once_per_column_array(self):
+        table = self._table(["x", "y", "x"])
+        codes, dictionary = table.encoded("s")
+        assert table.encoded("s")[1] is dictionary
+        table.columns["s"] = np.array(["z", "x"])  # a new array re-encodes
+        codes, dictionary = table.encoded("s")
+        assert (codes.tolist(), dictionary.tolist()) == ([1, 0], ["x", "z"])
+
+    def test_reloading_re_encodes(self):
+        from repro.minidb import Database
+
+        table = self._table(["x", "y", "x"])
+        Database().load_table(table)
+        before = table.encoded("s")[1]
+        table.columns["s"][0] = "w"  # changed in place: same array object
+        Database().load_table(table)
+        codes, dictionary = table.encoded("s")
+        assert dictionary is not before
+        assert dictionary[codes].tolist() == ["w", "y", "x"]
+
+    def test_databases_sharing_a_table_share_its_encoding(self):
+        from repro.minidb import Database
+
+        table = self._table(["x", "y", "x"])
+        first, second = Database(), Database()
+        first.load_table(table)
+        second.load_table(table)
+        sql = "select s, count(*) from t where s <> 'y' group by s"
+        assert first.execute(sql).rows == [("x", 2.0)]
+        dictionary = table.encoded("s")[1]
+        assert second.execute(sql).rows == [("x", 2.0)]
+        assert table.encoded("s")[1] is dictionary
+
+    def test_concurrent_first_scans_agree(self):
+        import sys
+        import threading
+
+        from repro.minidb import Database
+
+        rng = np.random.default_rng(4)
+        table = self._table(rng.choice(["a", "bb", "ccc", "é", ""], 50_000))
+        db = Database()
+        db.load_table(table)
+        sql = "select s, count(*) from t where s >= 'b' group by s order by s"
+        barrier = threading.Barrier(6, timeout=30)
+        seen = []
+
+        def scan():
+            barrier.wait()
+            _, dictionary = table.encoded("s")  # the first read, racing
+            seen.append((db.execute(sql).rows, dictionary))
+
+        threads = [threading.Thread(target=scan) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 6
+        assert len({repr(rows) for rows, _ in seen}) == 1
+        # one build, not one per racing thread
+        assert all(dictionary is seen[0][1] for _, dictionary in seen)
+        assert [s for s, _ in seen[0][0]] == ["bb", "ccc", "é"]

@@ -85,3 +85,62 @@ def test_dense_kernels_change_nothing_observable(tpch_db, monkeypatch, template_
     monkeypatch.setattr(executor, "_equi_match", oracle.equi_match)
     monkeypatch.setattr(executor, "_group_codes", oracle.group_codes)
     assert observe() == shipped
+
+
+def _text_scan_frame(table, binding, columns):
+    """A scan as it was before dictionary codes: every column as stored."""
+    from repro.minidb.expressions import Frame
+
+    frame = Frame(n_rows=table.n_rows)
+    for col in columns:
+        frame.columns[f"{binding}.{col}"] = table.column(col)
+        frame.dtypes[f"{binding}.{col}"] = table.dtypes[col]
+    return frame
+
+
+def _observed(db, queries):
+    """rows, actual_cost and rows_scanned of every query, prepared and
+    unprepared; a query that fails contributes its exception instead.
+    Compared as ``repr``: a NaN in a row must equal itself."""
+    seen = []
+    for sql in queries:
+        for run in (db.execute, db.execute_prepared):
+            try:
+                result = run(sql)
+            except Exception as exc:  # noqa: BLE001 - failures must match too
+                seen.append(("raised", type(exc).__name__, str(exc)))
+            else:
+                seen.append(
+                    repr((result.rows, result.actual_cost, result.stats.rows_scanned))
+                )
+    return seen
+
+
+@pytest.mark.parametrize("template_id", TPCH_TEMPLATE_IDS)
+def test_coded_strings_change_nothing_observable(tpch_db, monkeypatch, template_id):
+    """Every template, three seeds, prepared and unprepared: text columns
+    as dictionary codes against the same plans over plain text."""
+    from repro.minidb import executor
+
+    queries = [tpch_query(template_id, seed=seed) for seed in (3, 11, 29)]
+    coded = _observed(tpch_db, queries)
+    monkeypatch.setattr(executor, "_scan_frame", _text_scan_frame)
+    assert _observed(tpch_db, queries) == coded
+
+
+def test_coded_strings_change_nothing_observable_on_snowsim(
+    snowsim_records, monkeypatch
+):
+    """A SnowSim stream on 6-row tables, failures (text compared with a
+    number) included with their exception type and message."""
+    from repro.minidb import executor, materialize_log_tables
+
+    queries = [r.query for r in snowsim_records]
+    db = materialize_log_tables(queries, rows_per_table=6)
+    table = next(t for t in db.tables.values() if "str" in t.dtypes.values())
+    text = [c for c, dtype in table.dtypes.items() if dtype == "str"]
+    assert executor._scan_frame(table, "x", text).dicts  # the shipped scan codes
+    coded = _observed(db, queries)
+    assert any(seen[0] == "raised" for seen in coded)
+    monkeypatch.setattr(executor, "_scan_frame", _text_scan_frame)
+    assert _observed(db, queries) == coded
