@@ -40,6 +40,7 @@ from random import Random
 
 from repro.backends.base import Backend, BatchResult, QueryOutcome, rebadge
 from repro.errors import BackendError
+from repro.runtime.metrics import Counters
 
 
 class InjectedFaultError(BackendError):
@@ -285,11 +286,14 @@ class FaultInjectingBackend(Backend):
             plan = FaultPlan(plan, clock=clock, rng=rng)
         self.plan = plan
         self._sleep = sleep if sleep is not None else (lambda _s: None)
-        self._lock = threading.Lock()
-        self._injected_errors = 0
-        self._injected_failed_batches = 0
-        self._injected_delays = 0
-        self._clean_calls = 0
+        self._counters = Counters(
+            (
+                "injected_errors",
+                "injected_failed_batches",
+                "injected_delays",
+                "clean_calls",
+            )
+        )
 
     def execute(self, queries: Sequence[str]) -> BatchResult:
         return self._call(queries, lambda: self.inner.execute(queries))
@@ -308,39 +312,28 @@ class FaultInjectingBackend(Backend):
         if action is not None:
             kind, value = action
             if kind == _RAISE:
-                with self._lock:
-                    self._injected_errors += 1
+                self._counters.add(injected_errors=1)
                 raise InjectedFaultError(f"backend {self.name!r}: {value}")
             if kind == _FAIL:
-                with self._lock:
-                    self._injected_failed_batches += 1
+                self._counters.add(injected_failed_batches=1)
                 outcomes = tuple(
                     QueryOutcome(query=q, ok=False, error=str(value)) for q in queries
                 )
                 return BatchResult(backend=self.name, outcomes=outcomes)
             if kind == _DELAY:
-                with self._lock:
-                    self._injected_delays += 1
+                self._counters.add(injected_delays=1)
                 self._sleep(float(value))  # then fall through to delegate
         if action is None:
-            with self._lock:
-                self._clean_calls += 1
+            self._counters.add(clean_calls=1)
         return rebadge(delegate(), self.name)
 
     def load_hint(self) -> dict:
         return self.inner.load_hint()
 
     def snapshot(self) -> dict:
-        with self._lock:
-            counters = {
-                "injected_errors": self._injected_errors,
-                "injected_failed_batches": self._injected_failed_batches,
-                "injected_delays": self._injected_delays,
-                "clean_calls": self._clean_calls,
-            }
         return {
             **super().snapshot(),
-            **counters,
+            **self._counters.snapshot(),
             "plan": self.plan.snapshot(),
             "inner": self.inner.snapshot(),
         }

@@ -19,7 +19,6 @@ compare against).
 
 from __future__ import annotations
 
-import threading
 import time
 from collections.abc import Sequence
 
@@ -27,6 +26,7 @@ from repro.backends.base import Backend, BatchResult, QueryOutcome
 from repro.errors import BackendError
 from repro.minidb.engine import Database
 from repro.minidb.indexes import IndexConfig
+from repro.runtime.metrics import Counters
 from repro.sql.normalizer import template_fingerprint_ids
 
 
@@ -44,9 +44,7 @@ class MiniDBBackend(Backend):
         self.database = database
         self.config = config
         self.strict = strict
-        self._lock = threading.Lock()
-        self._executed = 0
-        self._failed = 0
+        self._counters = Counters(("executed", "failed"))
 
     def execute(self, queries: Sequence[str]) -> BatchResult:
         return self.execute_templated(queries, None)
@@ -99,9 +97,7 @@ class MiniDBBackend(Backend):
                 )
             )
         ok = sum(1 for o in outcomes if o.ok)
-        with self._lock:
-            self._executed += ok
-            self._failed += len(outcomes) - ok
+        self._counters.add(executed=ok, failed=len(outcomes) - ok)
         return BatchResult(backend=self.name, outcomes=tuple(outcomes))
 
     def _template_keys(
@@ -121,12 +117,9 @@ class MiniDBBackend(Backend):
         return [int(i) if i >= 0 else fp for i, fp in zip(ids, fps)]
 
     def snapshot(self) -> dict:
-        with self._lock:
-            executed, failed = self._executed, self._failed
         return {
             **super().snapshot(),
             "tables": sorted(self.database.tables),
-            "executed": executed,
-            "failed": failed,
+            **self._counters.snapshot(),
             "plan_cache": self.database.plan_cache.stats(),
         }

@@ -26,7 +26,8 @@ the dispatch path and, on breaker-open or retry exhaustion, re-resolves
 the group to a sibling candidate (the fallback spill machinery) before
 surfacing failure. Everything is observable — retry counts, breaker
 transitions, failovers, deadline expiries — through
-``stats()["resilience"]`` and :class:`~repro.runtime.metrics.RuntimeMetrics`.
+``stats()["resilience"]``; each is counted once, by the binding or the
+breaker it happened to.
 """
 
 from __future__ import annotations
@@ -159,9 +160,10 @@ class CircuitBreaker:
     recovery timer. Thread-safe; many dispatch threads share one
     breaker.
 
-    ``on_transition(old, new)``, when set, fires on every state change
-    (the router wires it into :class:`~repro.runtime.metrics.RuntimeMetrics`
-    so breaker transitions show up in ``stats()``).
+    The breaker counts its own transitions (``opens`` / ``half_opens``
+    / ``closes`` in :meth:`snapshot`); ``stats()`` reads them from
+    here. ``on_transition(old, new)``, when set, fires on every state
+    change — a hook for the caller, unused by the router.
     """
 
     def __init__(

@@ -66,7 +66,7 @@ from repro.backends.policy import CandidateView, LoadSignal, RoutingPolicy
 from repro.backends.resilience import BreakerState, CircuitBreaker, RetryPolicy
 from repro.errors import BackendError
 from repro.runtime.columnar import ColumnarBatch, ColumnarSlice
-from repro.runtime.metrics import RuntimeMetrics
+from repro.runtime.metrics import Counters, RuntimeMetrics
 
 if TYPE_CHECKING:  # avoid an import cycle with repro.core
     from repro.core.labeled_query import LabeledQuery
@@ -98,56 +98,42 @@ class SpillPolicy(str, Enum):
     FALLBACK = "fallback"
 
 
-class BackendCounters:
-    """Thread-safe per-backend dispatch ledger."""
-
-    _FIELDS = (
-        "batches",
-        "dispatched",
-        "admitted",
-        "rejected",
-        "spilled",
-        "queued",
-        # parked QUEUE segments dropped for age / retry exhaustion — a
-        # disposition like the five above, part of the invariant
-        "queue_evicted",
-        "executed_ok",
-        "failed",
-        "rows_returned",
-        "cost_units",
-        "execute_seconds",
-        # resilience observability (not dispositions): re-executions of
-        # raised groups, groups handed to / received from a sibling on
-        # breaker-open or retry exhaustion, retry budgets that ran out
-        "retries",
-        "failovers_out",
-        "failovers_in",
-        "deadline_expiries",
-    )
+class BackendCounters(Counters):
+    """Per-backend dispatch ledger: the shared :class:`Counters` over
+    the router's dispositions, outcomes and resilience counts."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        for name in self._FIELDS:
-            setattr(self, name, 0.0 if name in ("cost_units", "execute_seconds") else 0)
-
-    def add(self, **deltas) -> None:
-        with self._lock:
-            for name, delta in deltas.items():
-                if name not in self._FIELDS:
-                    raise BackendError(f"unknown counter {name!r}")
-                setattr(self, name, getattr(self, name) + delta)
-
-    def value(self, name: str):
-        """One counter, read under the lock — for hot-path consumers
-        that must not pay for a full :meth:`snapshot`."""
-        if name not in self._FIELDS:
-            raise BackendError(f"unknown counter {name!r}")
-        with self._lock:
-            return getattr(self, name)
+        super().__init__(
+            (
+                "batches",
+                "dispatched",
+                "admitted",
+                "rejected",
+                "spilled",
+                "queued",
+                # parked QUEUE segments dropped for age / retry
+                # exhaustion — a disposition like the five above, part
+                # of the invariant
+                "queue_evicted",
+                "executed_ok",
+                "failed",
+                "rows_returned",
+                "cost_units",
+                "execute_seconds",
+                # resilience observability (not dispositions):
+                # re-executions of raised groups, groups handed to /
+                # received from a sibling on breaker-open or retry
+                # exhaustion, retry budgets that ran out
+                "retries",
+                "failovers_out",
+                "failovers_in",
+                "deadline_expiries",
+            ),
+            floats=("cost_units", "execute_seconds"),
+        )
 
     def snapshot(self) -> dict:
-        with self._lock:
-            out = {name: getattr(self, name) for name in self._FIELDS}
+        out = super().snapshot()
         executed = out["executed_ok"] + out["failed"]
         out["mean_query_seconds"] = (
             out["execute_seconds"] / executed if executed else 0.0
@@ -881,31 +867,29 @@ class BatchRouter:
         breaker / retry-policy snapshots (None when unconfigured).
         """
         keys = (
-            "retries",
-            "failovers_out",
-            "failovers_in",
-            "deadline_expiries",
+            "retries", "failovers_out", "failovers_in", "deadline_expiries",
             "queue_evicted",
         )
         backends: dict[str, dict] = {}
-        totals = {
-            "retries": 0,
-            "failovers": 0,
-            "deadline_expiries": 0,
-            "queue_evicted": 0,
-        }
         for name in self.registry.names():
             binding = self.registry.get(name)
             snap = binding.counters.snapshot()
-            entry = {k: snap[k] for k in keys}
-            entry["breaker"] = binding.breaker.snapshot() if binding.breaker else None
-            entry["retry"] = binding.retry.snapshot() if binding.retry else None
-            backends[name] = entry
-            totals["retries"] += entry["retries"]
-            totals["failovers"] += entry["failovers_out"]
-            totals["deadline_expiries"] += entry["deadline_expiries"]
-            totals["queue_evicted"] += entry["queue_evicted"]
-        return {**totals, "backends": backends}
+            backends[name] = {
+                **{key: snap[key] for key in keys},
+                "breaker": binding.breaker.snapshot() if binding.breaker else None,
+                "retry": binding.retry.snapshot() if binding.retry else None,
+            }
+
+        def total(key: str):
+            return sum(entry[key] for entry in backends.values())
+
+        return {
+            "retries": total("retries"),
+            "failovers": total("failovers_out"),
+            "deadline_expiries": total("deadline_expiries"),
+            "queue_evicted": total("queue_evicted"),
+            "backends": backends,
+        }
 
     # -- internals -----------------------------------------------------------------
 
@@ -917,23 +901,9 @@ class BatchRouter:
             # age eviction is a disposition: the rows were dispatched
             # to the queue once and now leave the system, counted
             binding.counters.add(dispatched=evicted, queue_evicted=evicted)
-            self.metrics.add(queue_evictions=evicted)
         if not parked:
             return []
         return self._offer(binding, parked, from_queue=True, queue_retries=retries)
-
-    def _bind_breaker(self, breaker: CircuitBreaker) -> None:
-        """Feed breaker transitions into RuntimeMetrics (idempotent)."""
-        if breaker.on_transition is None:
-            breaker.on_transition = self._note_breaker_transition
-
-    def _note_breaker_transition(self, old: str, new: str) -> None:
-        if new == BreakerState.OPEN.value:
-            self.metrics.add(breaker_opens=1)
-        elif new == BreakerState.HALF_OPEN.value:
-            self.metrics.add(breaker_half_opens=1)
-        elif new == BreakerState.CLOSED.value:
-            self.metrics.add(breaker_closes=1)
 
     def _failover_target(
         self, binding: BackendBinding, messages: ColumnarSlice
@@ -1089,8 +1059,6 @@ class BatchRouter:
         n = len(messages)
         first_hop = not (spilled_from or failover_from)
         breaker = binding.breaker
-        if breaker is not None:
-            self._bind_breaker(breaker)
         breaker_open = breaker is not None and breaker.allow(n) <= 0
         admitted_n = 0 if breaker_open else binding.admission.admit(n)
         binding.load_signal.observe_admission(n, admitted_n)
@@ -1138,10 +1106,6 @@ class BatchRouter:
             failovers_out=1 if handoff else 0,
             failovers_in=1 if failover_from else 0,
         )
-        if evicted:
-            self.metrics.add(queue_evictions=evicted)
-        if handoff:
-            self.metrics.add(failovers=1)
         if spilled_to:
             sibling = self.registry.get(spilled_to)
             # one hop only: the sibling's own overflow is rejected
@@ -1166,11 +1130,6 @@ class BatchRouter:
                 # strict-mode raises still price the backend: the time
                 # was spent whether or not outcomes came back
                 binding.load_signal.observe_execution(admitted_n, elapsed)
-            if retries_used or deadline_expired:
-                self.metrics.add(
-                    retries=retries_used,
-                    deadline_expiries=1 if deadline_expired else 0,
-                )
             if error is None:
                 binding.counters.add(
                     executed_ok=result.ok_count,
@@ -1198,7 +1157,6 @@ class BatchRouter:
                 if not failover_to:
                     raise error
                 binding.counters.add(failovers_out=1)
-                self.metrics.add(failovers=1)
                 failover_decisions = self._offer(
                     self.registry.get(failover_to),
                     admitted,

@@ -33,6 +33,7 @@ from repro.runtime.cache import EmbeddingCache
 from repro.runtime.executor import StagedExecutor
 from repro.runtime.pipeline import InferencePipeline
 from repro.runtime.tuner import BatchSizeTuner
+from repro.server.edge import EDGE_SHEDS
 from repro.workloads.logs import QueryLogRecord
 from repro.workloads.stream import StreamBatch
 
@@ -486,17 +487,19 @@ class QuercService:
         gates) when a :class:`repro.server.QuercServer` is attached.
         """
         backends = self.router.snapshot()
+        resilience = self.router.resilience_snapshot()
+        server = self._server.stats() if self._server is not None else None
         executor_stats = self._last_executor_stats
         if self._server is not None:
             live = self._server.executor_stats()
             if live is not None:
                 executor_stats = live
         return {
-            "runtime": self.runtime.snapshot(),
+            "runtime": self._runtime_stats(resilience, server),
             "backends": backends,
             "plan_cache": _aggregate_plan_cache(backends),
             "routing": self.router.routing_snapshot(),
-            "resilience": self.router.resilience_snapshot(),
+            "resilience": resilience,
             "executor": executor_stats,
             "forecast": (
                 self._provisioner.snapshot()
@@ -504,7 +507,7 @@ class QuercService:
                 else None
             ),
             "tuner": self._tuner.snapshot() if self._tuner is not None else None,
-            "server": self._server.stats() if self._server is not None else None,
+            "server": server,
             "applications": {
                 name: {
                     "processed": app.worker.processed_count,
@@ -514,6 +517,30 @@ class QuercService:
                 for name, app in sorted(self._applications.items())
             },
         }
+
+    def _runtime_stats(self, resilience: dict, server: dict | None) -> dict:
+        """``stats()["runtime"]``: the pipeline's snapshot plus the keys
+        ``runtime`` has always carried for counts other objects keep —
+        fleet resilience totals from the backend bindings, transitions
+        from each distinct breaker, sheds from the server's edge gate."""
+        runtime = self.runtime.snapshot()
+        bindings = [self.backends.get(name) for name in self.backends.names()]
+        breakers = {id(b.breaker): b.breaker for b in bindings if b.breaker}
+        transitions = [breaker.snapshot() for breaker in breakers.values()]
+        runtime.update(
+            retries=resilience["retries"],
+            failovers=resilience["failovers"],
+            deadline_expiries=resilience["deadline_expiries"],
+            queue_evictions=resilience["queue_evicted"],
+            **{
+                f"breaker_{kind}": sum(t[kind] for t in transitions)
+                for kind in ("opens", "half_opens", "closes")
+            },
+        )
+        runtime["server"].update(
+            {key: server[key] if server else 0 for key in EDGE_SHEDS}
+        )
+        return runtime
 
     def close(self) -> None:
         """Release pooled resources (the router's fan-out threads).

@@ -13,9 +13,9 @@ message list is converted once at the public boundary — materializing
 per-query messages once at the ``to_messages()`` boundary. A bounded
 :class:`EmbeddingCache` carries template vectors across batches and
 workers in id-indexed matrix lanes;
-:class:`RuntimeMetrics` exposes per-stage timings, cache hit rate,
-fingerprint-memo hit rate, and dedup ratio through
-``QuercService.stats()``.
+:class:`RuntimeMetrics` exposes per-stage timings, fingerprint-memo
+hit rate, and dedup ratio through ``QuercService.stats()`` (the cache
+hit rate there is the cache's own count).
 
 On top of the pipeline, :class:`StagedExecutor` runs the label stage
 and the route/execute stage concurrently across batches, one lane per

@@ -3,16 +3,23 @@
 Qworkers sit on the query critical path (Figure 1), so the runtime
 tracks exactly the quantities that determine whether the shared
 pipeline is paying off: per-stage wall time, embedder ``transform``
-invocations, cache hit rate, and the batch dedup ratio.
+invocations, and the batch dedup ratio.
+
+Every event is counted once, by the object that performs it: cache
+hits by the :class:`~repro.runtime.cache.EmbeddingCache`, retries and
+failovers by each backend binding's counters, breaker transitions by
+the breaker, edge sheds by the edge gate. ``QuercService.stats()``
+reads those owners; :class:`RuntimeMetrics` keeps only what no other
+object counts. :class:`Counters` is the one named-counter ledger they
+all build on.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Iterable
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
-from typing import ClassVar
 
 STAGES = ("fingerprint", "dedup", "embed", "predict", "scatter")
 # the router's dispatch path reports into the same object
@@ -23,67 +30,84 @@ SERVER_STAGES = ("server_decode", "server_submit", "server_reply")
 _ALL_STAGES = STAGES + ROUTING_STAGES + SERVER_STAGES
 
 
-@dataclass
-class RuntimeMetrics:
-    """Counters and timings accumulated across pipeline batches.
+class Counters:
+    """Named numbers behind one lock.
 
-    Aggregation is thread-safe: ``add`` applies a multi-counter delta
-    atomically, ``stage`` accumulates its elapsed time under the same
-    lock, and ``snapshot`` returns an internally consistent view — so
-    routed dispatch and async workers can share one metrics object
-    without corrupting ``stats()``. Direct attribute writes remain
-    possible for single-threaded callers but bypass the lock.
+    ``add`` applies a multi-counter delta atomically (all of it or, on
+    an unknown name, none of it — :class:`KeyError`), ``value`` reads
+    one counter and ``snapshot`` copies every counter in one consistent
+    view. The names are fixed at construction, in snapshot order; those
+    also in ``floats`` start at ``0.0``, the rest at ``0``.
     """
 
-    batches: int = 0
-    queries: int = 0
-    unique_templates: int = 0  # distinct fingerprints per batch, summed
-    embedded_templates: int = 0  # templates actually sent to transform
-    transform_calls: int = 0  # embedder.transform invocations
-    cache_hits: int = 0
-    cache_misses: int = 0
-    # fingerprint-table counters (the normalizer's process-wide memo /
-    # intern table, as seen from this runtime's batches)
-    fingerprint_memo_hits: int = 0
-    fingerprint_memo_misses: int = 0
-    intern_overflow: int = 0  # queries whose template had no intern slot
-    # resilience-layer counters, fed by the router's dispatch path
-    retries: int = 0  # execute re-attempts beyond the first
-    failovers: int = 0  # groups re-resolved to a sibling backend
-    deadline_expiries: int = 0  # retry budgets that ran out
-    queue_evictions: int = 0  # parked rows dropped for age/retries
-    breaker_opens: int = 0
-    breaker_half_opens: int = 0
-    breaker_closes: int = 0
-    # serving-front-end counters, fed by QuercServer's sessions
-    server_sessions: int = 0  # connections accepted past the edge
-    server_sessions_closed: int = 0
-    server_sessions_shed: int = 0  # connections refused at accept time
-    server_frames_in: int = 0
-    server_frames_out: int = 0
-    server_frames_shed: int = 0  # submit frames refused SERVER_BUSY
-    server_bytes_in: int = 0
-    server_bytes_out: int = 0
-    server_protocol_errors: int = 0  # malformed/oversized/bad frames
-    server_queries: int = 0  # queries accepted into the stage pool
-    server_queries_shed: int = 0  # queries inside shed submit frames
-    stage_seconds: dict[str, float] = field(
-        default_factory=lambda: {name: 0.0 for name in _ALL_STAGES}
-    )
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
-    # every ``int`` field above, filled in below the class: counters are
-    # named once, by their field declaration
-    _COUNTERS: ClassVar[tuple[str, ...]] = ()
+    def __init__(self, names: Iterable[str], floats: Iterable[str] = ()) -> None:
+        floats = set(floats)
+        self._zero = {name: 0.0 if name in floats else 0 for name in names}
+        self._values = dict(self._zero)
+        self._lock = threading.Lock()
 
-    def add(self, **deltas: int) -> None:
+    def add(self, **deltas) -> None:
         """Atomically apply a delta to one or more counters."""
+        values = self._values
+        if not deltas.keys() <= values.keys():
+            unknown = sorted(deltas.keys() - values.keys())
+            raise KeyError(f"unknown counter(s) {unknown}")
         with self._lock:
             for name, delta in deltas.items():
-                if name not in self._COUNTERS:
-                    raise KeyError(f"unknown runtime counter {name!r}")
-                setattr(self, name, getattr(self, name) + delta)
+                values[name] += delta
+
+    def value(self, name: str):
+        """One counter, without paying for a full :meth:`snapshot`."""
+        with self._lock:
+            return self._values[name]
+
+    def snapshot(self) -> dict:
+        with self._lock:
+            return dict(self._values)
+
+
+class RuntimeMetrics(Counters):
+    """The pipeline's and the serving tier's own counters, plus stage
+    timings.
+
+    Thread-safe: counters update through :meth:`Counters.add`,
+    ``stage`` accumulates its elapsed time under the same lock, and
+    ``snapshot`` copies counters and timings in one view — so routed
+    dispatch and async workers can share one metrics object without
+    corrupting ``stats()``. A counter also reads as an attribute
+    (``metrics.batches``).
+    """
+
+    _COUNTERS = (
+        "batches",
+        "queries",
+        "unique_templates",  # distinct fingerprints per batch, summed
+        "embedded_templates",  # templates actually sent to transform
+        "transform_calls",  # embedder.transform invocations
+        # fingerprint-table counters (the normalizer's process-wide memo
+        # / intern table, as seen from this runtime's batches)
+        "fingerprint_memo_hits",
+        "fingerprint_memo_misses",
+        "intern_overflow",  # queries whose template had no intern slot
+        # serving-front-end counters, fed by QuercServer's sessions
+        "server_sessions",  # connections accepted past the edge
+        "server_sessions_closed",
+        "server_frames_in",
+        "server_frames_out",
+        "server_bytes_in",
+        "server_bytes_out",
+        "server_protocol_errors",  # malformed/oversized/bad frames
+        "server_queries",  # queries accepted into the stage pool
+    )
+
+    def __init__(self) -> None:
+        super().__init__(self._COUNTERS)
+        self.stage_seconds = {name: 0.0 for name in _ALL_STAGES}
+
+    def __getattr__(self, name: str):
+        if name in RuntimeMetrics._COUNTERS:
+            return self.value(name)
+        raise AttributeError(name)
 
     @contextmanager
     def stage(self, name: str):
@@ -92,11 +116,7 @@ class RuntimeMetrics:
         try:
             yield
         finally:
-            elapsed = time.perf_counter() - start
-            with self._lock:
-                self.stage_seconds[name] = (
-                    self.stage_seconds.get(name, 0.0) + elapsed
-                )
+            self.add_stage_seconds(name, time.perf_counter() - start)
 
     def add_stage_seconds(self, name: str, seconds: float) -> None:
         """Credit externally-measured time to one stage.
@@ -115,29 +135,22 @@ class RuntimeMetrics:
     def dedup_ratio(self) -> float:
         """Fraction of queries that were duplicates of an earlier
         template in their batch (0.0 = all unique)."""
-        if not self.queries:
-            return 0.0
-        return 1.0 - self.unique_templates / self.queries
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of unique-template lookups served from cache."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
+        with self._lock:
+            queries, unique = self._values["queries"], self._values["unique_templates"]
+        return 1.0 - unique / queries if queries else 0.0
 
     def snapshot(self) -> dict:
         """A plain-dict view for ``QuercService.stats()`` / dashboards.
 
         The raw counters are copied under the lock — so concurrent
-        ``add``/``stage`` calls can't produce a torn view (e.g. hits
-        without their misses) — but the dict is built and the derived
-        ratios computed *outside* it, so a dashboard polling
-        ``stats()`` never makes the hot path's writers queue behind
-        formatting work. ``server_*`` counters nest under ``server``;
-        every other counter is a top-level key.
+        ``add``/``stage`` calls can't produce a torn view — but the
+        dict is built and the derived ratios computed *outside* it, so
+        a dashboard polling ``stats()`` never makes the hot path's
+        writers queue behind formatting work. ``server_*`` counters
+        nest under ``server``; every other counter is a top-level key.
         """
         with self._lock:
-            out = {name: getattr(self, name) for name in self._COUNTERS}
+            out = dict(self._values)
             stage_seconds = dict(self.stage_seconds)
         server = {
             name.removeprefix("server_"): out.pop(name)
@@ -145,11 +158,9 @@ class RuntimeMetrics:
             if name.startswith("server_")
         }
         queries, unique = out["queries"], out["unique_templates"]
-        lookups = out["cache_hits"] + out["cache_misses"]
         memo_total = out["fingerprint_memo_hits"] + out["fingerprint_memo_misses"]
         return {
             **out,
-            "cache_hit_rate": out["cache_hits"] / lookups if lookups else 0.0,
             "fingerprint_memo_hit_rate": (
                 out["fingerprint_memo_hits"] / memo_total if memo_total else 0.0
             ),
@@ -161,11 +172,5 @@ class RuntimeMetrics:
     def reset(self) -> None:
         """Zero every counter and timing (e.g. between bench phases)."""
         with self._lock:
-            for name in self._COUNTERS:
-                setattr(self, name, 0)
+            self._values.update(self._zero)
             self.stage_seconds = {name: 0.0 for name in _ALL_STAGES}
-
-
-RuntimeMetrics._COUNTERS = tuple(
-    f.name for f in fields(RuntimeMetrics) if f.type in ("int", int)
-)

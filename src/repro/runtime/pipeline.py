@@ -202,10 +202,15 @@ class InferencePipeline:
 
     def snapshot(self) -> dict:
         """Metrics plus cache and fingerprint-table state, for
-        ``QuercService.stats()``."""
+        ``QuercService.stats()``. ``cache_hits`` / ``cache_misses`` /
+        ``cache_hit_rate`` are the cache's own counts."""
+        cache = self.cache.snapshot()
         return {
             **self.metrics.snapshot(),
-            "cache": self.cache.snapshot(),
+            "cache_hits": cache["hits"],
+            "cache_misses": cache["misses"],
+            "cache_hit_rate": cache["hit_rate"],
+            "cache": cache,
             "fingerprints": fingerprint_cache_stats(),
         }
 
@@ -292,7 +297,6 @@ class InferencePipeline:
                 name, unique_ids, embedder.dimension
             )
             n_miss = int(miss.sum())
-            m.add(cache_hits=k - n_miss, cache_misses=n_miss)
             if n_miss:
                 miss_idx = np.flatnonzero(miss)
                 representatives = [queries[first_idx[i]] for i in miss_idx]

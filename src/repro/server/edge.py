@@ -22,11 +22,14 @@ wall-clock sleeps.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections.abc import Callable
 
 from repro.backends.admission import AdmissionController
+from repro.runtime.metrics import Counters
+
+# the shed counters, which the serving tier's stats read from here
+EDGE_SHEDS = ("sessions_shed", "frames_shed", "queries_shed")
 
 
 class EdgeAdmission:
@@ -55,24 +58,26 @@ class EdgeAdmission:
             if (max_in_flight_queries is not None or queries_per_second is not None)
             else None
         )
-        self._lock = threading.Lock()
-        self._sessions_admitted = 0
-        self._sessions_shed = 0
-        self._frames_admitted = 0
-        self._frames_shed = 0
-        self._queries_admitted = 0
-        self._queries_shed = 0
+        self._counters = Counters(
+            (
+                "sessions_admitted",
+                "sessions_shed",
+                "frames_admitted",
+                "frames_shed",
+                "queries_admitted",
+                "queries_shed",
+            )
+        )
 
     # -- session gate ---------------------------------------------------------------
 
     def admit_session(self) -> bool:
         """One connection asks in at accept time."""
         ok = self._session_gate is None or self._session_gate.admit_all(1)
-        with self._lock:
-            if ok:
-                self._sessions_admitted += 1
-            else:
-                self._sessions_shed += 1
+        if ok:
+            self._counters.add(sessions_admitted=1)
+        else:
+            self._counters.add(sessions_shed=1)
         return ok
 
     def release_session(self) -> None:
@@ -84,13 +89,10 @@ class EdgeAdmission:
     def admit_frame(self, n_queries: int) -> bool:
         """One submit frame asks in — whole or not at all."""
         ok = self._query_gate is None or self._query_gate.admit_all(n_queries)
-        with self._lock:
-            if ok:
-                self._frames_admitted += 1
-                self._queries_admitted += n_queries
-            else:
-                self._frames_shed += 1
-                self._queries_shed += n_queries
+        if ok:
+            self._counters.add(frames_admitted=1, queries_admitted=n_queries)
+        else:
+            self._counters.add(frames_shed=1, queries_shed=n_queries)
         return ok
 
     def release_frame(self, n_queries: int) -> None:
@@ -102,26 +104,15 @@ class EdgeAdmission:
 
     @property
     def sessions_shed(self) -> int:
-        with self._lock:
-            return self._sessions_shed
+        return self._counters.value("sessions_shed")
 
     @property
     def frames_shed(self) -> int:
-        with self._lock:
-            return self._frames_shed
+        return self._counters.value("frames_shed")
 
     def snapshot(self) -> dict:
-        with self._lock:
-            counters = {
-                "sessions_admitted": self._sessions_admitted,
-                "sessions_shed": self._sessions_shed,
-                "frames_admitted": self._frames_admitted,
-                "frames_shed": self._frames_shed,
-                "queries_admitted": self._queries_admitted,
-                "queries_shed": self._queries_shed,
-            }
         return {
-            **counters,
+            **self._counters.snapshot(),
             "session_gate": (
                 self._session_gate.snapshot() if self._session_gate else None
             ),

@@ -34,10 +34,12 @@ id. Malformed frames are answered with structured error frames and the
 session carries on at the next frame boundary; only a broken handshake
 or a transport error ends it.
 
-Everything the server does is counted in the service's shared
+Everything the server does is counted once — sessions, frames, bytes
+and queries in the service's shared
 :class:`~repro.runtime.metrics.RuntimeMetrics` (``server_*`` counters,
-``server_decode``/``server_submit``/``server_reply`` stage timings) and
-surfaces as ``QuercService.stats()["server"]``.
+``server_decode``/``server_submit``/``server_reply`` stage timings),
+sheds by the :class:`~repro.server.edge.EdgeAdmission` that refuses
+them — and surfaces as ``QuercService.stats()["server"]``.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro.errors import ServerError, ServiceError
-from repro.server.edge import EdgeAdmission
+from repro.server.edge import EDGE_SHEDS, EdgeAdmission
 from repro.server.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -236,7 +238,6 @@ class QuercServer:
             if self._closing:
                 code = ErrorCode.SHUTTING_DOWN
             elif not self.edge.admit_session():
-                self.metrics.add(server_sessions_shed=1)
                 code = ErrorCode.SERVER_BUSY
             if code is not None:
                 # best-effort refusal frame; the session never existed
@@ -282,13 +283,15 @@ class QuercServer:
     def stats(self) -> dict:
         """The serving tier's snapshot — ``stats()["server"]``.
 
-        Counters come from the shared
-        :class:`~repro.runtime.metrics.RuntimeMetrics` (one source of
-        truth); ``edge`` is the admission gates' own view; the
+        Session, frame, byte and query counters come from the shared
+        :class:`~repro.runtime.metrics.RuntimeMetrics`; the shed
+        counters (and ``edge``, the admission gates' full view) from
+        the :class:`~repro.server.edge.EdgeAdmission` that sheds. The
         ``server_*`` stage timings sit alongside the pipeline stages
         in ``stats()["runtime"]["stage_seconds"]``.
         """
         snapshot = self.metrics.snapshot()
+        edge = self.edge.snapshot()
         return {
             "address": list(self.address) if self.address else None,
             "running": self._server is not None,
@@ -296,12 +299,13 @@ class QuercServer:
             "max_inflight_per_session": self.max_inflight_per_session,
             "max_frame_bytes": self.max_frame_bytes,
             **snapshot["server"],
+            **{key: edge[key] for key in EDGE_SHEDS},
             "stage_seconds": {
                 name: seconds
                 for name, seconds in snapshot["stage_seconds"].items()
                 if name.startswith("server_")
             },
-            "edge": self.edge.snapshot(),
+            "edge": edge,
         }
 
 
@@ -557,7 +561,6 @@ class _Session:
         # the edge decision: shed here and the frame never touches a
         # lane, an executor thread, or a backend gate
         if not server.edge.admit_frame(n):
-            server.metrics.add(server_frames_shed=1, server_queries_shed=n)
             await self._send(
                 error_frame(
                     ErrorCode.SERVER_BUSY,

@@ -97,23 +97,19 @@ def no_thread_leaks():
     every thread born during it is gone afterwards — the hygiene
     contract for everything that owns a pool (the staged executor's
     stage workers, the router's fan-out pool): ``close()`` must join
-    its threads, not abandon daemons. A short grace period absorbs
-    workers that are mid-exit when the test body returns.
+    its threads, not abandon daemons. Each new thread is joined against
+    one shared deadline, which absorbs workers that are mid-exit when
+    the test body returns.
     """
     # snapshot thread objects, not idents — the OS recycles idents, and
     # a recycled ident would mask a genuine leak
     before = set(threading.enumerate())
     yield
     deadline = time.monotonic() + 5.0
-    while True:
-        leaked = [
-            t
-            for t in threading.enumerate()
-            if t not in before and t.is_alive()
-        ]
-        if not leaked or time.monotonic() > deadline:
-            break
-        time.sleep(0.01)
+    for thread in threading.enumerate():
+        if thread not in before:
+            thread.join(max(0.0, deadline - time.monotonic()))
+    leaked = [t for t in threading.enumerate() if t not in before and t.is_alive()]
     assert not leaked, (
         "test leaked worker threads (close() must join them): "
         + ", ".join(repr(t.name) for t in leaked)

@@ -412,7 +412,7 @@ class TestRouterResilience:
         assert binding.counters.value("retries") == 2
         assert binding.counters.value("executed_ok") == 4
         assert_invariant(binding)
-        assert router.metrics.snapshot()["retries"] == 2
+        assert router.resilience_snapshot()["retries"] == 2
 
     def test_retry_exhaustion_fails_over_to_sibling(self):
         clock = FakeClock()
@@ -448,7 +448,7 @@ class TestRouterResilience:
         assert registry.get("standby").counters.value("failovers_in") == 1
         assert_invariant(primary)
         assert_invariant(registry.get("standby"))
-        assert router.metrics.snapshot()["failovers"] == 1
+        assert router.resilience_snapshot()["failovers"] == 1
 
     def test_retry_exhaustion_without_sibling_raises(self):
         clock = FakeClock()
@@ -494,7 +494,7 @@ class TestRouterResilience:
         assert origin.retries == 0
         primary = registry.get("primary")
         assert primary.counters.value("deadline_expiries") == 1
-        assert router.metrics.snapshot()["deadline_expiries"] == 1
+        assert router.resilience_snapshot()["deadline_expiries"] == 1
 
     def test_breaker_trips_and_short_circuits_to_sibling(self):
         clock = FakeClock()
@@ -576,10 +576,10 @@ class TestRouterResilience:
         assert report.executed_ok == 2
         breaker = registry.get("primary").breaker
         assert breaker.state is BreakerState.CLOSED
-        metrics = router.metrics.snapshot()
-        assert metrics["breaker_opens"] == 1
-        assert metrics["breaker_half_opens"] == 1
-        assert metrics["breaker_closes"] == 1
+        transitions = breaker.snapshot()
+        assert transitions["opens"] == 1
+        assert transitions["half_opens"] == 1
+        assert transitions["closes"] == 1
 
     def test_all_failed_outcomes_feed_breaker_but_do_not_retry(self):
         clock = FakeClock()
@@ -740,7 +740,6 @@ class TestRouterResilience:
         assert binding.counters.value("queue_evicted") == 2
         assert any(d.from_queue for d in report.decisions)
         assert_invariant(binding)
-        assert router.metrics.snapshot()["queue_evictions"] == 2
         snap = router.resilience_snapshot()
         assert snap["queue_evicted"] == 2
 

@@ -2,13 +2,19 @@
 
 Runs the same checks as ``tools/check_doc_links.py`` (which CI invokes
 as the docs-health step) so a broken internal link or an unindexed
-example fails the ordinary test run too, not just CI.
+example fails the ordinary test run too, not just CI. The examples
+that print ``stats()`` counters are run, not only compiled.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,3 +51,21 @@ def test_examples_compile():
     assert compileall.compile_dir(
         str(REPO_ROOT / "examples"), quiet=2, force=True
     )
+
+
+@pytest.mark.parametrize(
+    "example", ["fault_tolerant_serving.py", "network_serving.py"]
+)
+def test_counter_printing_examples_run(example):
+    """The examples that print ``stats()`` counters run to completion —
+    a vanished key is a ``KeyError`` here, which compiling cannot see."""
+    pythonpath = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "examples" / example)],
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]

@@ -8,6 +8,8 @@ mixed TPC-H/SnowSim batch — plus the Qworker sink fan-out hardening.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -181,9 +183,9 @@ class TestPipelineDedup:
 
         assert len(counting.calls) == 1  # nothing re-embedded
         np.testing.assert_array_equal(first, second)
-        assert pipe.metrics.cache_hits == 2
-        assert pipe.metrics.cache_misses == 2
-        assert pipe.metrics.cache_hit_rate == pytest.approx(0.5)
+        # the cache counts its own hits; the runtime view reads them there
+        assert (pipe.cache.hits, pipe.cache.misses) == (2, 2)
+        assert pipe.snapshot()["cache_hit_rate"] == pytest.approx(0.5)
 
     def test_run_embeds_once_per_distinct_embedder(
         self, fitted_bow, snowsim_records
@@ -257,7 +259,7 @@ class TestPipelineDedup:
         fresh = pipe.embed(emb, q)
         np.testing.assert_array_equal(fresh, emb.transform(q))
         assert not np.array_equal(stale, fresh)
-        assert pipe.metrics.cache_hits == 0  # generation changed: miss
+        assert pipe.cache.hits == 0  # generation changed: miss
 
     def test_dead_embedder_namespace_never_reused(self, small_corpus):
         """After an embedder is garbage-collected, a fresh same-class
@@ -612,35 +614,41 @@ class TestRuntimeMetrics:
     def test_ratios_safe_on_empty(self):
         metrics = RuntimeMetrics()
         assert metrics.dedup_ratio == 0.0
-        assert metrics.cache_hit_rate == 0.0
+        assert metrics.snapshot()["fingerprint_memo_hit_rate"] == 0.0
 
     def test_add_rejects_unknown_counter(self):
         with pytest.raises(KeyError):
             RuntimeMetrics().add(no_such_counter=1)
-        with pytest.raises(KeyError):  # a field, but not a counter
+        with pytest.raises(KeyError):  # an attribute, but not a counter
             RuntimeMetrics().add(stage_seconds=1)
+        with pytest.raises(KeyError):  # counted by its owner, not here
+            RuntimeMetrics().add(cache_hits=1)
+
+    def test_add_with_an_unknown_counter_applies_nothing(self):
+        metrics = RuntimeMetrics()
+        with pytest.raises(KeyError):
+            metrics.add(batches=1, no_such_counter=1)
+        assert metrics.batches == 0
 
     def test_snapshot_views_cover_every_counter_once(self):
-        """The key sets ``snapshot()`` has always had, with every counter
-        landing in exactly one of the flat / ``server`` views."""
+        """The 16 counters no other object keeps, each landing in
+        exactly one of the flat / ``server`` views. Cache, resilience,
+        breaker and edge-shed counts are read from their owners by
+        ``QuercService.stats()``."""
         metrics = RuntimeMetrics()
         metrics.add(**{name: i + 1 for i, name in enumerate(metrics._COUNTERS)})
         snap = metrics.snapshot()
         assert set(snap) == {
             "batches", "queries", "unique_templates", "embedded_templates",
-            "transform_calls", "cache_hits", "cache_misses", "cache_hit_rate",
-            "fingerprint_memo_hits", "fingerprint_memo_misses",
-            "fingerprint_memo_hit_rate", "intern_overflow", "retries",
-            "failovers", "deadline_expiries", "queue_evictions",
-            "breaker_opens", "breaker_half_opens", "breaker_closes",
-            "server", "dedup_ratio", "stage_seconds",
+            "transform_calls", "fingerprint_memo_hits",
+            "fingerprint_memo_misses", "fingerprint_memo_hit_rate",
+            "intern_overflow", "server", "dedup_ratio", "stage_seconds",
         }  # fmt: skip
         assert set(snap["server"]) == {
-            "sessions", "sessions_closed", "sessions_shed", "frames_in",
-            "frames_out", "frames_shed", "bytes_in", "bytes_out",
-            "protocol_errors", "queries", "queries_shed",
+            "sessions", "sessions_closed", "frames_in", "frames_out",
+            "bytes_in", "bytes_out", "protocol_errors", "queries",
         }  # fmt: skip
-        assert len(metrics._COUNTERS) == 28
+        assert len(metrics._COUNTERS) == 16
         for i, name in enumerate(metrics._COUNTERS):
             view, key = (
                 (snap["server"], name.removeprefix("server_"))
@@ -648,7 +656,8 @@ class TestRuntimeMetrics:
                 else (snap, name)
             )
             assert view[key] == i + 1, name
-        assert snap["cache_hit_rate"] == pytest.approx(6 / 13)
+            assert getattr(metrics, name) == i + 1, name
+        assert snap["fingerprint_memo_hit_rate"] == pytest.approx(6 / 13)
         assert snap["dedup_ratio"] == pytest.approx(1 - 3 / 2)
 
     def test_reset_keeps_routing_stage_keys(self):
@@ -669,22 +678,33 @@ class TestRuntimeMetrics:
 
         def hammer():
             for _ in range(iterations):
-                metrics.add(batches=1, queries=3, cache_hits=2, cache_misses=1)
+                metrics.add(
+                    batches=1,
+                    queries=3,
+                    fingerprint_memo_hits=2,
+                    fingerprint_memo_misses=1,
+                )
                 with metrics.stage("embed"):
                     pass
 
         threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch often, so a lost update shows
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         snap = metrics.snapshot()
         total = n_threads * iterations
         assert snap["batches"] == total
         assert snap["queries"] == 3 * total
-        assert snap["cache_hits"] == 2 * total
-        assert snap["cache_misses"] == 1 * total
-        assert snap["cache_hit_rate"] == pytest.approx(2 / 3)
+        assert snap["fingerprint_memo_hits"] == 2 * total
+        assert snap["fingerprint_memo_misses"] == 1 * total
+        assert snap["fingerprint_memo_hit_rate"] == pytest.approx(2 / 3)
         assert snap["stage_seconds"]["embed"] > 0.0
 
     def test_snapshot_consistent_under_concurrent_writes(self):
@@ -697,12 +717,13 @@ class TestRuntimeMetrics:
 
         def writer():
             while not stop.is_set():
-                metrics.add(cache_hits=2, cache_misses=1)
+                metrics.add(fingerprint_memo_hits=2, fingerprint_memo_misses=1)
 
         def reader():
             for _ in range(2000):
                 snap = metrics.snapshot()
-                if snap["cache_hits"] != 2 * snap["cache_misses"]:
+                hits = snap["fingerprint_memo_hits"]
+                if hits != 2 * snap["fingerprint_memo_misses"]:
                     torn.append(snap)
             stop.set()
 

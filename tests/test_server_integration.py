@@ -437,10 +437,11 @@ class TestEdgeAdmission:
         # no lane existed for the shed frame; one for the admitted one
         lanes = service.stats()["executor"]["lanes"]
         assert lanes["edge-app"]["submitted"] == 1
-        # the service-level view agrees
+        # the service-level view agrees, read from the edge that shed
         stats = service.stats()["server"]
         assert stats["queries_shed"] == 8
         assert stats["queries"] == 3
+        assert stats["frames_shed"] == stats["edge"]["frames_shed"] == 1
         service.close()
 
     def test_inflight_gate_releases_when_results_stream(self, run_async):
@@ -503,4 +504,5 @@ class TestEdgeAdmission:
         stats = service.stats()["server"]
         assert stats["frames_shed"] == 1
         assert stats["queries_shed"] == 5
+        assert stats["frames_shed"] == stats["edge"]["frames_shed"]
         service.close()
