@@ -569,8 +569,9 @@ def _aggregate_plan_cache(backends_snapshot: dict) -> dict | None:
 
     Walks each binding's backend snapshot — following ``inner`` links
     so proxied backends (e.g. a latency proxy over minidb) are counted
-    once through their outermost wrapper — and sums the counters.
-    Returns ``None`` when no registered backend exposes a plan cache.
+    once through their outermost wrapper — and sums whatever counters
+    the stats carry, recomputing ``hit_rate`` from the sums. Returns
+    ``None`` when no registered backend exposes a plan cache.
     """
     caches: list[dict] = []
     for binding in backends_snapshot.values():
@@ -583,20 +584,10 @@ def _aggregate_plan_cache(backends_snapshot: dict) -> dict | None:
             node = node.get("inner")
     if not caches:
         return None
-    counters = (
-        "size",
-        "capacity",
-        "hits",
-        "fast_hits",
-        "misses",
-        "invalidated",
-        "evicted",
-        "admission_refused",
-        "uncacheable",
-        "literal_sensitive_templates",
-        "literal_sensitive_skips",
-    )
-    out = {name: sum(c.get(name, 0) for c in caches) for name in counters}
+    out: dict = {}
+    for cache in caches:
+        for name, value in cache.items():
+            out[name] = out.get(name, 0) + value
     total = out["hits"] + out["misses"]
     out["hit_rate"] = (out["hits"] / total) if total else 0.0
     out["backends_with_cache"] = len(caches)

@@ -149,9 +149,10 @@ class Database:
         """Plan ``sql`` through the cache, parsing only when needed.
 
         Verified-hot templates are served by
-        :meth:`~repro.minidb.plancache.PlanCache.try_fast` — binding
-        values extracted straight from the text, no parse; everything
-        else parses and goes through :meth:`PlanCache.fetch`.
+        :meth:`~repro.minidb.plancache.PlanCache.try_fast` — the binding
+        extracted straight from the text, no parse; everything else
+        parses and goes through :meth:`PlanCache.fetch`. Both meet the
+        same guard chain with the same binding for the same text.
         """
         if fingerprint_key is None:
             fingerprint_key = template_fingerprint(sql)

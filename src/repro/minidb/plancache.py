@@ -16,10 +16,13 @@ added to the planner is re-bound and rendered without a change here.
 Planning (join enumeration, index selection, selectivity
 estimation) is paid once per template instead of once per query — and
 once a template has cleared verification, even *parsing* is skipped:
-the binding values are extracted straight from the query text by the
-template's :class:`~repro.sql.params.FastBindingRecipe` (one regex
-scan) and re-bound into the cached plan, so a hot template pays only
-extraction, re-binding and execution.
+the binding is extracted straight from the query text by the
+template's :class:`~repro.sql.params.FastBindingRecipe` (one pass of
+the normalizer's fast scanner) and re-bound into the cached plan, so a
+hot template pays only extraction, re-binding and execution. Both
+routes hand the cache the same :class:`~repro.sql.params.ParameterBinding`
+and meet the same guard chain (``PlanCache._guard``): ``fetch`` acts
+on every verdict, ``try_fast`` serves only a hit.
 
 Soundness guards, in order of application:
 
@@ -39,11 +42,15 @@ Soundness guards, in order of application:
   rebinding (and ``plan_shape`` folds literal values inside them).
 * **Literal-sensitivity.** Selectivity estimates read literal values,
   so the *chosen plan shape* can genuinely depend on the binding. The
-  first ``verify_bindings`` distinct bindings of each template are
+  first ``VERIFY_BINDINGS`` distinct bindings of each template are
   planned fresh and their shapes compared against the cached plan's;
   any divergence marks the template literal-sensitive and it falls
   back to per-query planning forever. Rows stay byte-identical either
   way — the guard protects plan *quality* from silently regressing.
+* **Kind drift**, checked between the literal-sensitive mark and the
+  verification window: a binding whose literal kinds differ from the
+  cached plan's (a date where the template had a plain string) is
+  planned fresh, never re-bound.
 
 The cache keeps one record per template ``(fingerprint_key, config)``:
 the template's recipe (or the proven "no recipe") and its plans, one
@@ -75,16 +82,15 @@ from itertools import repeat
 from typing import Callable, Hashable, get_args
 
 from repro.sql import ast
-from repro.sql.params import (
-    FastBindingRecipe,
-    ParameterBinding,
-    build_fast_recipe,
-    iter_literal_slots,
-)
+from repro.sql.params import FastBindingRecipe, ParameterBinding, build_fast_recipe
 
 from repro.minidb.planner import PlanNode
 
-__all__ = ["PlanCache", "PlanRebinder", "plan_shape"]
+__all__ = ["PlanCache", "PlanRebinder", "VERIFY_BINDINGS", "plan_shape"]
+
+# Distinct bindings of a template planned fresh and shape-compared
+# with its cached plan before the plan is re-bound for new bindings.
+VERIFY_BINDINGS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +202,12 @@ _OPAQUE = (ast.InSubquery, ast.Exists, ast.ScalarSubquery)
 class PlanRebinder:
     """Substitutes a fresh query's literals into a cached template plan.
 
-    Built from the template statement the plan was compiled from: a
-    deterministic literal-slot walk (:func:`iter_literal_slots`) gives
-    each literal instance an ordinal, and — because the planner carried
-    those instances into the plan by identity — rewriting the plan by
-    instance identity re-binds exactly the template's slots.
+    Built from the literal slots of the statement the plan was compiled
+    from (its :class:`~repro.sql.params.ParameterBinding`'s ``slots``,
+    in walk order): each slot instance gets its ordinal, and — because
+    the planner carried those instances into the plan by identity —
+    rewriting the plan by instance identity re-binds exactly the
+    template's slots.
 
     The first re-bind walks the plan once and keeps, for every
     container (node, expression, tuple, dict) that lies on a path from
@@ -215,8 +222,8 @@ class PlanRebinder:
 
     __slots__ = ("_plan", "_base_slots", "_root")
 
-    def __init__(self, stmt: ast.SelectStatement, plan: PlanNode) -> None:
-        self._base_slots = tuple(iter_literal_slots(stmt))
+    def __init__(self, slots: tuple[ast.Literal, ...], plan: PlanNode) -> None:
+        self._base_slots = slots
         self._plan = plan
         self._root = _UNMARKED
 
@@ -292,28 +299,14 @@ def _rebind(path, bound: list[ast.Literal], done: dict[int, object]):
 
 
 class _Entry:
-    __slots__ = (
-        "plan",
-        "rebinder",
-        "kinds",
-        "epoch",
-        "seen",
-        "literal_sensitive",
-    )
+    __slots__ = ("plan", "rebinder", "kinds", "epoch", "seen", "literal_sensitive")
 
-    def __init__(
-        self,
-        plan: PlanNode,
-        rebinder: PlanRebinder,
-        kinds: tuple[str, ...],
-        epoch: int,
-        first: tuple,
-    ) -> None:
+    def __init__(self, plan: PlanNode, binding: ParameterBinding, epoch: int) -> None:
         self.plan = plan
-        self.rebinder = rebinder
-        self.kinds = kinds
+        self.rebinder = PlanRebinder(binding.slots, plan)
+        self.kinds = binding.kinds
         self.epoch = epoch
-        self.seen: set[tuple] = {first}  # distinct shape-verified bindings
+        self.seen: set[tuple] = {binding.values}  # distinct shape-verified bindings
         self.literal_sensitive = False
 
 
@@ -329,6 +322,10 @@ class _Template:
         self.plans: dict[tuple, _Entry] = {}
 
 
+# Where the guard chain stops a binding, in the order the guards apply.
+_COLD, _STALE, _SENSITIVE, _DRIFT, _VERIFY, _HIT = range(6)
+
+
 class PlanCache:
     """Bounded, thread-safe cache of prepared template plans.
 
@@ -337,13 +334,14 @@ class PlanCache:
     ``plan_fresh`` thunk; it returns a plan — cached, re-bound, or
     freshly planned — applying the invalidation, literal-sensitivity
     and admission rules documented in the module docstring.
+    ``try_fast`` is its parse-free front: the same guard chain
+    (:meth:`_guard`), serving only a hit.
     """
 
-    def __init__(self, capacity: int = 256, verify_bindings: int = 3) -> None:
+    def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self._capacity = capacity
-        self._verify = max(1, verify_bindings)
         # (fingerprint_key, config) -> _Template, least recently used
         # first; ``_size`` counts the plans across them
         self._templates: OrderedDict[Hashable, _Template] = OrderedDict()
@@ -366,14 +364,35 @@ class PlanCache:
         with self._lock:
             return self._size
 
-    @property
-    def verify_bindings(self) -> int:
-        return self._verify
-
     def note_uncacheable(self) -> None:
         """Record a query that bypassed the cache (rebind-unsafe)."""
         with self._lock:
             self._uncacheable += 1
+
+    def _guard(
+        self,
+        record: _Template | None,
+        limits: tuple,
+        epoch: int,
+        binding: ParameterBinding,
+    ) -> tuple[int, _Entry | None]:
+        """Where the guard chain stops ``binding``, and the cached entry
+        it was checked against (None when there is none). The caller
+        holds the lock; nothing is changed here."""
+        entry = None if record is None else record.plans.get(limits)
+        if entry is None:
+            return _COLD, None
+        if entry.epoch != epoch:
+            return _STALE, entry  # planned against an older catalog
+        if entry.literal_sensitive:
+            return _SENSITIVE, entry
+        if binding.kinds != entry.kinds:
+            # same fingerprint, different literal kinds (e.g. a date vs
+            # a plain string) — don't risk a kind-confused rebind
+            return _DRIFT, entry
+        if len(entry.seen) < VERIFY_BINDINGS and binding.values not in entry.seen:
+            return _VERIFY, entry  # still verifying: plan fresh, compare shapes
+        return _HIT, entry
 
     def fetch(
         self,
@@ -386,7 +405,9 @@ class PlanCache:
     ) -> PlanNode:
         """Return a plan for ``stmt``, consulting/maintaining the cache.
 
-        ``key`` must be ``(fingerprint_key, config, limits)``. When
+        ``key`` must be ``(fingerprint_key, config, limits)`` and
+        ``binding`` must be ``extract_parameters(stmt)``: its slots are
+        the literal instances ``plan_fresh`` plans ``stmt`` with. When
         ``sql`` is given, the template's parse-free extraction recipe
         is derived from it when the template's record is created, so
         later texts can take :meth:`try_fast`.
@@ -395,65 +416,39 @@ class PlanCache:
         with self._lock:
             self._count(template_key)
             record = self._templates.get(template_key)
-            entry = None
             if record is not None:
                 self._templates.move_to_end(template_key)
-                entry = record.plans.get(limits)
-
-            if entry is None or entry.epoch != epoch:
-                plan = plan_fresh()
-                self._misses += 1
-                if entry is not None:
-                    # planned against an older catalog: replaced in place
-                    self._invalidated += 1
-                elif self._admit(template_key):
-                    if record is None:
-                        record = self._templates[template_key] = _Template(
-                            None if sql is None else build_fast_recipe(sql, binding)
-                        )
-                    self._size += 1
-                else:
-                    self._refused += 1
-                    return plan
-                record.plans[limits] = _Entry(
-                    plan,
-                    PlanRebinder(stmt, plan),
-                    binding.kinds,
-                    epoch,
-                    binding.values,
-                )
-                if self._size > self._capacity:
-                    self._evict_one()
-                return plan
-
-            if entry.literal_sensitive:
-                self._sensitive_skips += 1
-                self._misses += 1
-                return plan_fresh()
-
-            if binding.kinds != entry.kinds:
-                # same fingerprint, different literal kinds (e.g. a date
-                # vs a plain string) — don't risk a kind-confused rebind
-                self._misses += 1
-                return plan_fresh()
-
-            if binding.values in entry.seen:
+            verdict, entry = self._guard(record, limits, epoch, binding)
+            if verdict == _HIT:
                 self._hits += 1
                 return entry.rebinder.rebind(binding.slots)
 
-            if len(entry.seen) < self._verify:
-                # still verifying: plan fresh and compare shapes
-                plan = plan_fresh()
-                self._misses += 1
+            plan = plan_fresh()
+            self._misses += 1
+            if verdict == _COLD:
+                if not self._admit(template_key):
+                    self._refused += 1
+                    return plan
+                if record is None:
+                    record = self._templates[template_key] = _Template(
+                        None if sql is None else build_fast_recipe(sql, binding)
+                    )
+                self._size += 1
+                record.plans[limits] = _Entry(plan, binding, epoch)
+                if self._size > self._capacity:
+                    self._evict_one()
+            elif verdict == _STALE:
+                self._invalidated += 1
+                record.plans[limits] = _Entry(plan, binding, epoch)
+            elif verdict == _SENSITIVE:
+                self._sensitive_skips += 1
+            elif verdict == _VERIFY:
                 if plan_shape(plan) != plan_shape(entry.plan):
                     entry.literal_sensitive = True
                     self._sensitive_templates += 1
                 else:
                     entry.seen.add(binding.values)
-                return plan
-
-            self._hits += 1
-            return entry.rebinder.rebind(binding.slots)
+            return plan
 
     def try_fast(
         self,
@@ -464,14 +459,14 @@ class PlanCache:
     ) -> PlanNode | None:
         """Serve a verified template without parsing ``sql`` at all.
 
-        Extracts the binding values straight from the text via the
-        template's :class:`~repro.sql.params.FastBindingRecipe` and
-        re-binds the cached plan. Returns None whenever anything at all
-        is unproven — no recipe, odd text, stale epoch, kind drift,
-        literal-sensitive template, or a binding the verification
-        window has not yet cleared — in which case the caller must
-        take the ordinary parse + :meth:`fetch` path. Misses and
-        verification bookkeeping happen there, never here.
+        Extracts the binding straight from the text via the template's
+        :class:`~repro.sql.params.FastBindingRecipe` and puts it
+        through the same guard chain as :meth:`fetch`. Returns the
+        re-bound plan exactly where ``fetch`` would count a hit, and
+        None otherwise — no recipe, odd text, or any other verdict —
+        in which case the caller must take the ordinary parse +
+        :meth:`fetch` path. Misses and verification bookkeeping happen
+        there, never here.
         """
         template_key = (fingerprint_key, config)
         with self._lock:
@@ -479,32 +474,20 @@ class PlanCache:
         recipe = None if record is None else record.recipe
         if recipe is None:
             return None
-        extracted = recipe.extract(sql)
-        if extracted is None:
+        binding = recipe.extract(sql)
+        if binding is None:
             return None
-        values, limits = extracted
         with self._lock:
             # the record may have been evicted since the first lookup
             record = self._templates.get(template_key)
-            entry = None if record is None else record.plans.get(limits)
-            if (
-                entry is None
-                or entry.epoch != epoch
-                or entry.literal_sensitive
-                or entry.kinds != recipe.kinds
-            ):
+            verdict, entry = self._guard(record, binding.limits, epoch, binding)
+            if verdict != _HIT:
                 return None
-            if values not in entry.seen and len(entry.seen) < self._verify:
-                return None  # still inside the verification window
             self._templates.move_to_end(template_key)
             self._count(template_key)
             self._hits += 1
             self._fast_hits += 1
-            slots = tuple(
-                ast.Literal(value, kind)
-                for value, kind in zip(values, entry.kinds)
-            )
-            return entry.rebinder.rebind(slots)
+            return entry.rebinder.rebind(binding.slots)
 
     # -- the LRU and its doorkeeper (callers hold the lock) ---------------------
 

@@ -298,10 +298,13 @@ class Planner:
         join_edges: dict[frozenset[str], list[tuple[ast.Column, ast.Column]]] = {}
         local_filters: dict[str, list[ast.Expr]] = {b.binding: [] for b in bindings}
         pending: list[tuple[frozenset[str], str, object]] = []
+        # a LEFT JOIN's right side: a predicate reading it must see the
+        # join's output (unmatched rows included), not filter below it
+        nullable = frozenset(right for _, right, _ in left_specs)
 
         for conjunct in conjuncts + on_conjuncts:
             self._classify_conjunct(
-                conjunct, scope, join_edges, local_filters, pending
+                conjunct, scope, join_edges, local_filters, pending, nullable
             )
 
         used_columns = self._collect_used_columns(
@@ -317,7 +320,7 @@ class Planner:
         # attach single-binding pending predicates before joining
         attached: set[int] = set()
         for i, (needed, kind, payload) in enumerate(pending):
-            if len(needed) == 1:
+            if len(needed) == 1 and not needed & nullable:
                 binding = next(iter(needed))
                 access[binding] = self._attach_pending(
                     access[binding], kind, payload, scope
@@ -393,7 +396,13 @@ class Planner:
         join_edges: dict[frozenset[str], list[tuple[ast.Column, ast.Column]]],
         local_filters: dict[str, list[ast.Expr]],
         pending: list[tuple[frozenset[str], str, object]],
+        nullable: frozenset[str],
     ) -> None:
+        """File one WHERE or inner-join ON conjunct: as a join edge, a
+        scan filter of one binding, or a pending predicate attached once
+        every binding it needs is joined. One that reads a ``nullable``
+        binding (a LEFT JOIN's right side) is never an edge or a scan
+        filter: it waits for that join."""
         # join edge: col = col across two bindings
         if (
             isinstance(conjunct, ast.BinaryOp)
@@ -403,7 +412,7 @@ class Planner:
         ):
             lb, l_outer = scope.resolve(conjunct.left)
             rb, r_outer = scope.resolve(conjunct.right)
-            if not l_outer and not r_outer and lb != rb:
+            if not l_outer and not r_outer and lb != rb and not {lb, rb} & nullable:
                 left = ast.Column(conjunct.left.name, lb)
                 right = ast.Column(conjunct.right.name, rb)
                 join_edges.setdefault(frozenset((lb, rb)), []).append((left, right))
@@ -452,7 +461,7 @@ class Planner:
         if _contains_scalar_subquery(qualified):
             target = refs or {next(iter(scope.bindings))}
             pending.append((frozenset(target), "filter", qualified))
-        elif len(refs) == 1:
+        elif len(refs) == 1 and not refs & nullable:
             local_filters[next(iter(refs))].append(qualified)
         else:
             pending.append((frozenset(refs), "filter", qualified))

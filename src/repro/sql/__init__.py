@@ -23,7 +23,6 @@ from repro.sql.params import (
     ParameterBinding,
     build_fast_recipe,
     extract_parameters,
-    iter_literal_slots,
 )
 from repro.sql.features import SyntacticFeatureExtractor
 
@@ -39,6 +38,5 @@ __all__ = [
     "ParameterBinding",
     "build_fast_recipe",
     "extract_parameters",
-    "iter_literal_slots",
     "SyntacticFeatureExtractor",
 ]

@@ -28,11 +28,15 @@ per query per batch), this module also owns two process-wide tables:
   ("no slot") and callers fall back to per-batch, uncached handling —
   a long-tailed stream can degrade throughput but never memory.
 
-The common case additionally bypasses the character-at-a-time lexer: a
-single compiled regex produces the literal-folded token stream for
-plain ASCII SQL, bailing to the full lexer whenever it sees a
-construct it does not model (comments, quoted identifiers, non-ASCII),
-so the fast path is an optimization, never a semantic fork.
+The common case additionally bypasses the character-at-a-time lexer:
+one fast scanner, :func:`fast_tokens`, splits plain ASCII SQL into
+categorized lexemes with a single compiled regex, and bails (returns
+None) whenever it sees a construct it does not model (block comments,
+doubled-quote escapes, non-ASCII), so the fast path is an
+optimization, never a semantic fork. It has two readers, each with its
+own rendering: the literal-folded stream fingerprints are made of, and
+the literal lexemes a prepared template's
+:class:`~repro.sql.params.FastBindingRecipe` binds from.
 """
 
 from __future__ import annotations
@@ -112,7 +116,7 @@ def _render(tok: Token, fold_literals: bool) -> str:
     return tok.value
 
 
-# -- fast folded-stream scanner ----------------------------------------------
+# -- the fast scanner ----------------------------------------------------------
 
 # Constructs the fast scanner does not model. Their mere *presence*
 # anywhere in the text (even inside a string literal) routes the query
@@ -122,122 +126,92 @@ def _render(tok: Token, fold_literals: bool) -> str:
 # they bail even though simple quoted identifiers are handled below.
 _SLOW_CONSTRUCTS = re.compile(r"/\*|\"\"|``|[#\[]")
 
-# One alternative per lexical category, ordered exactly like the
-# lexer's dispatch: strings, then parameter markers, then numbers,
-# then words, then multi- before single-char operators, then
-# punctuation. Exactly one group matches per token, so ``lastindex``
-# identifies the category. Any character no alternative claims shows
-# up as a gap between matches and sends the query to the full lexer.
-# ``--`` line comments share the whitespace group (both are skipped);
-# the alternative must precede the operator class so ``--`` is never
-# read as two minus operators. Quoted identifiers are last: nothing
-# else can claim a quote character, and a quote whose mate sits past a
-# newline (or is missing) leaves a gap and bails.
+# Whitespace and ``--`` line comments, skipped between tokens.
+_SKIPPED = r"(?:\s|--[^\n]*)*"
+_LEADING = re.compile(_SKIPPED)
+
+# One match per token, with the skipped text after it: one alternative
+# per lexical category, ordered exactly like the lexer's dispatch —
+# strings, parameter markers, numbers, words, multi- before single-char
+# operators, punctuation — so exactly one group matches and
+# ``lastindex`` is the category. A token is never read out of ``--``:
+# it is skipped text wherever a token could start. Quoted identifiers
+# come last among the categories, since nothing else can claim a quote
+# character. The final group takes whatever no category claims (an
+# unclaimed character, a quote whose mate sits past a newline or is
+# missing) together with the rest of the text, so the matches cover
+# the text without gaps and only the last can be unclaimed.
 _FAST_TOKEN = re.compile(
     r"""
-      (\s+|--[^\n]*)                                # 1 whitespace / line comment
-    | ('[^']*(?:''[^']*)*')                         # 2 string literal
-    | (\?|\$\d+|%s|:[A-Za-z_][A-Za-z0-9_]*)         # 3 parameter marker
+    (?:
+      ('[^']*(?:''[^']*)*')                         # 1 string literal
+    | (\?|\$\d+|%s|:[A-Za-z_][A-Za-z0-9_]*)         # 2 parameter marker
     | (0[xX][0-9a-fA-F]*
-       |(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)       # 4 number
-    | ([A-Za-z_][A-Za-z0-9_$]*)                     # 5 keyword / identifier
-    | (->>|->|<>|!=|>=|<=|\|\||::|[-+*/%<>=^&|~])   # 6 operator
-    | ([(),.;\]{}])                                 # 7 punctuation
-    | ("[^"\n]*"|`[^`\n]*`)                         # 8 quoted identifier
-    """,
+       |(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)       # 3 number
+    | ([A-Za-z_][A-Za-z0-9_$]*)                     # 4 keyword / identifier
+    | (->>|->|<>|!=|>=|<=|\|\||::|[-+*/%<>=^&|~])   # 5 operator
+    | ([(),.;\]{}])                                 # 6 punctuation
+    | ("[^"\n]*"|`[^`\n]*`)                         # 7 quoted identifier
+    | ([\s\S]+)                                     # 8 unclaimed rest
+    )
+    """
+    + _SKIPPED,
     re.VERBOSE,
 )
 
-_WS, _STR, _PARAM, _NUM, _WORD = 1, 2, 3, 4, 5
-_QUOTED = 8
+# Categories of a :func:`fast_tokens` entry. Literals come first, so
+# ``kind <= FAST_NUMBER`` tests for one.
+FAST_STRING, FAST_PARAMETER, FAST_NUMBER, FAST_WORD = 1, 2, 3, 4
+_QUOTED, _UNCLAIMED = 7, 8
+_FOLDED = {
+    FAST_STRING: STR_PLACEHOLDER,
+    FAST_PARAMETER: PARAM_PLACEHOLDER,
+    FAST_NUMBER: NUM_PLACEHOLDER,
+}
+
+
+def fast_tokens(sql: str) -> list[tuple[int, str]] | None:
+    """``(category, lexeme)`` for every token of ``sql``, or None.
+
+    Categories are the ``FAST_*`` constants (and operator, punctuation
+    and quoted-identifier codes nobody needs by name). None means "not
+    eligible" — non-ASCII, a construct the regex does not model, or a
+    character outside every category — and the caller must use the
+    full lexer or the parser instead.
+    """
+    if not sql.isascii() or _SLOW_CONSTRUCTS.search(sql) is not None:
+        return None
+    tokens = [
+        (kind := m.lastindex, m[kind])
+        for m in _FAST_TOKEN.finditer(sql, _LEADING.match(sql).end())
+    ]
+    if tokens and tokens[-1][0] == _UNCLAIMED:
+        return None  # the full lexer decides
+    return tokens
 
 
 def _fast_folded_stream(sql: str) -> list[str] | None:
-    """The literal-folded token stream via one regex pass, or None.
+    """The literal-folded rendering of :func:`fast_tokens`, or None.
 
-    None means "not eligible" (non-ASCII, a construct the regex does
-    not model, or a character outside every category) — the caller
-    must use the full lexer. A non-None result is byte-identical to
+    A non-None result is byte-identical to
     ``token_stream(sql, fold_literals=True)``.
     """
-    if not sql.isascii() or _SLOW_CONSTRUCTS.search(sql) is not None:
+    tokens = fast_tokens(sql)
+    if tokens is None:
         return None
     out: list[str] = []
     append = out.append
-    pos = 0
-    for match in _FAST_TOKEN.finditer(sql):
-        if match.start() != pos:
-            return None  # unclaimed character: the full lexer decides
-        pos = match.end()
-        kind = match.lastindex
-        if kind == _WS:
-            continue
-        if kind == _WORD:
-            word = match.group()
-            upper = word.upper()
-            append(upper if upper in KEYWORDS else word.lower())
-        elif kind == _NUM:
-            append(NUM_PLACEHOLDER)
-        elif kind == _STR:
-            append(STR_PLACEHOLDER)
-        elif kind == _PARAM:
-            append(PARAM_PLACEHOLDER)
+    for kind, text in tokens:
+        if kind == FAST_WORD:
+            upper = text.upper()
+            append(upper if upper in KEYWORDS else text.lower())
         elif kind == _QUOTED:
             # identifier rendering: the quoted text minus its delimiters,
             # lowercased without a keyword check — same as the lexer
-            append(match.group()[1:-1].lower())
+            append(text[1:-1].lower())
         else:
-            append(match.group())
-    if pos != len(sql):
-        return None
+            append(_FOLDED.get(kind, text))
     return out
-
-
-def fast_literal_tokens(
-    sql: str,
-) -> list[tuple[str, str, str | None, str | None]] | None:
-    """The literal tokens of ``sql`` in lexical order, or None.
-
-    Each entry is ``(category, text, prev_word, next_word)`` where
-    category is ``"num"``/``"str"``/``"param"``, ``text`` the raw
-    lexeme, and ``prev_word``/``next_word`` the lowercased bare-word
-    tokens *immediately* adjacent (None when the neighbor is not a
-    word) — enough context to recognize ``DATE '...'``, ``INTERVAL
-    '...' DAY`` and ``LIMIT n`` without parsing. None means the fast
-    scanner cannot fully tokenize the text (same eligibility rules as
-    :func:`_fast_folded_stream`); the caller must parse instead.
-    """
-    if not sql.isascii() or _SLOW_CONSTRUCTS.search(sql) is not None:
-        return None
-    out: list[list] = []
-    prev_word: str | None = None
-    pending: list | None = None  # last literal, awaiting its next_word
-    pos = 0
-    for match in _FAST_TOKEN.finditer(sql):
-        if match.start() != pos:
-            return None
-        pos = match.end()
-        kind = match.lastindex
-        if kind == _WS:
-            continue
-        if kind == _WORD:
-            word = match.group().lower()
-            if pending is not None:
-                pending[3] = word
-                pending = None
-            prev_word = word
-            continue
-        if pending is not None:
-            pending = None
-        if kind == _NUM or kind == _STR or kind == _PARAM:
-            category = "num" if kind == _NUM else ("str" if kind == _STR else "param")
-            record = [category, match.group(), prev_word, None]
-            out.append(record)
-            pending = record
-        prev_word = None
-    if pos != len(sql):
-        return None
-    return [tuple(r) for r in out]
 
 
 # -- fingerprint memo and interning table ------------------------------------
@@ -249,8 +223,8 @@ class FingerprintInterner:
     Ids are assigned first-come in ``[0, capacity)`` and never reused
     or evicted, so an id is a stable row index for the lifetime of the
     process — exactly what the runtime's vectorized embedding cache
-    keys its matrix rows on. When the table is full, :meth:`intern`
-    returns ``-1`` ("no slot") and counts the overflow; callers treat
+    keys its matrix rows on. When the table is full, :meth:`intern_many`
+    gives ``-1`` ("no slot") and counts the overflow; callers treat
     such fingerprints as uncacheable and fall back to per-batch
     handling, so a long tail of one-off templates costs throughput,
     never unbounded memory.
@@ -262,12 +236,9 @@ class FingerprintInterner:
         self._ids: dict[str, int] = {}
         self._lock = threading.Lock()
 
-    def intern(self, fingerprint: str) -> int:
-        """The fingerprint's dense id, or -1 when the table is full."""
-        return int(self.intern_many([fingerprint])[0])
-
     def intern_many(self, fingerprints: Sequence[str]) -> np.ndarray:
-        """Ids for a batch of fingerprints under one lock acquisition."""
+        """Ids for a batch of fingerprints under one lock acquisition
+        (``-1`` for a new fingerprint once the table is full)."""
         ids = np.empty(len(fingerprints), dtype=np.int64)
         with self._lock:
             table = self._ids
@@ -321,25 +292,6 @@ class FingerprintMemo:
         self._interner = interner if interner is not None else FingerprintInterner()
         self._entries: OrderedDict[str, tuple[str, int]] = OrderedDict()
         self._lock = threading.Lock()
-
-    def fingerprint(self, sql: str) -> str:
-        """Memoized :func:`template_fingerprint` for one query."""
-        with self._lock:
-            entry = self._entries.get(sql)
-            if entry is not None:
-                self._entries.move_to_end(sql)
-                self.hits += 1
-                return entry[0]
-            self.misses += 1
-        # compute outside the lock: tokenization is the expensive part
-        fp = fingerprint_token_stream(safe_token_stream(sql, fold_literals=True))
-        fid = self._interner.intern(fp)
-        with self._lock:
-            self._entries[sql] = (fp, fid)
-            self._entries.move_to_end(sql)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-        return fp
 
     def fingerprint_ids(
         self, queries: Sequence[str]
@@ -430,9 +382,10 @@ def template_fingerprint(sql: str) -> str:
     Built from :func:`safe_token_stream` — exactly the sequence
     embedders consume — so equal fingerprints imply equal embedder
     input. Used as the dedup/cache key on the inference hot path, and
-    memoized process-wide by exact text (see :class:`FingerprintMemo`).
+    memoized process-wide by exact text (see :class:`FingerprintMemo`);
+    the batch path with one query.
     """
-    return _MEMO.fingerprint(sql)
+    return _MEMO.fingerprint_ids([sql])[1][0]
 
 
 def template_fingerprints(queries: Sequence[str]) -> list[str]:

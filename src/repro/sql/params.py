@@ -3,16 +3,18 @@
 The normalizer already folds literals when fingerprinting, so every
 query whose text differs only in constants shares one template
 fingerprint. This module is the AST-level counterpart: it walks a
-parsed :class:`~repro.sql.ast.SelectStatement` in a deterministic
-order and separates the *template* (the literal-free structure) from
-the *bindings* (the ordered literal values). Two queries with the same
-template fingerprint parse to identically-shaped ASTs, so their walks
-visit corresponding literal slots in the same order — which is what
-lets prepared execution plan a template once and re-bind fresh
-literals per query. The re-binding itself happens on the *plan*, by
-literal identity (see :mod:`repro.minidb.plancache`); this module only
-extracts, from a parsed statement or — for verified templates —
-straight from the text (:class:`FastBindingRecipe`).
+parsed :class:`~repro.sql.ast.SelectStatement` once, in a deterministic
+order, and separates the *template* (the literal-free structure) from
+the *binding* (the ordered literal slots and the LIMIT values). Two
+queries with the same template fingerprint parse to identically-shaped
+ASTs, so their walks visit corresponding literal slots in the same
+order — which is what lets prepared execution plan a template once and
+re-bind fresh literals per query. The re-binding itself happens on the
+*plan*, by literal identity (see :mod:`repro.minidb.plancache`); this
+module only extracts a :class:`ParameterBinding`, from a parsed
+statement or — for verified templates — straight from the text through
+the normalizer's fast scanner (:class:`FastBindingRecipe`). Both routes
+produce the same binding for the same text.
 
 Three statement features need care:
 
@@ -31,22 +33,27 @@ Three statement features need care:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.sql import ast
-from repro.sql.normalizer import fast_literal_tokens
+from repro.sql.normalizer import (
+    FAST_NUMBER,
+    FAST_PARAMETER,
+    FAST_STRING,
+    FAST_WORD,
+    fast_tokens,
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParameterBinding:
     """One query's literals, split from its template.
 
-    ``slots`` are the :class:`~repro.sql.ast.Literal` node instances in
+    ``slots`` are :class:`~repro.sql.ast.Literal` node instances in
     walk order (their ``.value``/``.kind`` are the binding values);
     ``kinds`` is the per-slot kind signature two bindings must share to
     be re-bindable against each other; ``limits`` is the tuple of
-    LIMIT values (outer statement first, then subqueries in walk
-    order) — structural, not re-bindable; ``rebind_safe`` is False
+    LIMIT values, one per statement in walk order (outer statement
+    first) — structural, not re-bindable; ``rebind_safe`` is False
     when the statement puts literals where planning resolves by text
     (GROUP BY / ORDER BY), which makes positional re-binding unsound.
     """
@@ -59,18 +66,7 @@ class ParameterBinding:
     @property
     def values(self) -> tuple:
         """The literal values in slot order (hashable)."""
-        return tuple(slot.value for slot in self.slots)
-
-
-def iter_literal_slots(stmt: ast.SelectStatement) -> Iterator[ast.Literal]:
-    """Yield every literal node of ``stmt`` in deterministic walk order.
-
-    The order is a fixed pre-order traversal (select items, FROM
-    relations incl. subqueries, WHERE, GROUP BY, HAVING, ORDER BY), so
-    same-shaped statements yield corresponding slots at the same
-    positions.
-    """
-    yield from _walk_stmt(stmt)
+        return tuple([slot.value for slot in self.slots])
 
 
 def extract_parameters(stmt: ast.SelectStatement) -> ParameterBinding:
@@ -79,14 +75,18 @@ def extract_parameters(stmt: ast.SelectStatement) -> ParameterBinding:
     The statement itself *is* the template — slots are returned as the
     live node instances (the planner preserves literal identity into
     plan predicates, which is what :class:`~repro.minidb.plancache`
-    relies on to re-bind cached plans).
+    relies on to re-bind cached plans). The slot order is a fixed
+    pre-order traversal (select items, FROM relations incl. subqueries,
+    WHERE, GROUP BY, HAVING, ORDER BY), so same-shaped statements yield
+    corresponding slots at the same positions.
     """
-    slots = tuple(_walk_stmt(stmt))
-    limits = tuple(_walk_limits(stmt))
+    slots: list[ast.Literal] = []
+    limits: list[int | None] = []
+    _walk_stmt(stmt, slots, limits)
     return ParameterBinding(
-        slots=slots,
-        kinds=tuple(slot.kind for slot in slots),
-        limits=limits,
+        slots=tuple(slots),
+        kinds=tuple([slot.kind for slot in slots]),
+        limits=tuple(limits),
         rebind_safe=_rebind_safe(stmt),
     )
 
@@ -96,75 +96,50 @@ def extract_parameters(stmt: ast.SelectStatement) -> ParameterBinding:
 # ---------------------------------------------------------------------------
 
 
-def _walk_stmt(stmt: ast.SelectStatement) -> Iterator[ast.Literal]:
+def _walk_stmt(stmt: ast.SelectStatement, slots: list, limits: list) -> None:
+    limits.append(stmt.limit)
     for item in stmt.items:
-        yield from _walk_expr(item.expr)
+        _walk_expr(item.expr, slots, limits)
     for rel in stmt.relations:
-        yield from _walk_rel(rel)
+        _walk_rel(rel, slots, limits)
     if stmt.where is not None:
-        yield from _walk_expr(stmt.where)
+        _walk_expr(stmt.where, slots, limits)
     for expr in stmt.group_by:
-        yield from _walk_expr(expr)
+        _walk_expr(expr, slots, limits)
     if stmt.having is not None:
-        yield from _walk_expr(stmt.having)
+        _walk_expr(stmt.having, slots, limits)
     for order in stmt.order_by:
-        yield from _walk_expr(order.expr)
+        _walk_expr(order.expr, slots, limits)
 
 
-def _walk_rel(rel: ast.Relation) -> Iterator[ast.Literal]:
+def _walk_rel(rel: ast.Relation, slots: list, limits: list) -> None:
     if isinstance(rel, ast.SubqueryRef):
-        yield from _walk_stmt(rel.subquery)
+        _walk_stmt(rel.subquery, slots, limits)
     elif isinstance(rel, ast.Join):
-        yield from _walk_rel(rel.left)
-        yield from _walk_rel(rel.right)
+        _walk_rel(rel.left, slots, limits)
+        _walk_rel(rel.right, slots, limits)
         if rel.condition is not None:
-            yield from _walk_expr(rel.condition)
+            _walk_expr(rel.condition, slots, limits)
 
 
-def _walk_expr(expr: ast.Expr) -> Iterator[ast.Literal]:
+def _walk_expr(expr: ast.Expr, slots: list, limits: list) -> None:
     if isinstance(expr, ast.Literal):
-        yield expr
-        return
-    if isinstance(expr, ast.InSubquery):
-        yield from _walk_expr(expr.expr)
-        yield from _walk_stmt(expr.subquery)
-        return
-    if isinstance(expr, (ast.Exists, ast.ScalarSubquery)):
-        yield from _walk_stmt(expr.subquery)
-        return
-    for child in ast.iter_children(expr):
-        yield from _walk_expr(child)
+        slots.append(expr)
+    elif isinstance(expr, ast.InSubquery):
+        _walk_expr(expr.expr, slots, limits)
+        _walk_stmt(expr.subquery, slots, limits)
+    elif isinstance(expr, (ast.Exists, ast.ScalarSubquery)):
+        _walk_stmt(expr.subquery, slots, limits)
+    else:
+        for child in ast.iter_children(expr):
+            _walk_expr(child, slots, limits)
 
 
-def _walk_limits(stmt: ast.SelectStatement) -> Iterator[int | None]:
-    yield stmt.limit
-    for item in stmt.items:
-        yield from _expr_limits(item.expr)
-    for rel in stmt.relations:
-        yield from _rel_limits(rel)
-    for clause in (stmt.where, stmt.having):
-        if clause is not None:
-            yield from _expr_limits(clause)
-
-
-def _rel_limits(rel: ast.Relation) -> Iterator[int | None]:
-    if isinstance(rel, ast.SubqueryRef):
-        yield from _walk_limits(rel.subquery)
-    elif isinstance(rel, ast.Join):
-        yield from _rel_limits(rel.left)
-        yield from _rel_limits(rel.right)
-        if rel.condition is not None:
-            yield from _expr_limits(rel.condition)
-
-
-def _expr_limits(expr: ast.Expr) -> Iterator[int | None]:
-    if isinstance(expr, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
-        yield from _walk_limits(expr.subquery)
-        if isinstance(expr, ast.InSubquery):
-            yield from _expr_limits(expr.expr)
-        return
-    for child in ast.iter_children(expr):
-        yield from _expr_limits(child)
+def _has_literal(expr: ast.Expr) -> bool:
+    """Literal anywhere in ``expr``, subquery interiors included."""
+    found: list[ast.Literal] = []
+    _walk_expr(expr, found, [])
+    return bool(found)
 
 
 def _rebind_safe(
@@ -188,10 +163,10 @@ def _rebind_safe(
     statement at plan time.
     """
     for expr in stmt.group_by:
-        if any(True for _ in _walk_expr(expr)):
+        if _has_literal(expr):
             return False
     for order in stmt.order_by:
-        if any(True for _ in _walk_expr(order.expr)):
+        if _has_literal(order.expr):
             return False
     for item in stmt.items:
         if (
@@ -257,65 +232,75 @@ def _unquote_str(text: str) -> str:
     return text[1:-1].replace("''", "'")
 
 
+def _literal_tokens(sql: str) -> list[tuple[int, str]] | None:
+    """The literal tokens of ``sql`` from the fast scanner, or None."""
+    tokens = fast_tokens(sql)
+    if tokens is None:
+        return None
+    return [token for token in tokens if token[0] <= FAST_NUMBER]
+
+
 class FastBindingRecipe:
-    """Extract a template's binding values from raw text, without parsing.
+    """Extract a template's binding from raw text, without parsing.
 
     Two texts with equal template fingerprints tokenize identically
     except for literal lexemes, so the correspondence between a
     template's lexical literal tokens and its AST binding slots (plus
     which token carries a variable ``LIMIT``) is a property of the
     *template*, computed once from one parsed instance and replayed on
-    every later text by a single regex scan. Each per-slot step mirrors
-    the parser's value transform exactly (number int/float/hex rules,
-    string unescaping, ``DATE`` truncation, ``INTERVAL`` unit
-    multiplication), and :func:`build_fast_recipe` verifies the whole
-    recipe round-trips the base text before it is ever used — any
-    template the strict alignment cannot prove (extra structural
-    number tokens, multiple LIMITs, bound parameters in odd positions)
-    simply gets no recipe and keeps parsing per query.
+    every later text by one pass of the normalizer's fast scanner. Each
+    per-slot step mirrors the parser's value transform exactly (number
+    int/float/hex rules, string unescaping, ``DATE`` truncation,
+    ``INTERVAL`` unit multiplication), and :func:`build_fast_recipe`
+    verifies the whole recipe round-trips the base text before it is
+    ever used — any template the strict alignment cannot prove (extra
+    structural number tokens, multiple LIMITs, bound parameters in odd
+    positions) simply gets no recipe and keeps parsing per query.
 
-    :meth:`extract` returns ``(values, limits)`` matching what
-    ``extract_parameters(parse_select(sql))`` would report for the
-    same text, or ``None`` when this text must take the parse path.
+    :meth:`extract` returns the :class:`ParameterBinding` that
+    ``extract_parameters(parse_select(sql))`` would for the same text,
+    with fresh literal slots, or ``None`` when this text must take the
+    parse path.
     """
 
     __slots__ = ("steps", "kinds", "n_tokens", "limits", "limit_token", "limit_pos")
 
     def __init__(self, steps, kinds, n_tokens, limits, limit_token, limit_pos):
-        self.steps = steps  # (op, token_index, arg) per slot
+        self.steps = steps  # (op, literal-token index, arg) per slot
         self.kinds = kinds
-        self.n_tokens = n_tokens
+        self.n_tokens = n_tokens  # literal tokens in the template's text
         self.limits = limits  # base limits tuple; one position may vary
         self.limit_token = limit_token  # literal-token index of the LIMIT
         self.limit_pos = limit_pos  # its position in the limits tuple
 
-    def extract(self, sql: str) -> tuple[tuple, tuple] | None:
-        tokens = fast_literal_tokens(sql)
+    def extract(self, sql: str) -> ParameterBinding | None:
+        tokens = _literal_tokens(sql)
         if tokens is None or len(tokens) != self.n_tokens:
             return None
-        values = []
-        append = values.append
+        slots = []
+        append = slots.append
         try:
-            for op, i, arg in self.steps:
+            for (op, i, arg), kind in zip(self.steps, self.kinds):
                 if op == _CONST:
-                    append(arg)
-                    continue
-                text = tokens[i][1]
-                if op == _NUM:
-                    append(
-                        float(text)
-                        if ("." in text or "e" in text.lower())
-                        else int(text, 0)
-                    )
-                elif op == _STR:
-                    append(_unquote_str(text))
-                elif op == _RAW:
-                    append(text)
-                elif op == _DATE:
-                    append(_unquote_str(text)[:10])
-                else:  # _INTERVAL
-                    base = _unquote_str(text) if tokens[i][0] == "str" else text
-                    append(float(base) * arg)
+                    value = arg
+                else:
+                    category, text = tokens[i]
+                    if op == _NUM:
+                        value = (
+                            float(text)
+                            if ("." in text or "e" in text.lower())
+                            else int(text, 0)
+                        )
+                    elif op == _STR:
+                        value = _unquote_str(text)
+                    elif op == _RAW:
+                        value = text
+                    elif op == _DATE:
+                        value = _unquote_str(text)[:10]
+                    else:  # _INTERVAL
+                        base = _unquote_str(text) if category == FAST_STRING else text
+                        value = float(base) * arg
+                append(ast.Literal(value, kind))
             limits = self.limits
             if self.limit_token is not None:
                 bound = int(float(tokens[self.limit_token][1]))
@@ -326,7 +311,8 @@ class FastBindingRecipe:
                 )
         except (ValueError, OverflowError):
             return None
-        return tuple(values), limits
+        # only a rebind-safe template gets a recipe
+        return ParameterBinding(tuple(slots), self.kinds, limits, rebind_safe=True)
 
 
 def build_fast_recipe(sql: str, binding: ParameterBinding) -> FastBindingRecipe | None:
@@ -336,13 +322,13 @@ def build_fast_recipe(sql: str, binding: ParameterBinding) -> FastBindingRecipe 
     Returns None when the template cannot be proven safe for parse-free
     extraction — the caller should then keep parsing per query.
     """
-    tokens = fast_literal_tokens(sql)
+    tokens = _literal_context(sql) if binding.rebind_safe else None
     if tokens is None:
         return None
     limit_tokens = [
         i
         for i, (category, _, prev_word, _) in enumerate(tokens)
-        if category == "num" and prev_word == "limit"
+        if category == FAST_NUMBER and prev_word == "limit"
     ]
     bound_limits = [
         (pos, value) for pos, value in enumerate(binding.limits) if value is not None
@@ -385,17 +371,46 @@ def build_fast_recipe(sql: str, binding: ParameterBinding) -> FastBindingRecipe 
     )
     # the proof: the recipe must round-trip the very text it came from,
     # value- and type-exactly (int vs float vs bool matter downstream)
-    extracted = recipe.extract(sql)
-    if extracted is None:
+    got = recipe.extract(sql)
+    if got is None or _typed(got) != _typed(binding):
         return None
-    values, limits = extracted
-    base = binding.values
-    if limits != binding.limits or len(values) != len(base):
-        return None
-    for got, want in zip(values, base):
-        if type(got) is not type(want) or got != want:
-            return None
     return recipe
+
+
+def _typed(binding: ParameterBinding) -> tuple:
+    """What two bindings of one text must share: kinds, limits, and
+    every value with its type."""
+    return (
+        binding.kinds,
+        binding.limits,
+        [(type(value), value) for value in binding.values],
+    )
+
+
+def _literal_context(
+    sql: str,
+) -> list[tuple[int, str, str | None, str | None]] | None:
+    """``(category, text, prev_word, next_word)`` per literal token.
+
+    ``prev_word``/``next_word`` are the lowercased bare-word tokens
+    *immediately* adjacent (None when the neighbor is not a word) —
+    enough context to recognize ``DATE '...'``, ``INTERVAL '...' DAY``
+    and ``LIMIT n`` without parsing.
+    """
+    tokens = fast_tokens(sql)
+    if tokens is None:
+        return None
+
+    def word(i: int) -> str | None:
+        if 0 <= i < len(tokens) and tokens[i][0] == FAST_WORD:
+            return tokens[i][1].lower()
+        return None
+
+    return [
+        (category, text, word(i - 1), word(i + 1))
+        for i, (category, text) in enumerate(tokens)
+        if category <= FAST_NUMBER
+    ]
 
 
 def _slot_step(token, index: int, kind: str):
@@ -404,20 +419,20 @@ def _slot_step(token, index: int, kind: str):
     if kind == "number":
         if prev_word == "interval":
             mult = _INTERVAL_DAYS.get(next_word or "")
-            if mult is None or category == "param":
+            if mult is None or category == FAST_PARAMETER:
                 return None
             return (_INTERVAL, index, mult)
-        if category != "num":
+        if category != FAST_NUMBER:
             return None
         return (_NUM, index, None)
     if kind == "date":
-        if category != "str" or prev_word not in ("date", "timestamp", "time"):
+        if category != FAST_STRING or prev_word not in ("date", "timestamp", "time"):
             return None
         return (_DATE, index, None)
     if kind == "string":
-        if category == "param":
+        if category == FAST_PARAMETER:
             return (_RAW, index, None)
-        if category != "str":
+        if category != FAST_STRING:
             return None
         return (_STR, index, None)
     return None

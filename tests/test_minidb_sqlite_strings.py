@@ -15,11 +15,11 @@ Left out, with the reason:
 
 * ``ORDER BY`` a column that is not selected — a planner restriction:
   MiniDB sorts the projected frame, so the key must be an output column.
-* A ``WHERE`` predicate on the right side of a LEFT JOIN — the planner
-  pushes it below the join as if it were part of ``ON``.
 * Grouping by, or comparing with ``<``/``<>``/``NOT LIKE``, a right-side
-  column of a LEFT JOIN — MiniDB has no three-valued logic: an unmatched
-  row's text is ``''`` inside the engine and NULL only in the result rows.
+  column of a LEFT JOIN, in ``ON`` or in ``WHERE`` — MiniDB has no
+  three-valued logic: an unmatched row's text is ``''`` (and a number
+  0) inside the engine and NULL only in the result rows. ``IS [NOT]
+  NULL`` in ``WHERE`` is covered: it reads the join's output.
 * ``UPPER``/``LOWER`` — sqlite folds ASCII only.
 """
 
@@ -143,6 +143,9 @@ UNORDERED = [
     "select t.id, u.tag from t left join u on t.s = u.k",
     "select t.id, u.k, u.m from t left join u on t.s = u.k and u.m < 10",
     "select t.id, count(u.k) from t left join u on t.s = u.k group by t.id",
+    # ... and a WHERE on the right side filters the join's output
+    "select count(*) from t left join u on t.s = u.k where u.k is null",
+    "select count(*) from t left join u on t.s = u.k where u.k is not null",
     # SUBSTRING and ||
     "select id, substring(s, 1, 2) from t",
     "select id from t where substring(s, 2, 1) = 'b'",

@@ -29,7 +29,7 @@ from repro.minidb import engine, materialize_log_tables
 from repro.minidb.datagen import generate_tpch_database
 from repro.minidb.engine import Database
 from repro.minidb.indexes import Index, IndexConfig
-from repro.minidb.plancache import PlanCache, plan_shape
+from repro.minidb.plancache import VERIFY_BINDINGS, PlanCache, plan_shape
 from repro.minidb.storage import Table
 from repro.sql.normalizer import template_fingerprint, template_fingerprint_ids
 from repro.sql.params import build_fast_recipe, extract_parameters
@@ -67,9 +67,9 @@ _ONE_OFFS = [
 
 class TestPlanCacheProtocol:
     def test_verification_then_hits(self):
-        """A template becomes a cache hit once ``verify_bindings``
+        """A template becomes a cache hit once ``VERIFY_BINDINGS``
         distinct bindings have planned to the same shape."""
-        db = _tiny_db(PlanCache(verify_bindings=3))
+        db = _tiny_db()
         for i in range(10):
             db.execute_prepared(f"select a from t where a = {i}")
         stats = db.plan_cache.stats()
@@ -136,7 +136,7 @@ class TestPlanCacheProtocol:
         """Shape divergence during verification marks the template
         literal-sensitive: every later binding plans fresh."""
         db = _tiny_db()
-        cache = PlanCache(verify_bindings=3)
+        cache = PlanCache()
         planner = db._planner(None)
         # the second verification planning "chooses" a structurally
         # different plan (a literal-dependent optimizer would): an
@@ -212,7 +212,7 @@ class TestPlanCacheProtocol:
         send a hot, verified template back to the parser."""
         db = _tiny_db(PlanCache(capacity=2))
         hot = "select a, b from t where a = {}"
-        for i in range(db.plan_cache.verify_bindings):
+        for i in range(VERIFY_BINDINGS):
             db.execute_prepared(hot.format(i))  # clears verification
         parsed: list[str] = []
 
@@ -383,6 +383,69 @@ class TestPlanCacheProtocol:
         assert db.plan_cache.stats()["invalidated"] > 0
 
 
+# -- one guard chain: try_fast hits exactly where fetch does -------------------
+
+_GUARDED = "select a, b from t where a > {} and s = '{}'"
+
+
+class TestOneGuardChain:
+    def test_try_fast_hits_exactly_where_fetch_does(self):
+        """One template through every verdict of the guard chain. At each
+        step ``try_fast`` and then ``fetch`` are asked for the same text:
+        ``try_fast`` serves exactly when ``fetch`` counts a hit, and the
+        two plans are equal in shape and in every re-bound literal."""
+        db = _tiny_db()
+        planner = db._planner(None)
+        cache = PlanCache()
+        fp = template_fingerprint(_GUARDED.format(1, "x"))
+        counters = ("hits", "misses", "size", "invalidated", "literal_sensitive_templates",
+                    "literal_sensitive_skips")
+
+        def ask(sql, epoch=0, plan_fresh=None):
+            stmt = parse_select(sql)
+            binding = extract_parameters(stmt)
+            before = cache.stats()
+            fast = cache.try_fast(fp, None, epoch, sql)
+            asked = cache.stats()
+            plan = cache.fetch(
+                (fp, None, binding.limits),
+                epoch,
+                stmt,
+                binding,
+                plan_fresh or (lambda: planner.plan(stmt)),
+                sql=sql,
+            )
+            after = cache.stats()
+            hit = after["hits"] - asked["hits"] == 1
+            assert (fast is not None) == hit, sql
+            assert asked["hits"] - before["hits"] == int(hit), sql
+            if hit:
+                assert plan_shape(fast) == plan_shape(plan)
+                assert repr(fast) == repr(plan)  # every literal, value and type
+            return tuple(after[c] - asked[c] for c in counters)
+
+        #                hits misses size inval sensitive skips
+        miss, hit = (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)
+        assert ask(_GUARDED.format(1, "x")) == (0, 1, 1, 0, 0, 0)  # cold
+        for i in range(1, VERIFY_BINDINGS):
+            assert ask(_GUARDED.format(1 + i, "y")) == miss  # verification window
+        assert ask(_GUARDED.format(1, "x")) == hit  # a repeated binding
+        assert ask(_GUARDED.format(9, "z")) == hit  # past the window
+        # a kind drift: the fingerprint pins every literal's kind, so a
+        # differently-kinded text can only meet this template's plans
+        # under a borrowed key (a DATE and an extra literal here)
+        drift = "select a, b from t where a > 1 and s = date '2020-01-01' and b > 0"
+        assert ask(drift) == miss
+        # a stale catalog epoch: re-planned in place, verification restarts
+        assert ask(_GUARDED.format(9, "z"), epoch=1) == (0, 1, 0, 1, 0, 0)
+        assert ask(_GUARDED.format(9, "z"), epoch=1) == hit
+        # a literal-sensitive mark: a verification planning that diverges
+        divergent = planner.plan(parse_select(_GUARDED.format(0, "q") + " order by a"))
+        assert ask(_GUARDED.format(3, "w"), 1, lambda: divergent) == (0, 1, 0, 0, 1, 0)
+        assert ask(_GUARDED.format(9, "z"), epoch=1) == (0, 1, 0, 0, 0, 1)
+        assert cache.stats()["fast_hits"] == 3
+
+
 # -- property: prepared == unprepared ----------------------------------------
 
 _TPCH_DB = None
@@ -481,7 +544,7 @@ class TestPreparedIndexSeek:
         assert recipe(fast.format(n=1)) is not None
         assert recipe(parsed.format(n=1)) is None
 
-        bindings = db.plan_cache.verify_bindings + 5
+        bindings = VERIFY_BINDINGS + 5
         for template in (fast, parsed):
             hits = db.plan_cache.stats()["hits"]
             for n in range(1, bindings + 1):
@@ -496,7 +559,7 @@ class TestPreparedIndexSeek:
                 ), sql
             # the comparison above ran on re-bound plans, not fresh ones
             served = db.plan_cache.stats()["hits"] - hits
-            assert served == bindings - db.plan_cache.verify_bindings
+            assert served == bindings - VERIFY_BINDINGS
 
 
 # -- property: the parse-free recipe agrees with the parser -------------------
@@ -525,7 +588,8 @@ def _parsed_binding(sql):
 def _check_recipe_agrees_with_parser(queries) -> int:
     """For each template in ``queries``: a recipe built from its first
     parseable instance extracts, from every same-fingerprint text,
-    either nothing or exactly the parser's ``(values, limits)``."""
+    either nothing or exactly the parser's binding: values with their
+    types, ``kinds`` and ``limits``."""
     groups: dict[str, list[str]] = {}
     for sql in queries:
         groups.setdefault(template_fingerprint(sql), []).append(sql)
@@ -544,10 +608,11 @@ def _check_recipe_agrees_with_parser(queries) -> int:
                 continue
             want = _parsed_binding(sql)
             assert want is not None, sql
-            values, limits = extracted
-            assert limits == want.limits, sql
-            assert [(type(v), v) for v in values] == [
-                (type(v), v) for v in want.values
+            assert extracted.kinds == want.kinds, sql
+            assert extracted.limits == want.limits, sql
+            assert extracted.rebind_safe == want.rebind_safe, sql
+            assert [(type(s.value), s.value, s.kind) for s in extracted.slots] == [
+                (type(s.value), s.value, s.kind) for s in want.slots
             ], sql
     return recipes
 

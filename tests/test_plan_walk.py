@@ -111,12 +111,6 @@ def _as_plan(obj) -> P.PlanNode:
     return obj if isinstance(obj, P.PlanNode) else P.FilterNode(predicate=obj)
 
 
-def _template(slots) -> ast.SelectStatement:
-    """A statement whose literal-slot walk yields exactly ``slots``."""
-    items = tuple(ast.SelectItem(s, alias=f"c{i}") for i, s in enumerate(slots))
-    return ast.SelectStatement(items=items, relations=())
-
-
 def _fresh(slots) -> tuple[ast.Literal, ...]:
     return tuple(ast.Literal(s.value + 1000, s.kind) for s in slots)
 
@@ -126,7 +120,7 @@ class TestWalkCoversEveryKind:
     def test_rebind_substitutes_every_slot(self, cls):
         builder = _Builder()
         plan = _as_plan(builder.instance(cls))
-        rebinder = PlanRebinder(_template(builder.slots), plan)
+        rebinder = PlanRebinder(tuple(builder.slots), plan)
         assert rebinder.arity == len(builder.slots)
 
         rebound = rebinder.rebind(_fresh(builder.slots))
@@ -142,7 +136,7 @@ class TestWalkCoversEveryKind:
         builder = _Builder()
         node = builder.instance(cls)
         plan = _as_plan(node)
-        rebinder = PlanRebinder(_template(builder.slots), plan)
+        rebinder = PlanRebinder(tuple(builder.slots), plan)
         assert rebinder.rebind(tuple(builder.slots)) is plan
 
         for k, slot in enumerate(builder.slots):
@@ -194,7 +188,7 @@ def test_subquery_expressions_survive_a_rebind_by_identity(cls):
         predicate=ast.BinaryOp("AND", ast.BinaryOp("=", ast.Column("c", "t"), beside), sub),
         scalar_subplans={id(sub): P.ScanNode(table="t", predicates=(compiled,))},
     )
-    rebinder = PlanRebinder(_template((inside, compiled, beside)), plan)
+    rebinder = PlanRebinder((inside, compiled, beside), plan)
     rebound = rebinder.rebind(_fresh((inside, compiled, beside)))
 
     assert rebound.predicate.right is sub
@@ -216,7 +210,7 @@ def test_unknown_future_node_kind_is_rebound_not_skipped():
 
     slot = ast.Literal(5, "number")
     plan = WindowNode(frame=(("preceding", slot),))
-    rebound = PlanRebinder(_template((slot,)), plan).rebind(
+    rebound = PlanRebinder((slot,), plan).rebind(
         (ast.Literal(9, "number"),)
     )
     assert rebound.frame[0][1].value == 9

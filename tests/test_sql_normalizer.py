@@ -130,8 +130,8 @@ class TestFastFoldedScanner:
 class TestFingerprintMemo:
     def test_exact_text_repeats_hit(self):
         memo = FingerprintMemo(capacity=8, interner=FingerprintInterner())
-        fp1 = memo.fingerprint("select a from t where x = 1")
-        fp2 = memo.fingerprint("select a from t where x = 1")
+        _, (fp1,), _, _ = memo.fingerprint_ids(["select a from t where x = 1"])
+        _, (fp2,), _, _ = memo.fingerprint_ids(["select a from t where x = 1"])
         assert fp1 == fp2
         stats = memo.stats()
         assert (stats["hits"], stats["misses"]) == (1, 1)
@@ -139,9 +139,9 @@ class TestFingerprintMemo:
     def test_bounded_lru_eviction(self):
         memo = FingerprintMemo(capacity=2, interner=FingerprintInterner())
         for i in range(3):
-            memo.fingerprint(f"select {chr(97 + i)} from t")
+            memo.fingerprint_ids([f"select {chr(97 + i)} from t"])
         assert len(memo) == 2  # oldest text evicted, never unbounded
-        memo.fingerprint("select a from t")  # evicted: recomputes
+        memo.fingerprint_ids(["select a from t"])  # evicted: recomputes
         assert memo.stats()["misses"] == 4
 
     def test_fingerprint_ids_share_ids_per_template(self):
@@ -169,7 +169,7 @@ class TestFingerprintMemo:
     def test_matches_template_fingerprint(self):
         memo = FingerprintMemo(capacity=4, interner=FingerprintInterner())
         q = "select a from t where x = 42"
-        assert memo.fingerprint(q) == template_fingerprint(q)
+        assert memo.fingerprint_ids([q])[1] == [template_fingerprint(q)]
 
 
 class TestFingerprintInterner:
