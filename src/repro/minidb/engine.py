@@ -4,6 +4,11 @@
 experiments compare: the optimizer's estimate and the executor's
 true-count cost. The harness converts cost units to seconds with a
 single calibration constant (see ``repro.experiments.config``).
+
+``execute_prepared`` hands the serving plan-cache entry's recycled
+results to the executor, so a cached plan's literal-free subtrees run
+once per entry (see :mod:`repro.minidb.executor`); ``execute`` never
+recycles and stays the oracle prepared execution is checked against.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.minidb.catalog import Catalog
-from repro.minidb.executor import ExecutionStats, Executor
+from repro.minidb.executor import ExecutionStats, Executor, RecycledResults
 from repro.minidb.indexes import IndexConfig
 from repro.minidb.optimizer import CostModel
 from repro.minidb.plancache import PlanCache
@@ -136,17 +141,20 @@ class Database:
         guards in :class:`~repro.minidb.plancache.PlanCache`.
         ``fingerprint_key`` is an optional precomputed template key (an
         interned fingerprint id or fingerprint string) so batch callers
-        don't re-fingerprint; rows are byte-identical to ``execute``.
+        don't re-fingerprint; rows and costs are bit-identical to
+        ``execute``. The serving entry's recycled results go to the
+        executor: subtrees no literal reaches run once per cached plan.
         """
-        return self._finish(self._prepared_plan(sql, config, fingerprint_key))
+        return self._finish(*self._prepared_plan(sql, config, fingerprint_key))
 
     def _prepared_plan(
         self,
         sql: str,
         config: IndexConfig | None,
         fingerprint_key: object | None,
-    ) -> PlanNode:
-        """Plan ``sql`` through the cache, parsing only when needed.
+    ) -> tuple[PlanNode, RecycledResults | None]:
+        """Plan ``sql`` through the cache, parsing only when needed; the
+        plan comes with its cache entry's recycled results, if any.
 
         Verified-hot templates are served by
         :meth:`~repro.minidb.plancache.PlanCache.try_fast` — the binding
@@ -156,17 +164,17 @@ class Database:
         """
         if fingerprint_key is None:
             fingerprint_key = template_fingerprint(sql)
-        plan = self._plan_cache.try_fast(
+        served = self._plan_cache.try_fast(
             fingerprint_key, config, self._catalog_epoch, sql
         )
-        if plan is not None:
-            return plan
+        if served is not None:
+            return served
         stmt = parse_select(sql)
         binding = extract_parameters(stmt)
         planner = self._planner(config)
         if not binding.rebind_safe:
             self._plan_cache.note_uncacheable()
-            return planner.plan(stmt)
+            return planner.plan(stmt), None
         return self._plan_cache.fetch(
             (fingerprint_key, config, binding.limits),
             self._catalog_epoch,
@@ -176,9 +184,13 @@ class Database:
             sql=sql,
         )
 
-    def _finish(self, plan: PlanNode) -> QueryResult:
-        executor = Executor(self._tables, self.catalog, self.cost_model)
+    def _finish(
+        self, plan: PlanNode, recycled: RecycledResults | None = None
+    ) -> QueryResult:
+        executor = Executor(self._tables, self.catalog, self.cost_model, recycled)
         frame, stats = executor.run(plan)
+        if stats.recycled:
+            self._plan_cache.note_recycled(stats.recycled)
         columns = list(frame.columns)
         rows = _frame_rows(frame)
         return QueryResult(

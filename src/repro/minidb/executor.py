@@ -19,11 +19,25 @@ columns into dense non-negative order-preserving ``int64`` codes
 (``value - min`` for integer-like columns, dictionary codes included,
 ``np.unique`` otherwise), and joins, semi-joins, grouping and sorting
 address count tables with them.
+
+A cached plan computes its literal-free work once. A plan served from a
+plan-cache entry shares the entry's own nodes wherever no literal
+beneath them changed (``PlanRebinder``), and such a node yields the same
+frame on every run while the column arrays it read are unchanged. The
+entry therefore owns a :class:`RecycledResults`: the first run of the
+topmost shared node keeps its frame, the exact sequence of cost charges
+and the rows-scanned count it produced, and later runs replay the
+charges with the same ``+=`` and take the frame instead of executing the
+subtree. Joins and unfiltered scans are not kept (see
+:class:`RecycledResults`); nothing below a kept node is. Operators never
+write to an input frame, so a kept frame may serve any query on any
+thread.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,21 +57,91 @@ class ExecutionStats:
     cost_units: float = 0.0
     rows_scanned: int = 0
     rows_output: int = 0
+    recycled: int = 0  # kept subtree results taken instead of executing
+
+
+class _ChargeLog:
+    """Stands in for ``ExecutionStats.cost_units`` while a subtree runs to
+    be kept: each ``cost_units += charge`` appends the charge. Replaying
+    the charges with the same ``+=`` in the same order gives the running
+    sum bit for bit and of the same type (a ``np.float64`` charge makes
+    the sum one)."""
+
+    __slots__ = ("charges",)
+
+    def __init__(self) -> None:
+        self.charges: list = []
+
+    def __iadd__(self, charge):
+        self.charges.append(charge)
+        return self
+
+
+class _Kept(NamedTuple):
+    frame: Frame
+    charges: tuple
+    rows_scanned: int
+    read: tuple  # (table, column, the array read) for every column read
+
+
+# Never kept, by measurement: join outputs fan out and hold a gathered
+# copy of every input column (Q9 4.6 MB, Q19 3.8 MB, Q7 2.1 MB per TPC-H
+# ``Database`` at exec scale 0.01). Keeping them as well took
+# ``wire_tpch_hot`` CPU per query down 26–31 % instead of 23–27 %, but
+# peak memory up 12 % (129 → 144 MB) instead of about 1 %.
+_NOT_KEPT = (P.HashJoinNode, P.IndexNLJoinNode)
+
+
+class RecycledResults:
+    """Kept results of one cached plan's literal-free subtrees.
+
+    Owned by the plan-cache entry holding ``plan`` and dropped with it.
+    ``nodes`` holds the ids of the plan's nodes worth keeping: all but
+    joins and unfiltered scans (a view of a table: nothing to save). A
+    join's inputs are still kept. Concurrent first runs of a node store
+    equal results; the last store wins. The plan is held so its nodes'
+    ids stay theirs.
+    """
+
+    __slots__ = ("plan", "nodes", "kept")
+
+    def __init__(self, plan: P.PlanNode) -> None:
+        self.plan = plan
+        nodes = set()
+        stack = [plan]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children())
+            if not (
+                isinstance(node, _NOT_KEPT)
+                or (isinstance(node, P.ScanNode) and not node.predicates)
+            ):
+                nodes.add(id(node))
+        self.nodes = frozenset(nodes)
+        self.kept: dict[int, _Kept] = {}
 
 
 class Executor:
-    """Executes a physical plan against materialized tables."""
+    """Executes a physical plan against materialized tables.
+
+    With ``recycled`` (the serving plan-cache entry's results), the
+    topmost node of the plan that belongs to the entry's plan and is
+    worth keeping is taken from there, or run once and kept.
+    """
 
     def __init__(
         self,
         tables: dict[str, Table],
         catalog: Catalog,
         cost_model: CostModel | None = None,
+        recycled: RecycledResults | None = None,
     ) -> None:
         self._tables = tables
         self._catalog = catalog
         self._cost = cost_model or CostModel()
         self._mult = catalog.virtual_row_multiplier
+        self._recycled = recycled
+        self._read: list | None = None  # columns read by a subtree being kept
 
     def run(self, plan: P.PlanNode) -> tuple[Frame, ExecutionStats]:
         """Execute ``plan``; returns the result frame and cost counters."""
@@ -72,12 +156,60 @@ class Executor:
         handler = _HANDLERS.get(type(node))
         if handler is None:
             raise ExecutionError(f"no executor for node {type(node).__name__}")
+        if self._recycled is not None and id(node) in self._recycled.nodes:
+            return self._recycle(node, handler, stats)
         return handler(self, node, stats)
+
+    # -- recycling -----------------------------------------------------------------
+
+    def _recycle(self, node: P.PlanNode, handler, stats: ExecutionStats) -> Frame:
+        """``node``'s kept result, its charges replayed onto ``stats``;
+        when none is kept, or a column it read holds another array now,
+        run the subtree once — consulting and keeping nothing below —
+        and keep its result."""
+        recycled = self._recycled
+        kept = recycled.kept.get(id(node))
+        if kept is not None and self._unchanged(kept.read):
+            stats.recycled += 1
+        else:
+            log = ExecutionStats(cost_units=_ChargeLog())
+            self._recycled, self._read = None, []
+            try:
+                frame = handler(self, node, log)
+                read = tuple(self._read)
+            finally:
+                self._recycled, self._read = recycled, None
+            kept = _Kept(frame, tuple(log.cost_units.charges), log.rows_scanned, read)
+            recycled.kept[id(node)] = kept
+        for charge in kept.charges:
+            stats.cost_units += charge
+        stats.rows_scanned += kept.rows_scanned
+        return kept.frame
+
+    def _unchanged(self, read: tuple) -> bool:
+        """Does every column a kept result read still hold the array it
+        read? (``Table.encoded``'s rule: replacing a column's array
+        without ``load_table`` is allowed.)"""
+        tables = self._tables
+        for name, column, values in read:
+            table = tables.get(name)
+            if table is None or table.columns.get(column) is not values:
+                return False
+        return True
+
+    def _note_read(self, name: str, table: Table, columns: tuple[str, ...]) -> None:
+        """While a subtree runs to be kept, record the arrays a scan is
+        about to read. A scan of no columns still reads its row count
+        off the table's first column."""
+        if self._read is not None:
+            for column in columns or tuple(table.columns)[:1]:
+                self._read.append((name, column, table.columns.get(column)))
 
     # -- scans -------------------------------------------------------------------
 
     def _exec_scan(self, node: P.ScanNode, stats: ExecutionStats) -> Frame:
         table = self._tables[node.table]
+        self._note_read(node.table, table, node.columns)
         n = table.n_rows
         stats.rows_scanned += n
         frame = _scan_frame(table, node.binding, node.columns)
@@ -234,6 +366,7 @@ class Executor:
     def _exec_inl_join(self, node: P.IndexNLJoinNode, stats: ExecutionStats) -> Frame:
         outer = self._exec(node.outer, stats)
         table = self._tables[node.inner_table]
+        self._note_read(node.inner_table, table, node.inner_columns)
         inner = _scan_frame(table, node.inner_binding, node.inner_columns)
 
         outer_codes, inner_codes = _key_codes(

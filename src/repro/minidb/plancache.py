@@ -69,6 +69,18 @@ usual, just not cached — one-shot templates cannot evict the head.
 Everything sits behind one lock; planning happens under it, which
 serializes concurrent misses for the same template (a feature: no
 duplicate planning work) and keeps the guard bookkeeping race-free.
+
+Each cached plan also owns the results of its literal-free subtrees
+(:class:`~repro.minidb.executor.RecycledResults`): a re-bind shares a
+node of the cached plan only when no literal beneath it changed, so the
+executor keeps such a node's frame and hands it to the next served plan
+that contains the node. ``fetch`` and ``try_fast`` return the serving
+entry's results with the plan — None for a plan no entry holds
+(verification window, literal-sensitive, kind drift, refused) — and the
+results die with the entry: on eviction, on replacement after a
+catalog-epoch bump, and on ``invalidate_all``. The capacity that bounds
+the plans bounds them too; ``stats()["recycled"]`` counts the kept
+results served.
 """
 
 from __future__ import annotations
@@ -84,6 +96,7 @@ from typing import Callable, Hashable, get_args
 from repro.sql import ast
 from repro.sql.params import FastBindingRecipe, ParameterBinding, build_fast_recipe
 
+from repro.minidb.executor import RecycledResults
 from repro.minidb.planner import PlanNode
 
 __all__ = ["PlanCache", "PlanRebinder", "VERIFY_BINDINGS", "plan_shape"]
@@ -238,10 +251,11 @@ class PlanRebinder:
                 f"arity mismatch: plan has {len(self._base_slots)} slots,"
                 f" got {len(slots)}"
             )
-        # an equal literal keeps the cached instance, so paths to
-        # slots whose value did not change stay shared as well
+        # an equal literal of the same value type keeps the cached
+        # instance, so paths to slots whose value did not change stay
+        # shared as well (2 == 2.0, but they compute and render apart)
         bound = [
-            old if new == old else new
+            old if new == old and type(new.value) is type(old.value) else new
             for old, new in zip(self._base_slots, slots)
         ]
         if all(new is old for new, old in zip(bound, self._base_slots)):
@@ -299,11 +313,14 @@ def _rebind(path, bound: list[ast.Literal], done: dict[int, object]):
 
 
 class _Entry:
-    __slots__ = ("plan", "rebinder", "kinds", "epoch", "seen", "literal_sensitive")
+    __slots__ = (
+        "plan", "rebinder", "recycled", "kinds", "epoch", "seen", "literal_sensitive"
+    )
 
     def __init__(self, plan: PlanNode, binding: ParameterBinding, epoch: int) -> None:
         self.plan = plan
         self.rebinder = PlanRebinder(binding.slots, plan)
+        self.recycled = RecycledResults(plan)  # lives and dies with the entry
         self.kinds = binding.kinds
         self.epoch = epoch
         self.seen: set[tuple] = {binding.values}  # distinct shape-verified bindings
@@ -332,8 +349,9 @@ class PlanCache:
     ``fetch`` is the whole protocol: callers hand it the cache key,
     the current catalog epoch, the query's extracted binding and a
     ``plan_fresh`` thunk; it returns a plan — cached, re-bound, or
-    freshly planned — applying the invalidation, literal-sensitivity
-    and admission rules documented in the module docstring.
+    freshly planned — and the recycled results of the entry holding
+    it, applying the invalidation, literal-sensitivity and admission
+    rules documented in the module docstring.
     ``try_fast`` is its parse-free front: the same guard chain
     (:meth:`_guard`), serving only a hit.
     """
@@ -359,6 +377,7 @@ class PlanCache:
         self._uncacheable = 0
         self._sensitive_templates = 0
         self._sensitive_skips = 0
+        self._recycled = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -368,6 +387,11 @@ class PlanCache:
         """Record a query that bypassed the cache (rebind-unsafe)."""
         with self._lock:
             self._uncacheable += 1
+
+    def note_recycled(self, n: int) -> None:
+        """Record ``n`` kept subtree results served by one execution."""
+        with self._lock:
+            self._recycled += n
 
     def _guard(
         self,
@@ -402,8 +426,11 @@ class PlanCache:
         binding: ParameterBinding,
         plan_fresh: Callable[[], PlanNode],
         sql: str | None = None,
-    ) -> PlanNode:
-        """Return a plan for ``stmt``, consulting/maintaining the cache.
+    ) -> tuple[PlanNode, RecycledResults | None]:
+        """Return a plan for ``stmt``, consulting/maintaining the cache,
+        and the recycled results of the entry that holds it (None when
+        no entry does: verification window, literal-sensitive, kind
+        drift, refused).
 
         ``key`` must be ``(fingerprint_key, config, limits)`` and
         ``binding`` must be ``extract_parameters(stmt)``: its slots are
@@ -421,26 +448,28 @@ class PlanCache:
             verdict, entry = self._guard(record, limits, epoch, binding)
             if verdict == _HIT:
                 self._hits += 1
-                return entry.rebinder.rebind(binding.slots)
+                return entry.rebinder.rebind(binding.slots), entry.recycled
 
             plan = plan_fresh()
             self._misses += 1
             if verdict == _COLD:
                 if not self._admit(template_key):
                     self._refused += 1
-                    return plan
+                    return plan, None
                 if record is None:
                     record = self._templates[template_key] = _Template(
                         None if sql is None else build_fast_recipe(sql, binding)
                     )
                 self._size += 1
-                record.plans[limits] = _Entry(plan, binding, epoch)
+                entry = record.plans[limits] = _Entry(plan, binding, epoch)
                 if self._size > self._capacity:
                     self._evict_one()
-            elif verdict == _STALE:
+                return plan, entry.recycled
+            if verdict == _STALE:
                 self._invalidated += 1
-                record.plans[limits] = _Entry(plan, binding, epoch)
-            elif verdict == _SENSITIVE:
+                entry = record.plans[limits] = _Entry(plan, binding, epoch)
+                return plan, entry.recycled
+            if verdict == _SENSITIVE:
                 self._sensitive_skips += 1
             elif verdict == _VERIFY:
                 if plan_shape(plan) != plan_shape(entry.plan):
@@ -448,7 +477,7 @@ class PlanCache:
                     self._sensitive_templates += 1
                 else:
                     entry.seen.add(binding.values)
-            return plan
+            return plan, None
 
     def try_fast(
         self,
@@ -456,16 +485,16 @@ class PlanCache:
         config: Hashable,
         epoch: int,
         sql: str,
-    ) -> PlanNode | None:
+    ) -> tuple[PlanNode, RecycledResults] | None:
         """Serve a verified template without parsing ``sql`` at all.
 
         Extracts the binding straight from the text via the template's
         :class:`~repro.sql.params.FastBindingRecipe` and puts it
         through the same guard chain as :meth:`fetch`. Returns the
-        re-bound plan exactly where ``fetch`` would count a hit, and
-        None otherwise — no recipe, odd text, or any other verdict —
-        in which case the caller must take the ordinary parse +
-        :meth:`fetch` path. Misses and verification bookkeeping happen
+        re-bound plan and its entry's recycled results exactly where
+        ``fetch`` would count a hit, and None otherwise — no recipe, odd
+        text, or any other verdict — in which case the caller must take
+        the ordinary parse + :meth:`fetch` path. Misses and verification bookkeeping happen
         there, never here.
         """
         template_key = (fingerprint_key, config)
@@ -487,7 +516,7 @@ class PlanCache:
             self._count(template_key)
             self._hits += 1
             self._fast_hits += 1
-            return entry.rebinder.rebind(binding.slots)
+            return entry.rebinder.rebind(binding.slots), entry.recycled
 
     # -- the LRU and its doorkeeper (callers hold the lock) ---------------------
 
@@ -547,4 +576,5 @@ class PlanCache:
                 "uncacheable": self._uncacheable,
                 "literal_sensitive_templates": self._sensitive_templates,
                 "literal_sensitive_skips": self._sensitive_skips,
+                "recycled": self._recycled,
             }

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.minidb import Index, IndexConfig
+from repro.minidb import Catalog, Database, Index, IndexConfig
 from repro.workloads.tpch import TPCH_TEMPLATE_IDS, tpch_query
 
 
@@ -62,21 +62,34 @@ def test_workload_is_template_major():
         assert len(set(block)) == 1
 
 
+def _fresh(db: Database) -> Database:
+    """A new ``Database`` over ``db``'s tables: its own plan cache, so no
+    result kept by one side of a differential is served to the other."""
+    copy = Database(
+        catalog=Catalog(db.catalog.virtual_row_multiplier), cost_model=db.cost_model
+    )
+    for table in db.tables.values():
+        copy.load_table(table)
+    return copy
+
+
 @pytest.mark.parametrize("template_id", TPCH_TEMPLATE_IDS)
 def test_dense_kernels_change_nothing_observable(tpch_db, monkeypatch, template_id):
     """Every template, three seeds, prepared and unprepared: the shipped
-    dense-code kernels against the sort-based ones they replaced."""
+    dense-code kernels against the sort-based ones they replaced.
+    Compared as ``repr``: value types count, and a NaN equals itself."""
     import minidb_sort_oracle as oracle
     from repro.minidb import executor
 
     def observe():
+        db = _fresh(tpch_db)
         seen = []
         for seed in (3, 11, 29):
             sql = tpch_query(template_id, seed=seed)
-            for run in (tpch_db.execute, tpch_db.execute_prepared):
+            for run in (db.execute, db.execute_prepared):
                 result = run(sql)
                 seen.append(
-                    (result.rows, result.actual_cost, result.stats.rows_scanned)
+                    repr((result.rows, result.actual_cost, result.stats.rows_scanned))
                 )
         return seen
 
@@ -100,8 +113,10 @@ def _text_scan_frame(table, binding, columns):
 
 def _observed(db, queries):
     """rows, actual_cost and rows_scanned of every query, prepared and
-    unprepared; a query that fails contributes its exception instead.
-    Compared as ``repr``: a NaN in a row must equal itself."""
+    unprepared, on a fresh copy of ``db``; a query that fails contributes
+    its exception instead. Compared as ``repr``: a NaN in a row must
+    equal itself."""
+    db = _fresh(db)
     seen = []
     for sql in queries:
         for run in (db.execute, db.execute_prepared):

@@ -199,6 +199,34 @@ class TestPlanCacheProtocol:
         assert stats["size"] == 1
         assert stats["hits"] >= 1
 
+    def test_equal_number_of_another_type_is_rebound(self):
+        """``2 == 2.0``, yet the two literals compute and render apart: a
+        re-bind must not keep the cached one in place of the other."""
+        db = _tiny_db()
+        for sql in (
+            "select a, 2 as k from t where a > 1",
+            "select a, 2.0 as k from t where a > 1",
+            "select a, 2 as k from t where a > 1",
+        ):
+            assert repr(db.execute_prepared(sql).rows) == repr(db.execute(sql).rows), sql
+        assert db.plan_cache.stats()["fast_hits"] == 2
+
+    def test_warm_tpch_run_is_parse_free(self):
+        """Every TPC-H template gets a parse-free recipe — Q16, Q17 and
+        Q19 carry a ``#`` inside a string literal — so once the templates
+        are verified, every hit is a fast hit."""
+        db = generate_tpch_database(exec_scale=0.0005, virtual_scale=0.0005, seed=42)
+        pool = generate_tpch_workload(instances_per_template=4, seed=13)
+        for sql in pool:
+            db.execute_prepared(sql)
+        before = db.plan_cache.stats()
+        for sql in pool:
+            db.execute_prepared(sql)
+        after = db.plan_cache.stats()
+        hits = after["hits"] - before["hits"]
+        assert hits > 0
+        assert after["fast_hits"] - before["fast_hits"] == hits
+
     def test_distinct_limits_key_separately(self):
         db = _tiny_db()
         a = db.execute_prepared("select a from t order by a limit 2")
@@ -316,6 +344,7 @@ class TestPlanCacheProtocol:
             "uncacheable",
             "literal_sensitive_templates",
             "literal_sensitive_skips",
+            "recycled",
         ):
             assert field in stats
         assert stats["capacity"] == 7 and stats["hit_rate"] == 0.0
@@ -407,7 +436,7 @@ class TestOneGuardChain:
             before = cache.stats()
             fast = cache.try_fast(fp, None, epoch, sql)
             asked = cache.stats()
-            plan = cache.fetch(
+            plan, _ = cache.fetch(
                 (fp, None, binding.limits),
                 epoch,
                 stmt,
@@ -420,6 +449,7 @@ class TestOneGuardChain:
             assert (fast is not None) == hit, sql
             assert asked["hits"] - before["hits"] == int(hit), sql
             if hit:
+                fast, _ = fast
                 assert plan_shape(fast) == plan_shape(plan)
                 assert repr(fast) == repr(plan)  # every literal, value and type
             return tuple(after[c] - asked[c] for c in counters)
@@ -475,7 +505,7 @@ def _observe(run, sql):
         # groups yield nan, and (nan,) != (nan,) under tuple equality
         repr(result.rows),
         result.n_rows,
-        result.actual_cost,
+        repr(result.actual_cost),  # the type counts too: float vs np.float64
         plan_shape(result.plan),
     )
 

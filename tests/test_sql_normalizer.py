@@ -97,6 +97,10 @@ class TestFastFoldedScanner:
         "select `col` from t",
         'select "WHERE" from "My Table" where x = 1',
         "select 'he said \"hi\"' from t",
+        # '#' and '[' inside a string, a '--' comment or a quoted identifier
+        "select a from part where p_brand <> 'Brand#45' and s = '[x]'",
+        "select a from t -- # and [ here\n where b = 1",
+        'select "col#1", "[x]", `y#[` from t',
     ]
 
     def test_matches_slow_lexer(self):
@@ -115,6 +119,11 @@ class TestFastFoldedScanner:
             "select a from t where s = 'naïve'",
             'select "broken from t',
             'select "multi\nline" from t',
+            # a bare '#' starts a comment and a bare '[' a bracket-quoted
+            # identifier: no category claims either
+            "select a from t # trailing comment",
+            "select a#b from t",
+            "select [a] from t",
         ):
             assert _fast_folded_stream(sql) is None, sql
 
