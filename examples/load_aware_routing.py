@@ -104,7 +104,7 @@ def main() -> None:
         service = build_service(classifier, policy=policy)
         timings = run(service, batches)
         stats = service.stats()
-        service.close()  # release the fan-out pool between runs
+        service.close()
         placed = {
             name: backend["dispatched"]
             for name, backend in stats["backends"].items()

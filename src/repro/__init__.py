@@ -39,7 +39,6 @@ from repro.backends import (
     MiniDBBackend,
     RoutingPolicy,
     SpillPolicy,
-    StaticLabelPolicy,
 )
 from repro.core import (
     LabeledQuery,
@@ -74,7 +73,6 @@ __all__ = [
     "MiniDBBackend",
     "RoutingPolicy",
     "SpillPolicy",
-    "StaticLabelPolicy",
     "LabeledQuery",
     "QueryClassifier",
     "QuercService",

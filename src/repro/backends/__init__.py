@@ -45,7 +45,6 @@ from repro.backends.policy import (
     LeastLoadedPolicy,
     LoadSignal,
     RoutingPolicy,
-    StaticLabelPolicy,
 )
 from repro.backends.resilience import BreakerState, CircuitBreaker, RetryPolicy
 from repro.backends.router import (
@@ -86,7 +85,6 @@ __all__ = [
     "LeastLoadedPolicy",
     "LoadSignal",
     "RoutingPolicy",
-    "StaticLabelPolicy",
     "BackendBinding",
     "BackendCounters",
     "BackendRegistry",

@@ -22,12 +22,12 @@ This module is that layer for Querc:
   :class:`~repro.backends.router.BatchRouter` re-ranks once per
   (label, batch), so placement tracks load at batch granularity while
   staying cheap on the hot path.
-* Four concrete policies: :class:`StaticLabelPolicy` (the original
-  fixed label→backend table), :class:`LeastLoadedPolicy` (min
+* Three concrete policies: :class:`LeastLoadedPolicy` (min
   in-flight + queued depth), :class:`LatencyEwmaPolicy` (min observed
   per-query latency, optimistic about unmeasured backends), and
   :class:`CostBudgetPolicy` (spend per-backend cost budgets before
-  overflowing onto expensive engines).
+  overflowing onto expensive engines). The original fixed
+  label→backend table is no policy at all: the router's static chain.
 
 A policy that returns an empty ranking *abstains*: the router falls
 back to the static route table / default backend, so installing a
@@ -192,23 +192,6 @@ class RoutingPolicy(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
-
-
-class StaticLabelPolicy(RoutingPolicy):
-    """The original behavior, expressed as a policy: follow the route
-    table and nothing else. Abstains when the table has no entry, which
-    hands resolution back to the router's label-is-a-backend / default
-    chain — exactly the pre-policy dispatch semantics."""
-
-    name = "static"
-
-    def rank(
-        self,
-        label: object,
-        candidates: Sequence[CandidateView],
-        mapped: str | None = None,
-    ) -> list[str]:
-        return [mapped] if mapped else []
 
 
 class LeastLoadedPolicy(RoutingPolicy):

@@ -24,8 +24,9 @@ live :class:`~repro.backends.policy.CandidateView`\\ s — EWMA execute
 latency, admission rejection rate, in-flight depth, parked queue depth
 — and dispatches to the ranking's head; a policy that abstains falls
 back to the static chain. When one batch splits across several
-backends, the groups execute in parallel on a shared fan-out pool
-instead of sequentially.
+backends, the groups are offered one after another on the calling
+thread — in the serving spine, the stage-pool dispatch worker that
+runs the batch, so the stage pool stays the only concurrency.
 
 A binding can also carry a :class:`~repro.backends.resilience.RetryPolicy`
 and a :class:`~repro.backends.resilience.CircuitBreaker`. The retry
@@ -53,7 +54,6 @@ import threading
 import time
 from collections import deque
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -477,12 +477,11 @@ class BatchRouter:
     the table could place.
 
     When a batch resolves to more than one backend, the per-backend
-    groups are offered and executed in parallel on a shared fan-out
-    thread pool (``fanout_workers``; set it to 0 or 1 to keep the
-    sequential path). Counters, admission gates, spill queues and load
-    signals are all thread-safe, so concurrent groups — including a
-    FALLBACK hop into a sibling that is itself executing — stay
-    consistent.
+    groups are offered one after another, in group order, on the
+    calling thread. Counters, admission gates, spill queues and load
+    signals are all thread-safe, so concurrent dispatches from several
+    stage-pool workers — including a FALLBACK hop into a sibling that
+    another dispatch is executing — stay consistent.
     """
 
     def __init__(
@@ -492,15 +491,11 @@ class BatchRouter:
         default_backend: str | None = None,
         metrics: RuntimeMetrics | None = None,
         policy: RoutingPolicy | None = None,
-        fanout_workers: int = 4,
     ) -> None:
-        if fanout_workers < 0:
-            raise BackendError("fanout_workers must be >= 0")
         self.registry = registry
         self.route_label = route_label
         self.default_backend = default_backend
         self.metrics = metrics if metrics is not None else RuntimeMetrics()
-        self.fanout_workers = int(fanout_workers)
         self._routes: dict[object, str] = {}
         self._policy = policy
         self._candidates: dict[object, tuple[str, ...]] = {}
@@ -508,7 +503,6 @@ class BatchRouter:
         self._reranks = 0
         self._static_fallbacks = 0
         self._decisions: dict[object, dict[str, int]] = {}
-        self._pool: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
 
     # -- route table ---------------------------------------------------------------
@@ -639,9 +633,9 @@ class BatchRouter:
 
         With a policy installed, each distinct label is re-ranked once
         per batch against the candidates' live load; without one, the
-        static route table decides. Multi-backend batches fan out in
-        parallel on the shared pool (errors from every group are
-        awaited; the first, in group order, is re-raised).
+        static route table decides. A multi-backend batch offers every
+        group in group order; the first ``Exception`` any group raised
+        is re-raised once all have been offered.
 
         This is the public boundary: a plain message list becomes a
         :class:`~repro.runtime.columnar.ColumnarBatch` here, once, and
@@ -739,47 +733,24 @@ class BatchRouter:
     def _dispatch_groups(
         self, groups: "dict[str, ColumnarSlice]"
     ) -> "list[RouteDecision]":
-        """Offer every per-backend group; in parallel when k > 1.
+        """Offer every per-backend group in group (insertion) order.
 
-        Decisions come back in group (insertion) order either way, so
-        reports are deterministic; only the execution overlaps.
+        A group that raises does not stop the ones after it: each is
+        offered, and the first ``Exception`` is re-raised at the end.
+        Non-``Exception`` signals propagate at once, as in
+        :meth:`_execute_with_retry`.
         """
-        items = list(groups.items())
-        pool = self._fanout_pool() if len(items) > 1 else None
-        if pool is None:
-            decisions: list[RouteDecision] = []
-            for name, messages in items:
-                decisions.extend(self._dispatch_group(name, messages))
-            return decisions
-        # a slot per group, in group order: parallel futures where the
-        # pool accepts them, inline calls if close() raced us mid-batch
-        slots: list[tuple[str, object]] = []
-        for name, messages in items:
-            if pool is not None:
-                try:
-                    slots.append(
-                        ("future", pool.submit(self._dispatch_group, name, messages))
-                    )
-                    continue
-                except RuntimeError:
-                    # pool shut down concurrently; finish sequentially
-                    pool = None
-            slots.append(("call", (name, messages)))
-        collected: list[list[RouteDecision]] = []
-        first_error: BaseException | None = None
-        for kind, payload in slots:
+        decisions: list[RouteDecision] = []
+        first_error: Exception | None = None
+        for name, messages in groups.items():
             try:
-                if kind == "future":
-                    collected.append(payload.result())
-                else:
-                    name, messages = payload
-                    collected.append(self._dispatch_group(name, messages))
-            except BaseException as exc:  # noqa: BLE001 - await all, raise first
+                decisions.extend(self._dispatch_group(name, messages))
+            except Exception as exc:  # noqa: BLE001 - offer all, raise first
                 if first_error is None:
                     first_error = exc
         if first_error is not None:
             raise first_error
-        return [decision for group in collected for decision in group]
+        return decisions
 
     def _dispatch_group(
         self, name: str, messages: ColumnarSlice
@@ -789,30 +760,6 @@ class BatchRouter:
         decisions = self._drain_pending(binding)
         decisions.extend(self._offer(binding, messages))
         return decisions
-
-    def _fanout_pool(self) -> ThreadPoolExecutor | None:
-        if self.fanout_workers <= 1:
-            return None
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.fanout_workers,
-                    thread_name_prefix="querc-fanout",
-                )
-            return self._pool
-
-    def close(self) -> None:
-        """Release the fan-out pool's threads (idempotent).
-
-        In-flight groups are drained first. A later multi-backend
-        dispatch lazily recreates the pool, so closing is safe at any
-        point — call it (or :meth:`QuercService.close`) when tearing a
-        router down instead of waiting for garbage collection.
-        """
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     def drain(self, backend_name: str) -> DispatchReport:
         """Retry a backend's parked queue without new arrivals."""
@@ -852,7 +799,6 @@ class BatchRouter:
             "decisions": decisions,
             "reranks": reranks,
             "static_fallbacks": fallbacks,
-            "fanout_workers": self.fanout_workers,
             "signals": {
                 name: self.registry.get(name).load_view().as_dict()
                 for name in self.registry.names()

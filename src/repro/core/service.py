@@ -68,7 +68,6 @@ class QuercService:
         seed: int = 0,
         cache_capacity: int = 4096,
         route_label: str = "cluster",
-        fanout_workers: int = 4,
     ) -> None:
         self.embedders = EmbedderRegistry()
         self.training = TrainingModule(n_folds=n_folds, seed=seed)
@@ -87,7 +86,6 @@ class QuercService:
             self.backends,
             route_label=route_label,
             metrics=self.runtime.metrics,
-            fanout_workers=fanout_workers,
         )
         self._applications: dict[str, Application] = {}
         # concurrent serving state: the tuner adapts stream batch
@@ -543,13 +541,12 @@ class QuercService:
         return runtime
 
     def close(self) -> None:
-        """Release pooled resources (the router's fan-out threads).
+        """Tear the service down (idempotent).
 
-        Idempotent, and the service keeps working afterwards — pools
-        are recreated lazily — so call it whenever a service instance
-        is being discarded (tests, per-tenant churn).
+        The service owns no threads — each stage pool belongs to the
+        executor its caller closes — so there is nothing to release;
+        the call stays as the one tear-down name callers use.
         """
-        self.router.close()
 
     def import_logs(self, application: str, records: list[QueryLogRecord]) -> int:
         """Periodic log import: ground-truth labels for training (§2).

@@ -26,7 +26,7 @@ those lanes actually observe.
 
 from repro.runtime.cache import EmbeddingCache
 from repro.runtime.columnar import ColumnarBatch, ColumnarSlice, LabelColumn
-from repro.runtime.executor import StagedExecutor, StagedFuture
+from repro.runtime.executor import StagedExecutor
 from repro.runtime.metrics import STAGES, RuntimeMetrics
 from repro.runtime.pipeline import InferencePipeline, embed_queries
 from repro.runtime.tuner import BatchSizeTuner
@@ -41,6 +41,5 @@ __all__ = [
     "InferencePipeline",
     "embed_queries",
     "StagedExecutor",
-    "StagedFuture",
     "BatchSizeTuner",
 ]

@@ -83,6 +83,7 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -93,67 +94,6 @@ _SENTINEL = object()
 # retire token for live shrink: exactly one worker consumes it between
 # batches (a stage boundary) and exits; in-flight batches are untouched
 _RETIRE = object()
-
-
-class StagedFuture:
-    """Completion handle for one submitted batch."""
-
-    __slots__ = ("application", "_event", "_value", "_error", "_callbacks", "_cb_lock")
-
-    def __init__(self, application: str) -> None:
-        self.application = application
-        self._event = threading.Event()
-        self._value: Any = None
-        self._error: BaseException | None = None
-        self._callbacks: list[Callable[["StagedFuture"], None]] = []
-        self._cb_lock = threading.Lock()
-
-    def _resolve(self, value: Any = None, error: BaseException | None = None) -> None:
-        self._value = value
-        self._error = error
-        with self._cb_lock:
-            self._event.set()
-            callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            try:
-                callback(self)
-            except BaseException:  # noqa: BLE001 - callbacks never kill a worker
-                pass
-
-    def add_done_callback(
-        self, callback: Callable[["StagedFuture"], None]
-    ) -> None:
-        """Run ``callback(self)`` once the future resolves.
-
-        Called on the pool worker that resolved the batch (or
-        immediately, in the registering thread, when already done) —
-        the bridge asyncio producers use to get completions back onto
-        their event loop without parking a thread in :meth:`result`.
-        Each registered callback runs exactly once; exceptions are
-        swallowed — a broken observer must not kill a pool worker or
-        fail the batch.
-        """
-        with self._cb_lock:
-            if not self._event.is_set():
-                self._callbacks.append(callback)
-                return
-        try:
-            callback(self)
-        except BaseException:  # noqa: BLE001 - observer isolation
-            pass
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def result(self, timeout: float | None = None) -> Any:
-        """The dispatch stage's return value; re-raises stage errors."""
-        if not self._event.wait(timeout):
-            raise ServiceError(
-                f"batch for {self.application!r} not done within {timeout}s"
-            )
-        if self._error is not None:
-            raise self._error
-        return self._value
 
 
 class _Lane:
@@ -360,19 +300,21 @@ class StagedExecutor:
 
     # -- submission ----------------------------------------------------------------
 
-    def submit(self, application: str, item: Any) -> StagedFuture:
+    def submit(self, application: str, item: Any) -> Future:
         """Queue one batch onto its application's lane.
 
         Blocks when the lane's ingress is full — backpressure from a
         slow stage propagates to the producer instead of buffering
         without bound, and it is per-tenant: one application's full
         lane never blocks another's submit. Once this method returns a
-        future, that future is guaranteed to resolve (value or error),
-        even if :meth:`close` races the submission.
+        :class:`concurrent.futures.Future`, that future is already
+        running (it cannot be cancelled) and is guaranteed to resolve
+        (value or error), even if :meth:`close` races the submission.
+        Done-callbacks run on the pool worker that resolves the batch.
         """
         return self._offer(application, item, block=True)
 
-    def try_submit(self, application: str, item: Any) -> StagedFuture | None:
+    def try_submit(self, application: str, item: Any) -> Future | None:
         """Non-blocking :meth:`submit`: ``None`` when the lane is full.
 
         The coroutine-producer flavor — an asyncio session must never
@@ -387,7 +329,7 @@ class StagedExecutor:
 
     def _offer(
         self, application: str, item: Any, block: bool
-    ) -> StagedFuture | None:
+    ) -> Future | None:
         """The one accept path: a batch is accepted exactly when its
         lane is open and its ingress has room."""
         lane = self._lane(application)
@@ -399,7 +341,10 @@ class StagedExecutor:
                 lane.cond.wait()
             if lane.closed:
                 raise ServiceError("executor is closed")
-            future = StagedFuture(application)
+            future: Future = Future()
+            # running from acceptance on: no holder can cancel it, so
+            # every later set_result / set_exception is legal
+            future.set_running_or_notify_cancel()
             ingress.append((item, future))
             lane.submitted += 1
             with self._drain:
@@ -457,14 +402,22 @@ class StagedExecutor:
     # -- workers -------------------------------------------------------------------
 
     def _resolve_future(
-        self, future: StagedFuture, value: Any = None,
+        self, future: Future, value: Any = None,
         error: BaseException | None = None,
     ) -> None:
-        future._resolve(value=value, error=error)
-        with self._drain:
-            self._outstanding -= 1
-            if self._outstanding <= 0:
-                self._drain.notify_all()
+        try:
+            if error is None:
+                future.set_result(value)
+            else:
+                future.set_exception(error)
+        finally:
+            # a done-callback raising a non-Exception propagates out of
+            # set_*; the ledger must still count the batch resolved, or
+            # close() would drain forever
+            with self._drain:
+                self._outstanding -= 1
+                if self._outstanding <= 0:
+                    self._drain.notify_all()
 
     def _worker_exit(self) -> None:
         """Count a worker out (sentinel or death) and wake the drain.
@@ -517,7 +470,7 @@ class StagedExecutor:
             self._worker_exit()
 
     def _run_one(
-        self, stage: _Stage, lane: _Lane, payload: Any, future: StagedFuture
+        self, stage: _Stage, lane: _Lane, payload: Any, future: Future
     ) -> None:
         """Run one batch through ``stage``, then hand it to the next
         stage — or, after the last stage or an error, resolve its future."""
@@ -605,6 +558,10 @@ class StagedExecutor:
             for stage, target in targets:
                 if target is not None and target < 1:
                     raise ServiceError(f"{stage.name}_workers must be >= 1")
+            for stage in self._stages:
+                # drop workers that consumed a retire token and exited;
+                # live and still-retiring ones stay for close() to join
+                stage.threads[:] = [t for t in stage.threads if t.is_alive()]
             changed = False
             for stage, target in targets:
                 if target is None or target == stage.workers:
@@ -690,22 +647,25 @@ class StagedExecutor:
                 # wait needs no poll timeout
                 while self._outstanding > 0 and self._workers_alive > 0:
                     self._drain.wait()
-            for stage in self._stages:
-                for _ in stage.threads:
-                    stage.ready.put(_SENTINEL)
+            with self._resize_lock:
+                # a resize that passed the closed check before us has
+                # finished spawning; none can start after it
+                for stage in self._stages:
+                    for _ in stage.threads:
+                        stage.ready.put(_SENTINEL)
             for stage in self._stages:
                 for thread in stage.threads:
                     thread.join()
             # belt and braces: no future may ever be stranded by close()
-            leftovers: list[StagedFuture] = []
+            leftovers: list[Future] = []
             for lane in lanes:
                 with lane.cond:
                     for waiting in lane.queues:
                         leftovers.extend(f for _, f in waiting if not f.done())
                         waiting.clear()
             for future in leftovers:
-                future._resolve(
-                    error=ServiceError("executor closed before the batch ran")
+                future.set_exception(
+                    ServiceError("executor closed before the batch ran")
                 )
         finally:
             # unblock concurrent close() callers even on a failed

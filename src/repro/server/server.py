@@ -25,8 +25,8 @@ executor it uses the non-blocking
 :meth:`~repro.runtime.executor.StagedExecutor.try_submit`: a full lane
 never parks the event-loop thread — the coroutine awaits a per-lane
 room event (set as that application's batches complete) and offers
-again. Completions hop back onto the loop via
-:meth:`~repro.runtime.executor.StagedFuture.add_done_callback` +
+again. Completions hop back onto the loop via the returned
+:class:`concurrent.futures.Future`'s ``add_done_callback`` +
 ``call_soon_threadsafe``, so no thread ever blocks in ``result()``.
 
 Results stream per batch, in completion order, matched to submits by
@@ -70,8 +70,9 @@ from repro.workloads.logs import QueryLogRecord
 from repro.workloads.stream import StreamBatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import Future
+
     from repro.core.service import QuercService
-    from repro.runtime.executor import StagedFuture
 
 _READ_CHUNK = 1 << 16
 _CLOSE = object()
@@ -202,7 +203,7 @@ class QuercServer:
         if event is not None:
             event.set()
 
-    async def _bridge_submit(self, application: str, batch) -> "StagedFuture":
+    async def _bridge_submit(self, application: str, batch) -> "Future":
         """Offer a batch to the lane; await room without blocking the loop.
 
         ``try_submit`` returning ``None`` means the lane's ingress is

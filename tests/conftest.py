@@ -95,11 +95,11 @@ def no_thread_leaks():
 
     Snapshots ``threading.enumerate()`` before the test and asserts
     every thread born during it is gone afterwards — the hygiene
-    contract for everything that owns a pool (the staged executor's
-    stage workers, the router's fan-out pool): ``close()`` must join
-    its threads, not abandon daemons. Each new thread is joined against
-    one shared deadline, which absorbs workers that are mid-exit when
-    the test body returns.
+    contract for the one thing that owns a pool, the staged executor's
+    stage workers (and the server thread hosting them): ``close()``
+    must join its threads, not abandon daemons. Each new thread is
+    joined against one shared deadline, which absorbs workers that are
+    mid-exit when the test body returns.
     """
     # snapshot thread objects, not idents — the OS recycles idents, and
     # a recycled ident would mask a genuine leak

@@ -3,15 +3,13 @@
 Bottom-up over the new layer: the :class:`LoadSignal` EWMA math, each
 :class:`RoutingPolicy`'s ranking (deterministic, name-tied), the
 router consulting a policy per batch with candidate sets and static
-fallback, the parallel multi-backend fan-out (proven with a barrier,
-not timing), the tuner's admission-headroom feedback, and the
+fallback, the multi-backend split (every group offered in order, the
+first error re-raised), the tuner's admission-headroom feedback, and the
 service-level wiring (``set_routing_policy`` + ``stats()["routing"]``
 + the staged executor's dispatch feedback).
 """
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
@@ -25,9 +23,8 @@ from repro.backends import (
     LoadSignal,
     NullBackend,
     RoutingPolicy,
-    StaticLabelPolicy,
 )
-from repro.backends.base import Backend, BatchResult, QueryOutcome
+from repro.backends.base import Backend
 from repro.backends.latency import LatencyProxyBackend
 from repro.core.labeled_query import LabeledQuery
 from repro.errors import BackendError, ServiceError
@@ -40,14 +37,9 @@ def make_batch(n: int, cluster: str = "", query: str = "select 1"):
     return [LabeledQuery.make(f"{query} -- {i}", **labels) for i in range(n)]
 
 
-def make_router(fanout_workers: int = 0):
+def make_router():
     registry = BackendRegistry()
-    router = BatchRouter(
-        registry,
-        route_label="cluster",
-        metrics=RuntimeMetrics(),
-        fanout_workers=fanout_workers,
-    )
+    router = BatchRouter(registry, route_label="cluster", metrics=RuntimeMetrics())
     return registry, router
 
 
@@ -86,12 +78,6 @@ class TestLoadSignal:
 
 
 class TestPolicyRankings:
-    def test_static_follows_mapped_else_abstains(self):
-        policy = StaticLabelPolicy()
-        views = [view("DB(A)"), view("DB(B)")]
-        assert policy.rank("east", views, mapped="DB(B)") == ["DB(B)"]
-        assert policy.rank("east", views, mapped=None) == []
-
     def test_least_loaded_prefers_smallest_depth(self):
         policy = LeastLoadedPolicy()
         views = [
@@ -320,78 +306,89 @@ class TestRouterPolicyIntegration:
         assert slow.inner.accepted == 0
 
 
-class _BarrierBackend(Backend):
-    """Proves two execute() calls overlap: both must reach the barrier."""
-
-    def __init__(self, name: str, barrier: threading.Barrier) -> None:
+class _Boom(Backend):
+    def __init__(self, name: str) -> None:
         super().__init__(name)
-        self.barrier = barrier
+        self.calls = 0
 
     def execute(self, queries):
-        self.barrier.wait(timeout=10.0)  # raises BrokenBarrierError when serial
-        return BatchResult(
-            backend=self.name,
-            outcomes=tuple(QueryOutcome(query=q, ok=True) for q in queries),
-        )
+        self.calls += 1
+        raise BackendError(f"{self.name} is down")
+
+
+def assert_reconciles(router) -> None:
+    for snap in router.snapshot().values():
+        assert snap["dispatched"] == (
+            snap["admitted"]
+            + snap["rejected"]
+            + snap["queued"]
+            + snap["spilled"]
+            + snap["queue_evicted"]
+        ), snap
 
 
 class TestParallelFanout:
-    def test_two_groups_execute_concurrently(self, no_thread_leaks):
-        barrier = threading.Barrier(2)
-        registry, router = make_router(fanout_workers=4)
-        registry.register(_BarrierBackend("DB(A)", barrier))
-        registry.register(_BarrierBackend("DB(B)", barrier))
-        batch = make_batch(2, "DB(A)") + make_batch(2, "DB(B)")
-        try:
-            # sequential dispatch would block forever on the first barrier
-            report = router.dispatch("X", batch)
-            assert report.admitted == 4
-            assert {d.backend for d in report.decisions} == {"DB(A)", "DB(B)"}
-        finally:
-            router.close()  # hygiene: the fan-out pool must not outlive us
-
-    def test_fanout_disabled_stays_sequential(self):
-        registry, router = make_router(fanout_workers=0)
-        assert router._fanout_pool() is None
-        registry.register(NullBackend("DB(A)"))
-        registry.register(NullBackend("DB(B)"))
-        report = router.dispatch("X", make_batch(2, "DB(A)") + make_batch(2, "DB(B)"))
-        assert report.admitted == 4
+    """A batch that splits over several backends: its groups are offered
+    one after another on the dispatching thread, every group is offered
+    even when one raises, and the first error surfaces at the end."""
 
     def test_one_failing_group_surfaces_after_all_ran(self):
-        class Boom(Backend):
-            def execute(self, queries):
-                raise BackendError("boom")
-
-        registry, router = make_router(fanout_workers=4)
-        ok = NullBackend("DB(B)")
-        registry.register(Boom("DB(A)"))
+        registry, router = make_router()
+        boom, ok = _Boom("DB(A)"), NullBackend("DB(B)")
+        registry.register(boom)
         registry.register(ok)
-        with pytest.raises(BackendError):
+        with pytest.raises(BackendError, match="DB\\(A\\) is down"):
             router.dispatch("X", make_batch(2, "DB(A)") + make_batch(3, "DB(B)"))
-        # the healthy group still executed: fan-out awaits every group
+        # the healthy group after the failing one still executed
+        assert boom.calls == 1
         assert ok.accepted == 3
+        assert registry.get("DB(B)").counters.snapshot()["dispatched"] == 3
+        assert_reconciles(router)
 
-    def test_invalid_fanout_rejected(self):
-        registry = BackendRegistry()
-        with pytest.raises(BackendError):
-            BatchRouter(registry, fanout_workers=-1)
+    def test_failing_second_group_surfaces_after_first_ran(self):
+        registry, router = make_router()
+        ok, boom = NullBackend("DB(A)"), _Boom("DB(B)")
+        registry.register(ok)
+        registry.register(boom)
+        with pytest.raises(BackendError, match="DB\\(B\\) is down"):
+            router.dispatch("X", make_batch(2, "DB(A)") + make_batch(3, "DB(B)"))
+        assert ok.accepted == 2
+        assert boom.calls == 1
+        assert registry.get("DB(B)").counters.snapshot()["dispatched"] == 3
+        assert_reconciles(router)
 
-    def test_close_releases_pool_and_dispatch_recreates(self, no_thread_leaks):
-        registry, router = make_router(fanout_workers=2)
-        a, b = NullBackend("DB(A)"), NullBackend("DB(B)")
-        registry.register(a)
-        registry.register(b)
-        batch = make_batch(2, "DB(A)") + make_batch(2, "DB(B)")
-        router.dispatch("X", batch)
-        assert router._pool is not None
-        router.close()
-        router.close()  # idempotent
-        assert router._pool is None
-        # a later multi-backend dispatch lazily recreates the pool
-        router.dispatch("X", batch)
-        assert a.accepted == 4 and b.accepted == 4
-        router.close()
+    def test_first_error_in_group_order_wins(self):
+        registry, router = make_router()
+        registry.register(_Boom("DB(A)"))
+        registry.register(_Boom("DB(B)"))
+        with pytest.raises(BackendError, match="DB\\(B\\) is down"):
+            router.dispatch("X", make_batch(1, "DB(B)") + make_batch(1, "DB(A)"))
+
+    def test_non_exception_signal_propagates_at_once(self):
+        class Interrupted(Backend):
+            def execute(self, queries):
+                raise KeyboardInterrupt
+
+        registry, router = make_router()
+        later = NullBackend("DB(B)")
+        registry.register(Interrupted("DB(A)"))
+        registry.register(later)
+        with pytest.raises(KeyboardInterrupt):
+            router.dispatch("X", make_batch(1, "DB(A)") + make_batch(1, "DB(B)"))
+        assert later.accepted == 0
+
+    def test_decisions_come_back_in_group_order(self):
+        registry, router = make_router()
+        for name in ("DB(A)", "DB(B)", "DB(C)"):
+            registry.register(NullBackend(name))
+        batch = (
+            make_batch(1, "DB(C)") + make_batch(2, "DB(A)")
+            + make_batch(1, "DB(C)") + make_batch(3, "DB(B)")
+        )
+        report = router.dispatch("X", batch)
+        assert [(d.backend, d.offered) for d in report.decisions] == [
+            ("DB(C)", 2), ("DB(A)", 2), ("DB(B)", 3),
+        ]
 
 
 class TestTunerAdmissionFeedback:

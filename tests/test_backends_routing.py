@@ -657,7 +657,7 @@ def _mixed(n: int, query: str = "select 1") -> list[LabeledQuery]:
 def _two_backends(a_kwargs=None, b_kwargs=None, a_wrap=lambda backend: backend):
     """east -> DB(A), west -> DB(B); returns (router, {name: NullBackend})."""
     registry = BackendRegistry()
-    router = BatchRouter(registry, metrics=RuntimeMetrics(), fanout_workers=0)
+    router = BatchRouter(registry, metrics=RuntimeMetrics())
     sinks = {"DB(A)": NullBackend("DB(A)"), "DB(B)": NullBackend("DB(B)")}
     registry.register(a_wrap(sinks["DB(A)"]), **(a_kwargs or {}))
     registry.register(sinks["DB(B)"], **(b_kwargs or {}))

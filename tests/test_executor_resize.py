@@ -213,9 +213,32 @@ class TestExecutorResize:
         index is per-stage monotonic, so dumps stay unambiguous."""
         with doubling_executor(label_workers=2, dispatch_workers=1) as ex:
             ex.resize(label_workers=1)
+            first = {t.name for t in ex._stages[0].threads}
             ex.resize(label_workers=3)
             names = [t.name for t in ex._stages[0].threads]
-            assert len(names) == len(set(names)) == 4  # 2 + 2 spawned
+            # the retired worker may already be pruned from the list
+            assert len(names) == len(set(names))
+            assert len(first | set(names)) == 4  # 2 + 2 spawned
+
+    def test_retired_workers_leave_the_thread_list(self):
+        """Resize churn must not grow the kept thread list: a worker
+        that took a retire token and exited is dropped on the next
+        resize, and close() still joins every live one."""
+        with doubling_executor(label_workers=1, dispatch_workers=1) as ex:
+            for _ in range(50):
+                ex.resize(label_workers=3, dispatch_workers=3)
+                ex.resize(label_workers=1, dispatch_workers=1)
+            assert wait_for_workers(ex, 2) == 2
+            deadline = time.monotonic() + WAIT
+            while time.monotonic() < deadline and any(
+                sum(t.is_alive() for t in stage.threads) > 1
+                for stage in ex._stages
+            ):
+                time.sleep(0.001)
+            ex.resize(label_workers=1, dispatch_workers=1)
+            for stage in ex._stages:
+                assert [t.is_alive() for t in stage.threads] == [True]
+            assert ex.submit("X", 1).result(WAIT) == 3
 
     def test_pool_window_resets_to_current_occupancy(self):
         release = threading.Event()

@@ -237,7 +237,7 @@ def _execute_for_real(order_seed: int):
     database = materialize_log_tables(queries, rows_per_table=8)
     registry = BackendRegistry()
     registry.register(MiniDBBackend("shared", database))
-    router = BatchRouter(registry, default_backend="shared", fanout_workers=0)
+    router = BatchRouter(registry, default_backend="shared")
     outcomes = []
     executed_ok = 0
     cursor = 0

@@ -116,7 +116,6 @@ def _run(batches, database, resilient: bool):
         registry,
         route_label="cluster",
         default_backend="primary",
-        fanout_workers=0,  # single-threaded: the schedule decides, not pool luck
     )
 
     executed_ok = 0

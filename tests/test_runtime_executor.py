@@ -348,6 +348,43 @@ class TestStagedExecutor:
             # the observer's failure stays the observer's problem
             assert future.result(WAIT) == 5
 
+    def test_done_callback_raising_a_non_exception_cannot_hang_close(self):
+        """The stdlib future re-raises a callback's non-``Exception``;
+        the batch must still leave the drain ledger and the worker live."""
+        release = threading.Event()
+
+        def dispatch(app, item):
+            assert release.wait(WAIT)
+            return item
+
+        def hostile(_f):
+            raise _Hostile("observer escaped")
+
+        ex = StagedExecutor(lambda a, i: i, dispatch, dispatch_workers=1)
+        future = ex.submit("X", 5)
+        future.add_done_callback(hostile)
+        release.set()
+        assert future.result(WAIT) == 5
+        assert ex.submit("X", 6).result(WAIT) == 6  # the worker survived
+        closer = threading.Thread(target=ex.close)
+        closer.start()
+        closer.join(WAIT)
+        assert not closer.is_alive()
+
+    def test_accepted_future_cannot_be_cancelled(self):
+        release = threading.Event()
+
+        def label(app, item):
+            assert release.wait(WAIT)
+            return item
+
+        with StagedExecutor(label, lambda a, i: i, label_workers=1) as ex:
+            first = ex.submit("X", 1)
+            queued = ex.submit("X", 2)  # still on the lane's ingress
+            assert not first.cancel() and not queued.cancel()
+            release.set()
+            assert [first.result(WAIT), queued.result(WAIT)] == [1, 2]
+
     def test_invalid_queue_depth_rejected(self):
         with pytest.raises(ServiceError):
             StagedExecutor(lambda a, i: i, lambda a, i: i, queue_depth=0)
@@ -734,6 +771,43 @@ class TestProcessRoutedConcurrent:
         assert pool["label_workers"] == 1
         assert pool["dispatch_workers"] == 2
         assert pool["max_label_active"] == 1
+
+    def test_stage_pool_is_the_only_concurrency(self, monkeypatch):
+        """A route table that splits every batch over two backends: each
+        batch's groups run on the dispatch worker that holds it, so every
+        thread started during the run is a stage worker."""
+        service = QuercService(route_label="timestamp")
+        a, b = NullBackend("DB(A)"), NullBackend("DB(B)")
+        service.register_backend(a)
+        service.register_backend(b)
+        service.map_route(0.0, "DB(A)")
+        service.map_route(1.0, "DB(B)")
+        service.add_application("X", backend="DB(A)")
+        records = [
+            QueryLogRecord(query=f"select x_{i} from t", timestamp=float(i % 2))
+            for i in range(32)
+        ]
+        batches = list(interleave_streams([QueryStream("X", records, batch_size=8)]))
+        started: list[str] = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        results = service.process_routed_concurrent(
+            batches, label_workers=2, dispatch_workers=2
+        )
+        monkeypatch.undo()
+        service.close()
+        for _, report in results:
+            assert [d.backend for d in report.decisions] == ["DB(A)", "DB(B)"]
+        assert a.accepted == b.accepted == 16
+        assert sorted(started) == [
+            "querc-dispatch-0", "querc-dispatch-1",
+            "querc-label-0", "querc-label-1",
+        ]
 
     def test_worker_state_matches_serial(self):
         batches = self._batches()

@@ -129,7 +129,7 @@ EXPECTED_KEY_TREE = {
     ),
     "backends.standby.backend": "accepted kind name",
     "routing": (
-        "candidates decisions fanout_workers policy reranks route_table "
+        "candidates decisions policy reranks route_table "
         "signals static_fallbacks"
     ),
     "routing.policy": "name",
