@@ -41,17 +41,23 @@ class ColumnMeta:
         if hi < lo:
             return 0.0
         if self.histogram is not None and self.max_value > self.min_value:
-            width = (self.max_value - self.min_value) / len(self.histogram)
-            total = self.histogram.sum()
+            counts = self.histogram.tolist()
+            n = len(counts)
+            width = (self.max_value - self.min_value) / n
+            total = sum(counts)
             if total > 0 and width > 0:
                 first = (lo - self.min_value) / width
                 last = (hi - self.min_value) / width
+                if not first < last:  # a point, or a NaN bound: no overlap
+                    return 0.0
+                # only the buckets around [first, last] can overlap it;
+                # the terms and their order are those of a walk over all
                 mass = 0.0
-                for b in range(len(self.histogram)):
+                for b in range(max(0, int(first) - 1), min(n, int(last) + 2)):
                     overlap = min(last, b + 1) - max(first, b)
                     if overlap > 0:
-                        mass += self.histogram[b] * min(1.0, overlap)
-                return float(np.clip(mass / total, 0.0, 1.0))
+                        mass += counts[b] * min(1.0, overlap)
+                return float(min(1.0, max(0.0, mass / total)))
         span = self.max_value - self.min_value
         if span <= 0:
             return 1.0

@@ -156,11 +156,14 @@ class Database:
         """Plan ``sql`` through the cache, parsing only when needed; the
         plan comes with its cache entry's recycled results, if any.
 
-        Verified-hot templates are served by
-        :meth:`~repro.minidb.plancache.PlanCache.try_fast` — the binding
-        extracted straight from the text, no parse; everything else
-        parses and goes through :meth:`PlanCache.fetch`. Both meet the
-        same guard chain with the same binding for the same text.
+        Hits are served by
+        :meth:`~repro.minidb.plancache.PlanCache.try_fast` without a
+        parse: a text a cached plan was made from brings that plan's own
+        binding, any other text of a verified template has its binding
+        extracted straight from the text. Everything else parses (from
+        the fast scanner's tokens) and goes through
+        :meth:`PlanCache.fetch`. Both meet the same guard chain with the
+        same binding for the same text.
         """
         if fingerprint_key is None:
             fingerprint_key = template_fingerprint(sql)

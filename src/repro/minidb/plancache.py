@@ -15,14 +15,17 @@ knows how a plan is laid out), so a plan-node kind or expression field
 added to the planner is re-bound and rendered without a change here.
 Planning (join enumeration, index selection, selectivity
 estimation) is paid once per template instead of once per query — and
-once a template has cleared verification, even *parsing* is skipped:
-the binding is extracted straight from the query text by the
-template's :class:`~repro.sql.params.FastBindingRecipe` (one pass of
-the normalizer's fast scanner) and re-bound into the cached plan, so a
-hot template pays only extraction, re-binding and execution. Both
+a hit does not even *parse*. Each cached plan keeps the text and the
+binding it was planned from; a query with that very text (an exact
+repeat, most hits on a template-heavy stream) is checked with that
+binding as is, so it pays no scan and no re-bind and gets the entry's
+own plan. Any other text of a verified template has its binding
+extracted by the template's :class:`~repro.sql.params.FastBindingRecipe`
+(one pass of the normalizer's fast scanner) and re-bound into the
+cached plan, so it pays only extraction, re-binding and execution. All
 routes hand the cache the same :class:`~repro.sql.params.ParameterBinding`
-and meet the same guard chain (``PlanCache._guard``): ``fetch`` acts
-on every verdict, ``try_fast`` serves only a hit.
+for the same text and meet the same guard chain (``PlanCache._guard``):
+``fetch`` acts on every verdict, ``try_fast`` serves only a hit.
 
 Soundness guards, in order of application:
 
@@ -314,14 +317,20 @@ def _rebind(path, bound: list[ast.Literal], done: dict[int, object]):
 
 class _Entry:
     __slots__ = (
-        "plan", "rebinder", "recycled", "kinds", "epoch", "seen", "literal_sensitive"
+        "plan", "rebinder", "recycled", "binding", "sql", "epoch", "seen",
+        "literal_sensitive",
     )
 
-    def __init__(self, plan: PlanNode, binding: ParameterBinding, epoch: int) -> None:
+    def __init__(
+        self, plan: PlanNode, binding: ParameterBinding, epoch: int, sql: str | None
+    ) -> None:
         self.plan = plan
         self.rebinder = PlanRebinder(binding.slots, plan)
         self.recycled = RecycledResults(plan)  # lives and dies with the entry
-        self.kinds = binding.kinds
+        # what the plan was made for: a later query with this very text
+        # has this binding, so it is served without reading the text
+        self.binding = binding
+        self.sql = sql
         self.epoch = epoch
         self.seen: set[tuple] = {binding.values}  # distinct shape-verified bindings
         self.literal_sensitive = False
@@ -353,7 +362,9 @@ class PlanCache:
     it, applying the invalidation, literal-sensitivity and admission
     rules documented in the module docstring.
     ``try_fast`` is its parse-free front: the same guard chain
-    (:meth:`_guard`), serving only a hit.
+    (:meth:`_guard`), serving only a hit — an exact repeat of a cached
+    plan's text from the entry itself, any other text through the
+    template's recipe.
     """
 
     def __init__(self, capacity: int = 256) -> None:
@@ -410,7 +421,7 @@ class PlanCache:
             return _STALE, entry  # planned against an older catalog
         if entry.literal_sensitive:
             return _SENSITIVE, entry
-        if binding.kinds != entry.kinds:
+        if binding.kinds != entry.binding.kinds:
             # same fingerprint, different literal kinds (e.g. a date vs
             # a plain string) — don't risk a kind-confused rebind
             return _DRIFT, entry
@@ -432,12 +443,13 @@ class PlanCache:
         no entry does: verification window, literal-sensitive, kind
         drift, refused).
 
-        ``key`` must be ``(fingerprint_key, config, limits)`` and
         ``binding`` must be ``extract_parameters(stmt)``: its slots are
-        the literal instances ``plan_fresh`` plans ``stmt`` with. When
-        ``sql`` is given, the template's parse-free extraction recipe
-        is derived from it when the template's record is created, so
-        later texts can take :meth:`try_fast`.
+        the literal instances ``plan_fresh`` plans ``stmt`` with; ``key``
+        must be ``(fingerprint_key, config, binding.limits)``. When
+        ``sql`` (the text ``stmt`` was parsed from) is given, the
+        template's parse-free extraction recipe is derived from it when
+        the template's record is created, and a plan cached here keeps
+        it, so later texts can take :meth:`try_fast`.
         """
         template_key, limits = key[:2], key[2]
         with self._lock:
@@ -461,13 +473,13 @@ class PlanCache:
                         None if sql is None else build_fast_recipe(sql, binding)
                     )
                 self._size += 1
-                entry = record.plans[limits] = _Entry(plan, binding, epoch)
+                entry = record.plans[limits] = _Entry(plan, binding, epoch, sql)
                 if self._size > self._capacity:
                     self._evict_one()
                 return plan, entry.recycled
             if verdict == _STALE:
                 self._invalidated += 1
-                entry = record.plans[limits] = _Entry(plan, binding, epoch)
+                entry = record.plans[limits] = _Entry(plan, binding, epoch, sql)
                 return plan, entry.recycled
             if verdict == _SENSITIVE:
                 self._sensitive_skips += 1
@@ -488,19 +500,28 @@ class PlanCache:
     ) -> tuple[PlanNode, RecycledResults] | None:
         """Serve a verified template without parsing ``sql`` at all.
 
-        Extracts the binding straight from the text via the template's
-        :class:`~repro.sql.params.FastBindingRecipe` and puts it
-        through the same guard chain as :meth:`fetch`. Returns the
-        re-bound plan and its entry's recycled results exactly where
-        ``fetch`` would count a hit, and None otherwise — no recipe, odd
-        text, or any other verdict — in which case the caller must take
-        the ordinary parse + :meth:`fetch` path. Misses and verification bookkeeping happen
-        there, never here.
+        A text equal to the one an entry of the template was planned
+        from has that entry's binding, so it is checked as is: no scan,
+        no re-bind, the entry's own plan. Any other text has its
+        binding extracted via the template's
+        :class:`~repro.sql.params.FastBindingRecipe`. Either binding
+        goes through the same guard chain as :meth:`fetch`; the plan
+        and its entry's recycled results come back exactly where
+        ``fetch`` would count a hit, and None otherwise — no recipe,
+        odd text, or any other verdict — in which case the caller must
+        take the ordinary parse + :meth:`fetch` path. Misses and
+        verification bookkeeping happen there, never here.
         """
         template_key = (fingerprint_key, config)
         with self._lock:
             record = self._templates.get(template_key)
-        recipe = None if record is None else record.recipe
+            if record is None:
+                return None
+            for entry in record.plans.values():
+                if entry.sql == sql:
+                    served = self._fast_hit(template_key, record, epoch, entry.binding)
+                    return None if served is None else (served.plan, served.recycled)
+            recipe = record.recipe
         if recipe is None:
             return None
         binding = recipe.extract(sql)
@@ -509,14 +530,29 @@ class PlanCache:
         with self._lock:
             # the record may have been evicted since the first lookup
             record = self._templates.get(template_key)
-            verdict, entry = self._guard(record, binding.limits, epoch, binding)
-            if verdict != _HIT:
+            served = self._fast_hit(template_key, record, epoch, binding)
+            if served is None:
                 return None
-            self._templates.move_to_end(template_key)
-            self._count(template_key)
-            self._hits += 1
-            self._fast_hits += 1
-            return entry.rebinder.rebind(binding.slots), entry.recycled
+            return served.rebinder.rebind(binding.slots), served.recycled
+
+    def _fast_hit(
+        self,
+        template_key: Hashable,
+        record: _Template | None,
+        epoch: int,
+        binding: ParameterBinding,
+    ) -> _Entry | None:
+        """The entry serving ``binding`` where the guard chain says hit,
+        counted as a parse-free hit; None for any other verdict. The
+        caller holds the lock."""
+        verdict, entry = self._guard(record, binding.limits, epoch, binding)
+        if verdict != _HIT:
+            return None
+        self._templates.move_to_end(template_key)
+        self._count(template_key)
+        self._hits += 1
+        self._fast_hits += 1
+        return entry
 
     # -- the LRU and its doorkeeper (callers hold the lock) ---------------------
 

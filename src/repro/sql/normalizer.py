@@ -33,10 +33,11 @@ one fast scanner, :func:`fast_tokens`, splits plain ASCII SQL into
 categorized lexemes with a single compiled regex, and bails (returns
 None) whenever it sees a construct it does not model (block comments,
 doubled-quote escapes, non-ASCII), so the fast path is an
-optimization, never a semantic fork. It has two readers, each with its
-own rendering: the literal-folded stream fingerprints are made of, and
+optimization, never a semantic fork. It has three readers, each with
+its own rendering: the literal-folded stream fingerprints are made of,
 the literal lexemes a prepared template's
-:class:`~repro.sql.params.FastBindingRecipe` binds from.
+:class:`~repro.sql.params.FastBindingRecipe` binds from, and the
+parser's ``(kind, text)`` tokens (:func:`repro.sql.parser.parse_select`).
 """
 
 from __future__ import annotations
@@ -164,10 +165,12 @@ _FAST_TOKEN = re.compile(
     re.VERBOSE,
 )
 
-# Categories of a :func:`fast_tokens` entry. Literals come first, so
-# ``kind <= FAST_NUMBER`` tests for one.
+# Categories of a :func:`fast_tokens` entry, numbered like the groups
+# of ``_FAST_TOKEN``. Literals come first, so ``kind <= FAST_NUMBER``
+# tests for one.
 FAST_STRING, FAST_PARAMETER, FAST_NUMBER, FAST_WORD = 1, 2, 3, 4
-_QUOTED, _UNCLAIMED = 7, 8
+FAST_OPERATOR, FAST_PUNCTUATION, FAST_QUOTED = 5, 6, 7
+_UNCLAIMED = 8
 _FOLDED = {
     FAST_STRING: STR_PLACEHOLDER,
     FAST_PARAMETER: PARAM_PLACEHOLDER,
@@ -178,8 +181,8 @@ _FOLDED = {
 def fast_tokens(sql: str) -> list[tuple[int, str]] | None:
     """``(category, lexeme)`` for every token of ``sql``, or None.
 
-    Categories are the ``FAST_*`` constants (and operator, punctuation
-    and quoted-identifier codes nobody needs by name). None means "not
+    Categories are the ``FAST_*`` constants; a quoted identifier keeps
+    its delimiters in the lexeme. None means "not
     eligible" — non-ASCII, a construct the regex does not model, or a
     character outside every category — and the caller must use the
     full lexer or the parser instead.
@@ -210,7 +213,7 @@ def _fast_folded_stream(sql: str) -> list[str] | None:
         if kind == FAST_WORD:
             upper = text.upper()
             append(upper if upper in KEYWORDS else text.lower())
-        elif kind == _QUOTED:
+        elif kind == FAST_QUOTED:
             # identifier rendering: the quoted text minus its delimiters,
             # lowercased without a keyword check — same as the lexer
             append(text[1:-1].lower())

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ParseError
 from repro.sql import ast
 from repro.sql.normalizer import (
     FAST_NUMBER,
@@ -42,6 +43,7 @@ from repro.sql.normalizer import (
     FAST_WORD,
     fast_tokens,
 )
+from repro.sql.parser import limit_value, number_value
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,14 +234,6 @@ def _unquote_str(text: str) -> str:
     return text[1:-1].replace("''", "'")
 
 
-def _literal_tokens(sql: str) -> list[tuple[int, str]] | None:
-    """The literal tokens of ``sql`` from the fast scanner, or None."""
-    tokens = fast_tokens(sql)
-    if tokens is None:
-        return None
-    return [token for token in tokens if token[0] <= FAST_NUMBER]
-
-
 class FastBindingRecipe:
     """Extract a template's binding from raw text, without parsing.
 
@@ -274,8 +268,14 @@ class FastBindingRecipe:
         self.limit_pos = limit_pos  # its position in the limits tuple
 
     def extract(self, sql: str) -> ParameterBinding | None:
-        tokens = _literal_tokens(sql)
-        if tokens is None or len(tokens) != self.n_tokens:
+        tokens = fast_tokens(sql)
+        if tokens is None:
+            return None
+        return self._bind([token for token in tokens if token[0] <= FAST_NUMBER])
+
+    def _bind(self, tokens: list[tuple[int, str]]) -> ParameterBinding | None:
+        """The binding of a text whose literal tokens are ``tokens``."""
+        if len(tokens) != self.n_tokens:
             return None
         slots = []
         append = slots.append
@@ -286,11 +286,7 @@ class FastBindingRecipe:
                 else:
                     category, text = tokens[i]
                     if op == _NUM:
-                        value = (
-                            float(text)
-                            if ("." in text or "e" in text.lower())
-                            else int(text, 0)
-                        )
+                        value = number_value(text)
                     elif op == _STR:
                         value = _unquote_str(text)
                     elif op == _RAW:
@@ -303,13 +299,13 @@ class FastBindingRecipe:
                 append(ast.Literal(value, kind))
             limits = self.limits
             if self.limit_token is not None:
-                bound = int(float(tokens[self.limit_token][1]))
+                bound = limit_value(tokens[self.limit_token][1])
                 limits = (
                     limits[: self.limit_pos]
                     + (bound,)
                     + limits[self.limit_pos + 1 :]
                 )
-        except (ValueError, OverflowError):
+        except (ParseError, ValueError):
             return None
         # only a rebind-safe template gets a recipe
         return ParameterBinding(tuple(slots), self.kinds, limits, rebind_safe=True)
@@ -322,9 +318,10 @@ def build_fast_recipe(sql: str, binding: ParameterBinding) -> FastBindingRecipe 
     Returns None when the template cannot be proven safe for parse-free
     extraction — the caller should then keep parsing per query.
     """
-    tokens = _literal_context(sql) if binding.rebind_safe else None
-    if tokens is None:
+    scanned = fast_tokens(sql) if binding.rebind_safe else None
+    if scanned is None:
         return None
+    tokens = _literal_context(scanned)
     limit_tokens = [
         i
         for i, (category, _, prev_word, _) in enumerate(tokens)
@@ -371,7 +368,7 @@ def build_fast_recipe(sql: str, binding: ParameterBinding) -> FastBindingRecipe 
     )
     # the proof: the recipe must round-trip the very text it came from,
     # value- and type-exactly (int vs float vs bool matter downstream)
-    got = recipe.extract(sql)
+    got = recipe._bind([(category, text) for category, text, _, _ in tokens])
     if got is None or _typed(got) != _typed(binding):
         return None
     return recipe
@@ -388,18 +385,16 @@ def _typed(binding: ParameterBinding) -> tuple:
 
 
 def _literal_context(
-    sql: str,
-) -> list[tuple[int, str, str | None, str | None]] | None:
-    """``(category, text, prev_word, next_word)`` per literal token.
+    tokens: list[tuple[int, str]],
+) -> list[tuple[int, str, str | None, str | None]]:
+    """``(category, text, prev_word, next_word)`` per literal token of
+    a :func:`~repro.sql.normalizer.fast_tokens` list.
 
     ``prev_word``/``next_word`` are the lowercased bare-word tokens
     *immediately* adjacent (None when the neighbor is not a word) —
     enough context to recognize ``DATE '...'``, ``INTERVAL '...' DAY``
     and ``LIMIT n`` without parsing.
     """
-    tokens = fast_tokens(sql)
-    if tokens is None:
-        return None
 
     def word(i: int) -> str | None:
         if 0 <= i < len(tokens) and tokens[i][0] == FAST_WORD:

@@ -7,18 +7,70 @@ GROUP BY / HAVING / ORDER BY / LIMIT / TOP, DATE and INTERVAL literals,
 and EXTRACT. Operator precedence follows standard SQL:
 
     OR < AND < NOT < comparison < additive < multiplicative < unary
+
+The parser reads one token form: ``(kind, text)`` pairs closed by an
+``(EOF, "")`` sentinel. Plain ASCII text is tokenized by the
+normalizer's fast scanner (:func:`~repro.sql.normalizer.fast_tokens`,
+the single regex pass fingerprints are made of); each word becomes a
+keyword (upper-cased) or an identifier, and a quoted identifier loses
+its delimiters. A text the fast scanner refuses goes through the
+character-at-a-time lexer (:func:`~repro.sql.lexer.tokenize`), whose
+tokens are converted to the same pairs, so there is one parser and the
+two fronts give it equal tokens wherever both accept a text. Each
+precedence level reads the current token once and compares the pair
+as a whole.
+
+Number tokens follow sqlite3: a decimal integer may carry leading zeros
+(``012`` is 12), ``0x`` introduces a hex integer, and a token no rule
+reads (a bare ``0x``) raises :class:`~repro.errors.ParseError`, as does
+any other malformed input the lexer accepts.
 """
 
 from __future__ import annotations
 
-import datetime as _dt
-
 from repro.errors import ParseError
 from repro.sql import ast
 from repro.sql.lexer import tokenize
-from repro.sql.tokens import Token, TokenType
+from repro.sql.normalizer import (
+    FAST_NUMBER,
+    FAST_OPERATOR,
+    FAST_PARAMETER,
+    FAST_PUNCTUATION,
+    FAST_QUOTED,
+    FAST_STRING,
+    FAST_WORD,
+    fast_tokens,
+)
+from repro.sql.tokens import KEYWORDS, TokenType
 
-_COMPARISON_OPS = {"=", "<>", "!=", "<", ">", "<=", ">="}
+# The parser's token kinds: the fast scanner's categories, with a word
+# that is a keyword split off, and EOF closing every token list.
+_EOF, _KEYWORD = 0, 9
+_STRING, _PARAMETER, _NUMBER = FAST_STRING, FAST_PARAMETER, FAST_NUMBER
+_IDENT, _OPERATOR, _PUNCT = FAST_WORD, FAST_OPERATOR, FAST_PUNCTUATION
+_END = (_EOF, "")
+
+_LEXED_KIND = {
+    TokenType.KEYWORD: _KEYWORD,
+    TokenType.IDENTIFIER: _IDENT,
+    TokenType.NUMBER: _NUMBER,
+    TokenType.STRING: _STRING,
+    TokenType.OPERATOR: _OPERATOR,
+    TokenType.PUNCTUATION: _PUNCT,
+    TokenType.PARAMETER: _PARAMETER,
+    TokenType.EOF: _EOF,
+}
+_KIND_NAME = {kind: token_type.value for token_type, kind in _LEXED_KIND.items()}
+
+_COMPARISON_OPS = frozenset({"=", "<>", "!=", "<", ">", "<=", ">="})
+_NEGATABLE = frozenset({"IN", "BETWEEN", "LIKE", "ILIKE"})
+_INTERVAL_DAYS = {"DAY": 1, "WEEK": 7, "MONTH": 30, "YEAR": 365}
+
+# tokens the expression levels compare against whole
+_OR, _AND, _NOT = (_KEYWORD, "OR"), (_KEYWORD, "AND"), (_KEYWORD, "NOT")
+_SELECT, _EXISTS = (_KEYWORD, "SELECT"), (_KEYWORD, "EXISTS")
+_OPEN, _CLOSE, _COMMA = (_PUNCT, "("), (_PUNCT, ")"), (_PUNCT, ",")
+_STAR = (_OPERATOR, "*")
 
 
 def parse_select(sql: str) -> ast.SelectStatement:
@@ -28,57 +80,123 @@ def parse_select(sql: str) -> ast.SelectStatement:
     ------
     ParseError
         When the text is not a supported SELECT statement.
+    LexerError
+        When the text is not lexically valid SQL.
     """
-    parser = _Parser(tokenize(sql))
+    tokens = _scanned(sql)
+    return _parse(_lexed(sql) if tokens is None else tokens)
+
+
+def _scanned(sql: str) -> list[tuple[int, str]] | None:
+    """The parser's tokens from the fast scanner, or None where it
+    refuses ``sql``."""
+    fast = fast_tokens(sql)
+    if fast is None:
+        return None
+    tokens: list[tuple[int, str]] = []
+    append = tokens.append
+    for token in fast:
+        kind = token[0]
+        if kind == _IDENT:
+            upper = token[1].upper()
+            if upper in KEYWORDS:
+                token = (_KEYWORD, upper)
+        elif kind == FAST_QUOTED:
+            token = (_IDENT, token[1][1:-1])
+        append(token)
+    append(_END)
+    return tokens
+
+
+def _lexed(sql: str) -> list[tuple[int, str]]:
+    """The parser's tokens from the full lexer (every text it accepts)."""
+    return [(_LEXED_KIND[token.type], token.value) for token in tokenize(sql)]
+
+
+def _parse(tokens: list[tuple[int, str]]) -> ast.SelectStatement:
+    parser = _Parser(tokens)
     stmt = parser.parse_statement()
     parser.expect_end()
     return stmt
 
 
-class _Parser:
-    """Token-stream cursor with one token of lookahead."""
+def number_value(text: str) -> int | float:
+    """The value of a number token: a hex or decimal integer (leading
+    zeros allowed, as in sqlite3), else a float.
 
-    def __init__(self, tokens: list[Token]) -> None:
+    Raises ParseError for a token no rule reads (a bare ``0x``).
+    """
+    try:
+        if text[:2] in ("0x", "0X"):
+            return int(text[2:], 16)
+        if "." in text or "e" in text or "E" in text:
+            return float(text)
+        return int(text)
+    except ValueError:
+        raise ParseError(f"malformed number {text!r}") from None
+
+
+def limit_value(text: str) -> int:
+    """The integer a ``LIMIT``/``TOP``/``FETCH`` number token stands for:
+    a hex integer is its value, a decimal one is truncated through a
+    float (``LIMIT 2.5`` is 2)."""
+    try:
+        if text[:2] in ("0x", "0X"):
+            return int(text[2:], 16)
+        return int(float(text))
+    except (ValueError, OverflowError):
+        raise ParseError(f"malformed row count {text!r}") from None
+
+
+def _describe(token: tuple[int, str]) -> str:
+    return f"{_KIND_NAME[token[0]]}:{token[1]}"
+
+
+class _Parser:
+    """Cursor over ``(kind, text)`` tokens with one token of lookahead."""
+
+    __slots__ = ("_tokens", "_pos")
+
+    def __init__(self, tokens: list[tuple[int, str]]) -> None:
         self._tokens = tokens
         self._pos = 0
 
     # -- cursor helpers ----------------------------------------------------
 
-    @property
-    def current(self) -> Token:
-        return self._tokens[self._pos]
-
-    def advance(self) -> Token:
-        tok = self._tokens[self._pos]
-        if tok.type is not TokenType.EOF:
+    def advance(self) -> tuple[int, str]:
+        token = self._tokens[self._pos]
+        if token[0] != _EOF:
             self._pos += 1
-        return tok
+        return token
 
-    def accept_keyword(self, *names: str) -> bool:
-        if self.current.is_keyword(*names):
-            self.advance()
+    def accept(self, token: tuple[int, str]) -> bool:
+        if self._tokens[self._pos] == token:
+            self._pos += 1
+            return True
+        return False
+
+    def accept_keyword(self, name: str) -> bool:
+        token = self._tokens[self._pos]
+        if token[1] == name and token[0] == _KEYWORD:
+            self._pos += 1
             return True
         return False
 
     def expect_keyword(self, name: str) -> None:
         if not self.accept_keyword(name):
-            raise ParseError(f"expected {name}, got {self.current}", self._pos)
-
-    def accept_punct(self, value: str) -> bool:
-        tok = self.current
-        if tok.type is TokenType.PUNCTUATION and tok.value == value:
-            self.advance()
-            return True
-        return False
+            got = _describe(self._tokens[self._pos])
+            raise ParseError(f"expected {name}, got {got}", self._pos)
 
     def expect_punct(self, value: str) -> None:
-        if not self.accept_punct(value):
-            raise ParseError(f"expected {value!r}, got {self.current}", self._pos)
+        if not self.accept((_PUNCT, value)):
+            got = _describe(self._tokens[self._pos])
+            raise ParseError(f"expected {value!r}, got {got}", self._pos)
 
     def expect_end(self) -> None:
-        self.accept_punct(";")
-        if self.current.type is not TokenType.EOF:
-            raise ParseError(f"trailing input: {self.current}", self._pos)
+        self.accept((_PUNCT, ";"))
+        token = self._tokens[self._pos]
+        if token[0] != _EOF:
+            raise ParseError(f"trailing input: {_describe(token)}", self._pos)
 
     # -- statement ----------------------------------------------------------
 
@@ -95,13 +213,13 @@ class _Parser:
             limit = self._parse_int_literal()
 
         items = [self._parse_select_item()]
-        while self.accept_punct(","):
+        while self.accept(_COMMA):
             items.append(self._parse_select_item())
 
         relations: list[ast.Relation] = []
         if self.accept_keyword("FROM"):
             relations.append(self._parse_joined_relation())
-            while self.accept_punct(","):
+            while self.accept(_COMMA):
                 relations.append(self._parse_joined_relation())
 
         where = self.parse_expression() if self.accept_keyword("WHERE") else None
@@ -110,7 +228,7 @@ class _Parser:
         if self.accept_keyword("GROUP"):
             self.expect_keyword("BY")
             group_by.append(self.parse_expression())
-            while self.accept_punct(","):
+            while self.accept(_COMMA):
                 group_by.append(self.parse_expression())
 
         having = self.parse_expression() if self.accept_keyword("HAVING") else None
@@ -119,7 +237,7 @@ class _Parser:
         if self.accept_keyword("ORDER"):
             self.expect_keyword("BY")
             order_by.append(self._parse_order_item())
-            while self.accept_punct(","):
+            while self.accept(_COMMA):
                 order_by.append(self._parse_order_item())
 
         if self.accept_keyword("LIMIT"):
@@ -144,23 +262,21 @@ class _Parser:
         )
 
     def _parse_int_literal(self) -> int:
-        tok = self.current
-        if tok.type is not TokenType.NUMBER:
-            raise ParseError(f"expected integer, got {tok}", self._pos)
-        self.advance()
-        return int(float(tok.value))
+        token = self._tokens[self._pos]
+        if token[0] != _NUMBER:
+            raise ParseError(f"expected integer, got {_describe(token)}", self._pos)
+        self._pos += 1
+        return limit_value(token[1])
 
     def _parse_select_item(self) -> ast.SelectItem:
-        tok = self.current
-        if tok.type is TokenType.OPERATOR and tok.value == "*":
-            self.advance()
+        if self.accept(_STAR):
             return ast.SelectItem(ast.Star())
         expr = self.parse_expression()
         alias = None
         if self.accept_keyword("AS"):
             alias = self._expect_identifier()
-        elif self.current.type is TokenType.IDENTIFIER:
-            alias = self.advance().value
+        elif self._tokens[self._pos][0] == _IDENT:
+            alias = self.advance()[1]
         return ast.SelectItem(expr, alias)
 
     def _parse_order_item(self) -> ast.OrderItem:
@@ -176,11 +292,12 @@ class _Parser:
         return ast.OrderItem(expr, ascending)
 
     def _expect_identifier(self) -> str:
-        tok = self.current
-        if tok.type is not TokenType.IDENTIFIER:
-            raise ParseError(f"expected identifier, got {tok}", self._pos)
-        self.advance()
-        return tok.value
+        kind, text = self._tokens[self._pos]
+        if kind != _IDENT:
+            got = _describe((kind, text))
+            raise ParseError(f"expected identifier, got {got}", self._pos)
+        self._pos += 1
+        return text
 
     # -- relations ----------------------------------------------------------
 
@@ -197,31 +314,33 @@ class _Parser:
             elif self.accept_keyword("USING"):
                 self.expect_punct("(")
                 cols = [self._expect_identifier()]
-                while self.accept_punct(","):
+                while self.accept(_COMMA):
                     cols.append(self._expect_identifier())
                 self.expect_punct(")")
                 condition = _using_condition(rel, right, cols)
             rel = ast.Join(kind=kind, left=rel, right=right, condition=condition)
 
     def _peek_join_kind(self) -> str | None:
-        if self.accept_keyword("CROSS"):
+        kind, text = self._tokens[self._pos]
+        if kind != _KEYWORD:
+            return None
+        if text == "CROSS" or text == "INNER":
+            self._pos += 1
             self.expect_keyword("JOIN")
-            return "CROSS"
-        if self.accept_keyword("INNER"):
+            return text
+        if text == "LEFT" or text == "RIGHT" or text == "FULL":
+            self._pos += 1
+            self.accept_keyword("OUTER")
             self.expect_keyword("JOIN")
-            return "INNER"
-        for kind in ("LEFT", "RIGHT", "FULL"):
-            if self.accept_keyword(kind):
-                self.accept_keyword("OUTER")
-                self.expect_keyword("JOIN")
-                return kind
-        if self.accept_keyword("JOIN"):
+            return text
+        if text == "JOIN":
+            self._pos += 1
             return "INNER"
         return None
 
     def _parse_primary_relation(self) -> ast.Relation:
-        if self.accept_punct("("):
-            if self.current.is_keyword("SELECT"):
+        if self.accept(_OPEN):
+            if self._tokens[self._pos] == _SELECT:
                 sub = self.parse_statement()
                 self.expect_punct(")")
                 self.accept_keyword("AS")
@@ -232,13 +351,13 @@ class _Parser:
             return rel
         name = self._expect_identifier()
         # schema-qualified name: keep the last component
-        while self.accept_punct("."):
+        while self.accept((_PUNCT, ".")):
             name = self._expect_identifier()
         alias = None
         if self.accept_keyword("AS"):
             alias = self._expect_identifier()
-        elif self.current.type is TokenType.IDENTIFIER:
-            alias = self.advance().value
+        elif self._tokens[self._pos][0] == _IDENT:
+            alias = self.advance()[1]
         return ast.TableRef(name, alias)
 
     # -- expressions ----------------------------------------------------------
@@ -248,142 +367,168 @@ class _Parser:
 
     def _parse_or(self) -> ast.Expr:
         expr = self._parse_and()
-        while self.accept_keyword("OR"):
+        while self._tokens[self._pos] == _OR:
+            self._pos += 1
             expr = ast.BinaryOp("OR", expr, self._parse_and())
         return expr
 
     def _parse_and(self) -> ast.Expr:
         expr = self._parse_not()
-        while self.accept_keyword("AND"):
+        while self._tokens[self._pos] == _AND:
+            self._pos += 1
             expr = ast.BinaryOp("AND", expr, self._parse_not())
         return expr
 
     def _parse_not(self) -> ast.Expr:
-        if self.accept_keyword("NOT"):
+        if self._tokens[self._pos] == _NOT:
+            self._pos += 1
             return ast.UnaryOp("NOT", self._parse_not())
         return self._parse_predicate()
 
     def _parse_predicate(self) -> ast.Expr:
-        if self.current.is_keyword("EXISTS"):
-            self.advance()
+        tokens = self._tokens
+        if tokens[self._pos] == _EXISTS:
+            self._pos += 1
             self.expect_punct("(")
             sub = self.parse_statement()
             self.expect_punct(")")
             return ast.Exists(sub)
 
         expr = self._parse_additive()
+        kind, text = tokens[self._pos]
+        if kind == _OPERATOR:
+            if text not in _COMPARISON_OPS:
+                return expr
+            self._pos += 1
+            op = "<>" if text == "!=" else text
+            return ast.BinaryOp(op, expr, self._parse_additive())
+        if kind != _KEYWORD:
+            return expr
 
         negated = False
-        if self.current.is_keyword("NOT"):
-            nxt = self._tokens[self._pos + 1]
-            if nxt.is_keyword("IN", "BETWEEN", "LIKE", "ILIKE"):
-                self.advance()
+        if text == "NOT":
+            next_kind, next_text = tokens[self._pos + 1]
+            if next_kind == _KEYWORD and next_text in _NEGATABLE:
+                self._pos += 1
                 negated = True
-
-        if self.accept_keyword("IN"):
+                text = next_text
+        if text == "IN":
+            self._pos += 1
             return self._parse_in_tail(expr, negated)
-        if self.accept_keyword("BETWEEN"):
+        if text == "BETWEEN":
+            self._pos += 1
             low = self._parse_additive()
             self.expect_keyword("AND")
             high = self._parse_additive()
             return ast.Between(expr, low, high, negated)
-        if self.accept_keyword("LIKE") or self.accept_keyword("ILIKE"):
+        if text == "LIKE" or text == "ILIKE":
+            self._pos += 1
             pattern = self._parse_additive()
             return ast.Like(expr, pattern, negated)
-        if self.accept_keyword("IS"):
-            is_negated = self.accept_keyword("NOT")
+        if text == "IS":
+            self._pos += 1
+            is_negated = self.accept(_NOT)
             self.expect_keyword("NULL")
             return ast.IsNull(expr, is_negated)
-
-        tok = self.current
-        if tok.type is TokenType.OPERATOR and tok.value in _COMPARISON_OPS:
-            self.advance()
-            op = "<>" if tok.value == "!=" else tok.value
-            right = self._parse_additive()
-            return ast.BinaryOp(op, expr, right)
         return expr
 
     def _parse_in_tail(self, expr: ast.Expr, negated: bool) -> ast.Expr:
         self.expect_punct("(")
-        if self.current.is_keyword("SELECT"):
+        if self._tokens[self._pos] == _SELECT:
             sub = self.parse_statement()
             self.expect_punct(")")
             return ast.InSubquery(expr, sub, negated)
         items = [self.parse_expression()]
-        while self.accept_punct(","):
+        while self.accept(_COMMA):
             items.append(self.parse_expression())
         self.expect_punct(")")
         return ast.InList(expr, tuple(items), negated)
 
     def _parse_additive(self) -> ast.Expr:
         expr = self._parse_multiplicative()
+        tokens = self._tokens
         while True:
-            tok = self.current
-            if tok.type is TokenType.OPERATOR and tok.value in ("+", "-", "||"):
-                self.advance()
-                expr = ast.BinaryOp(tok.value, expr, self._parse_multiplicative())
+            kind, text = tokens[self._pos]
+            if kind == _OPERATOR and (text == "+" or text == "-" or text == "||"):
+                self._pos += 1
+                expr = ast.BinaryOp(text, expr, self._parse_multiplicative())
             else:
                 return expr
 
     def _parse_multiplicative(self) -> ast.Expr:
         expr = self._parse_unary()
+        tokens = self._tokens
         while True:
-            tok = self.current
-            if tok.type is TokenType.OPERATOR and tok.value in ("*", "/", "%"):
-                self.advance()
-                expr = ast.BinaryOp(tok.value, expr, self._parse_unary())
+            kind, text = tokens[self._pos]
+            if kind == _OPERATOR and (text == "*" or text == "/" or text == "%"):
+                self._pos += 1
+                expr = ast.BinaryOp(text, expr, self._parse_unary())
             else:
                 return expr
 
     def _parse_unary(self) -> ast.Expr:
-        tok = self.current
-        if tok.type is TokenType.OPERATOR and tok.value in ("-", "+"):
-            self.advance()
-            return ast.UnaryOp(tok.value, self._parse_unary())
+        kind, text = self._tokens[self._pos]
+        if kind == _OPERATOR and (text == "-" or text == "+"):
+            self._pos += 1
+            return ast.UnaryOp(text, self._parse_unary())
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expr:
-        tok = self.current
+        kind, text = self._tokens[self._pos]
+        if kind == _IDENT:
+            return self._parse_identifier_expr()
+        if kind == _NUMBER:
+            self._pos += 1
+            return ast.Literal(number_value(text), "number")
+        if kind == _STRING:
+            self._pos += 1
+            return ast.Literal(_unquote(text), "string")
+        if kind == _PARAMETER:
+            self._pos += 1
+            return ast.Literal(text, "string")
+        if kind == _KEYWORD:
+            expr = self._parse_keyword_primary(text)
+            if expr is not None:
+                return expr
+        elif kind == _PUNCT and text == "(":
+            self._pos += 1
+            if self._tokens[self._pos] == _SELECT:
+                sub = self.parse_statement()
+                self.expect_punct(")")
+                return ast.ScalarSubquery(sub)
+            expr = self.parse_expression()
+            self.expect_punct(")")
+            return expr
+        raise ParseError(f"unexpected token {_describe((kind, text))}", self._pos)
 
-        if tok.type is TokenType.NUMBER:
-            self.advance()
-            text = tok.value
-            value = float(text) if ("." in text or "e" in text.lower()) else int(text, 0)
-            return ast.Literal(value, "number")
-
-        if tok.type is TokenType.STRING:
-            self.advance()
-            return ast.Literal(_unquote(tok.value), "string")
-
-        if tok.type is TokenType.PARAMETER:
-            self.advance()
-            return ast.Literal(tok.value, "string")
-
-        if tok.is_keyword("NULL"):
-            self.advance()
+    def _parse_keyword_primary(self, word: str) -> ast.Expr | None:
+        """A primary opened by the keyword ``word`` under the cursor, or
+        None when no primary starts with it."""
+        if word == "NULL":
+            self._pos += 1
             return ast.Literal(None, "null")
-        if tok.is_keyword("TRUE"):
-            self.advance()
+        if word == "TRUE":
+            self._pos += 1
             return ast.Literal(True, "bool")
-        if tok.is_keyword("FALSE"):
-            self.advance()
+        if word == "FALSE":
+            self._pos += 1
             return ast.Literal(False, "bool")
 
-        if tok.is_keyword("DATE", "TIMESTAMP", "TIME"):
-            nxt = self._tokens[self._pos + 1]
-            if nxt.type is TokenType.STRING:
-                self.advance()
-                self.advance()
-                return ast.Literal(_unquote(nxt.value)[:10], "date")
+        if word == "DATE" or word == "TIMESTAMP" or word == "TIME":
+            kind, text = self._tokens[self._pos + 1]
+            if kind != _STRING:
+                return None
+            self._pos += 2
+            return ast.Literal(_unquote(text)[:10], "date")
 
-        if tok.is_keyword("INTERVAL"):
+        if word == "INTERVAL":
             return self._parse_interval()
 
-        if tok.is_keyword("CASE"):
+        if word == "CASE":
             return self._parse_case()
 
-        if tok.is_keyword("CAST"):
-            self.advance()
+        if word == "CAST":
+            self._pos += 1
             self.expect_punct("(")
             inner = self.parse_expression()
             self.expect_keyword("AS")
@@ -391,47 +536,31 @@ class _Parser:
             self.expect_punct(")")
             return ast.FunctionCall("CAST_" + type_name, (inner,))
 
-        if tok.is_keyword("EXTRACT"):
-            self.advance()
+        if word == "EXTRACT":
+            self._pos += 1
             self.expect_punct("(")
-            field_tok = self.advance()
-            field = field_tok.value.upper()
+            field = self.advance()[1].upper()
             self.expect_keyword("FROM")
             inner = self.parse_expression()
             self.expect_punct(")")
             return ast.FunctionCall("EXTRACT_" + field, (inner,))
 
-        if tok.type is TokenType.KEYWORD and tok.value in ast.AGGREGATE_FUNCTIONS:
-            self.advance()
-            return self._parse_call(tok.value)
-
-        if self.accept_punct("("):
-            if self.current.is_keyword("SELECT"):
-                sub = self.parse_statement()
-                self.expect_punct(")")
-                return ast.ScalarSubquery(sub)
-            expr = self.parse_expression()
-            self.expect_punct(")")
-            return expr
-
-        if tok.type is TokenType.IDENTIFIER:
-            return self._parse_identifier_expr()
-
-        raise ParseError(f"unexpected token {tok}", self._pos)
+        if word in ast.AGGREGATE_FUNCTIONS:
+            self._pos += 1
+            return self._parse_call(word)
+        return None
 
     def _parse_identifier_expr(self) -> ast.Expr:
         name = self._expect_identifier()
         # function call?
-        if self.current.type is TokenType.PUNCTUATION and self.current.value == "(":
+        if self._tokens[self._pos] == _OPEN:
             return self._parse_call(name.upper())
-        if self.accept_punct("."):
-            tok = self.current
-            if tok.type is TokenType.OPERATOR and tok.value == "*":
-                self.advance()
+        if self.accept((_PUNCT, ".")):
+            if self.accept(_STAR):
                 return ast.Star(table=name)
             col = self._expect_identifier()
             # schema.table.column → keep last two components
-            while self.accept_punct("."):
+            while self.accept((_PUNCT, ".")):
                 name, col = col, self._expect_identifier()
             return ast.Column(col.lower(), name.lower())
         return ast.Column(name.lower())
@@ -439,16 +568,14 @@ class _Parser:
     def _parse_call(self, name: str) -> ast.Expr:
         """Parse the argument list of a call whose name is already consumed."""
         self.expect_punct("(")
-        tok = self.current
-        if tok.type is TokenType.OPERATOR and tok.value == "*":
-            self.advance()
+        if self.accept(_STAR):
             self.expect_punct(")")
             return ast.FunctionCall(name, (), star=True)
         distinct = self.accept_keyword("DISTINCT")
         args: list[ast.Expr] = []
-        if not (self.current.type is TokenType.PUNCTUATION and self.current.value == ")"):
+        if self._tokens[self._pos] != _CLOSE:
             args.append(self.parse_expression())
-            while self.accept_punct(","):
+            while self.accept(_COMMA):
                 args.append(self.parse_expression())
         self.expect_punct(")")
         return ast.FunctionCall(name, tuple(args), distinct=distinct)
@@ -477,30 +604,27 @@ class _Parser:
         this path exists for ad-hoc queries).
         """
         self.expect_keyword("INTERVAL")
-        tok = self.current
-        if tok.type is TokenType.STRING:
-            amount = float(_unquote(tok.value))
-            self.advance()
-        elif tok.type is TokenType.NUMBER:
-            amount = float(tok.value)
-            self.advance()
-        else:
+        kind, text = self._tokens[self._pos]
+        if kind != _STRING and kind != _NUMBER:
             raise ParseError("expected interval amount", self._pos)
-        unit_tok = self.advance()
-        unit = unit_tok.value.upper()
-        days_per_unit = {"DAY": 1, "WEEK": 7, "MONTH": 30, "YEAR": 365}
-        if unit not in days_per_unit:
+        try:
+            amount = float(_unquote(text) if kind == _STRING else text)
+        except ValueError:
+            raise ParseError(f"malformed interval amount {text}", self._pos) from None
+        self._pos += 1
+        unit = self.advance()[1].upper()
+        if unit not in _INTERVAL_DAYS:
             raise ParseError(f"unsupported interval unit {unit}", self._pos)
-        return ast.Literal(amount * days_per_unit[unit], "number")
+        return ast.Literal(amount * _INTERVAL_DAYS[unit], "number")
 
     def _parse_type_name(self) -> str:
-        parts = [self.advance().value.upper()]
-        if self.accept_punct("("):
+        name = self.advance()[1].upper()
+        if self.accept(_OPEN):
             self._parse_int_literal()
-            if self.accept_punct(","):
+            if self.accept(_COMMA):
                 self._parse_int_literal()
             self.expect_punct(")")
-        return parts[0]
+        return name
 
 
 def _unquote(text: str) -> str:

@@ -60,9 +60,5 @@ class Token:
     value: str
     position: int
 
-    def is_keyword(self, *names: str) -> bool:
-        """Return True when this token is one of the given keywords."""
-        return self.type is TokenType.KEYWORD and self.value in names
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.type.value}:{self.value}"

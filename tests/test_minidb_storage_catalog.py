@@ -94,6 +94,78 @@ class TestColumnStats:
         assert stats.range_selectivity(None, 5.0) > 0.8
 
 
+def _range_selectivity_walk(meta, low, high) -> float:
+    """The reference: every histogram bucket visited, in numpy scalars."""
+    if meta.min_value is None or meta.max_value is None:
+        return 0.3
+    lo = meta.min_value if low is None else max(low, meta.min_value)
+    hi = meta.max_value if high is None else min(high, meta.max_value)
+    if hi < lo:
+        return 0.0
+    if meta.histogram is not None and meta.max_value > meta.min_value:
+        width = (meta.max_value - meta.min_value) / len(meta.histogram)
+        total = meta.histogram.sum()
+        if total > 0 and width > 0:
+            first = (lo - meta.min_value) / width
+            last = (hi - meta.min_value) / width
+            mass = 0.0
+            for b in range(len(meta.histogram)):
+                overlap = min(last, b + 1) - max(first, b)
+                if overlap > 0:
+                    mass += meta.histogram[b] * min(1.0, overlap)
+            return float(np.clip(mass / total, 0.0, 1.0))
+    span = meta.max_value - meta.min_value
+    if span <= 0:
+        return 1.0
+    return float(np.clip((hi - lo) / span, 0.0, 1.0))
+
+
+class TestRangeSelectivityBits:
+    def test_matches_the_full_walk_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        checked = 0
+        for trial in range(200):
+            n = int(rng.choice([1, 2, 6, 50, 1000]))
+            shape = trial % 4
+            if shape == 0:
+                values = rng.integers(-50, 50, n)
+            elif shape == 1:
+                values = rng.exponential(30.0, n)
+            elif shape == 2:
+                values = np.concatenate([np.zeros(n), rng.uniform(0, 1e6, 3)])
+            else:
+                values = rng.normal(0.0, 1e-3, n)
+            meta = compute_column_stats("c", "float", values)
+            if trial % 5 == 0 and meta.histogram is not None:
+                # sparse buckets: most overlapping buckets are empty
+                meta.histogram = meta.histogram * (rng.random(32) < 0.3)
+            lo, hi = float(values.min()), float(values.max())
+            points = [
+                None,
+                lo,
+                hi,
+                lo - 1,
+                hi + 1,
+                int(np.floor(lo)),
+                int(np.ceil(hi)),
+                float("nan"),
+                np.float64(rng.uniform(lo, hi) if hi > lo else lo),
+                *rng.uniform(lo - 0.1 * abs(lo) - 1, hi + 0.1 * abs(hi) + 1, 6).tolist(),
+            ]
+            for low in points:
+                for high in points:
+                    got = meta.range_selectivity(low, high)
+                    want = _range_selectivity_walk(meta, low, high)
+                    assert type(got) is float
+                    assert got.hex() == want.hex(), (trial, low, high)
+                    checked += 1
+        assert checked > 25_000
+
+    def test_without_stats(self):
+        meta = compute_column_stats("c", "float", np.array([]))
+        assert meta.range_selectivity(1, 2) == _range_selectivity_walk(meta, 1, 2)
+
+
 class TestCatalog:
     def test_duplicate_table_rejected(self):
         catalog = Catalog()

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,12 +26,13 @@ from test_property_based import number, simple_select, string_literal
 
 from repro.backends import MiniDBBackend
 from repro.errors import ParseError, SQLError
-from repro.minidb import engine, materialize_log_tables
+from repro.minidb import engine, materialize_log_tables, plancache
 from repro.minidb.datagen import generate_tpch_database
 from repro.minidb.engine import Database
 from repro.minidb.indexes import Index, IndexConfig
 from repro.minidb.plancache import VERIFY_BINDINGS, PlanCache, plan_shape
 from repro.minidb.storage import Table
+from repro.sql import params
 from repro.sql.normalizer import template_fingerprint, template_fingerprint_ids
 from repro.sql.params import build_fast_recipe, extract_parameters
 from repro.sql.parser import parse_select
@@ -242,13 +244,7 @@ class TestPlanCacheProtocol:
         hot = "select a, b from t where a = {}"
         for i in range(VERIFY_BINDINGS):
             db.execute_prepared(hot.format(i))  # clears verification
-        parsed: list[str] = []
-
-        def counting_parse(sql):
-            parsed.append(sql)
-            return parse_select(sql)
-
-        monkeypatch.setattr(engine, "parse_select", counting_parse)
+        parsed = _counting_parses(monkeypatch)
         for i, sql in enumerate(_ONE_OFFS):
             db.execute_prepared(sql)
             db.execute_prepared(hot.format(10 + i))
@@ -474,6 +470,162 @@ class TestOneGuardChain:
         assert ask(_GUARDED.format(3, "w"), 1, lambda: divergent) == (0, 1, 0, 0, 1, 0)
         assert ask(_GUARDED.format(9, "z"), epoch=1) == (0, 1, 0, 0, 0, 1)
         assert cache.stats()["fast_hits"] == 3
+
+
+# -- exact-text hits: a repeated text is served by its own entry --------------
+
+# no recipe: the type's numbers are literal tokens but no binding slots
+_NO_RECIPE = "select a from t where cast(b as decimal(10, 2)) > {}"
+
+
+def _entry_of(cache: PlanCache, sql: str):
+    """The entry of ``cache`` planned from the text ``sql``."""
+    record = cache._templates[(template_fingerprint(sql), None)]
+    (entry,) = [entry for entry in record.plans.values() if entry.sql == sql]
+    return entry
+
+
+def _ask_fast(db: Database, sql: str):
+    return db.plan_cache.try_fast(template_fingerprint(sql), None, db.catalog_epoch, sql)
+
+
+def _counting_parses(monkeypatch) -> list[str]:
+    parsed: list[str] = []
+
+    def counting_parse(sql):
+        parsed.append(sql)
+        return parse_select(sql)
+
+    monkeypatch.setattr(engine, "parse_select", counting_parse)
+    return parsed
+
+
+class TestExactTextHit:
+    def test_serves_the_entry_plan_without_scanning(self, monkeypatch):
+        db = _tiny_db()
+        sql = _GUARDED.format(1, "x")
+        first = db.execute_prepared(sql)
+        entry = _entry_of(db.plan_cache, sql)
+        # the recipe route would re-bind the text to this very plan
+        recipe = db.plan_cache._templates[(template_fingerprint(sql), None)].recipe
+        assert entry.rebinder.rebind(recipe.extract(sql).slots) is entry.plan
+
+        def refuse(text):
+            raise AssertionError(f"scanned {text!r}")
+
+        monkeypatch.setattr(params, "fast_tokens", refuse)
+        parsed = _counting_parses(monkeypatch)
+        plan, recycled = _ask_fast(db, sql)
+        assert plan is entry.plan and recycled is entry.recycled
+        again = db.execute_prepared(sql)
+        assert again.plan is entry.plan and parsed == []
+        assert (again.rows, again.actual_cost) == (first.rows, first.actual_cost)
+
+    @pytest.mark.parametrize(
+        "event", ["catalog_epoch", "literal_sensitive", "invalidate_all", "eviction"]
+    )
+    def test_nothing_served_after(self, event):
+        db = _tiny_db(PlanCache(capacity=1))
+        cache = db.plan_cache
+        sql = _GUARDED.format(1, "x")
+        want = db.execute_prepared(sql).rows
+        assert _ask_fast(db, sql) is not None
+        if event == "catalog_epoch":
+            db.load_table(
+                Table(name="u", dtypes={"c": "int"}, columns={"c": np.arange(4)})
+            )
+        elif event == "literal_sensitive":
+            # a verification planning whose shape diverges marks the template
+            planner = db._planner(None)
+            other = _GUARDED.format(2, "y")
+            stmt = parse_select(other)
+            binding = extract_parameters(stmt)
+            divergent = planner.plan(parse_select(other + " order by a"))
+            cache.fetch(
+                (template_fingerprint(other), None, binding.limits),
+                db.catalog_epoch,
+                stmt,
+                binding,
+                lambda: divergent,
+                sql=other,
+            )
+            assert cache.stats()["literal_sensitive_templates"] == 1
+        elif event == "invalidate_all":
+            cache.invalidate_all()
+        else:
+            # the doorkeeper admits a newcomer seen as often as the victim
+            for i in range(2):
+                db.execute_prepared(f"select b from t where b = {i}")
+            assert cache.stats()["evicted"] == 1
+        before = cache.stats()
+        assert _ask_fast(db, sql) is None
+        assert cache.stats() == before
+        assert db.execute_prepared(sql).rows == want
+
+    def test_template_without_recipe_is_parse_free_on_its_planned_text(
+        self, monkeypatch
+    ):
+        db = _tiny_db()
+        planned, other = _NO_RECIPE.format(1), _NO_RECIPE.format(2)
+        db.execute_prepared(planned)
+        assert db.plan_cache._templates[(template_fingerprint(planned), None)].recipe is None
+        parsed = _counting_parses(monkeypatch)
+        for _ in range(3):
+            db.execute_prepared(planned)
+        assert parsed == []
+        stats = db.plan_cache.stats()
+        assert (stats["hits"], stats["fast_hits"], stats["misses"]) == (3, 3, 1)
+        db.execute_prepared(other)
+        assert parsed == [other]
+
+    def test_hits_unchanged_and_fast_hits_only_grow(self, monkeypatch):
+        """The same stream with and without exact-text service: equal
+        outcomes and counters, except ``fast_hits``, which may only grow."""
+        rng = np.random.default_rng(7)
+        groups = _template_groups()
+        picked = [groups[i] for i in rng.choice(len(groups), size=24, replace=False)]
+        picked.append([_NO_RECIPE.format(i) for i in range(1, 4)])
+        stream = []
+        for step in range(300):
+            if step == 150:
+                stream.append(("load", None, None))
+            group = picked[int(rng.integers(len(picked)))]
+            # the first instance most of the time: many exact repeats
+            sql = group[0] if rng.random() < 0.6 else group[int(rng.integers(len(group)))]
+            stream.append(("query", sql, None))
+        counters = ("hits", "misses", "evicted", "admission_refused", "invalidated")
+
+        def replay():
+            db = Database(plan_cache=PlanCache(capacity=8))
+            for table in [*_mixed_tables(), _tiny_db().table("t")]:
+                db.load_table(table)
+            trace = []
+            for op, sql, _ in stream:
+                if op == "load":
+                    db.load_table(
+                        Table(name="ddl", dtypes={"c": "int"}, columns={"c": np.arange(2)})
+                    )
+                    continue
+                trace.append(_observe(db.execute_prepared, sql))
+            return trace, db.plan_cache.stats()
+
+        trace, stats = replay()
+
+        class TextlessEntry(plancache._Entry):
+            __slots__ = ()
+
+            def __init__(self, plan, binding, epoch, sql):
+                super().__init__(plan, binding, epoch, None)
+
+        monkeypatch.setattr(plancache, "_Entry", TextlessEntry)
+        textless_trace, textless = replay()
+        assert trace == textless_trace
+        assert {k: stats[k] for k in counters} == {k: textless[k] for k in counters}
+        assert {k: v for k, v in stats.items() if k != "fast_hits"} == {
+            k: v for k, v in textless.items() if k != "fast_hits"
+        }
+        # only the template without a recipe gains: its planned text
+        assert stats["fast_hits"] > textless["fast_hits"]
 
 
 # -- property: prepared == unprepared ----------------------------------------

@@ -1,10 +1,25 @@
-"""Unit tests for the SELECT parser."""
+"""Unit tests for the SELECT parser, its number rules, and its two
+token fronts (fast scanner and lexer) against each other."""
+
+import ast as pyast
+import sqlite3
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from repro.errors import ParseError
-from repro.sql import ast
+from test_property_based import simple_select
+
+from repro.errors import LexerError, ParseError
+from repro.sql import ast, parser
+from repro.sql.params import build_fast_recipe, extract_parameters
 from repro.sql.parser import parse_select
+from repro.workloads import (
+    SnowSimConfig,
+    generate_snowsim_workload,
+    generate_tpch_workload,
+)
 
 
 class TestProjection:
@@ -231,3 +246,155 @@ class TestReferencedTables:
     def test_derived_tables_counted(self):
         stmt = parse_select("select 1 from (select * from inner_t) d")
         assert stmt.referenced_tables() == ["inner_t"]
+
+
+class TestNumberLiterals:
+    """Number tokens follow sqlite3, and a malformed one is a ParseError."""
+
+    def test_leading_zeros_are_the_decimal_integer(self):
+        stmt = parse_select("SELECT a FROM t WHERE a = 012")
+        literal = stmt.where.right
+        assert literal == ast.Literal(12, "number")
+        assert type(literal.value) is int
+        with sqlite3.connect(":memory:") as lite:
+            assert lite.execute("SELECT 012, 007").fetchone() == (12, 7)
+        assert parse_select("select 007").items[0].expr.value == 7
+
+    def test_hex_numbers_are_their_value(self):
+        assert parse_select("select a from t limit 0x10").limit == 16
+        assert parse_select("select top 0X1f a from t").limit == 31
+        # an 'e' among the hex digits is not an exponent
+        assert parse_select("select 0x1e").items[0].expr == ast.Literal(30, "number")
+
+    def test_decimal_limit_still_truncates_through_a_float(self):
+        assert parse_select("select a from t limit 2.7").limit == 2
+        assert parse_select("select a from t limit 1e2").limit == 100
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "select 0x",
+            "select a from t where a = 0x",
+            "select a from t limit 0x",
+            "select a from t limit 1e400",
+            "select a from t where d > interval 'soon' day",
+            "select cast(a as decimal(0x, 2)) from t",
+        ],
+    )
+    def test_malformed_numbers_raise_parse_error(self, bad):
+        with pytest.raises(ParseError):
+            parse_select(bad)
+
+    def test_recipe_reads_numbers_like_the_parser(self):
+        base = "select a from t where a = 012 and b > 0x1e order by a limit 0x10"
+        recipe = build_fast_recipe(base, extract_parameters(parse_select(base)))
+        assert recipe is not None
+        for sql in (base, "select a from t where a = 0009 and b > 0XFF order by a limit 0x2"):
+            want = extract_parameters(parse_select(sql))
+            got = recipe.extract(sql)
+            assert got.limits == want.limits
+            assert [(type(v), v) for v in got.values] == [
+                (type(v), v) for v in want.values
+            ]
+        # a text the parser refuses is no binding for the recipe either
+        assert recipe.extract("select a from t where a = 0x and b > 1 order by a limit 2") is None
+
+
+# -- one parser, two fronts ---------------------------------------------------
+
+
+def _parser_corpus() -> list[str]:
+    """The SQL texts the tests of this module parse."""
+    tree = pyast.parse(Path(__file__).read_text())
+    return [
+        node.value
+        for node in pyast.walk(tree)
+        if isinstance(node, pyast.Constant)
+        and isinstance(node.value, str)
+        and node.value.lower().startswith("select")
+    ]
+
+
+# lexical forms the generators do not emit
+_DIALECT_TEXTS = [
+    'select "My Col", `b` from "T" where "select" = 1 and `from` <> 2',
+    "SeLeCt a FrOm s.t WHERE a != 0x1F -- trailing\n and b || 'x' = ?",
+    "select top 3 a from t where b = :name or c = $1 or d = %s",
+    "select a from t where b between .5 and 1.e3 fetch first 007 rows only",
+    "select a::int, b->>'k' from t where c = 'it''s'",
+]
+
+
+@lru_cache(maxsize=1)
+def _corpus() -> tuple[str, ...]:
+    from test_minidb_sqlite_strings import ORDERED, UNORDERED
+
+    texts = []
+    for seed in (41, 7):
+        config = SnowSimConfig(total_queries=3000, seed=seed)
+        texts += [record.query for record in generate_snowsim_workload(config)]
+    texts += generate_tpch_workload(instances_per_template=1, seed=5)
+    texts += UNORDERED + ORDERED + _parser_corpus() + _DIALECT_TEXTS
+    return tuple(dict.fromkeys(texts))
+
+
+def _outcome(tokens):
+    """What the parser makes of ``tokens``: the AST's repr (types of
+    literal values included), or the ParseError's message."""
+    try:
+        return repr(parser._parse(tokens))
+    except ParseError as exc:
+        return ("ParseError", str(exc))
+
+
+def _check_fronts(sql: str) -> None:
+    """The fast scanner's tokens, where it accepts ``sql``, parse exactly
+    like the lexer's; either front yields an AST or a ParseError (or,
+    for a text the lexer refuses, a LexerError)."""
+    try:
+        lexed = parser._lexed(sql)
+    except LexerError:
+        assert parser._scanned(sql) is None, sql
+        return
+    scanned = parser._scanned(sql)
+    if scanned is not None:
+        assert scanned == lexed, sql
+        assert _outcome(scanned) == _outcome(lexed), sql
+    else:
+        _outcome(lexed)
+
+
+class TestOneParserTwoFronts:
+    def test_corpus_parses_alike_from_both_fronts(self):
+        texts = _corpus()
+        assert len(texts) > 1500
+        scanned = 0
+        for sql in texts:
+            _check_fronts(sql)
+            scanned += parser._scanned(sql) is not None
+        assert scanned > 0.95 * len(texts)
+
+    def test_truncated_texts_raise_parse_error_on_both_fronts(self):
+        texts = generate_tpch_workload(instances_per_template=1, seed=5)
+        texts += _parser_corpus() + list(_corpus()[:200])
+        for sql in texts:
+            cuts = [i for i, ch in enumerate(sql) if ch in " (),"]
+            for i in cuts:
+                _check_fronts(sql[:i])
+                _check_fronts(sql[:i] + sql[i + 1 :])
+
+    def test_lexer_only_texts_parse(self):
+        # constructs the fast scanner leaves to the lexer
+        for sql in (
+            "select [my col] from t",
+            "select a from t # trailing comment",
+            "select a /* block */ from t",
+            'select "a""b" from t',
+        ):
+            assert parser._scanned(sql) is None
+            parse_select(sql)
+
+    @given(simple_select())
+    @settings(max_examples=80, deadline=None)
+    def test_generated_selects(self, sql):
+        _check_fronts(sql)
