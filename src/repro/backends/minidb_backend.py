@@ -24,7 +24,7 @@ from collections.abc import Sequence
 
 from repro.backends.base import Backend, BatchResult, QueryOutcome
 from repro.errors import BackendError
-from repro.minidb.engine import Database
+from repro.minidb.engine import Database, template_keys
 from repro.minidb.indexes import IndexConfig
 from repro.runtime.metrics import Counters
 from repro.sql.normalizer import template_fingerprint_ids
@@ -107,14 +107,15 @@ class MiniDBBackend(Backend):
 
         Dispatch-supplied interned ids are used as-is; negative ids
         (batch-local intern overflow — meaningless across batches)
-        become ``None`` so the engine falls back to the fingerprint
-        string. Text-only calls resolve ids and fingerprints in one
-        vectorized probe of the process-wide memo.
+        become ``None`` so the engine resolves the key itself.
+        Text-only calls resolve ids and fingerprints in one vectorized
+        probe of the process-wide memo, under the engine's one key rule
+        (:func:`~repro.minidb.engine.template_keys`).
         """
         if template_ids is not None:
             return [int(i) if i >= 0 else None for i in template_ids]
         ids, fps, _, _ = template_fingerprint_ids(queries)
-        return [int(i) if i >= 0 else fp for i, fp in zip(ids, fps)]
+        return template_keys(ids, fps)
 
     def snapshot(self) -> dict:
         return {

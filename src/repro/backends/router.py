@@ -669,23 +669,22 @@ class BatchRouter:
         order of their first message in the batch, and rows within a
         group keep batch order.
         """
-        column = batch.column(self.route_label)
-        if column is None:
+        route = self.route_label
+        template_labels: Sequence[object] | None = batch.columns.get(route)
+        inverse = batch.inverse
+        if template_labels is None:
             # no predicted column for the route key: the label, if any,
             # is the one each message arrived with
             codes: dict[object, int] = {}
             inverse = np.fromiter(
                 (
-                    codes.setdefault(m.label(self.route_label), len(codes))
-                    for m in batch.messages
+                    codes.setdefault(batch.label_at(i, route), len(codes))
+                    for i in range(len(batch))
                 ),
                 dtype=np.intp,
                 count=len(batch),
             )
-            template_labels: Sequence[object] = list(codes)
-        else:
-            template_labels = column.template_values
-            inverse = column.inverse
+            template_labels = list(codes)
         targets: dict[object, str | None] = {}
         view_cache: dict = {}
         resolved: dict[object, str] = {}

@@ -4,6 +4,13 @@ Every embedder maps raw query text to a fixed-size float vector. The
 base class owns tokenization (via the dialect-tolerant normalizer) and
 the fitted-state bookkeeping, so subclasses implement only
 ``_fit_tokenized`` and ``_transform_tokenized``.
+
+Tokenization is one scheme for every embedder: the literal-folded
+token stream that :func:`repro.sql.normalizer.template_fingerprint`
+digests. Equal fingerprints therefore mean equal embedder input, which
+is what lets the runtime key its caches and batch dedup on one
+template axis. A subclass that defines ``tokenize`` is a ``TypeError``
+at class creation.
 """
 
 from __future__ import annotations
@@ -14,11 +21,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import EmbeddingError, NotFittedError
-from repro.sql.normalizer import (
-    fingerprint_token_stream,
-    safe_token_stream,
-    template_fingerprints,
-)
+from repro.sql.normalizer import safe_token_stream
 
 
 class QueryEmbedder(abc.ABC):
@@ -28,6 +31,11 @@ class QueryEmbedder(abc.ABC):
     ``transform`` / ``fit_transform`` are the public API used by Querc
     and by every application.
     """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "tokenize" in vars(cls):
+            raise TypeError(f"{cls.__name__} may not override tokenize")
 
     def __init__(self, dimension: int, seed: int = 0) -> None:
         if dimension <= 0:
@@ -92,34 +100,11 @@ class QueryEmbedder(abc.ABC):
         """Token sequence fed to the model (literals folded).
 
         Lexically broken queries degrade to whitespace tokens rather
-        than raising: Querc must embed anything the log contains.
+        than raising: Querc must embed anything the log contains. The
+        same stream is what template fingerprints digest, so it is not
+        overridable.
         """
         return safe_token_stream(query, fold_literals=True)
-
-    def fingerprint(self, query: str) -> str:
-        """Template fingerprint of the exact token sequence ``transform``
-        would consume — derived from ``self.tokenize``, so a subclass
-        with custom tokenization automatically keys caches on what it
-        actually embeds. Equal fingerprints imply equal embeddings for
-        deterministic embedders, so the runtime layer may cache/dedup
-        by this key."""
-        return fingerprint_token_stream(self.tokenize(query))
-
-    def fingerprints(self, queries: Sequence[str]) -> list[str]:
-        """Per-query template fingerprints (see :meth:`fingerprint`).
-
-        When neither :meth:`tokenize` nor :meth:`fingerprint` is
-        overridden, the result is by definition the default template
-        fingerprint, so the batch goes through the process-wide
-        fingerprint memo — exact-text repeats skip tokenization.
-        """
-        cls = type(self)
-        if (
-            cls.fingerprint is QueryEmbedder.fingerprint
-            and cls.tokenize is QueryEmbedder.tokenize
-        ):
-            return template_fingerprints(queries)
-        return [self.fingerprint(q) for q in queries]
 
     def validate_vectors(self, vectors: np.ndarray) -> np.ndarray:
         """Vectors-in entry point: check precomputed embeddings fit this

@@ -25,7 +25,7 @@ from repro.minidb.optimizer import CostModel
 from repro.minidb.plancache import PlanCache
 from repro.minidb.planner import Planner, PlanNode
 from repro.minidb.storage import Table, days_to_date
-from repro.sql.normalizer import template_fingerprint
+from repro.sql.normalizer import template_fingerprint_ids
 from repro.sql.params import extract_parameters
 from repro.sql.parser import parse_select
 
@@ -42,6 +42,14 @@ class QueryResult:
     n_rows: int
     plan: PlanNode
     stats: ExecutionStats = field(repr=False, default=None)  # type: ignore[assignment]
+
+
+def template_keys(ids, fingerprints) -> list:
+    """Plan-cache template keys for fingerprinted queries, the one rule
+    for every route into :meth:`Database.execute_prepared`: the interned
+    fingerprint id, or the fingerprint string when the intern table had
+    no slot (id ``-1``)."""
+    return [int(i) if i >= 0 else fp for i, fp in zip(ids, fingerprints)]
 
 
 class Database:
@@ -139,9 +147,10 @@ class Database:
         LIMIT values) reuse one cached plan with fresh literals
         re-bound, subject to the catalog-epoch and literal-sensitivity
         guards in :class:`~repro.minidb.plancache.PlanCache`.
-        ``fingerprint_key`` is an optional precomputed template key (an
-        interned fingerprint id or fingerprint string) so batch callers
-        don't re-fingerprint; rows and costs are bit-identical to
+        ``fingerprint_key`` is an optional precomputed template key (see
+        :func:`template_keys`) so batch callers don't re-fingerprint;
+        without one the same rule resolves it, so a text gets one key
+        whichever route it takes. Rows and costs are bit-identical to
         ``execute``. The serving entry's recycled results go to the
         executor: subtrees no literal reaches run once per cached plan.
         """
@@ -166,7 +175,8 @@ class Database:
         same binding for the same text.
         """
         if fingerprint_key is None:
-            fingerprint_key = template_fingerprint(sql)
+            ids, fps, _, _ = template_fingerprint_ids([sql])
+            (fingerprint_key,) = template_keys(ids, fps)
         served = self._plan_cache.try_fast(
             fingerprint_key, config, self._catalog_epoch, sql
         )

@@ -25,7 +25,7 @@ those lanes actually observe.
 """
 
 from repro.runtime.cache import EmbeddingCache
-from repro.runtime.columnar import ColumnarBatch, ColumnarSlice, LabelColumn
+from repro.runtime.columnar import ColumnarBatch, ColumnarSlice
 from repro.runtime.executor import StagedExecutor
 from repro.runtime.metrics import STAGES, RuntimeMetrics
 from repro.runtime.pipeline import InferencePipeline, embed_queries
@@ -35,7 +35,6 @@ __all__ = [
     "EmbeddingCache",
     "ColumnarBatch",
     "ColumnarSlice",
-    "LabelColumn",
     "RuntimeMetrics",
     "STAGES",
     "InferencePipeline",

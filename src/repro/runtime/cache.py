@@ -11,10 +11,11 @@ one per embedder namespace — a contiguous ``(rows, dimension)`` array
 indexed by the dense fingerprint ids of
 :class:`repro.sql.normalizer.FingerprintInterner`. A whole batch of
 lookups is one fancy index under one lock acquisition — no per-row
-Python copies — which is what the columnar pipeline runs on. Lane rows
-are bounded by the interner's id space, and whole lanes are LRU-evicted
-when the combined size exceeds ``capacity`` (a dead embedder's lane
-ages out).
+Python copies — which is what the columnar pipeline runs on. An id
+names one template for the life of the process, so a lane never needs
+dropping when the fingerprint tables are reset. Lane rows are bounded
+by the interner's id counter, and whole lanes are LRU-evicted when the
+combined size exceeds ``capacity`` (a dead embedder's lane ages out).
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class EmbeddingCache:
 
         Negative ids (no intern slot — the fingerprint table was full)
         are skipped: those templates stay uncached by design. The lane
-        grows geometrically up to the id space's bound; when the
+        grows geometrically up to the highest id stored; when the
         cache's combined occupancy exceeds ``capacity``, the least-
         recently-used *other* lanes are evicted whole.
         """
@@ -131,7 +132,7 @@ class EmbeddingCache:
 
         The lane just written is never evicted (its rows are this
         batch's working set), so one lane may briefly exceed capacity
-        alone — it is still bounded by the interner's id space.
+        alone — it is still bounded by the interner's id counter.
         """
         while (
             sum(l.valid_count for l in self._lanes.values()) > self.capacity

@@ -3,14 +3,16 @@
 LearnedWMP's observation — production workloads collapse onto a small
 template distribution — means a labeled batch is tiny *per template*:
 a 1,000-query batch usually carries a few dozen distinct templates.
-The columnar form exploits that. A :class:`ColumnarBatch` keeps one
-contiguous array per label column at **template** granularity (the
-predicted value per distinct template, plus the batch's
-template-inverse index), so the pipeline predicts once per template,
-the router partitions by array instead of grouping message objects,
-and per-query :class:`~repro.core.labeled_query.LabeledQuery` copies
-are materialized exactly once, at the :meth:`ColumnarBatch.to_messages`
-boundary — or per-row on demand for the rare spill paths.
+The columnar form exploits that. A :class:`ColumnarBatch` carries the
+batch's one template axis — the interned fingerprint id per query and
+one ``inverse`` from rows to distinct templates — and one array per
+label column at **template** granularity (the predicted value per
+distinct template). The pipeline predicts once per template, the
+router partitions by array instead of grouping message objects, and
+per-query :class:`~repro.core.labeled_query.LabeledQuery` copies are
+materialized exactly once, at the :meth:`ColumnarBatch.to_messages`
+boundary — or per-row on demand (:meth:`ColumnarBatch.label_at`,
+:meth:`ColumnarBatch.message_at`) for the rare spill paths.
 
 The batch flows pipeline → Qworker → router → backend without
 rebuilding Python objects between stages; ``to_messages()`` caches its
@@ -27,46 +29,23 @@ if TYPE_CHECKING:  # avoid an import cycle with repro.core
     from repro.core.labeled_query import LabeledQuery
 
 
-class LabelColumn:
-    """One classifier's predictions, stored at template granularity.
-
-    ``template_values[inverse[i]]`` is query *i*'s label — one fancy
-    index scatters the whole column. Columns from different embedder
-    groups carry different inverses (custom tokenizations dedup
-    differently), which is why the inverse lives on the column, not
-    the batch.
-    """
-
-    __slots__ = ("name", "template_values", "inverse")
-
-    def __init__(
-        self, name: str, template_values: np.ndarray, inverse: np.ndarray
-    ) -> None:
-        self.name = name
-        self.template_values = template_values  # object array, one per template
-        self.inverse = inverse  # intp array, one per query
-
-    def values(self) -> np.ndarray:
-        """Per-query label values (object array, len == batch size)."""
-        return self.template_values[self.inverse]
-
-    def value_at(self, i: int):
-        return self.template_values[self.inverse[i]]
-
-
 class ColumnarBatch:
     """A labeled batch as arrays; messages only at the boundary.
 
-    Holds the original (pre-labeling) messages, their query texts, and
-    the accumulated :class:`LabelColumn`\\ s. Supports ``len`` and
-    truthiness like the message list it replaces.
+    Holds the original (pre-labeling) messages and their query texts;
+    the pipeline attaches the template axis (``fingerprint_ids``, and
+    ``inverse`` when it predicts) and ``columns``, which maps each
+    label name to its per-template values: row ``i``'s label is
+    ``columns[name][inverse[i]]``. Supports ``len`` and truthiness like
+    the message list it replaces.
     """
 
     __slots__ = (
         "messages",
         "queries",
-        "columns",
         "fingerprint_ids",
+        "inverse",
+        "columns",
         "_materialized",
     )
 
@@ -79,34 +58,30 @@ class ColumnarBatch:
         self.queries = (
             queries if queries is not None else [m.query for m in self.messages]
         )
-        self.columns: list[LabelColumn] = []
         # per-query interned template-fingerprint ids (int64, negative
         # = batch-local overflow id), attached by the pipeline so
         # dispatch can hand templates to prepared-execution backends
         self.fingerprint_ids: np.ndarray | None = None
+        # per-query index into every label column's template values
+        self.inverse: np.ndarray | None = None
+        self.columns: dict[str, np.ndarray] = {}
         self._materialized: "list[LabeledQuery] | None" = None
 
     def __len__(self) -> int:
         return len(self.messages)
 
-    def add_column(
-        self, name: str, template_values: np.ndarray, inverse: np.ndarray
-    ) -> None:
-        if self._materialized is not None:
-            raise RuntimeError(
-                "cannot add label columns after to_messages() materialized"
-            )
-        self.columns.append(LabelColumn(name, template_values, inverse))
-
-    def column(self, name: str) -> LabelColumn | None:
-        for col in self.columns:
-            if col.name == name:
-                return col
-        return None
-
     def select(self, indices: np.ndarray) -> "ColumnarSlice":
         """A zero-copy view of a subset of rows (router partitions)."""
         return ColumnarSlice(self, np.asarray(indices, dtype=np.intp))
+
+    def label_at(self, i: int, name: str, default=None):
+        """Row ``i``'s value for one label, no message built: the
+        predicted column's value, else the label the message arrived
+        with."""
+        values = self.columns.get(name)
+        if values is not None:
+            return values[self.inverse[i]]
+        return self.messages[i].label(name, default)
 
     def message_at(self, i: int) -> "LabeledQuery":
         """One fully-labeled message, materialized on demand."""
@@ -115,7 +90,7 @@ class ColumnarBatch:
         if not self.columns:
             return self.messages[i]
         return self.messages[i].with_labels(
-            **{col.name: col.value_at(i) for col in self.columns}
+            **{name: self.label_at(i, name) for name in self.columns}
         )
 
     def to_messages(self) -> "list[LabeledQuery]":
@@ -129,7 +104,10 @@ class ColumnarBatch:
             if not self.columns:
                 self._materialized = list(self.messages)
             else:
-                scattered = [(col.name, col.values()) for col in self.columns]
+                scattered = [
+                    (name, values[self.inverse])
+                    for name, values in self.columns.items()
+                ]
                 self._materialized = [
                     message.with_labels(
                         **{name: values[i] for name, values in scattered}
@@ -175,20 +153,11 @@ class ColumnarSlice:
         return [texts[i] for i in self.indices]
 
     def label_at(self, i: int, name: str, default=None):
-        """Row ``i``'s value for one label — columnarly, no message built.
-
-        Reads the predicted value straight from the batch's label
-        column (template array + inverse), falling back to the label
-        the original message arrived with; unlike indexing the slice,
-        no ``with_labels`` copy is materialized. The router's
-        failover/breaker paths use this to learn a doomed group's
-        route label without breaching the ``to_messages()`` boundary.
-        """
-        row = int(self.indices[i])
-        col = self.batch.column(name)
-        if col is not None:
-            return col.value_at(row)
-        return self.batch.messages[row].label(name, default)
+        """Row ``i``'s value for one label (see
+        :meth:`ColumnarBatch.label_at`). The router's failover/breaker
+        paths use this to learn a doomed group's route label without
+        breaching the ``to_messages()`` boundary."""
+        return self.batch.label_at(int(self.indices[i]), name, default)
 
     def fingerprint_ids(self) -> np.ndarray | None:
         """This slice's interned template ids (None when the batch has

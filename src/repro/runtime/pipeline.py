@@ -6,24 +6,27 @@ re-tokenized and re-embedded the full batch, so a worker with four
 classifiers sharing one embedder paid the embedding cost four times.
 The pipeline restructures one batch's inference as:
 
-1. **fingerprint** — dense interned template ids per query via the
-   process-wide fingerprint memo
-   (:func:`repro.sql.normalizer.template_fingerprint_ids`): repeated
-   texts skip tokenization, repeated templates share one id;
-2. **dedup** — ``np.unique`` over the id array collapses the batch to
-   its distinct templates (no Python dict loop);
-3. **embed** — one vectorized
-   :meth:`~repro.runtime.cache.EmbeddingCache.get_matrix` probe per
-   distinct embedder, then one ``transform`` call covering exactly the
+1. **fingerprint** — one probe of the process-wide fingerprint memo
+   (:func:`repro.sql.normalizer.template_fingerprint_ids`) gives dense
+   interned template ids per query: repeated texts skip tokenization,
+   repeated templates share one id;
+2. **dedup** — one ``np.unique`` over the id array collapses the batch
+   to its distinct templates (no Python dict loop). Every embedder
+   consumes the same literal-folded token stream the fingerprint
+   digests (``QueryEmbedder`` forbids overriding ``tokenize``), so this
+   one template axis serves every embedder and every classifier;
+3. **embed** — per distinct embedder, one vectorized
+   :meth:`~repro.runtime.cache.EmbeddingCache.get_matrix` probe of its
+   cache lane, then one ``transform`` call covering exactly the
    missing templates;
 4. **predict** — each classifier predicts over the *unique* template
    vectors only (k rows, not n);
-5. **scatter** — one fancy index per label column, at template
-   granularity, recorded on a
-   :class:`~repro.runtime.columnar.ColumnarBatch`. Per-query
-   ``LabeledQuery`` objects are materialized once, at the batch's
-   ``to_messages()`` boundary — the router partitions the columnar
-   form directly.
+5. **scatter** — each label column is kept at template granularity on
+   a :class:`~repro.runtime.columnar.ColumnarBatch`, which carries the
+   template axis once (``fingerprint_ids`` plus one ``inverse``).
+   Per-query ``LabeledQuery`` objects are materialized once, at the
+   batch's ``to_messages()`` boundary — the router partitions the
+   columnar form directly.
 
 For deterministic embedders (e.g. bag-of-tokens) the output is
 semantically equivalent to labeling with each classifier on its own
@@ -47,15 +50,10 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.embedding.base import QueryEmbedder as _BaseEmbedder
 from repro.runtime.cache import EmbeddingCache
 from repro.runtime.columnar import ColumnarBatch
 from repro.runtime.metrics import RuntimeMetrics
-from repro.sql.normalizer import (
-    fingerprint_cache_stats,
-    intern_fingerprints,
-    template_fingerprint_ids,
-)
+from repro.sql.normalizer import fingerprint_cache_stats, template_fingerprint_ids
 
 if TYPE_CHECKING:  # avoid an import cycle with repro.core
     from repro.core.classifier import QueryClassifier
@@ -102,48 +100,32 @@ class InferencePipeline:
     ) -> ColumnarBatch:
         """Label a batch with every classifier, columnar end-to-end.
 
-        Embeds each distinct embedder exactly once over the batch's
-        unique templates and predicts once per template per classifier;
-        the returned :class:`~repro.runtime.columnar.ColumnarBatch`
-        carries label columns as arrays and materializes messages only
-        when (and if) ``to_messages()`` is called.
+        Fingerprints and collapses the batch once, then embeds each
+        distinct embedder exactly once over the unique templates and
+        predicts once per template per classifier; the returned
+        :class:`~repro.runtime.columnar.ColumnarBatch` carries label
+        columns as arrays and materializes messages only when (and if)
+        ``to_messages()`` is called.
         """
         columnar = ColumnarBatch(batch)
         if not batch:
             return columnar
+        queries = columnar.queries
+        # dispatch hands the ids to prepared-execution backends instead
+        # of re-fingerprinting
+        ids = columnar.fingerprint_ids = self._fingerprint_ids(queries)
         if not classifiers:
-            columnar.fingerprint_ids = self._default_fingerprint_ids(
-                columnar.queries
-            )
             return columnar
         m = self.metrics
-        m.add(batches=1, queries=len(batch))
-        queries = columnar.queries
+        unique_ids, first_idx, columnar.inverse = self._collapse_ids(ids)
+        m.add(batches=1, queries=len(batch), unique_templates=len(unique_ids))
 
         groups: dict[int, list[QueryClassifier]] = {}
         for classifier in classifiers:
             groups.setdefault(id(classifier.embedder), []).append(classifier)
-
-        default_ids: np.ndarray | None = None  # shared across default-hook groups
-        # batch template count for metrics: prefer the canonical
-        # (default-fingerprint) view over any custom scheme
-        default_unique: int | None = None
-        first_unique: int | None = None
         for group in groups.values():
             embedder = group[0].embedder
             name = self._cache_name(embedder, group[0].embedder_name)
-            is_default = _uses_default_fingerprints(embedder)
-            if is_default:
-                if default_ids is None:
-                    default_ids = self._fingerprint_ids(embedder, queries)
-                ids = default_ids
-            else:
-                ids = self._fingerprint_ids(embedder, queries)
-            unique_ids, first_idx, inverse = self._collapse_ids(ids)
-            if is_default and default_unique is None:
-                default_unique = len(unique_ids)
-            if first_unique is None:
-                first_unique = len(unique_ids)
             unique_vectors = self._embed_unique(
                 embedder, name, queries, unique_ids, first_idx
             )
@@ -151,22 +133,9 @@ class InferencePipeline:
                 for classifier in group:
                     predictions = classifier.predict_vectors(unique_vectors)
                     # fromiter: a tuple-valued label stays one cell
-                    template_values = np.fromiter(
+                    columnar.columns[classifier.label_name] = np.fromiter(
                         predictions, dtype=object, count=len(unique_ids)
                     )
-                    columnar.add_column(
-                        classifier.label_name, template_values, inverse
-                    )
-        m.add(
-            unique_templates=(
-                default_unique if default_unique is not None else (first_unique or 0)
-            )
-        )
-        # carry the canonical template ids on the batch: dispatch hands
-        # them to prepared-execution backends instead of re-fingerprinting
-        if default_ids is None:
-            default_ids = self._default_fingerprint_ids(queries)
-        columnar.fingerprint_ids = default_ids
         return columnar
 
     # -- raw embedding (the apps / offline path) ----------------------------------
@@ -186,13 +155,9 @@ class InferencePipeline:
             return np.zeros((0, embedder.dimension), dtype=np.float64)
         m = self.metrics
         queries = list(queries)
-        ids = self._fingerprint_ids(embedder, queries)
+        ids = self._fingerprint_ids(queries)
         unique_ids, first_idx, inverse = self._collapse_ids(ids)
-        m.add(
-            batches=1,
-            queries=len(queries),
-            unique_templates=len(unique_ids),
-        )
+        m.add(batches=1, queries=len(queries), unique_templates=len(unique_ids))
         name = self._cache_name(embedder, embedder_name)
         unique_vectors = self._embed_unique(
             embedder, name, queries, unique_ids, first_idx
@@ -216,34 +181,12 @@ class InferencePipeline:
 
     # -- internals ----------------------------------------------------------------
 
-    def _fingerprint_ids(
-        self, embedder: "QueryEmbedder", queries: list[str]
-    ) -> np.ndarray:
-        """Dense template ids per query for this embedder.
-
-        The default contract goes through the process-wide fingerprint
-        memo (and feeds its hit counters into this runtime's metrics).
-        An embedder with a custom ``fingerprints`` hook keys the cache
-        on exactly what its ``transform`` will consume; its fingerprint
-        strings are interned into the same id space. Ids of ``-1``
-        (intern table full) are rewritten to batch-local negative ids,
-        consistent within the batch but never cached across batches.
-        """
-        m = self.metrics
-        hook = getattr(embedder, "fingerprints", None)
-        if hook is not None and not _uses_default_fingerprints(embedder):
-            with m.stage("fingerprint"):
-                fps = hook(queries)
-                ids = intern_fingerprints(fps)
-                overflow = int((ids < 0).sum())
-                if overflow:
-                    m.add(intern_overflow=overflow)
-                    ids = _localize_overflow(ids, fps)
-            return ids
-        return self._default_fingerprint_ids(queries)
-
-    def _default_fingerprint_ids(self, queries: list[str]) -> np.ndarray:
-        """Canonical (process-memo) template ids for ``queries``."""
+    def _fingerprint_ids(self, queries: list[str]) -> np.ndarray:
+        """Dense template ids per query, from one probe of the process-
+        wide fingerprint memo (its hit counters feed this runtime's
+        metrics). Ids of ``-1`` (intern table full) are rewritten to
+        batch-local negative ids, consistent within the batch but never
+        cached across batches."""
         m = self.metrics
         with m.stage("fingerprint"):
             ids, fps, memo_hits, memo_misses = template_fingerprint_ids(queries)
@@ -352,19 +295,6 @@ def _localize_overflow(ids: np.ndarray, fps: list[str]) -> np.ndarray:
             fid = local[fp] = -2 - len(local)
         ids[i] = fid
     return ids
-
-
-def _uses_default_fingerprints(embedder) -> bool:
-    """True when the embedder provably inherits the base tokenize/
-    fingerprint contract, so its fingerprint list can be shared with
-    other default embedders instead of recomputed per group. Wrappers
-    and overriders get their own (correct) per-embedder pass."""
-    t = type(embedder)
-    return (
-        getattr(t, "fingerprints", None) is _BaseEmbedder.fingerprints
-        and getattr(t, "fingerprint", None) is _BaseEmbedder.fingerprint
-        and getattr(t, "tokenize", None) is _BaseEmbedder.tokenize
-    )
 
 
 def embed_queries(

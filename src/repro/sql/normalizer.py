@@ -24,9 +24,12 @@ per query per batch), this module also owns two process-wide tables:
 * a capped :class:`FingerprintInterner` from fingerprint strings to
   dense integer ids, so batch dedup and the runtime's vectorized
   embedding cache can work on contiguous int arrays instead of string
-  dict lookups. When the table is full, new fingerprints get id ``-1``
-  ("no slot") and callers fall back to per-batch, uncached handling —
-  a long-tailed stream can degrade throughput but never memory.
+  dict lookups. An id names one template for the life of the process,
+  across :func:`reset_fingerprint_caches` too, so caches keyed by id
+  never need dropping with the tables. When the table is full, new
+  fingerprints get id ``-1`` ("no slot") and callers fall back to
+  per-batch, uncached handling — a long-tailed stream can degrade
+  throughput but never memory.
 
 The common case additionally bypasses the character-at-a-time lexer:
 one fast scanner, :func:`fast_tokens`, splits plain ASCII SQL into
@@ -100,7 +103,7 @@ def safe_token_stream(sql: str, fold_literals: bool = True) -> list[str]:
 
 def fingerprint_token_stream(tokens: list[str]) -> str:
     """Digest of one token sequence (the primitive under
-    :func:`template_fingerprint` and ``QueryEmbedder.fingerprint``)."""
+    :func:`template_fingerprint`)."""
     joined = "\x1f".join(tokens)
     return hashlib.blake2b(joined.encode("utf-8"), digest_size=16).hexdigest()
 
@@ -228,10 +231,11 @@ def _fast_folded_stream(sql: str) -> list[str] | None:
 class FingerprintInterner:
     """Process-wide map from fingerprint strings to dense int ids.
 
-    Ids are assigned first-come in ``[0, capacity)`` and never reused
-    or evicted, so an id is a stable row index for the lifetime of the
-    process — exactly what the runtime's vectorized embedding cache
-    keys its matrix rows on. When the table is full, :meth:`intern_many`
+    Ids are assigned first-come from a counter that :meth:`clear` does
+    not rewind, so an id names one fingerprint for the lifetime of the
+    process — a stable row index for the runtime's vectorized embedding
+    cache and a stable plan-cache key, even across a reset. ``capacity``
+    bounds the live entries. When the table is full, :meth:`intern_many`
     gives ``-1`` ("no slot") and counts the overflow; callers treat
     such fingerprints as uncacheable and fall back to per-batch
     handling, so a long tail of one-off templates costs throughput,
@@ -242,6 +246,7 @@ class FingerprintInterner:
         self.capacity = int(capacity)
         self.overflow = 0  # intern attempts refused because the table was full
         self._ids: dict[str, int] = {}
+        self._next_id = 0
         self._lock = threading.Lock()
 
     def intern_many(self, fingerprints: Sequence[str]) -> np.ndarray:
@@ -257,7 +262,8 @@ class FingerprintInterner:
                         self.overflow += 1
                         fid = -1
                     else:
-                        fid = table[fingerprint] = len(table)
+                        fid = table[fingerprint] = self._next_id
+                        self._next_id += 1
                 ids[i] = fid
         return ids
 
@@ -396,11 +402,6 @@ def template_fingerprint(sql: str) -> str:
     return _MEMO.fingerprint_ids([sql])[1][0]
 
 
-def template_fingerprints(queries: Sequence[str]) -> list[str]:
-    """Batch :func:`template_fingerprint` through the process memo."""
-    return _MEMO.fingerprint_ids(list(queries))[1]
-
-
 def template_fingerprint_ids(
     queries: Sequence[str],
 ) -> tuple[np.ndarray, list[str], int, int]:
@@ -412,12 +413,6 @@ def template_fingerprint_ids(
     return _MEMO.fingerprint_ids(list(queries))
 
 
-def intern_fingerprints(fingerprints: Sequence[str]) -> np.ndarray:
-    """Dense ids for already-computed fingerprints (custom embedder
-    tokenizations); ``-1`` marks fingerprints without an intern slot."""
-    return _INTERNER.intern_many(list(fingerprints))
-
-
 def fingerprint_cache_stats() -> dict:
     """Occupancy and hit counters of the process-wide tables."""
     return {"memo": _MEMO.stats(), "interner": _INTERNER.stats()}
@@ -426,9 +421,10 @@ def fingerprint_cache_stats() -> dict:
 def reset_fingerprint_caches() -> None:
     """Drop the process-wide memo and intern table (tests/benchmarks).
 
-    Interned ids are invalidated by this, so any
-    :class:`~repro.runtime.cache.EmbeddingCache` holding id-keyed
-    matrix rows must be dropped with it.
+    Ids already handed out are never handed out again: a template
+    interned after the reset gets a fresh id, so an
+    :class:`~repro.runtime.cache.EmbeddingCache` lane or a plan cache
+    keyed by an old id misses instead of serving another template.
     """
     _MEMO.clear()
     _INTERNER.clear()

@@ -61,12 +61,11 @@ def make_batch(n: int, cluster: str = "", query: str = "select 1") -> list[Label
 
 def _label_column_batch(messages: list[LabeledQuery]) -> ColumnarBatch:
     """The shape the pipeline emits: the route label predicted into a
-    ``LabelColumn``, the messages themselves carrying none."""
+    label column, the messages themselves carrying none."""
     batch = ColumnarBatch([LabeledQuery.make(m.query) for m in messages])
-    batch.add_column(
-        "cluster",
-        np.array([m.label("cluster") for m in messages], dtype=object),
-        np.arange(len(messages), dtype=np.intp),
+    batch.inverse = np.arange(len(messages), dtype=np.intp)
+    batch.columns["cluster"] = np.array(
+        [m.label("cluster") for m in messages], dtype=object
     )
     return batch
 

@@ -1,4 +1,5 @@
-"""Docs stay healthy in tier-1: links resolve, indexes are complete.
+"""Docs stay healthy in tier-1: links resolve, indexes are complete,
+cited names exist.
 
 Runs the same checks as ``tools/check_doc_links.py`` (which CI invokes
 as the docs-health step) so a broken internal link or an unindexed
@@ -43,6 +44,27 @@ def test_internal_markdown_links_resolve():
 def test_examples_index_is_complete():
     checker = _load_checker()
     assert checker.check_examples_index() == []
+
+
+def test_documented_names_exist():
+    checker = _load_checker()
+    assert checker.check_documented_names() == []
+
+
+def test_a_deleted_class_left_documented_is_caught(tmp_path):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "api.md").write_text(
+        "`ColumnarBatch.label_at`, `repro.runtime.LabelColumn`, `TPC-H`, `ValueError`"
+    )
+    (docs / "architecture.md").write_text("`np.unique` and `SELECT`")
+    module = tmp_path / "src" / "repro"
+    module.mkdir(parents=True)
+    (module / "columnar.py").write_text("class ColumnarBatch:\n    pass\n")
+    checker = _load_checker()
+    assert checker.check_documented_names(tmp_path) == [
+        "docs/api.md: `repro.runtime.LabelColumn` names undefined LabelColumn"
+    ]
 
 
 def test_examples_compile():

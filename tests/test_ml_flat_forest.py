@@ -300,10 +300,10 @@ class TestTupleLabelsStaySingleCells:
         batch = InferencePipeline().run_columnar(
             [LabeledQuery.make(q) for q in queries], [classifier]
         )
-        column = batch.column("placement")
-        assert column.template_values.dtype == object
-        assert column.template_values.ndim == 1
-        assert len(column.template_values) < len(queries)  # deduplicated
+        template_values = batch.columns["placement"]
+        assert template_values.dtype == object
+        assert template_values.ndim == 1
+        assert len(template_values) < len(queries)  # deduplicated
         got = [m.label("placement") for m in batch.to_messages()]
         assert got == want
         assert all(isinstance(v, tuple) for v in got)

@@ -28,12 +28,16 @@ from repro.backends import MiniDBBackend
 from repro.errors import ParseError, SQLError
 from repro.minidb import engine, materialize_log_tables, plancache
 from repro.minidb.datagen import generate_tpch_database
-from repro.minidb.engine import Database
+from repro.minidb.engine import Database, template_keys
 from repro.minidb.indexes import Index, IndexConfig
 from repro.minidb.plancache import VERIFY_BINDINGS, PlanCache, plan_shape
 from repro.minidb.storage import Table
 from repro.sql import params
-from repro.sql.normalizer import template_fingerprint, template_fingerprint_ids
+from repro.sql.normalizer import (
+    reset_fingerprint_caches,
+    template_fingerprint,
+    template_fingerprint_ids,
+)
 from repro.sql.params import build_fast_recipe, extract_parameters
 from repro.sql.parser import parse_select
 from repro.workloads import (
@@ -478,15 +482,21 @@ class TestOneGuardChain:
 _NO_RECIPE = "select a from t where cast(b as decimal(10, 2)) > {}"
 
 
+def _key(sql: str):
+    """The template key ``Database.execute_prepared`` files ``sql`` under."""
+    ids, fps, _, _ = template_fingerprint_ids([sql])
+    return template_keys(ids, fps)[0]
+
+
 def _entry_of(cache: PlanCache, sql: str):
     """The entry of ``cache`` planned from the text ``sql``."""
-    record = cache._templates[(template_fingerprint(sql), None)]
+    record = cache._templates[(_key(sql), None)]
     (entry,) = [entry for entry in record.plans.values() if entry.sql == sql]
     return entry
 
 
 def _ask_fast(db: Database, sql: str):
-    return db.plan_cache.try_fast(template_fingerprint(sql), None, db.catalog_epoch, sql)
+    return db.plan_cache.try_fast(_key(sql), None, db.catalog_epoch, sql)
 
 
 def _counting_parses(monkeypatch) -> list[str]:
@@ -507,7 +517,7 @@ class TestExactTextHit:
         first = db.execute_prepared(sql)
         entry = _entry_of(db.plan_cache, sql)
         # the recipe route would re-bind the text to this very plan
-        recipe = db.plan_cache._templates[(template_fingerprint(sql), None)].recipe
+        recipe = db.plan_cache._templates[(_key(sql), None)].recipe
         assert entry.rebinder.rebind(recipe.extract(sql).slots) is entry.plan
 
         def refuse(text):
@@ -542,7 +552,7 @@ class TestExactTextHit:
             binding = extract_parameters(stmt)
             divergent = planner.plan(parse_select(other + " order by a"))
             cache.fetch(
-                (template_fingerprint(other), None, binding.limits),
+                (_key(other), None, binding.limits),
                 db.catalog_epoch,
                 stmt,
                 binding,
@@ -568,7 +578,7 @@ class TestExactTextHit:
         db = _tiny_db()
         planned, other = _NO_RECIPE.format(1), _NO_RECIPE.format(2)
         db.execute_prepared(planned)
-        assert db.plan_cache._templates[(template_fingerprint(planned), None)].recipe is None
+        assert db.plan_cache._templates[(_key(planned), None)].recipe is None
         parsed = _counting_parses(monkeypatch)
         for _ in range(3):
             db.execute_prepared(planned)
@@ -885,6 +895,31 @@ class TestBackendMatchesUnpreparedOracle:
             assert hits / (hits + misses) > 0.9, (name, cold, warm)
 
 
+class TestOneKeyPerTemplate:
+    def test_backend_and_database_file_a_text_under_one_key(self):
+        db = _tiny_db()
+        sql = _GUARDED.format(1, "x")
+        MiniDBBackend("DB", db).execute([sql])
+        db.execute_prepared(sql)
+        stats = db.plan_cache.stats()
+        assert (stats["size"], stats["hits"], stats["misses"]) == (1, 1, 1)
+
+    def test_a_reset_never_serves_another_templates_plan(self):
+        """Interned ids outlive ``reset_fingerprint_caches``: a template
+        interned after a reset cannot meet a plan cached under an id
+        handed out before it."""
+        db = generate_tpch_database(exec_scale=0.0005, virtual_scale=0.0005, seed=42)
+        backend = MiniDBBackend("DB", db)
+        reset_fingerprint_caches()
+        backend.execute(
+            [f"SELECT COUNT(*) FROM orders WHERE o_totalprice > {v}" for v in range(5)]
+        )
+        reset_fingerprint_caches()
+        sql = "SELECT COUNT(*) FROM lineitem WHERE l_quantity > 5"
+        (outcome,) = backend.execute([sql]).outcomes
+        assert outcome.ok and outcome.result.rows == db.execute(sql).rows
+
+
 # -- differential under eviction pressure -------------------------------------
 
 _SEEK_CONFIG = IndexConfig([Index("orders", ("o_orderkey",))])
@@ -962,7 +997,7 @@ def _check_cache_invariants(db: Database, sql, config, recipes: dict) -> None:
         limits = extract_parameters(parse_select(sql)).limits
     except SQLError:
         return
-    record = templates.get((template_fingerprint(sql), config))
+    record = templates.get((_key(sql), config))
     entry = None if record is None else record.plans.get(limits)
     assert entry is None or entry.epoch == db.catalog_epoch, sql
 

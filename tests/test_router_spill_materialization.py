@@ -43,11 +43,8 @@ def columnar_batch(n: int, cluster: str = "east") -> ColumnarBatch:
     so row i's template is i — indices in assertions read literally)."""
     messages = [LabeledQuery.make(f"select {i} from t") for i in range(n)]
     batch = ColumnarBatch(messages)
-    batch.add_column(
-        "cluster",
-        np.array([cluster] * n, dtype=object),
-        np.arange(n, dtype=np.intp),
-    )
+    batch.inverse = np.arange(n, dtype=np.intp)
+    batch.columns["cluster"] = np.array([cluster] * n, dtype=object)
     return batch
 
 

@@ -18,7 +18,8 @@ from repro.core.labeler import ClassifierLabeler
 from repro.errors import EmbeddingError, ServiceError
 from repro.ml.forest import RandomizedForestClassifier
 from repro.runtime import EmbeddingCache, InferencePipeline, RuntimeMetrics
-from repro.sql.normalizer import template_fingerprint
+from repro.sql import normalizer
+from repro.sql.normalizer import reset_fingerprint_caches, template_fingerprint
 from repro.workloads.stream import QueryStream
 
 
@@ -234,6 +235,55 @@ class TestPipelineDedup:
         assert len(bow.calls) == 1
         assert len(d2v.calls) == 1
 
+    def test_one_probe_and_one_collapse_whatever_the_embedder_count(
+        self, fitted_bow, fitted_doc2vec, snowsim_records, monkeypatch
+    ):
+        """Two embedder groups, one of them a delegating wrapper: the
+        batch is fingerprinted and collapsed once, and both label
+        columns index the batch's one inverse."""
+        train = snowsim_records[:60]
+        queries = [r.query for r in train]
+        classifiers = [
+            _make_classifier(
+                "user", QuantizedEmbedder(fitted_bow), queries, [r.user for r in train]
+            ),
+            _make_classifier(
+                "cluster", fitted_doc2vec, queries, [r.cluster for r in train]
+            ),
+        ]
+        probes, collapses = [], []
+        probe, collapse = normalizer._MEMO.fingerprint_ids, InferencePipeline._collapse_ids
+        monkeypatch.setattr(
+            normalizer._MEMO, "fingerprint_ids", lambda q: probes.append(q) or probe(q)
+        )
+        monkeypatch.setattr(
+            InferencePipeline,
+            "_collapse_ids",
+            lambda self, ids: collapses.append(ids) or collapse(self, ids),
+        )
+        batch = [LabeledQuery.make(r.query) for r in snowsim_records[60:100]]
+        columnar = InferencePipeline().run_columnar(batch, classifiers)
+        assert (len(probes), len(collapses)) == (1, 1)
+        assert set(columnar.columns) == {"user", "cluster"}
+        k = int(columnar.inverse.max()) + 1
+        assert all(len(values) == k for values in columnar.columns.values())
+
+    def test_a_reset_never_serves_another_templates_vector(
+        self, fitted_bow, tpch_workload, snowsim_records
+    ):
+        """Interned ids outlive ``reset_fingerprint_caches``, so a cache
+        lane filled before a reset cannot serve a template interned
+        after it."""
+        old, new = tpch_workload[0], snowsim_records[0].query
+        assert not np.allclose(fitted_bow.transform([old]), fitted_bow.transform([new]))
+        pipe = InferencePipeline()
+        reset_fingerprint_caches()
+        pipe.embed(fitted_bow, [old])
+        reset_fingerprint_caches()
+        np.testing.assert_allclose(
+            pipe.embed(fitted_bow, [new]), fitted_bow.transform([new]), rtol=0, atol=1e-12
+        )
+
     def test_empty_batch_and_no_classifiers(self, fitted_bow):
         pipe = InferencePipeline()
         assert pipe.run_columnar([], []).to_messages() == []
@@ -350,28 +400,17 @@ class TestVectorsInEntryPoints:
         with pytest.raises(EmbeddingError):
             fitted_bow.validate_vectors(np.zeros(fitted_bow.dimension))
 
-    def test_custom_tokenize_keys_the_cache(self, small_corpus):
-        """Fingerprints derive from ``self.tokenize``: overriding just
-        the tokenizer is enough to keep cache keys matched to exactly
-        what this embedder's transform consumes."""
+    def test_overriding_tokenize_is_a_type_error(self):
+        """Every embedder consumes the stream the template fingerprint
+        digests, so one template axis serves them all."""
         from repro.embedding import BagOfTokensEmbedder
 
-        class RawTextEmbedder(BagOfTokensEmbedder):
-            @staticmethod
-            def tokenize(query):
-                return query.split()  # keeps literals
+        with pytest.raises(TypeError, match="tokenize"):
 
-        emb = RawTextEmbedder(dimension=8, min_count=1).fit(small_corpus)
-        pipe = InferencePipeline()
-        q1 = "SELECT col_1 FROM table_1 WHERE col_1 > 5"
-        q2 = "SELECT col_1 FROM table_1 WHERE col_1 > 99"
-        vectors = pipe.embed(emb, [q1, q2])
-        # template_fingerprint would collapse q1/q2; the derived key must not
-        assert pipe.metrics.unique_templates == 2
-        assert emb.fingerprint(q1) != emb.fingerprint(q2)
-        np.testing.assert_allclose(
-            vectors, emb.transform([q1, q2]), rtol=0, atol=1e-12
-        )
+            class RawTextEmbedder(BagOfTokensEmbedder):
+                @staticmethod
+                def tokenize(query):
+                    return query.split()
 
 
 # -- equivalence with the legacy path ----------------------------------------------

@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
-"""Docs health: internal links resolve, the examples index is complete.
+"""Docs health: internal links resolve, the examples index is complete,
+and the names the reference docs cite exist.
 
 Scans the repo's markdown surfaces (README.md, ROADMAP.md, PAPER*.md,
 CHANGES.md, and everything under docs/) for relative markdown links
 and verifies each target exists on disk. External links (http/https/
 mailto) and pure in-page anchors are skipped; a relative link's
 ``#anchor`` suffix is stripped before the existence check. Also
-verifies that ``docs/examples.md`` indexes every ``examples/*.py``.
+verifies that ``docs/examples.md`` indexes every ``examples/*.py``,
+and that every backticked span of ``docs/api.md`` and
+``docs/architecture.md`` that opens with a CamelCase name (optionally
+behind a ``repro.`` module path) names a class, function or constant
+some ``src/repro`` module defines — so a deleted class cannot stay
+documented.
 
 Run from anywhere::
 
@@ -19,6 +25,8 @@ runs the same checks in tier-1.
 
 from __future__ import annotations
 
+import ast
+import builtins
 import re
 import sys
 from pathlib import Path
@@ -29,6 +37,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # in this repo doesn't use nested parens or <...> link targets)
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _EXTERNAL = ("http://", "https://", "mailto:")
+
+# `Name...` or `repro.module.Name...`: the CamelCase head of a code span
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_CITED_NAME = re.compile(r"(?:repro(?:\.[a-z_]\w*)*\.)?([A-Z]\w*)")
+_REFERENCE_DOCS = ("docs/api.md", "docs/architecture.md")
 
 
 def markdown_files(root: Path = REPO_ROOT) -> list[Path]:
@@ -76,8 +89,42 @@ def check_examples_index(root: Path = REPO_ROOT) -> list[str]:
     return problems
 
 
+def defined_names(root: Path = REPO_ROOT) -> set[str]:
+    """Every class, function and assigned name in ``src/repro``."""
+    names: set[str] = set()
+    for path in (root / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def check_documented_names(root: Path = REPO_ROOT) -> list[str]:
+    """Every CamelCase name a reference doc cites is defined in ``repro``
+    (names without a lowercase letter, like ``TPC`` or ``SELECT``, and
+    builtins are not API names)."""
+    defined = defined_names(root)
+    problems = []
+    for doc in _REFERENCE_DOCS:
+        text = (root / doc).read_text(encoding="utf-8")
+        for span in _CODE_SPAN.findall(text):
+            cited = _CITED_NAME.match(span)
+            if cited is None:
+                continue
+            name = cited.group(1)
+            if (
+                name not in defined
+                and not name.isupper()
+                and not hasattr(builtins, name)
+            ):
+                problems.append(f"{doc}: `{span}` names undefined {name}")
+    return problems
+
+
 def main() -> int:
-    problems = check_links() + check_examples_index()
+    problems = check_links() + check_examples_index() + check_documented_names()
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
