@@ -104,7 +104,7 @@ class QueryEmbedder(abc.ABC):
         same stream is what template fingerprints digest, so it is not
         overridable.
         """
-        return safe_token_stream(query, fold_literals=True)
+        return safe_token_stream(query)
 
     def validate_vectors(self, vectors: np.ndarray) -> np.ndarray:
         """Vectors-in entry point: check precomputed embeddings fit this

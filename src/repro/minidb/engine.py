@@ -170,7 +170,7 @@ class Database:
         parse: a text a cached plan was made from brings that plan's own
         binding, any other text of a verified template has its binding
         extracted straight from the text. Everything else parses (from
-        the fast scanner's tokens) and goes through
+        the same scan's tokens) and goes through
         :meth:`PlanCache.fetch`. Both meet the same guard chain with the
         same binding for the same text.
         """

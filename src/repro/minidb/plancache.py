@@ -21,7 +21,7 @@ repeat, most hits on a template-heavy stream) is checked with that
 binding as is, so it pays no scan and no re-bind and gets the entry's
 own plan. Any other text of a verified template has its binding
 extracted by the template's :class:`~repro.sql.params.FastBindingRecipe`
-(one pass of the normalizer's fast scanner) and re-bound into the
+(one pass of :func:`~repro.sql.lexer.scan`) and re-bound into the
 cached plan, so it pays only extraction, re-binding and execution. All
 routes hand the cache the same :class:`~repro.sql.params.ParameterBinding`
 for the same text and meet the same guard chain (``PlanCache._guard``):

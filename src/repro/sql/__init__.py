@@ -3,8 +3,9 @@
 The Querc design depends only on query *text*, so this package provides
 the minimal, robust machinery needed by the rest of the system:
 
-* :mod:`repro.sql.lexer` — a tokenizer that survives heterogeneous SQL
-  dialects (different quoting, parameter markers, comments).
+* :mod:`repro.sql.lexer` — the one scanner (a single compiled regex)
+  that survives heterogeneous SQL dialects (different quoting,
+  parameter markers, comments, scripts).
 * :mod:`repro.sql.normalizer` — canonicalisation and templatization of
   query text (literal folding, whitespace), used both by embedders and
   by the workload generators.

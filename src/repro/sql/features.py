@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import ParseError
 from repro.sql import ast
-from repro.sql.normalizer import token_stream
+from repro.sql.normalizer import safe_token_stream
 from repro.sql.parser import parse_select
 
 
@@ -204,7 +204,7 @@ class SyntacticFeatureExtractor:
     def _transform_one(self, sql: str) -> np.ndarray:
         vec = np.zeros(self.dimension, dtype=np.float64)
         structure = self._safe_structure(sql)
-        tokens = token_stream(sql)
+        tokens = safe_token_stream(sql)
         if structure is None:
             # brittle-parser fallback: only token counts available
             vec[0] = len(tokens)

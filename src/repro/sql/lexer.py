@@ -1,208 +1,137 @@
-"""A dialect-tolerant SQL tokenizer.
+"""The dialect-tolerant SQL scanner.
 
-The tokenizer is deliberately forgiving: Querc ingests workloads from
-many engines (the paper names Snowflake, BigQuery, Redshift, SQL
-Server), so the lexer accepts the union of their lexical conventions —
-single/double/backtick/bracket quoting, ``--`` and ``/* */`` and ``#``
-comments, ``?``/``:name``/``$1``/``%s`` parameter markers — and never
-guesses dialect up front.
+Querc ingests workloads from many engines (the paper names Snowflake,
+BigQuery, Redshift, SQL Server), so the scanner accepts the union of
+their lexical conventions — single/double/backtick/bracket quoting with
+doubled-quote escapes, ``--`` and ``#`` and ``/* */`` comments,
+``?``/``:name``/``$1``/``%s`` parameter markers, identifiers in any
+script — and never guesses dialect up front.
+
+:func:`scan` is the only tokenizer: one compiled regex, one match per
+token, giving ``(category, lexeme)`` pairs. Every reader renders that
+one form: :func:`tokenize` (:class:`~repro.sql.tokens.Token` objects
+with positions), the normalizer's streams and fingerprints, the
+parser's ``(kind, text)`` tokens and the prepared path's
+:class:`~repro.sql.params.FastBindingRecipe`.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import LexerError
-from repro.sql.tokens import (
-    KEYWORDS,
-    MULTI_CHAR_OPERATORS,
-    PUNCTUATION_CHARS,
-    SINGLE_CHAR_OPERATORS,
-    Token,
-    TokenType,
+from repro.sql.tokens import KEYWORDS, Token, TokenType
+
+# Whitespace and comments (``--`` and ``#`` to the end of the line,
+# ``/* … */`` to the first ``*/``, non-nesting), skipped between tokens.
+_SKIPPED = r"(?:\s|--[^\n]*|\#[^\n]*|/\*[\s\S]*?\*/)*"
+_LEADING = re.compile(_SKIPPED)
+
+# One match per token, with the skipped text after it: one alternative
+# per lexical category, so exactly one group matches and ``lastindex``
+# is the category. Earlier alternatives win where two could start at
+# the same character (``$1`` is a parameter, ``%s`` not an operator,
+# ``.5`` a number). A token is never read out of a comment: it is
+# skipped text wherever a token could start, so a ``/`` that opens an
+# unterminated one is left unclaimed. A quote closes only when it is
+# not doubled (``(?!')``), so no match ends inside an escape. Character
+# classes are Python's Unicode ones: ``\s`` is ``str.isspace``, ``\d``
+# a decimal digit, and a word starts with any ``\w`` but a digit. The
+# final group takes whatever no category claims (a character outside
+# every dialect, an opening quote, bracket or ``/*`` whose mate is
+# missing) together with the rest of the text, so the matches cover the
+# text without gaps and only the last can be unclaimed.
+_TOKEN = re.compile(
+    r"""
+    (?:
+      ('[^']*(?:''[^']*)*'(?!'))                    # 1 string literal
+    | (\?|\$\d+|%s|:[^\W\d]\w*)                     # 2 parameter marker
+    | (0[xX][\da-fA-F]*
+       |(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)       # 3 number
+    | ([^\W\d][\w$]*)                               # 4 keyword / identifier
+    | (->>|->|<>|!=|>=|<=|\|\||::
+       |[-+*%<>=^&|~]|/(?!\*))                      # 5 operator
+    | ([(),.;\]{}])                                 # 6 punctuation
+    | ("[^"]*(?:""[^"]*)*"(?!")
+       |`[^`]*(?:``[^`]*)*`(?!`)
+       |\[[^\]]*\])                                 # 7 quoted identifier
+    | ([\s\S]+)                                     # 8 unclaimed rest
+    )
+    """
+    + _SKIPPED,
+    re.VERBOSE,
 )
 
+# Categories of a :func:`scan` entry, numbered like the groups of
+# ``_TOKEN``. Literals come first, so ``kind <= NUMBER`` tests for one.
+STRING, PARAMETER, NUMBER, WORD, OPERATOR, PUNCTUATION, QUOTED = range(1, 8)
+_UNCLAIMED = 8
 
-def tokenize(sql: str, keep_comments: bool = False) -> list[Token]:
-    """Tokenize ``sql`` into a list of :class:`Token`.
+_TOKEN_TYPE = {
+    STRING: TokenType.STRING,
+    PARAMETER: TokenType.PARAMETER,
+    NUMBER: TokenType.NUMBER,
+    OPERATOR: TokenType.OPERATOR,
+    PUNCTUATION: TokenType.PUNCTUATION,
+}
 
-    Parameters
-    ----------
-    sql:
-        Query text in any supported dialect.
-    keep_comments:
-        When True, comment tokens are included in the output; by default
-        they are skipped, which is what embedders and the parser want.
+
+def scan(sql: str) -> list[tuple[int, str]]:
+    """``(category, lexeme)`` for every token of ``sql``.
+
+    Categories are the module's ``STRING`` … ``QUOTED`` constants. A
+    word is one category whether or not it is a keyword, and a quoted
+    identifier keeps its delimiters in the lexeme.
 
     Raises
     ------
     LexerError
-        On unterminated strings or comments, or characters outside every
-        supported dialect.
+        On an unterminated string, quoted identifier or block comment,
+        or a character outside every supported dialect.
     """
-    tokens: list[Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-
-        if ch.isspace():
-            i += 1
-            continue
-
-        # -- line comment
-        if ch == "-" and sql.startswith("--", i):
-            end = sql.find("\n", i)
-            end = n if end == -1 else end
-            if keep_comments:
-                tokens.append(Token(TokenType.COMMENT, sql[i:end], i))
-            i = end
-            continue
-
-        # # line comment (MySQL / BigQuery legacy)
-        if ch == "#":
-            end = sql.find("\n", i)
-            end = n if end == -1 else end
-            if keep_comments:
-                tokens.append(Token(TokenType.COMMENT, sql[i:end], i))
-            i = end
-            continue
-
-        # /* block comment */ (non-nesting, like most dialects)
-        if ch == "/" and sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            if end == -1:
-                raise LexerError("unterminated block comment", i)
-            if keep_comments:
-                tokens.append(Token(TokenType.COMMENT, sql[i : end + 2], i))
-            i = end + 2
-            continue
-
-        # string literal with '' escaping
-        if ch == "'":
-            value, i = _scan_quoted(sql, i, "'")
-            tokens.append(Token(TokenType.STRING, value, i - len(value)))
-            continue
-
-        # quoted identifiers: "ident", `ident`, [ident]
-        if ch == '"' or ch == "`":
-            value, i = _scan_quoted(sql, i, ch)
-            tokens.append(Token(TokenType.IDENTIFIER, value[1:-1], i - len(value)))
-            continue
-        if ch == "[":
-            end = sql.find("]", i + 1)
-            if end == -1:
-                raise LexerError("unterminated bracket identifier", i)
-            tokens.append(Token(TokenType.IDENTIFIER, sql[i + 1 : end], i))
-            i = end + 1
-            continue
-
-        # parameter markers
-        if ch == "?":
-            tokens.append(Token(TokenType.PARAMETER, "?", i))
-            i += 1
-            continue
-        if ch == "$" and i + 1 < n and sql[i + 1].isdigit():
-            j = i + 1
-            while j < n and sql[j].isdigit():
-                j += 1
-            tokens.append(Token(TokenType.PARAMETER, sql[i:j], i))
-            i = j
-            continue
-        if ch == ":" and i + 1 < n and (sql[i + 1].isalpha() or sql[i + 1] == "_"):
-            j = i + 1
-            while j < n and (sql[j].isalnum() or sql[j] == "_"):
-                j += 1
-            tokens.append(Token(TokenType.PARAMETER, sql[i:j], i))
-            i = j
-            continue
-        if ch == "%" and i + 1 < n and sql[i + 1] == "s":
-            tokens.append(Token(TokenType.PARAMETER, "%s", i))
-            i += 2
-            continue
-
-        # numbers: 12, 12.5, .5, 1e-4, 0x1F
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            value, i = _scan_number(sql, i)
-            tokens.append(Token(TokenType.NUMBER, value, i - len(value)))
-            continue
-
-        # identifiers / keywords
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (sql[j].isalnum() or sql[j] in "_$"):
-                j += 1
-            word = sql[i:j]
-            upper = word.upper()
-            if upper in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, upper, i))
-            else:
-                tokens.append(Token(TokenType.IDENTIFIER, word, i))
-            i = j
-            continue
-
-        # multi-char then single-char operators
-        matched = False
-        for op in MULTI_CHAR_OPERATORS:
-            if sql.startswith(op, i):
-                tokens.append(Token(TokenType.OPERATOR, op, i))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in SINGLE_CHAR_OPERATORS:
-            tokens.append(Token(TokenType.OPERATOR, ch, i))
-            i += 1
-            continue
-        if ch in PUNCTUATION_CHARS:
-            tokens.append(Token(TokenType.PUNCTUATION, ch, i))
-            i += 1
-            continue
-
-        raise LexerError(f"unexpected character {ch!r}", i)
-
-    tokens.append(Token(TokenType.EOF, "", n))
+    tokens = [
+        (kind := m.lastindex, m[kind])
+        for m in _TOKEN.finditer(sql, _LEADING.match(sql).end())
+    ]
+    if tokens and tokens[-1][0] == _UNCLAIMED:
+        raise _unclaimed(sql, len(sql) - len(tokens[-1][1]))
     return tokens
 
 
-def _scan_quoted(sql: str, start: int, quote: str) -> tuple[str, int]:
-    """Scan a quoted region starting at ``start``.
+def tokenize(sql: str) -> list[Token]:
+    """:func:`scan` as :class:`~repro.sql.tokens.Token` objects with
+    positions, closed by an EOF token.
 
-    Returns the full quoted text (including quotes) and the index just
-    past the closing quote. Doubled quotes escape themselves, matching
-    SQL convention.
+    Keywords are upper-cased; a quoted identifier loses its delimiters.
+    Raises :class:`~repro.errors.LexerError` where :func:`scan` does.
     """
-    i = start + 1
-    n = len(sql)
-    while i < n:
-        if sql[i] == quote:
-            if i + 1 < n and sql[i + 1] == quote:  # escaped quote
-                i += 2
-                continue
-            return sql[start : i + 1], i + 1
-        i += 1
-    raise LexerError(f"unterminated {quote} literal", start)
+    tokens: list[Token] = []
+    for m in _TOKEN.finditer(sql, _LEADING.match(sql).end()):
+        kind = m.lastindex
+        text = m[kind]
+        if kind == WORD:
+            upper = text.upper()
+            if upper in KEYWORDS:
+                tokens.append(Token(TokenType.KEYWORD, upper, m.start()))
+            else:
+                tokens.append(Token(TokenType.IDENTIFIER, text, m.start()))
+        elif kind == QUOTED:
+            tokens.append(Token(TokenType.IDENTIFIER, text[1:-1], m.start()))
+        elif kind == _UNCLAIMED:
+            raise _unclaimed(sql, m.start())
+        else:
+            tokens.append(Token(_TOKEN_TYPE[kind], text, m.start()))
+    tokens.append(Token(TokenType.EOF, "", len(sql)))
+    return tokens
 
 
-def _scan_number(sql: str, start: int) -> tuple[str, int]:
-    """Scan a numeric literal; supports decimals, exponents and hex."""
-    i = start
-    n = len(sql)
-    if sql.startswith("0x", i) or sql.startswith("0X", i):
-        i += 2
-        while i < n and (sql[i].isdigit() or sql[i].lower() in "abcdef"):
-            i += 1
-        return sql[start:i], i
-    seen_dot = False
-    while i < n and (sql[i].isdigit() or (sql[i] == "." and not seen_dot)):
-        if sql[i] == ".":
-            seen_dot = True
-        i += 1
-    if i < n and sql[i] in "eE":
-        j = i + 1
-        if j < n and sql[j] in "+-":
-            j += 1
-        if j < n and sql[j].isdigit():
-            while j < n and sql[j].isdigit():
-                j += 1
-            i = j
-    return sql[start:i], i
+def _unclaimed(sql: str, i: int) -> LexerError:
+    """The error for text no category claims, starting at ``i``."""
+    ch = sql[i]
+    if ch in "'\"`":
+        return LexerError(f"unterminated {ch} literal", i)
+    if ch == "[":
+        return LexerError("unterminated bracket identifier", i)
+    if sql.startswith("/*", i):
+        return LexerError("unterminated block comment", i)
+    return LexerError(f"unexpected character {ch!r}", i)

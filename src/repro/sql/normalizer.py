@@ -15,6 +15,10 @@ Two representations are produced from raw SQL:
   identical token sequences to every embedder, which is what makes the
   runtime layer's embedding cache and batch deduplication sound.
 
+Every representation is one rendering of one scan
+(:func:`repro.sql.lexer.scan`, a single compiled regex): keywords
+upper-cased, identifiers lower-cased, literals kept or folded.
+
 Because fingerprinting sits on the inference hot path (it runs once
 per query per batch), this module also owns two process-wide tables:
 
@@ -30,45 +34,39 @@ per query per batch), this module also owns two process-wide tables:
   fingerprints get id ``-1`` ("no slot") and callers fall back to
   per-batch, uncached handling — a long-tailed stream can degrade
   throughput but never memory.
-
-The common case additionally bypasses the character-at-a-time lexer:
-one fast scanner, :func:`fast_tokens`, splits plain ASCII SQL into
-categorized lexemes with a single compiled regex, and bails (returns
-None) whenever it sees a construct it does not model (block comments,
-doubled-quote escapes, non-ASCII), so the fast path is an
-optimization, never a semantic fork. It has three readers, each with
-its own rendering: the literal-folded stream fingerprints are made of,
-the literal lexemes a prepared template's
-:class:`~repro.sql.params.FastBindingRecipe` binds from, and the
-parser's ``(kind, text)`` tokens (:func:`repro.sql.parser.parse_select`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
 import threading
 from collections import OrderedDict
 from collections.abc import Sequence
 
 import numpy as np
 
-from repro.sql.lexer import tokenize
-from repro.sql.tokens import KEYWORDS, Token, TokenType
+from repro.errors import LexerError
+from repro.sql.lexer import NUMBER, PARAMETER, QUOTED, STRING, WORD, scan
+from repro.sql.tokens import KEYWORDS
 
 NUM_PLACEHOLDER = "<NUM>"
 STR_PLACEHOLDER = "<STR>"
 PARAM_PLACEHOLDER = "<PARAM>"
+_FOLDED = {
+    STRING: STR_PLACEHOLDER,
+    PARAMETER: PARAM_PLACEHOLDER,
+    NUMBER: NUM_PLACEHOLDER,
+}
 
 
 def normalize(sql: str) -> str:
     """Return canonical single-spaced text with upper-cased keywords."""
-    return " ".join(_render(tok, fold_literals=False) for tok in tokenize(sql)[:-1])
+    return " ".join(_rendered(scan(sql), fold_literals=False))
 
 
 def templatize(sql: str) -> str:
     """Return normalized text with literals replaced by placeholders."""
-    return " ".join(_render(tok, fold_literals=True) for tok in tokenize(sql)[:-1])
+    return " ".join(_rendered(scan(sql), fold_literals=True))
 
 
 def token_stream(sql: str, fold_literals: bool = True) -> list[str]:
@@ -78,26 +76,17 @@ def token_stream(sql: str, fold_literals: bool = True) -> list[str]:
     across dialects; keywords are upper-cased; literals fold to
     placeholders unless ``fold_literals`` is False.
     """
-    return [_render(tok, fold_literals) for tok in tokenize(sql)[:-1]]
+    return _rendered(scan(sql), fold_literals)
 
 
-def safe_token_stream(sql: str, fold_literals: bool = True) -> list[str]:
-    """Like :func:`token_stream`, but total: lexically broken queries
-    degrade to whitespace tokens rather than raising. Querc must embed
-    (and fingerprint) anything the log contains, garbage included.
-
-    On the common fold-literals path, plain ASCII SQL is scanned by one
-    compiled regex instead of the character-at-a-time lexer; anything
-    the regex does not fully account for falls back to the lexer, so
-    both paths produce identical streams.
-    """
-    if fold_literals:
-        fast = _fast_folded_stream(sql)
-        if fast is not None:
-            return fast
+def safe_token_stream(sql: str) -> list[str]:
+    """Like :func:`token_stream` (literals folded), but total: lexically
+    broken queries degrade to whitespace tokens rather than raising.
+    Querc must embed (and fingerprint) anything the log contains,
+    garbage included."""
     try:
-        return token_stream(sql, fold_literals=fold_literals)
-    except Exception:  # noqa: BLE001 - logs contain garbage; stay total
+        return token_stream(sql)
+    except LexerError:
         return sql.split()
 
 
@@ -108,120 +97,22 @@ def fingerprint_token_stream(tokens: list[str]) -> str:
     return hashlib.blake2b(joined.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def _render(tok: Token, fold_literals: bool) -> str:
-    if tok.type is TokenType.NUMBER:
-        return NUM_PLACEHOLDER if fold_literals else tok.value
-    if tok.type is TokenType.STRING:
-        return STR_PLACEHOLDER if fold_literals else tok.value
-    if tok.type is TokenType.PARAMETER:
-        return PARAM_PLACEHOLDER if fold_literals else tok.value
-    if tok.type is TokenType.IDENTIFIER:
-        return tok.value.lower()
-    return tok.value
-
-
-# -- the fast scanner ----------------------------------------------------------
-
-# Constructs the fast scanner does not model but one of its categories
-# would claim. Their mere *presence* anywhere in the text (even inside a
-# string literal) routes the query to the full lexer — cheaper than
-# proving the occurrence is benign. ``/*`` would read as two operators;
-# ``""``/```` `` ```` are doubled-quote escapes inside quoted
-# identifiers, which the single-regex scanner cannot pair soundly. A
-# bare ``#`` (a line comment to the lexer) or ``[`` (a bracket-quoted
-# identifier) needs no entry: no category claims it, so it falls to the
-# unclaimed group below and bails there, while the same character inside
-# a string, a ``--`` comment or a quoted identifier is read as part of
-# it (TPC-H Q16, Q17 and Q19 carry ``'Brand#NN'``).
-_SLOW_CONSTRUCTS = re.compile(r"/\*|\"\"|``")
-
-# Whitespace and ``--`` line comments, skipped between tokens.
-_SKIPPED = r"(?:\s|--[^\n]*)*"
-_LEADING = re.compile(_SKIPPED)
-
-# One match per token, with the skipped text after it: one alternative
-# per lexical category, ordered exactly like the lexer's dispatch —
-# strings, parameter markers, numbers, words, multi- before single-char
-# operators, punctuation — so exactly one group matches and
-# ``lastindex`` is the category. A token is never read out of ``--``:
-# it is skipped text wherever a token could start. Quoted identifiers
-# come last among the categories, since nothing else can claim a quote
-# character. The final group takes whatever no category claims (an
-# unclaimed character, a quote whose mate sits past a newline or is
-# missing) together with the rest of the text, so the matches cover
-# the text without gaps and only the last can be unclaimed.
-_FAST_TOKEN = re.compile(
-    r"""
-    (?:
-      ('[^']*(?:''[^']*)*')                         # 1 string literal
-    | (\?|\$\d+|%s|:[A-Za-z_][A-Za-z0-9_]*)         # 2 parameter marker
-    | (0[xX][0-9a-fA-F]*
-       |(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)       # 3 number
-    | ([A-Za-z_][A-Za-z0-9_$]*)                     # 4 keyword / identifier
-    | (->>|->|<>|!=|>=|<=|\|\||::|[-+*/%<>=^&|~])   # 5 operator
-    | ([(),.;\]{}])                                 # 6 punctuation
-    | ("[^"\n]*"|`[^`\n]*`)                         # 7 quoted identifier
-    | ([\s\S]+)                                     # 8 unclaimed rest
-    )
-    """
-    + _SKIPPED,
-    re.VERBOSE,
-)
-
-# Categories of a :func:`fast_tokens` entry, numbered like the groups
-# of ``_FAST_TOKEN``. Literals come first, so ``kind <= FAST_NUMBER``
-# tests for one.
-FAST_STRING, FAST_PARAMETER, FAST_NUMBER, FAST_WORD = 1, 2, 3, 4
-FAST_OPERATOR, FAST_PUNCTUATION, FAST_QUOTED = 5, 6, 7
-_UNCLAIMED = 8
-_FOLDED = {
-    FAST_STRING: STR_PLACEHOLDER,
-    FAST_PARAMETER: PARAM_PLACEHOLDER,
-    FAST_NUMBER: NUM_PLACEHOLDER,
-}
-
-
-def fast_tokens(sql: str) -> list[tuple[int, str]] | None:
-    """``(category, lexeme)`` for every token of ``sql``, or None.
-
-    Categories are the ``FAST_*`` constants; a quoted identifier keeps
-    its delimiters in the lexeme. None means "not
-    eligible" — non-ASCII, a construct the regex does not model, or a
-    character outside every category — and the caller must use the
-    full lexer or the parser instead.
-    """
-    if not sql.isascii() or _SLOW_CONSTRUCTS.search(sql) is not None:
-        return None
-    tokens = [
-        (kind := m.lastindex, m[kind])
-        for m in _FAST_TOKEN.finditer(sql, _LEADING.match(sql).end())
-    ]
-    if tokens and tokens[-1][0] == _UNCLAIMED:
-        return None  # the full lexer decides
-    return tokens
-
-
-def _fast_folded_stream(sql: str) -> list[str] | None:
-    """The literal-folded rendering of :func:`fast_tokens`, or None.
-
-    A non-None result is byte-identical to
-    ``token_stream(sql, fold_literals=True)``.
-    """
-    tokens = fast_tokens(sql)
-    if tokens is None:
-        return None
+def _rendered(tokens: list[tuple[int, str]], fold_literals: bool) -> list[str]:
+    """The one rendering of a scan: a word is its keyword upper-cased or
+    its identifier lower-cased, a quoted identifier is lower-cased
+    without its delimiters, and literals fold to placeholders when
+    ``fold_literals`` is set."""
+    folded = _FOLDED if fold_literals else {}
     out: list[str] = []
     append = out.append
     for kind, text in tokens:
-        if kind == FAST_WORD:
+        if kind == WORD:
             upper = text.upper()
             append(upper if upper in KEYWORDS else text.lower())
-        elif kind == FAST_QUOTED:
-            # identifier rendering: the quoted text minus its delimiters,
-            # lowercased without a keyword check — same as the lexer
+        elif kind == QUOTED:
             append(text[1:-1].lower())
         else:
-            append(_FOLDED.get(kind, text))
+            append(folded.get(kind, text))
     return out
 
 
@@ -340,7 +231,7 @@ class FingerprintMemo:
                 fp = computed.get(sql)
                 if fp is None:
                     fp = computed[sql] = fingerprint_token_stream(
-                        safe_token_stream(sql, fold_literals=True)
+                        safe_token_stream(sql)
                     )
                 fps[i] = fp
             distinct = list(dict.fromkeys(fps[i] for i in missed))

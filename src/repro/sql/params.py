@@ -12,9 +12,9 @@ order — which is what lets prepared execution plan a template once and
 re-bind fresh literals per query. The re-binding itself happens on the
 *plan*, by literal identity (see :mod:`repro.minidb.plancache`); this
 module only extracts a :class:`ParameterBinding`, from a parsed
-statement or — for verified templates — straight from the text through
-the normalizer's fast scanner (:class:`FastBindingRecipe`). Both routes
-produce the same binding for the same text.
+statement or — for verified templates — straight from the text's scan
+(:class:`FastBindingRecipe`). Both routes produce the same binding for
+the same text.
 
 Three statement features need care:
 
@@ -34,15 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ParseError
+from repro.errors import LexerError, ParseError
 from repro.sql import ast
-from repro.sql.normalizer import (
-    FAST_NUMBER,
-    FAST_PARAMETER,
-    FAST_STRING,
-    FAST_WORD,
-    fast_tokens,
-)
+from repro.sql.lexer import NUMBER, PARAMETER, STRING, WORD, scan
 from repro.sql.parser import limit_value, number_value
 
 
@@ -242,7 +236,7 @@ class FastBindingRecipe:
     template's lexical literal tokens and its AST binding slots (plus
     which token carries a variable ``LIMIT``) is a property of the
     *template*, computed once from one parsed instance and replayed on
-    every later text by one pass of the normalizer's fast scanner. Each
+    every later text by one pass of :func:`~repro.sql.lexer.scan`. Each
     per-slot step mirrors the parser's value transform exactly (number
     int/float/hex rules, string unescaping, ``DATE`` truncation,
     ``INTERVAL`` unit multiplication), and :func:`build_fast_recipe`
@@ -254,7 +248,8 @@ class FastBindingRecipe:
     :meth:`extract` returns the :class:`ParameterBinding` that
     ``extract_parameters(parse_select(sql))`` would for the same text,
     with fresh literal slots, or ``None`` when this text must take the
-    parse path.
+    parse path: it is not lexically valid, or its literals do not fit
+    the template's.
     """
 
     __slots__ = ("steps", "kinds", "n_tokens", "limits", "limit_token", "limit_pos")
@@ -268,10 +263,11 @@ class FastBindingRecipe:
         self.limit_pos = limit_pos  # its position in the limits tuple
 
     def extract(self, sql: str) -> ParameterBinding | None:
-        tokens = fast_tokens(sql)
-        if tokens is None:
+        try:
+            tokens = scan(sql)
+        except LexerError:
             return None
-        return self._bind([token for token in tokens if token[0] <= FAST_NUMBER])
+        return self._bind([token for token in tokens if token[0] <= NUMBER])
 
     def _bind(self, tokens: list[tuple[int, str]]) -> ParameterBinding | None:
         """The binding of a text whose literal tokens are ``tokens``."""
@@ -294,7 +290,7 @@ class FastBindingRecipe:
                     elif op == _DATE:
                         value = _unquote_str(text)[:10]
                     else:  # _INTERVAL
-                        base = _unquote_str(text) if category == FAST_STRING else text
+                        base = _unquote_str(text) if category == STRING else text
                         value = float(base) * arg
                 append(ast.Literal(value, kind))
             limits = self.limits
@@ -318,14 +314,13 @@ def build_fast_recipe(sql: str, binding: ParameterBinding) -> FastBindingRecipe 
     Returns None when the template cannot be proven safe for parse-free
     extraction — the caller should then keep parsing per query.
     """
-    scanned = fast_tokens(sql) if binding.rebind_safe else None
-    if scanned is None:
+    if not binding.rebind_safe:
         return None
-    tokens = _literal_context(scanned)
+    tokens = _literal_context(scan(sql))
     limit_tokens = [
         i
         for i, (category, _, prev_word, _) in enumerate(tokens)
-        if category == FAST_NUMBER and prev_word == "limit"
+        if category == NUMBER and prev_word == "limit"
     ]
     bound_limits = [
         (pos, value) for pos, value in enumerate(binding.limits) if value is not None
@@ -388,7 +383,7 @@ def _literal_context(
     tokens: list[tuple[int, str]],
 ) -> list[tuple[int, str, str | None, str | None]]:
     """``(category, text, prev_word, next_word)`` per literal token of
-    a :func:`~repro.sql.normalizer.fast_tokens` list.
+    a :func:`~repro.sql.lexer.scan` list.
 
     ``prev_word``/``next_word`` are the lowercased bare-word tokens
     *immediately* adjacent (None when the neighbor is not a word) —
@@ -397,14 +392,14 @@ def _literal_context(
     """
 
     def word(i: int) -> str | None:
-        if 0 <= i < len(tokens) and tokens[i][0] == FAST_WORD:
+        if 0 <= i < len(tokens) and tokens[i][0] == WORD:
             return tokens[i][1].lower()
         return None
 
     return [
         (category, text, word(i - 1), word(i + 1))
         for i, (category, text) in enumerate(tokens)
-        if category <= FAST_NUMBER
+        if category <= NUMBER
     ]
 
 
@@ -414,20 +409,20 @@ def _slot_step(token, index: int, kind: str):
     if kind == "number":
         if prev_word == "interval":
             mult = _INTERVAL_DAYS.get(next_word or "")
-            if mult is None or category == FAST_PARAMETER:
+            if mult is None or category == PARAMETER:
                 return None
             return (_INTERVAL, index, mult)
-        if category != FAST_NUMBER:
+        if category != NUMBER:
             return None
         return (_NUM, index, None)
     if kind == "date":
-        if category != FAST_STRING or prev_word not in ("date", "timestamp", "time"):
+        if category != STRING or prev_word not in ("date", "timestamp", "time"):
             return None
         return (_DATE, index, None)
     if kind == "string":
-        if category == FAST_PARAMETER:
+        if category == PARAMETER:
             return (_RAW, index, None)
-        if category != FAST_STRING:
+        if category != STRING:
             return None
         return (_STR, index, None)
     return None

@@ -9,58 +9,52 @@ and EXTRACT. Operator precedence follows standard SQL:
     OR < AND < NOT < comparison < additive < multiplicative < unary
 
 The parser reads one token form: ``(kind, text)`` pairs closed by an
-``(EOF, "")`` sentinel. Plain ASCII text is tokenized by the
-normalizer's fast scanner (:func:`~repro.sql.normalizer.fast_tokens`,
-the single regex pass fingerprints are made of); each word becomes a
-keyword (upper-cased) or an identifier, and a quoted identifier loses
-its delimiters. A text the fast scanner refuses goes through the
-character-at-a-time lexer (:func:`~repro.sql.lexer.tokenize`), whose
-tokens are converted to the same pairs, so there is one parser and the
-two fronts give it equal tokens wherever both accept a text. Each
+``(EOF, "")`` sentinel, rendered from the one scan
+(:func:`~repro.sql.lexer.scan`, the single regex pass fingerprints
+are made of): each word becomes a keyword (upper-cased) or an
+identifier, and a quoted identifier loses its delimiters. Each
 precedence level reads the current token once and compares the pair
 as a whole.
 
 Number tokens follow sqlite3: a decimal integer may carry leading zeros
 (``012`` is 12), ``0x`` introduces a hex integer, and a token no rule
 reads (a bare ``0x``) raises :class:`~repro.errors.ParseError`, as does
-any other malformed input the lexer accepts.
+any other malformed input the scanner accepts.
 """
 
 from __future__ import annotations
 
 from repro.errors import ParseError
 from repro.sql import ast
-from repro.sql.lexer import tokenize
-from repro.sql.normalizer import (
-    FAST_NUMBER,
-    FAST_OPERATOR,
-    FAST_PARAMETER,
-    FAST_PUNCTUATION,
-    FAST_QUOTED,
-    FAST_STRING,
-    FAST_WORD,
-    fast_tokens,
+from repro.sql.lexer import (
+    NUMBER,
+    OPERATOR,
+    PARAMETER,
+    PUNCTUATION,
+    QUOTED,
+    STRING,
+    WORD,
+    scan,
 )
-from repro.sql.tokens import KEYWORDS, TokenType
+from repro.sql.tokens import KEYWORDS
 
-# The parser's token kinds: the fast scanner's categories, with a word
-# that is a keyword split off, and EOF closing every token list.
+# The parser's token kinds: the scanner's categories, with a word that
+# is a keyword split off, and EOF closing every token list.
 _EOF, _KEYWORD = 0, 9
-_STRING, _PARAMETER, _NUMBER = FAST_STRING, FAST_PARAMETER, FAST_NUMBER
-_IDENT, _OPERATOR, _PUNCT = FAST_WORD, FAST_OPERATOR, FAST_PUNCTUATION
+_STRING, _PARAMETER, _NUMBER = STRING, PARAMETER, NUMBER
+_IDENT, _OPERATOR, _PUNCT = WORD, OPERATOR, PUNCTUATION
 _END = (_EOF, "")
 
-_LEXED_KIND = {
-    TokenType.KEYWORD: _KEYWORD,
-    TokenType.IDENTIFIER: _IDENT,
-    TokenType.NUMBER: _NUMBER,
-    TokenType.STRING: _STRING,
-    TokenType.OPERATOR: _OPERATOR,
-    TokenType.PUNCTUATION: _PUNCT,
-    TokenType.PARAMETER: _PARAMETER,
-    TokenType.EOF: _EOF,
+_KIND_NAME = {
+    _EOF: "eof",
+    _KEYWORD: "keyword",
+    _IDENT: "identifier",
+    _NUMBER: "number",
+    _STRING: "string",
+    _OPERATOR: "operator",
+    _PUNCT: "punctuation",
+    _PARAMETER: "parameter",
 }
-_KIND_NAME = {kind: token_type.value for token_type, kind in _LEXED_KIND.items()}
 
 _COMPARISON_OPS = frozenset({"=", "<>", "!=", "<", ">", "<=", ">="})
 _NEGATABLE = frozenset({"IN", "BETWEEN", "LIKE", "ILIKE"})
@@ -83,34 +77,24 @@ def parse_select(sql: str) -> ast.SelectStatement:
     LexerError
         When the text is not lexically valid SQL.
     """
-    tokens = _scanned(sql)
-    return _parse(_lexed(sql) if tokens is None else tokens)
+    return _parse(_scanned(sql))
 
 
-def _scanned(sql: str) -> list[tuple[int, str]] | None:
-    """The parser's tokens from the fast scanner, or None where it
-    refuses ``sql``."""
-    fast = fast_tokens(sql)
-    if fast is None:
-        return None
+def _scanned(sql: str) -> list[tuple[int, str]]:
+    """The parser's tokens: :func:`~repro.sql.lexer.scan` of ``sql``."""
     tokens: list[tuple[int, str]] = []
     append = tokens.append
-    for token in fast:
+    for token in scan(sql):
         kind = token[0]
         if kind == _IDENT:
             upper = token[1].upper()
             if upper in KEYWORDS:
                 token = (_KEYWORD, upper)
-        elif kind == FAST_QUOTED:
+        elif kind == QUOTED:
             token = (_IDENT, token[1][1:-1])
         append(token)
     append(_END)
     return tokens
-
-
-def _lexed(sql: str) -> list[tuple[int, str]]:
-    """The parser's tokens from the full lexer (every text it accepts)."""
-    return [(_LEXED_KIND[token.type], token.value) for token in tokenize(sql)]
 
 
 def _parse(tokens: list[tuple[int, str]]) -> ast.SelectStatement:

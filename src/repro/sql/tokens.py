@@ -1,4 +1,4 @@
-"""Token definitions for the dialect-tolerant SQL lexer."""
+"""Token definitions for the dialect-tolerant SQL scanner."""
 
 from __future__ import annotations
 
@@ -16,11 +16,10 @@ class TokenType(enum.Enum):
     OPERATOR = "operator"
     PUNCTUATION = "punctuation"
     PARAMETER = "parameter"  # ?, :name, $1, %s — dialect parameter markers
-    COMMENT = "comment"
     EOF = "eof"
 
 
-# Keywords cover the union of common dialects; the lexer upper-cases
+# Keywords cover the union of common dialects; the scanner upper-cases
 # matches so downstream code compares against these exact strings.
 KEYWORDS = frozenset(
     """
@@ -41,11 +40,6 @@ KEYWORDS = frozenset(
     GRANT REVOKE TO
     """.split()
 )
-
-# Multi-character operators must be matched before single-character ones.
-MULTI_CHAR_OPERATORS = ("<>", "!=", ">=", "<=", "||", "::", "->>", "->")
-SINGLE_CHAR_OPERATORS = frozenset("+-*/%<>=^&|~")
-PUNCTUATION_CHARS = frozenset("(),.;[]{}")
 
 
 @dataclass(frozen=True, slots=True)

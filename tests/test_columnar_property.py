@@ -16,6 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sql_lexer_oracle as oracle
 from test_property_based import simple_select
 
 from repro.core import LabeledQuery, QueryClassifier
@@ -24,7 +25,6 @@ from repro.embedding import BagOfTokensEmbedder
 from repro.ml.forest import RandomizedForestClassifier
 from repro.runtime import InferencePipeline
 from repro.sql.normalizer import (
-    _fast_folded_stream,
     fingerprint_token_stream,
     safe_token_stream,
     template_fingerprint,
@@ -153,17 +153,15 @@ class TestFingerprintProperties:
     @given(simple_select())
     @settings(max_examples=100)
     def test_fast_scanner_never_diverges_from_lexer(self, sql):
-        fast = _fast_folded_stream(sql)
-        want = token_stream(sql, fold_literals=True)
-        if fast is not None:
-            assert fast == want
-        assert safe_token_stream(sql, fold_literals=True) == want
+        want = oracle.token_stream(sql)
+        assert token_stream(sql) == want
+        assert safe_token_stream(sql) == want
 
     @given(simple_select())
     @settings(max_examples=60)
     def test_memoized_fingerprint_matches_direct_computation(self, sql):
         direct = fingerprint_token_stream(
-            safe_token_stream(sql, fold_literals=True)
+            safe_token_stream(sql)
         )
         assert template_fingerprint(sql) == direct
         assert template_fingerprint(sql) == direct  # memo hit: same answer

@@ -67,6 +67,34 @@ def test_a_deleted_class_left_documented_is_caught(tmp_path):
     ]
 
 
+def test_documented_dotted_paths_resolve():
+    checker = _load_checker()
+    assert checker.check_dotted_paths() == []
+
+
+def test_a_stale_dotted_path_is_caught(tmp_path):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "api.md").write_text(
+        "`repro.sql`, `repro.sql.lexer.scan`, `repro.sql.lexer.WORD`, "
+        "`repro.sql.normalizer.fast_tokens`, `repro.sql.Token`, "
+        "`repro.sql.nowhere`"
+    )
+    (docs / "architecture.md").write_text("`repro.sql.normalizer.normalize(sql)`")
+    package = tmp_path / "src" / "repro" / "sql"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("from repro.sql.tokens import Token\n")
+    (package / "lexer.py").write_text(
+        "STRING, WORD = 1, 4\n\ndef scan(sql):\n    return []\n"
+    )
+    (package / "normalizer.py").write_text("def normalize(sql):\n    return sql\n")
+    checker = _load_checker()
+    assert checker.check_dotted_paths(tmp_path) == [
+        "docs/api.md: `repro.sql.normalizer.fast_tokens` does not resolve",
+        "docs/api.md: `repro.sql.nowhere` does not resolve",
+    ]
+
+
 def test_examples_compile():
     import compileall
 

@@ -523,7 +523,7 @@ class TestExactTextHit:
         def refuse(text):
             raise AssertionError(f"scanned {text!r}")
 
-        monkeypatch.setattr(params, "fast_tokens", refuse)
+        monkeypatch.setattr(params, "scan", refuse)
         parsed = _counting_parses(monkeypatch)
         plan, recycled = _ask_fast(db, sql)
         assert plan is entry.plan and recycled is entry.recycled
@@ -723,11 +723,12 @@ class TestPreparedIndexSeek:
             "select o_orderkey, o_totalprice from orders "
             "where o_orderkey = {n} and o_totalprice > 10"
         )
-        # a block comment sends a text past the fast scanner: no recipe,
-        # so every hit of this template re-binds through parse + fetch
+        # a CAST type's precision and scale are number tokens no binding
+        # slot reads, so the recipe cannot align: no recipe, and every
+        # hit of this template re-binds through parse + fetch
         parsed = (
-            "select o_orderkey from orders /* parse route */ "
-            "where o_orderkey = {n} and o_totalprice > 10"
+            "select o_orderkey from orders where o_orderkey = {n} "
+            "and cast(o_totalprice as decimal(12, 2)) > 10"
         )
 
         def recipe(sql):

@@ -85,6 +85,14 @@ class TestSyntacticFeatureExtractor:
         assert vec[0, 0] > 0
         assert np.count_nonzero(vec[0, 1:]) == 0
 
+    def test_lexically_broken_query_degrades_gracefully(self, corpus):
+        broken = "select a from t where b = 'oops"
+        extractor = SyntacticFeatureExtractor().fit(corpus + [broken])
+        vec = extractor.transform([broken])
+        # the token count of the whitespace fallback, nothing else
+        assert vec[0, 0] == len(broken.split())
+        assert np.count_nonzero(vec[0, 1:]) == 0
+
     def test_vocab_capping(self):
         queries = [f"select c{i} from t{i}" for i in range(100)]
         extractor = SyntacticFeatureExtractor(max_tables=10, max_columns=10)

@@ -3,13 +3,15 @@ memo/intern tables behind the columnar hot path."""
 
 import numpy as np
 
+import sql_lexer_oracle as oracle
+
+from repro.errors import LexerError
 from repro.sql.normalizer import (
     NUM_PLACEHOLDER,
     PARAM_PLACEHOLDER,
     STR_PLACEHOLDER,
     FingerprintInterner,
     FingerprintMemo,
-    _fast_folded_stream,
     fingerprint_cache_stats,
     normalize,
     reset_fingerprint_caches,
@@ -105,13 +107,12 @@ class TestFastFoldedScanner:
 
     def test_matches_slow_lexer(self):
         for sql in self.CASES:
-            fast = _fast_folded_stream(sql)
-            assert fast is not None, sql
-            assert fast == token_stream(sql, fold_literals=True), sql
+            assert token_stream(sql) == oracle.token_stream(sql), sql
 
-    def test_bails_to_none_on_slow_constructs(self):
-        # block comments, doubled-quote escapes and non-ASCII need the
-        # full lexer; unterminated quotes leave a gap and bail too
+    def test_formerly_lexer_only_constructs_match_oracle(self):
+        # block comments, doubled-quote escapes, non-ASCII, '#' comments
+        # and bracket-quoted identifiers once bypassed the regex scanner;
+        # unterminated quotes raise the oracle's error
         for sql in (
             "select /* hint */ a from t",
             'select "a""b" from t',
@@ -119,21 +120,29 @@ class TestFastFoldedScanner:
             "select a from t where s = 'naïve'",
             'select "broken from t',
             'select "multi\nline" from t',
-            # a bare '#' starts a comment and a bare '[' a bracket-quoted
-            # identifier: no category claims either
+            # a bare '#' starts a comment, a bare '[' a bracket-quoted
+            # identifier
             "select a from t # trailing comment",
             "select a#b from t",
             "select [a] from t",
         ):
-            assert _fast_folded_stream(sql) is None, sql
+            try:
+                want = oracle.token_stream(sql)
+            except LexerError as exc:
+                want = str(exc)
+            try:
+                got = token_stream(sql)
+            except LexerError as exc:
+                got = str(exc)
+            assert got == want, sql
 
     def test_safe_token_stream_agrees_either_way(self):
         for sql in self.CASES + ["select a from t -- c", "broken ' quote"]:
             try:
-                want = token_stream(sql, fold_literals=True)
-            except Exception:  # noqa: BLE001 - safe path degrades to split
+                want = token_stream(sql)
+            except LexerError:  # the safe path degrades to split
                 want = sql.split()
-            assert safe_token_stream(sql, fold_literals=True) == want, sql
+            assert safe_token_stream(sql) == want, sql
 
 
 class TestFingerprintMemo:

@@ -1,5 +1,5 @@
-"""Unit tests for the SELECT parser, its number rules, and its two
-token fronts (fast scanner and lexer) against each other."""
+"""Unit tests for the SELECT parser, its number rules, and its token
+front (the scanner) against the character lexer oracle."""
 
 import ast as pyast
 import sqlite3
@@ -9,12 +9,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+import sql_lexer_oracle as oracle
 from test_property_based import simple_select
 
 from repro.errors import LexerError, ParseError
 from repro.sql import ast, parser
+from repro.sql.lexer import tokenize
 from repro.sql.params import build_fast_recipe, extract_parameters
 from repro.sql.parser import parse_select
+from repro.sql.tokens import TokenType
 from repro.workloads import (
     SnowSimConfig,
     generate_snowsim_workload,
@@ -300,7 +303,7 @@ class TestNumberLiterals:
         assert recipe.extract("select a from t where a = 0x and b > 1 order by a limit 2") is None
 
 
-# -- one parser, two fronts ---------------------------------------------------
+# -- one parser, its scanner against the oracle lexer -----------------------
 
 
 def _parser_corpus() -> list[str]:
@@ -322,6 +325,8 @@ _DIALECT_TEXTS = [
     "select top 3 a from t where b = :name or c = $1 or d = %s",
     "select a from t where b between .5 and 1.e3 fetch first 007 rows only",
     "select a::int, b->>'k' from t where c = 'it''s'",
+    "select [my col], \"a\"\"b\", `c``d` from t # trailing comment",
+    "select /* hint */ naïve, 日付 from t where s = 'ünïcödé' -- done",
 ]
 
 
@@ -338,41 +343,46 @@ def _corpus() -> tuple[str, ...]:
     return tuple(dict.fromkeys(texts))
 
 
-def _outcome(tokens):
-    """What the parser makes of ``tokens``: the AST's repr (types of
-    literal values included), or the ParseError's message."""
-    try:
-        return repr(parser._parse(tokens))
-    except ParseError as exc:
-        return ("ParseError", str(exc))
+# the parser's kind for each oracle token type
+_ORACLE_KIND = {
+    TokenType.KEYWORD: parser._KEYWORD,
+    TokenType.IDENTIFIER: parser._IDENT,
+    TokenType.NUMBER: parser._NUMBER,
+    TokenType.STRING: parser._STRING,
+    TokenType.OPERATOR: parser._OPERATOR,
+    TokenType.PUNCTUATION: parser._PUNCT,
+    TokenType.PARAMETER: parser._PARAMETER,
+    TokenType.EOF: parser._EOF,
+}
 
 
 def _check_fronts(sql: str) -> None:
-    """The fast scanner's tokens, where it accepts ``sql``, parse exactly
-    like the lexer's; either front yields an AST or a ParseError (or,
-    for a text the lexer refuses, a LexerError)."""
+    """The scanner reads ``sql`` exactly like the oracle lexer: equal
+    tokens (positions included) and equal parser tokens, which parse to
+    an AST or a ParseError; or, where the oracle raises, a LexerError
+    with the same message and position."""
     try:
-        lexed = parser._lexed(sql)
-    except LexerError:
-        assert parser._scanned(sql) is None, sql
+        want = oracle.tokenize(sql)
+    except LexerError as exc:
+        with pytest.raises(LexerError) as got:
+            parser._scanned(sql)
+        assert (str(got.value), got.value.position) == (str(exc), exc.position), sql
         return
+    assert tokenize(sql) == want, sql
     scanned = parser._scanned(sql)
-    if scanned is not None:
-        assert scanned == lexed, sql
-        assert _outcome(scanned) == _outcome(lexed), sql
-    else:
-        _outcome(lexed)
+    assert scanned == [(_ORACLE_KIND[t.type], t.value) for t in want], sql
+    try:
+        parser._parse(scanned)
+    except ParseError:
+        pass
 
 
 class TestOneParserTwoFronts:
     def test_corpus_parses_alike_from_both_fronts(self):
         texts = _corpus()
         assert len(texts) > 1500
-        scanned = 0
         for sql in texts:
             _check_fronts(sql)
-            scanned += parser._scanned(sql) is not None
-        assert scanned > 0.95 * len(texts)
 
     def test_truncated_texts_raise_parse_error_on_both_fronts(self):
         texts = generate_tpch_workload(instances_per_template=1, seed=5)
@@ -384,14 +394,14 @@ class TestOneParserTwoFronts:
                 _check_fronts(sql[:i] + sql[i + 1 :])
 
     def test_lexer_only_texts_parse(self):
-        # constructs the fast scanner leaves to the lexer
+        # constructs the regex scanner once left to the lexer
         for sql in (
             "select [my col] from t",
             "select a from t # trailing comment",
             "select a /* block */ from t",
             'select "a""b" from t',
         ):
-            assert parser._scanned(sql) is None
+            _check_fronts(sql)
             parse_select(sql)
 
     @given(simple_select())

@@ -12,7 +12,9 @@ and that every backticked span of ``docs/api.md`` and
 ``docs/architecture.md`` that opens with a CamelCase name (optionally
 behind a ``repro.`` module path) names a class, function or constant
 some ``src/repro`` module defines — so a deleted class cannot stay
-documented.
+documented — and that every backticked dotted path ``repro.…`` in
+them resolves statically: its module file exists under ``src/``, and
+a trailing name is a ``def``, class, assignment or import in it.
 
 Run from anywhere::
 
@@ -42,6 +44,8 @@ _EXTERNAL = ("http://", "https://", "mailto:")
 _CODE_SPAN = re.compile(r"`([^`\n]+)`")
 _CITED_NAME = re.compile(r"(?:repro(?:\.[a-z_]\w*)*\.)?([A-Z]\w*)")
 _REFERENCE_DOCS = ("docs/api.md", "docs/architecture.md")
+# `repro.module.name...`: a dotted path at the head of a code span
+_DOTTED_PATH = re.compile(r"repro(?:\.\w+)+")
 
 
 def markdown_files(root: Path = REPO_ROOT) -> list[Path]:
@@ -123,8 +127,58 @@ def check_documented_names(root: Path = REPO_ROOT) -> list[str]:
     return problems
 
 
+def check_dotted_paths(root: Path = REPO_ROOT) -> list[str]:
+    """Every ``repro.…`` path a reference doc cites resolves: the
+    longest prefix naming a module or package under ``src/`` exists,
+    and the path's last name, if it goes past that module, is bound in
+    its file."""
+    problems = []
+    for doc in _REFERENCE_DOCS:
+        text = (root / doc).read_text(encoding="utf-8")
+        for span in _CODE_SPAN.findall(text):
+            path = _DOTTED_PATH.match(span)
+            if path is not None and not _resolves(root, path.group().split(".")):
+                problems.append(f"{doc}: `{span}` does not resolve")
+    return problems
+
+
+def _resolves(root: Path, parts: list[str]) -> bool:
+    for end in range(len(parts), 0, -1):
+        base = root / "src" / Path(*parts[:end])
+        for module in (base.with_suffix(".py"), base / "__init__.py"):
+            if module.is_file():
+                return end == len(parts) or parts[-1] in _bound_names(module)
+    return False
+
+
+def _bound_names(module: Path) -> set[str]:
+    """Names a ``def``, class, assignment or import binds in ``module``."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                name.id
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            )
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(
+                alias.asname or alias.name.split(".")[0] for alias in node.names
+            )
+    return names
+
+
 def main() -> int:
-    problems = check_links() + check_examples_index() + check_documented_names()
+    problems = (
+        check_links()
+        + check_examples_index()
+        + check_documented_names()
+        + check_dotted_paths()
+    )
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
