@@ -6,9 +6,12 @@ true-count cost. The harness converts cost units to seconds with a
 single calibration constant (see ``repro.experiments.config``).
 
 ``execute_prepared`` hands the serving plan-cache entry's recycled
-results to the executor, so a cached plan's literal-free subtrees run
-once per entry (see :mod:`repro.minidb.executor`); ``execute`` never
-recycles and stays the oracle prepared execution is checked against.
+results and the binding's key to the executor, so a cached plan's
+literal-free subtrees run once per entry and a repeated binding is
+served its kept root result (see :mod:`repro.minidb.executor`);
+``execute`` never recycles and stays the oracle prepared execution is
+checked against. Both routes share each table's key indexes
+(``Table.key_index``): they depend on the data, not on the plan.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.minidb.catalog import Catalog
-from repro.minidb.executor import ExecutionStats, Executor, RecycledResults
+from repro.minidb.executor import ExecutionStats, Executor, Recycling
 from repro.minidb.indexes import IndexConfig
 from repro.minidb.optimizer import CostModel
 from repro.minidb.plancache import PlanCache
@@ -76,9 +79,10 @@ class Database:
 
         Bumps the catalog epoch: prepared plans compiled against the
         old catalog are invalidated on their next cache lookup, and the
-        table's text columns are encoded afresh on their next scan.
+        table's text columns are encoded, and its key indexes built,
+        afresh when next needed.
         """
-        table.drop_encodings()
+        table.drop_derived()
         self._tables[table.name] = table
         self.catalog.add_table(table.metadata())
         self._catalog_epoch += 1
@@ -152,7 +156,8 @@ class Database:
         without one the same rule resolves it, so a text gets one key
         whichever route it takes. Rows and costs are bit-identical to
         ``execute``. The serving entry's recycled results go to the
-        executor: subtrees no literal reaches run once per cached plan.
+        executor: subtrees no literal reaches run once per cached plan,
+        and a binding the entry served before takes its kept root.
         """
         return self._finish(*self._prepared_plan(sql, config, fingerprint_key))
 
@@ -161,7 +166,7 @@ class Database:
         sql: str,
         config: IndexConfig | None,
         fingerprint_key: object | None,
-    ) -> tuple[PlanNode, RecycledResults | None]:
+    ) -> tuple[PlanNode, Recycling | None]:
         """Plan ``sql`` through the cache, parsing only when needed; the
         plan comes with its cache entry's recycled results, if any.
 
@@ -198,9 +203,9 @@ class Database:
         )
 
     def _finish(
-        self, plan: PlanNode, recycled: RecycledResults | None = None
+        self, plan: PlanNode, recycling: Recycling | None = None
     ) -> QueryResult:
-        executor = Executor(self._tables, self.catalog, self.cost_model, recycled)
+        executor = Executor(self._tables, self.catalog, self.cost_model, recycling)
         frame, stats = executor.run(plan)
         if stats.recycled:
             self._plan_cache.note_recycled(stats.recycled)

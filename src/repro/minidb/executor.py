@@ -14,30 +14,39 @@ rows, in functions that make new text, in the null tail of a LEFT JOIN,
 in scalar and ``IN`` subquery results, and in key pairs whose sides do
 not share a dictionary.
 
-Key handling has one encoder and one matcher. ``_dense_codes`` turns key
-columns into dense non-negative order-preserving ``int64`` codes
-(``value - min`` for integer-like columns, dictionary codes included,
-``np.unique`` otherwise), and joins, semi-joins, grouping and sorting
-address count tables with them.
+Key handling has one encoder and one matcher. ``_dense_codes`` turns
+grouping and sorting keys into dense non-negative order-preserving
+``int64`` codes (``value - min`` for integer-like columns, dictionary
+codes included, ``np.unique`` otherwise). Every equi-join, semi-join and
+correlated-aggregate match probes a :class:`~repro.minidb.storage.KeyIndex`
+over its build side (``_join_index``): a base table scanned whole, as the
+build side of a hash join or the inner side of an index nested-loop
+join, is probed through the index the table keeps per key tuple
+(``Table.key_index``), so its keys are encoded and sorted once, not per
+query; any other build side is indexed for the call.
 
-A cached plan computes its literal-free work once. A plan served from a
-plan-cache entry shares the entry's own nodes wherever no literal
-beneath them changed (``PlanRebinder``), and such a node yields the same
-frame on every run while the column arrays it read are unchanged. The
-entry therefore owns a :class:`RecycledResults`: the first run of the
-topmost shared node keeps its frame, the exact sequence of cost charges
-and the rows-scanned count it produced, and later runs replay the
-charges with the same ``+=`` and take the frame instead of executing the
-subtree. Joins and unfiltered scans are not kept (see
-:class:`RecycledResults`); nothing below a kept node is. Operators never
-write to an input frame, so a kept frame may serve any query on any
-thread.
+A cached plan computes once whatever its inputs cannot change. A plan
+served from a plan-cache entry shares the entry's own nodes wherever no
+literal beneath them changed (``PlanRebinder``), and such a node yields
+the same frame on every run while the column arrays it read are
+unchanged. The entry therefore owns a :class:`RecycledResults`: the
+first run of the topmost shared node keeps its frame, the exact sequence
+of cost charges and the rows-scanned count it produced, and later runs
+replay the charges with the same ``+=`` and take the frame instead of
+executing the subtree. Joins and unfiltered scans are not kept (see
+:class:`RecycledResults`); nothing below a kept node is. The entry also
+keeps the root result of every binding it serves (up to
+``plancache.RESULTS_PER_ENTRY``), so a repeated binding is served whole,
+with its final cost and rows scanned. Operators never write to an input
+frame, so a kept frame may serve any query on any thread.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Hashable, NamedTuple
 
 import numpy as np
 
@@ -46,7 +55,7 @@ from repro.minidb.catalog import Catalog
 from repro.minidb.expressions import COMPARISONS, Frame, evaluate, evaluate_coded
 from repro.minidb.optimizer import CostModel
 from repro.minidb import planner as P
-from repro.minidb.storage import Table
+from repro.minidb.storage import MAX_KEY_SPAN, KeyIndex, Table, stable_order
 from repro.sql import ast
 
 
@@ -84,6 +93,29 @@ class _Kept(NamedTuple):
     read: tuple  # (table, column, the array read) for every column read
 
 
+class _Layout(NamedTuple):
+    """What every kept root of one entry shares: the frame's column keys,
+    dtypes and dictionaries, and the arrays the plan read."""
+
+    keys: tuple
+    dtypes: dict
+    dicts: dict
+    read: tuple
+
+
+class _Root(NamedTuple):
+    """One binding's root result: the frame's arrays in ``layout.keys``
+    order, its validity masks, and the final cost sum and rows scanned
+    (a root's sum starts at 0.0, so one value replays it exactly)."""
+
+    arrays: tuple
+    valid: tuple  # (key, mask) pairs
+    n_rows: int
+    cost: float
+    rows_scanned: int
+    layout: _Layout
+
+
 # Never kept, by measurement: join outputs fan out and hold a gathered
 # copy of every input column (Q9 4.6 MB, Q19 3.8 MB, Q7 2.1 MB per TPC-H
 # ``Database`` at exec scale 0.01). Keeping them as well took
@@ -93,7 +125,8 @@ _NOT_KEPT = (P.HashJoinNode, P.IndexNLJoinNode)
 
 
 class RecycledResults:
-    """Kept results of one cached plan's literal-free subtrees.
+    """Kept results of one cached plan: its literal-free subtrees, and
+    the root result of each binding it served.
 
     Owned by the plan-cache entry holding ``plan`` and dropped with it.
     ``nodes`` holds the ids of the plan's nodes worth keeping: all but
@@ -101,11 +134,16 @@ class RecycledResults:
     join's inputs are still kept. Concurrent first runs of a node store
     equal results; the last store wins. The plan is held so its nodes'
     ids stay theirs.
+
+    ``roots`` maps a binding (see :class:`Recycling`) to its root result,
+    at most ``limit`` of them, least recently used first. Every binding
+    of the entry runs a plan of one shape, so its roots share one
+    ``_Layout`` while the arrays they read are unchanged.
     """
 
-    __slots__ = ("plan", "nodes", "kept")
+    __slots__ = ("plan", "nodes", "kept", "limit", "roots", "layout", "_lock")
 
-    def __init__(self, plan: P.PlanNode) -> None:
+    def __init__(self, plan: P.PlanNode, limit: int) -> None:
         self.plan = plan
         nodes = set()
         stack = [plan]
@@ -119,14 +157,104 @@ class RecycledResults:
                 nodes.add(id(node))
         self.nodes = frozenset(nodes)
         self.kept: dict[int, _Kept] = {}
+        self.limit = limit
+        self.roots: OrderedDict[Hashable, _Root] = OrderedDict()
+        self.layout: _Layout | None = None
+        self._lock = threading.Lock()
+
+    def take_root(
+        self, key: Hashable, tables: dict[str, Table], stats: ExecutionStats
+    ) -> Frame | None:
+        """The kept root result of binding ``key`` with its cost and rows
+        scanned set on ``stats``; None when none is kept or a column it
+        read holds another array now."""
+        with self._lock:
+            root = self.roots.get(key)
+            if root is None:
+                return None
+            self.roots.move_to_end(key)
+        layout = root.layout
+        if not _unchanged(tables, layout.read):
+            return None
+        stats.cost_units = root.cost
+        stats.rows_scanned = root.rows_scanned
+        stats.recycled = 1
+        return Frame(
+            columns=dict(zip(layout.keys, root.arrays)),
+            dtypes=dict(layout.dtypes),
+            valid=dict(root.valid),
+            n_rows=root.n_rows,
+            dicts=dict(layout.dicts),
+        )
+
+    def keep_root(
+        self, key: Hashable, frame: Frame, stats: ExecutionStats, read: tuple
+    ) -> None:
+        """Keep binding ``key``'s root result, evicting the least recently
+        used one past ``limit``."""
+        keys = tuple(frame.columns)
+        layout = self.layout
+        if layout is None or not _same_layout(layout, keys, frame, read):
+            layout = _Layout(keys, dict(frame.dtypes), dict(frame.dicts), read)
+            self.layout = layout
+        root = _Root(
+            tuple(frame.columns.values()),
+            tuple(frame.valid.items()),
+            frame.n_rows,
+            stats.cost_units,
+            stats.rows_scanned,
+            layout,
+        )
+        with self._lock:
+            self.roots[key] = root
+            self.roots.move_to_end(key)
+            if len(self.roots) > self.limit:
+                self.roots.popitem(last=False)
+
+
+def _same_layout(layout: _Layout, keys: tuple, frame: Frame, read: tuple) -> bool:
+    """May a root of ``frame`` (which read ``read``) share ``layout``?"""
+    return (
+        layout.keys == keys
+        and layout.dtypes == frame.dtypes
+        and layout.dicts.keys() == frame.dicts.keys()
+        and all(layout.dicts[k] is d for k, d in frame.dicts.items())
+        and len(layout.read) == len(read)
+        and all(
+            a[0] == b[0] and a[1] == b[1] and a[2] is b[2]
+            for a, b in zip(layout.read, read)
+        )
+    )
+
+
+def _unchanged(tables: dict[str, Table], read: tuple) -> bool:
+    """Does every column a kept result read still hold the array it read?
+    (``Table.encoded``'s rule: replacing a column's array without
+    ``load_table`` is allowed.)"""
+    for name, column, values in read:
+        table = tables.get(name)
+        if table is None or table.columns.get(column) is not values:
+            return False
+    return True
+
+
+class Recycling(NamedTuple):
+    """What a plan-cache entry hands one execution: its kept results, and
+    the served binding's key — its literal values *with their types*
+    (``2 == 2.0``, but they compute apart)."""
+
+    results: RecycledResults
+    key: Hashable
 
 
 class Executor:
     """Executes a physical plan against materialized tables.
 
-    With ``recycled`` (the serving plan-cache entry's results), the
-    topmost node of the plan that belongs to the entry's plan and is
-    worth keeping is taken from there, or run once and kept.
+    With ``recycling`` (from the serving plan-cache entry), a binding's
+    kept root result is served whole; otherwise the plan runs, the
+    topmost node of it that belongs to the entry's plan and is worth
+    keeping is taken from the entry or run once and kept, and the root
+    result is kept for the binding.
     """
 
     def __init__(
@@ -134,19 +262,32 @@ class Executor:
         tables: dict[str, Table],
         catalog: Catalog,
         cost_model: CostModel | None = None,
-        recycled: RecycledResults | None = None,
+        recycling: Recycling | None = None,
     ) -> None:
         self._tables = tables
         self._catalog = catalog
         self._cost = cost_model or CostModel()
         self._mult = catalog.virtual_row_multiplier
-        self._recycled = recycled
-        self._read: list | None = None  # columns read by a subtree being kept
+        self._recycling = recycling
+        self._recycled = None if recycling is None else recycling.results
+        self._read: list | None = None  # columns read by a run being kept
 
     def run(self, plan: P.PlanNode) -> tuple[Frame, ExecutionStats]:
         """Execute ``plan``; returns the result frame and cost counters."""
         stats = ExecutionStats()
-        frame = self._exec(plan, stats)
+        recycling = self._recycling
+        if recycling is None:
+            frame = self._exec(plan, stats)
+        else:
+            results, key = recycling
+            frame = results.take_root(key, self._tables, stats)
+            if frame is None:
+                self._read = []
+                try:
+                    frame = self._exec(plan, stats)
+                    results.keep_root(key, frame, stats, tuple(self._read))
+                finally:
+                    self._read = None
         stats.rows_output = frame.n_rows
         return frame, stats
 
@@ -166,10 +307,11 @@ class Executor:
         """``node``'s kept result, its charges replayed onto ``stats``;
         when none is kept, or a column it read holds another array now,
         run the subtree once — consulting and keeping nothing below —
-        and keep its result."""
-        recycled = self._recycled
+        and keep its result. A run being kept around it reads what the
+        kept result read."""
+        recycled, outer = self._recycled, self._read
         kept = recycled.kept.get(id(node))
-        if kept is not None and self._unchanged(kept.read):
+        if kept is not None and _unchanged(self._tables, kept.read):
             stats.recycled += 1
         else:
             log = ExecutionStats(cost_units=_ChargeLog())
@@ -178,32 +320,30 @@ class Executor:
                 frame = handler(self, node, log)
                 read = tuple(self._read)
             finally:
-                self._recycled, self._read = recycled, None
+                self._recycled, self._read = recycled, outer
             kept = _Kept(frame, tuple(log.cost_units.charges), log.rows_scanned, read)
             recycled.kept[id(node)] = kept
+        if outer is not None:
+            outer.extend(kept.read)
         for charge in kept.charges:
             stats.cost_units += charge
         stats.rows_scanned += kept.rows_scanned
         return kept.frame
 
-    def _unchanged(self, read: tuple) -> bool:
-        """Does every column a kept result read still hold the array it
-        read? (``Table.encoded``'s rule: replacing a column's array
-        without ``load_table`` is allowed.)"""
-        tables = self._tables
-        for name, column, values in read:
-            table = tables.get(name)
-            if table is None or table.columns.get(column) is not values:
-                return False
-        return True
-
     def _note_read(self, name: str, table: Table, columns: tuple[str, ...]) -> None:
-        """While a subtree runs to be kept, record the arrays a scan is
-        about to read. A scan of no columns still reads its row count
-        off the table's first column."""
+        """While a run is being kept, record the arrays a scan is about to
+        read. A scan of no columns still reads its row count off the
+        table's first column."""
         if self._read is not None:
             for column in columns or tuple(table.columns)[:1]:
                 self._read.append((name, column, table.columns.get(column)))
+
+    def _whole_table(self, node: P.PlanNode) -> tuple[Table, str] | None:
+        """``(table, binding)`` when ``node`` scans a table whole, row for
+        row; None for any other node."""
+        if isinstance(node, P.ScanNode) and not node.predicates:
+            return self._tables[node.table], node.binding
+        return None
 
     # -- scans -------------------------------------------------------------------
 
@@ -336,13 +476,14 @@ class Executor:
             left_idx = np.repeat(np.arange(n_left), n_right)
             right_idx = np.tile(np.arange(n_right), n_left)
         else:
-            left_codes, right_codes = _key_codes(
+            index, probe = _join_index(
                 left,
                 [left.resolve(k) for k in node.left_keys],
                 right,
                 [right.resolve(k) for k in node.right_keys],
+                self._whole_table(node.right),
             )
-            left_idx, right_idx = _equi_match(left_codes, right_codes)
+            left_idx, right_idx = index.pairs(probe)
 
         out = _combine(left, right, left_idx, right_idx)
         stats.cost_units += self._cost.hash_join(
@@ -369,13 +510,14 @@ class Executor:
         self._note_read(node.inner_table, table, node.inner_columns)
         inner = _scan_frame(table, node.inner_binding, node.inner_columns)
 
-        outer_codes, inner_codes = _key_codes(
+        index, probe = _join_index(
             outer,
             [outer.resolve(k) for k in node.outer_keys],
             inner,
             [inner.resolve(k) for k in node.inner_keys],
+            (table, node.inner_binding),
         )
-        outer_idx, inner_idx = _equi_match(outer_codes, inner_codes)
+        outer_idx, inner_idx = index.pairs(probe)
         matched_pairs = len(outer_idx)
 
         # each outer row pays a B-tree descent; each matched row pays a
@@ -410,16 +552,16 @@ class Executor:
         if child.n_rows == 0:
             return child
 
-        child_codes, inner_codes = _key_codes(
+        index, probe = _join_index(
             child,
             [child.resolve(k) for k in node.outer_keys],
             inner,
             list(node.inner_keys),
         )
         if node.residual is None:
-            has_match = _count_table(child_codes, inner_codes)[child_codes] > 0
+            has_match = index.runs(probe)[1] > 0
         else:
-            outer_idx, inner_idx = _equi_match(child_codes, inner_codes)
+            outer_idx, inner_idx = index.pairs(probe)
             pair = child.take(outer_idx)
             for out_name, key in node.inner_rename.items():
                 pair.adopt(key, inner, out_name, inner_idx)
@@ -442,20 +584,17 @@ class Executor:
         if child.n_rows == 0:
             return child
 
-        child_codes, inner_codes = _key_codes(
+        index, probe = _join_index(
             child,
             [child.resolve(k) for k in node.outer_keys],
             inner,
             list(node.inner_key_names),
         )
         # each outer row compares against the first inner row with its key
-        table = _count_table(child_codes, inner_codes)
-        order, starts = _build_runs(table, inner_codes)
-        found = table[child_codes] > 0
+        starts, counts = index.runs(probe)
+        found = counts > 0
         mapped = np.zeros(child.n_rows, dtype=np.float64)
-        mapped[found] = inner.columns[node.value_name][
-            order[starts[child_codes[found]]]
-        ]
+        mapped[found] = inner.columns[node.value_name][index.order[starts[found]]]
 
         outer_vals = evaluate(node.outer_expr, child)
         mask = found & COMPARISONS[node.op](outer_vals.astype(np.float64), mapped)
@@ -577,9 +716,6 @@ class Executor:
 # ---------------------------------------------------------------------------
 
 
-_MAX_SPAN = 1 << 62
-
-
 def _dense_codes(sides: list[list[np.ndarray]]) -> list[np.ndarray]:
     """The one key encoder: aligned key columns -> dense ``int64`` codes.
 
@@ -604,7 +740,7 @@ def _dense_codes(sides: list[list[np.ndarray]]) -> list[np.ndarray]:
         if codes is None:
             codes, span = column, column_span
             continue
-        if span * column_span > _MAX_SPAN:
+        if span * column_span > MAX_KEY_SPAN:
             codes, span = _rank(codes)
         codes = codes * column_span + column
         span *= column_span
@@ -642,22 +778,53 @@ def _composite_codes(
     return left_codes, right_codes
 
 
-def _key_codes(
-    left: Frame, left_keys: list[str], right: Frame, right_keys: list[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense codes of two frames' aligned key columns. A key pair whose
-    sides hold codes into one dictionary matches on those codes; any
-    other pair matches on values."""
-    left_columns, right_columns = [], []
-    for left_key, right_key in zip(left_keys, right_keys):
-        dictionary = left.dicts.get(left_key)
-        if dictionary is not None and dictionary is right.dicts.get(right_key):
-            left_columns.append(left.columns[left_key])
-            right_columns.append(right.columns[right_key])
+def _join_index(
+    probe: Frame,
+    probe_keys: list[str],
+    build: Frame,
+    build_keys: list[str],
+    scan: tuple[Table, str] | None = None,
+) -> tuple[KeyIndex, list[np.ndarray]]:
+    """The index an equi-join probes, and the probe's key columns for it.
+
+    A key pair whose sides hold codes into one dictionary matches on the
+    codes. When every pair is integer-like, the build's own key columns
+    are indexed: the table's ``key_index`` when ``scan`` says ``build``
+    is a whole scan of a table under a binding, built for this call
+    otherwise. Any other pair compares in the two sides' common
+    dtype: every key is then encoded jointly over both sides and the
+    build's codes are indexed for this call.
+    """
+    probe_columns, build_columns = [], []
+    integral = True
+    for probe_key, build_key in zip(probe_keys, build_keys):
+        dictionary = probe.dicts.get(probe_key)
+        if dictionary is not None and dictionary is build.dicts.get(build_key):
+            probe_columns.append(probe.columns[probe_key])
+            build_columns.append(build.columns[build_key])
+            continue
+        probe_values = probe.decoded(probe_key)
+        build_values = build.decoded(build_key)
+        integral = (
+            integral
+            and probe_values.dtype.kind in "bi"
+            and build_values.dtype.kind in "bi"
+        )
+        probe_columns.append(probe_values)
+        build_columns.append(build_values)
+    index = None
+    if integral and probe_columns:
+        if scan is not None:
+            table, binding = scan
+            columns = tuple([key[len(binding) + 1 :] for key in build_keys])
+            index = table.key_index(columns)
         else:
-            left_columns.append(left.decoded(left_key))
-            right_columns.append(right.decoded(right_key))
-    return _composite_codes(left_columns, right_columns)
+            index = KeyIndex.build(build_columns, probe.n_rows)
+    if index is None:
+        probe_codes, build_codes = _composite_codes(probe_columns, build_columns)
+        index = KeyIndex.build([build_codes], probe.n_rows)
+        probe_columns = [probe_codes]
+    return index, probe_columns
 
 
 def _scan_frame(table: Table, binding: str, columns: tuple[str, ...]) -> Frame:
@@ -666,12 +833,10 @@ def _scan_frame(table: Table, binding: str, columns: tuple[str, ...]) -> Frame:
     frame = Frame(n_rows=table.n_rows)
     for col in columns:
         key = f"{binding}.{col}"
-        values = table.column(col)
+        frame.columns[key], dictionary = table.scanned(col)
         frame.dtypes[key] = table.dtypes[col]
-        if values.dtype.kind == "U" and frame.dtypes[key] == "str":
-            frame.columns[key], frame.dicts[key] = table.encoded(col)
-        else:
-            frame.columns[key] = values
+        if dictionary is not None:
+            frame.dicts[key] = dictionary
     return frame
 
 
@@ -680,61 +845,16 @@ def _group_codes(arrays: list[np.ndarray]) -> np.ndarray:
     return _dense_codes([arrays])[0]
 
 
-def _stable_order(codes: np.ndarray, size: int) -> np.ndarray:
-    """Stable ascending order of codes in ``[0, size)``, 16 bits at a time
-    from the low end: numpy radix-sorts 16-bit keys, and dense codes
-    rarely need a second pass."""
-    order = np.argsort(codes.astype(np.uint16), kind="stable")
-    shift = 16
-    while (size - 1) >> shift > 0:
-        digit = (codes >> shift).astype(np.uint16)[order]
-        order = order[np.argsort(digit, kind="stable")]
-        shift += 16
-    return order
-
-
 def _group_runs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(order, starts)``: rows in stable code order and where each
     distinct code's run starts in it; ``order[starts]`` is the first
     occurrence of every code."""
-    order = _stable_order(codes, int(codes.max(initial=0)) + 1)
+    order = stable_order(codes, int(codes.max(initial=0)) + 1)
     sorted_codes = codes[order]
     boundaries = np.empty(len(codes), dtype=bool)
     boundaries[:1] = True
     np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=boundaries[1:])
     return order, np.flatnonzero(boundaries)
-
-
-def _count_table(probe_codes: np.ndarray, build_codes: np.ndarray) -> np.ndarray:
-    """Build rows per code, indexable by every code of either side."""
-    return np.bincount(
-        build_codes, minlength=int(probe_codes.max(initial=0)) + 1
-    )
-
-
-def _build_runs(
-    table: np.ndarray, build_codes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The build rows in stable code order, and per code where its run
-    starts in that order: counting replaces the search."""
-    return _stable_order(build_codes, len(table)), np.cumsum(table) - table
-
-
-def _equi_match(
-    probe_codes: np.ndarray, build_codes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """All matching (probe_idx, build_idx) pairs for equal dense codes,
-    probe-major, build rows in ascending row index."""
-    table = _count_table(probe_codes, build_codes)
-    counts = table[probe_codes]
-    probe_idx = np.repeat(np.arange(len(probe_codes)), counts)
-    if len(probe_idx) == 0:
-        return probe_idx, probe_idx
-    order, starts = _build_runs(table, build_codes)
-    # position in the build order = run start + rank within the probe's run
-    shift = starts[probe_codes] - (np.cumsum(counts) - counts)
-    build_idx = order[np.repeat(shift, counts) + np.arange(len(probe_idx))]
-    return probe_idx, build_idx
 
 
 def _combine(

@@ -64,8 +64,12 @@ class Frame:
         )
 
     def mask(self, keep: np.ndarray) -> "Frame":
-        """Row-subset by boolean mask."""
-        return self.take(np.flatnonzero(keep))
+        """Row-subset by boolean mask; the frame itself when every row
+        survives (no operator writes to an input frame)."""
+        rows = np.flatnonzero(keep)
+        if len(rows) == self.n_rows:
+            return self
+        return self.take(rows)
 
     def dtype_of(self, key: str) -> str:
         return self.dtypes.get(key, "float")

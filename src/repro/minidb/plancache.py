@@ -73,17 +73,21 @@ Everything sits behind one lock; planning happens under it, which
 serializes concurrent misses for the same template (a feature: no
 duplicate planning work) and keeps the guard bookkeeping race-free.
 
-Each cached plan also owns the results of its literal-free subtrees
-(:class:`~repro.minidb.executor.RecycledResults`): a re-bind shares a
-node of the cached plan only when no literal beneath it changed, so the
-executor keeps such a node's frame and hands it to the next served plan
-that contains the node. ``fetch`` and ``try_fast`` return the serving
-entry's results with the plan — None for a plan no entry holds
-(verification window, literal-sensitive, kind drift, refused) — and the
-results die with the entry: on eviction, on replacement after a
-catalog-epoch bump, and on ``invalidate_all``. The capacity that bounds
-the plans bounds them too; ``stats()["recycled"]`` counts the kept
-results served.
+Each cached plan also owns kept results
+(:class:`~repro.minidb.executor.RecycledResults`): the results of its
+literal-free subtrees — a re-bind shares a node of the cached plan only
+when no literal beneath it changed, so the executor keeps such a node's
+frame and hands it to the next served plan that contains the node — and
+the root result of each binding it served, at most
+``RESULTS_PER_ENTRY`` per plan, least recently used evicted first.
+``fetch`` and ``try_fast`` return the serving entry's results with the
+plan, as a :class:`~repro.minidb.executor.Recycling` that also carries
+the binding's key (its literal values with their types) — None for a
+plan no entry holds (verification window, literal-sensitive, kind drift,
+refused) — and the results die with the entry: on eviction, on
+replacement after a catalog-epoch bump, and on ``invalidate_all``. The
+capacity that bounds the plans bounds them too; ``stats()["recycled"]``
+counts the kept results served, a whole root counting one.
 """
 
 from __future__ import annotations
@@ -99,14 +103,29 @@ from typing import Callable, Hashable, get_args
 from repro.sql import ast
 from repro.sql.params import FastBindingRecipe, ParameterBinding, build_fast_recipe
 
-from repro.minidb.executor import RecycledResults
+from repro.minidb.executor import RecycledResults, Recycling
 from repro.minidb.planner import PlanNode
 
-__all__ = ["PlanCache", "PlanRebinder", "VERIFY_BINDINGS", "plan_shape"]
+__all__ = [
+    "PlanCache", "PlanRebinder", "RESULTS_PER_ENTRY", "VERIFY_BINDINGS", "plan_shape",
+]
 
 # Distinct bindings of a template planned fresh and shape-compared
 # with its cached plan before the plan is re-bound for new bindings.
 VERIFY_BINDINGS = 3
+
+# Root results kept per cached plan, one per binding served, least
+# recently used evicted first. Replaying ``wire_tpch_hot``'s seed-13
+# stream (2,360 queries) through one ``Database``, 913 queries could be
+# served a kept root with no bound; 811 are at 32, and 572 at 16.
+RESULTS_PER_ENTRY = 32
+
+
+def _binding_key(binding: ParameterBinding) -> tuple:
+    """A binding's literal values with their types: ``(2,) == (2.0,)``,
+    but the two compute apart, so they must not share a kept result."""
+    values = binding.values
+    return values, tuple(map(type, values))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +336,7 @@ def _rebind(path, bound: list[ast.Literal], done: dict[int, object]):
 
 class _Entry:
     __slots__ = (
-        "plan", "rebinder", "recycled", "binding", "sql", "epoch", "seen",
+        "plan", "rebinder", "recycled", "own", "binding", "sql", "epoch", "seen",
         "literal_sensitive",
     )
 
@@ -326,9 +345,11 @@ class _Entry:
     ) -> None:
         self.plan = plan
         self.rebinder = PlanRebinder(binding.slots, plan)
-        self.recycled = RecycledResults(plan)  # lives and dies with the entry
+        # lives and dies with the entry
+        self.recycled = RecycledResults(plan, RESULTS_PER_ENTRY)
         # what the plan was made for: a later query with this very text
         # has this binding, so it is served without reading the text
+        self.own = Recycling(self.recycled, _binding_key(binding))
         self.binding = binding
         self.sql = sql
         self.epoch = epoch
@@ -346,6 +367,15 @@ class _Template:
     def __init__(self, recipe: FastBindingRecipe | None) -> None:
         self.recipe = recipe
         self.plans: dict[tuple, _Entry] = {}
+
+
+def _served(entry: _Entry, binding: ParameterBinding) -> tuple[PlanNode, Recycling]:
+    """A hit: ``entry``'s plan re-bound to ``binding``, with its results
+    and the binding's key."""
+    plan = entry.rebinder.rebind(binding.slots)
+    if plan is entry.plan:  # every literal the plan holds is the entry's own
+        return plan, entry.own
+    return plan, Recycling(entry.recycled, _binding_key(binding))
 
 
 # Where the guard chain stops a binding, in the order the guards apply.
@@ -437,11 +467,11 @@ class PlanCache:
         binding: ParameterBinding,
         plan_fresh: Callable[[], PlanNode],
         sql: str | None = None,
-    ) -> tuple[PlanNode, RecycledResults | None]:
+    ) -> tuple[PlanNode, Recycling | None]:
         """Return a plan for ``stmt``, consulting/maintaining the cache,
-        and the recycled results of the entry that holds it (None when
-        no entry does: verification window, literal-sensitive, kind
-        drift, refused).
+        and the recycled results of the entry that holds it with the
+        binding's key (None when no entry does: verification window,
+        literal-sensitive, kind drift, refused).
 
         ``binding`` must be ``extract_parameters(stmt)``: its slots are
         the literal instances ``plan_fresh`` plans ``stmt`` with; ``key``
@@ -460,7 +490,7 @@ class PlanCache:
             verdict, entry = self._guard(record, limits, epoch, binding)
             if verdict == _HIT:
                 self._hits += 1
-                return entry.rebinder.rebind(binding.slots), entry.recycled
+                return _served(entry, binding)
 
             plan = plan_fresh()
             self._misses += 1
@@ -476,11 +506,11 @@ class PlanCache:
                 entry = record.plans[limits] = _Entry(plan, binding, epoch, sql)
                 if self._size > self._capacity:
                     self._evict_one()
-                return plan, entry.recycled
+                return plan, entry.own
             if verdict == _STALE:
                 self._invalidated += 1
                 entry = record.plans[limits] = _Entry(plan, binding, epoch, sql)
-                return plan, entry.recycled
+                return plan, entry.own
             if verdict == _SENSITIVE:
                 self._sensitive_skips += 1
             elif verdict == _VERIFY:
@@ -497,7 +527,7 @@ class PlanCache:
         config: Hashable,
         epoch: int,
         sql: str,
-    ) -> tuple[PlanNode, RecycledResults] | None:
+    ) -> tuple[PlanNode, Recycling] | None:
         """Serve a verified template without parsing ``sql`` at all.
 
         A text equal to the one an entry of the template was planned
@@ -506,7 +536,8 @@ class PlanCache:
         binding extracted via the template's
         :class:`~repro.sql.params.FastBindingRecipe`. Either binding
         goes through the same guard chain as :meth:`fetch`; the plan
-        and its entry's recycled results come back exactly where
+        and its entry's recycled results, with the binding's key, come
+        back exactly where
         ``fetch`` would count a hit, and None otherwise — no recipe,
         odd text, or any other verdict — in which case the caller must
         take the ordinary parse + :meth:`fetch` path. Misses and
@@ -520,7 +551,7 @@ class PlanCache:
             for entry in record.plans.values():
                 if entry.sql == sql:
                     served = self._fast_hit(template_key, record, epoch, entry.binding)
-                    return None if served is None else (served.plan, served.recycled)
+                    return None if served is None else (served.plan, served.own)
             recipe = record.recipe
         if recipe is None:
             return None
@@ -533,7 +564,7 @@ class PlanCache:
             served = self._fast_hit(template_key, record, epoch, binding)
             if served is None:
                 return None
-            return served.rebinder.rebind(binding.slots), served.recycled
+            return _served(served, binding)
 
     def _fast_hit(
         self,

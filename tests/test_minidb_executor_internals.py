@@ -8,12 +8,18 @@ import minidb_sort_oracle as oracle
 from repro.errors import ExecutionError
 from repro.minidb.executor import (
     _composite_codes,
-    _count_table,
-    _equi_match,
     _group_codes,
     _group_runs,
-    _stable_order,
+    _join_index,
+    _scan_frame,
 )
+from repro.minidb.expressions import Frame
+from repro.minidb.storage import KeyIndex, Table, stable_order
+
+
+def _equi_match(probe_codes, build_codes):
+    """Pairs of equal codes through the one matcher, a ``KeyIndex``."""
+    return KeyIndex.build([build_codes]).pairs([probe_codes])
 
 
 class TestEquiMatch:
@@ -142,7 +148,7 @@ class TestDenseKernelsMatchTheSortOracle:
         left, right = keys
         probe, build = _composite_codes(left, right)
         want = np.isin(*oracle.composite_codes(left, right))
-        assert np.array_equal(_count_table(probe, build)[probe] > 0, want)
+        assert np.array_equal(KeyIndex.build([build]).runs([probe])[1] > 0, want)
 
     @settings(max_examples=200, deadline=None)
     @given(_two_sided_keys())
@@ -178,7 +184,7 @@ class TestDenseKernelsMatchTheSortOracle:
         codes = np.asarray(small, dtype=np.int64) + offset
         size = int(codes.max(initial=0)) + 1
         assert np.array_equal(
-            _stable_order(codes, size), np.argsort(codes, kind="stable")
+            stable_order(codes, size), np.argsort(codes, kind="stable")
         )
 
 
@@ -222,3 +228,125 @@ class TestWideKeysDoNotWrap:
     def test_identity_columns(self):
         # the issue's reproducer: minimum code was -9.2e18 before the fix
         assert _group_codes([np.arange(3_000)] * 6).min() >= 0
+
+
+# ---------------------------------------------------------------------------
+# the key index a join probes vs the sort-based oracle
+# ---------------------------------------------------------------------------
+
+_TEXT = np.array(["", "a", "ab", "b", "zebra"])
+# key families: (probe pool, build pool, table dtype of the build column)
+_KEY_FAMILIES = {
+    "negative": (np.arange(-9, 4), np.arange(-9, 4), "int"),
+    # spans past 4 * rows + 1024: the sorted-keys index, and past 2**62
+    # once two are composed: the joint encoding
+    "wide": (np.array([-70_000, -7, 0, 3, 65_535, 70_000]),) * 2 + ("int",),
+    "sparse": (_POOLS["sparse"][0],) * 2 + ("int",),
+    "outside": (np.array([-60, -41, 40, 77]), np.arange(0, 8), "int"),
+    "bool": (np.array([False, True]),) * 2 + ("int",),
+    "date": (np.arange(8_760, 8_772, dtype=np.int32),) * 2 + ("date",),
+    "float": (np.array([-1.5, 0.0, 0.25, 2.5, 1e300]),) * 2 + ("float",),
+    "int_float": (np.arange(0, 5), np.array([0.0, 1.0, 2.5, 3.0]), "float"),
+    "float_int": (np.array([0.0, 1.0, 2.5, 3.0]), np.arange(0, 5), "int"),
+    "str_shared": (_TEXT, _TEXT, "str"),
+    "str_unshared": (_TEXT, _TEXT, "str"),
+}
+
+
+@st.composite
+def _join_sides(draw):
+    """A probe frame and a build table over 1-3 aligned key columns."""
+    n_probe = draw(st.integers(0, 24))
+    n_build = draw(st.integers(0, 24))
+    families = sorted(_KEY_FAMILIES)
+    if n_build == 0:  # shared codes need a dictionary to share
+        families.remove("str_shared")
+    chosen = draw(st.lists(st.sampled_from(families), min_size=1, max_size=3))
+    probe = Frame(n_rows=n_probe)
+    table = Table(name="t", dtypes={})
+
+    def pick(pool, n):
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        return pool[np.asarray(picks, dtype=np.intp)]
+
+    for i, family in enumerate(chosen):
+        probe_pool, build_pool, dtype = _KEY_FAMILIES[family]
+        table.columns[f"c{i}"] = pick(build_pool, n_build)
+        table.dtypes[f"c{i}"] = dtype
+        key = f"p.c{i}"
+        if family == "str_shared":
+            codes, dictionary = table.encoded(f"c{i}")
+            probe.columns[key] = pick(codes, n_probe)
+            probe.dicts[key] = dictionary
+        elif family == "str_unshared":
+            dictionary, codes = np.unique(pick(probe_pool, n_probe), return_inverse=True)
+            probe.columns[key] = codes.astype(np.int32)
+            probe.dicts[key] = dictionary
+        else:
+            probe.columns[key] = pick(probe_pool, n_probe)
+        probe.dtypes[key] = dtype
+    return probe, table, len(chosen)
+
+
+class TestKeyIndexMatchesTheSortOracle:
+    """``_join_index`` over a whole-table build (the table's own
+    ``key_index``) and over the same rows as a live frame: pairs,
+    membership and first matches equal the sort-based oracle's over the
+    decoded values."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_join_sides())
+    def test_pairs_membership_and_first_match(self, sides):
+        probe, table, n_keys = sides
+        columns = tuple(f"c{i}" for i in range(n_keys))
+        build = _scan_frame(table, "b", columns)
+        probe_keys = [f"p.{c}" for c in columns]
+        build_keys = [f"b.{c}" for c in columns]
+        want = oracle.equi_match(
+            *oracle.composite_codes(
+                [probe.decoded(k) for k in probe_keys], [build.decoded(k) for k in build_keys]
+            )
+        )
+        first = np.full(probe.n_rows, -1)
+        first[want[0][::-1]] = want[1][::-1]  # the lowest build row per probe row
+        for scan in (None, (table, "b")):
+            index, probe_columns = _join_index(probe, probe_keys, build, build_keys, scan)
+            got = index.pairs(probe_columns)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            starts, counts = index.runs(probe_columns)
+            assert np.array_equal(counts, np.bincount(want[0], minlength=probe.n_rows))
+            found = counts > 0
+            assert np.array_equal(index.order[starts[found]], first[found])
+
+    def test_a_whole_table_build_probes_the_tables_own_index(self):
+        table = Table(
+            name="t",
+            dtypes={"k": "int", "s": "str"},
+            columns={"k": np.array([5, 3, 5, 9]), "s": np.array(["x", "y", "x", "z"])},
+        )
+        build = _scan_frame(table, "b", ("k", "s"))
+        probe = Frame(
+            columns={"p.k": np.array([5, 4, 9]), "p.s": np.array([0, 0, 2], dtype=np.int32)},
+            dtypes={"p.k": "int", "p.s": "str"},
+            n_rows=3,
+            dicts={"p.s": build.dicts["b.s"]},
+        )
+        index, _ = _join_index(probe, ["p.k", "p.s"], build, ["b.k", "b.s"], (table, "b"))
+        assert index is table.key_index(("k", "s"))
+        # a text key without the table's dictionary cannot use it
+        probe.dicts["p.s"] = np.array(["x", "y", "z"])
+        index, _ = _join_index(probe, ["p.k", "p.s"], build, ["b.k", "b.s"], (table, "b"))
+        assert index is not table.key_index(("k", "s"))
+
+    def test_no_keys_raise(self):
+        frame = Frame(n_rows=0)
+        with pytest.raises(ExecutionError, match="mismatched join key lists"):
+            _join_index(frame, [], frame, [])
+
+
+class TestFrameMask:
+    def test_a_mask_keeping_every_row_returns_the_frame(self):
+        frame = Frame(columns={"a": np.arange(3)}, dtypes={"a": "int"}, n_rows=3)
+        assert frame.mask(np.ones(3, dtype=bool)) is frame
+        kept = frame.mask(np.array([True, False, True]))
+        assert kept is not frame and kept.columns["a"].tolist() == [0, 2]

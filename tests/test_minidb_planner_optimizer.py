@@ -130,6 +130,52 @@ class TestQ18Pathology:
         assert baited.est_cost < plain.est_cost
 
 
+_NARROW = IndexConfig([Index("lineitem", ("l_orderkey",))])
+_COVERING = IndexConfig(
+    [Index("lineitem", ("l_orderkey",)), Index("lineitem", ("l_orderkey", "l_quantity"))]
+)
+
+
+def _outcome(result) -> tuple:
+    """Rows by ``repr`` (types count), the cost's type and bits, rows
+    scanned and returned."""
+    cost = result.actual_cost
+    return (
+        repr(result.rows),
+        type(cost).__name__,
+        float(cost).hex(),
+        result.stats.rows_scanned,
+        result.n_rows,
+    )
+
+
+class TestIndexNestedLoopOnThePreparedPath:
+    @pytest.mark.parametrize("config", [_NARROW, _COVERING], ids=["narrow", "covering"])
+    def test_q18_matches_the_unprepared_oracle(self, tpch_db, config):
+        """Q18 through the bait INLJ: a cold run, the verification window,
+        re-bound hits and repeats of every binding (served from kept
+        results) equal ``Database.execute`` on another ``Database``."""
+        from repro.minidb import Catalog, Database
+
+        def fresh():
+            db = Database(
+                catalog=Catalog(tpch_db.catalog.virtual_row_multiplier),
+                cost_model=tpch_db.cost_model,
+            )
+            for table in tpch_db.tables.values():
+                db.load_table(table)
+            return db
+
+        texts = [Q18.replace("> 180", f"> {q}") for q in (180, 150, 200, 250, 120, 300)]
+        served, oracle = fresh(), fresh()
+        for sql in texts + texts:
+            got = served.execute_prepared(sql, config)
+            assert find_nodes(got.plan, IndexNLJoinNode)
+            assert _outcome(got) == _outcome(oracle.execute(sql, config)), sql
+        assert served.plan_cache.stats()["hits"] >= len(texts)
+        assert served.plan_cache.stats()["recycled"] > 0
+
+
 class TestSelectivityEstimator:
     @pytest.fixture()
     def estimator(self, tpch_db):

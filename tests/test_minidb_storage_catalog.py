@@ -275,3 +275,45 @@ class TestTextEncoding:
         # one build, not one per racing thread
         assert all(dictionary is seen[0][1] for _, dictionary in seen)
         assert [s for s, _ in seen[0][0]] == ["bb", "ccc", "é"]
+
+
+class TestKeyIndexLifetime:
+    """``Table.key_index``: built once per key tuple and column arrays,
+    rebuilt for a replaced array, dropped by ``load_table``."""
+
+    @staticmethod
+    def _table():
+        return Table(
+            name="t",
+            dtypes={"k": "int", "s": "str"},
+            columns={"k": np.array([3, 1, 3, 2]), "s": np.array(["x", "y", "x", "z"])},
+        )
+
+    def test_built_once_per_key_tuple(self):
+        table = self._table()
+        index = table.key_index(("k",))
+        assert table.key_index(("k",)) is index
+        assert table.key_index(("k", "s")) is not index
+        assert index.order.tolist() == [1, 3, 0, 2]  # rows in key order
+
+    def test_replacing_a_column_array_rebuilds_it(self):
+        table = self._table()
+        index = table.key_index(("k", "s"))
+        table.columns["s"] = np.array(["y", "y", "x", "z"])
+        rebuilt = table.key_index(("k", "s"))
+        assert rebuilt is not index
+        assert table.key_index(("k", "s")) is rebuilt
+        assert table.key_index(("k",)) is table.key_index(("k",))
+
+    def test_load_table_drops_it(self):
+        from repro.minidb import Database
+
+        table = self._table()
+        Database().load_table(table)
+        index = table.key_index(("k",))
+        table.columns["k"][0] = 7  # changed in place: same array object
+        Database().load_table(table)
+        rebuilt = table.key_index(("k",))
+        assert rebuilt is not index
+        # one 3 is left, and the 7 the old index never saw is found
+        assert rebuilt.runs([np.array([7, 3])])[1].tolist() == [1, 1]

@@ -1,5 +1,6 @@
 """Integration: all 22 TPC-H templates plan and execute on the engine."""
 
+import numpy as np
 import pytest
 
 from repro.minidb import Catalog, Database, Index, IndexConfig
@@ -94,10 +95,40 @@ def test_dense_kernels_change_nothing_observable(tpch_db, monkeypatch, template_
         return seen
 
     shipped = observe()
-    monkeypatch.setattr(executor, "_composite_codes", oracle.composite_codes)
-    monkeypatch.setattr(executor, "_equi_match", oracle.equi_match)
+    monkeypatch.setattr(executor, "_join_index", _sort_join_index)
     monkeypatch.setattr(executor, "_group_codes", oracle.group_codes)
     assert observe() == shipped
+
+
+class _SortIndex:
+    """The sort-based stand-in for a ``KeyIndex``: the build's codes in
+    stable ``argsort`` order, and two ``searchsorted`` per probe."""
+
+    def __init__(self, build_codes):
+        self.build_codes = build_codes
+        self.order = np.argsort(build_codes, kind="stable")
+
+    def runs(self, probe):
+        ordered = self.build_codes[self.order]
+        starts = np.searchsorted(ordered, probe[0], side="left")
+        return starts, np.searchsorted(ordered, probe[0], side="right") - starts
+
+    def pairs(self, probe):
+        import minidb_sort_oracle as oracle
+
+        return oracle.equi_match(probe[0], self.build_codes)
+
+
+def _sort_join_index(probe, probe_keys, build, build_keys, scan=None):
+    """``executor._join_index`` as the sort-based oracle: every key by
+    value, jointly ranked (``np.unique``) over both sides; no table
+    index, no dictionary codes."""
+    import minidb_sort_oracle as oracle
+
+    probe_codes, build_codes = oracle.composite_codes(
+        [probe.decoded(k) for k in probe_keys], [build.decoded(k) for k in build_keys]
+    )
+    return _SortIndex(build_codes), [probe_codes]
 
 
 def _text_scan_frame(table, binding, columns):

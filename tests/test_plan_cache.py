@@ -525,8 +525,8 @@ class TestExactTextHit:
 
         monkeypatch.setattr(params, "scan", refuse)
         parsed = _counting_parses(monkeypatch)
-        plan, recycled = _ask_fast(db, sql)
-        assert plan is entry.plan and recycled is entry.recycled
+        plan, recycling = _ask_fast(db, sql)
+        assert plan is entry.plan and recycling is entry.own
         again = db.execute_prepared(sql)
         assert again.plan is entry.plan and parsed == []
         assert (again.rows, again.actual_cost) == (first.rows, first.actual_cost)

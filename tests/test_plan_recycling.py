@@ -22,7 +22,7 @@ from repro.minidb import planner as P
 from repro.minidb.catalog import Catalog
 from repro.minidb.datagen import generate_tpch_database
 from repro.minidb.engine import Database
-from repro.minidb.plancache import VERIFY_BINDINGS, PlanCache
+from repro.minidb.plancache import RESULTS_PER_ENTRY, VERIFY_BINDINGS, PlanCache
 from repro.minidb.storage import Table
 from repro.sql.params import extract_parameters
 from repro.sql.parser import parse_select
@@ -98,6 +98,15 @@ def _kept(db: Database) -> list:
         for record in db.plan_cache._templates.values()
         for entry in record.plans.values()
         for kept in entry.recycled.kept.values()
+    ]
+
+
+def _roots(db: Database) -> list:
+    return [
+        root
+        for record in db.plan_cache._templates.values()
+        for entry in record.plans.values()
+        for root in entry.recycled.roots.values()
     ]
 
 
@@ -235,6 +244,10 @@ class TestKeptResultsLifetime:
             db.execute_prepared(_GROUPED)
             refs = [weakref.ref(kept.frame) for kept in _kept(db)]
             assert refs, drop
+            roots = _roots(db)
+            assert len(roots) == 1, drop
+            refs += [weakref.ref(array) for array in roots[0].arrays]
+            del roots
             if drop == "load_table":
                 db.load_table(Table(name="u", dtypes={"c": "int"}, columns={"c": np.arange(3)}))
                 # the stale entry is replaced on its next lookup
@@ -279,3 +292,108 @@ def test_two_threads_on_one_template_match_the_oracle():
     assert not errors, errors
     assert got[0] == want and got[1] == want
     assert db.plan_cache.stats()["recycled"] > 0
+
+
+class TestKeptRootsPerBinding:
+    """Every binding an entry serves keeps its root result (at most
+    ``RESULTS_PER_ENTRY``, least recently used evicted first), so a
+    repeated binding is served whole whichever text planned the entry."""
+
+    @staticmethod
+    def _past_verification(db: Database) -> None:
+        for value in range(VERIFY_BINDINGS):
+            db.execute_prepared(_BY_A % (100 + value))
+
+    def test_a_repeated_rebound_binding_takes_its_root(self):
+        db, oracle = _tiny_db(), _tiny_db()
+        self._past_verification(db)
+        sql = _BY_A % 2
+        first, again = db.execute_prepared(sql), db.execute_prepared(sql)
+        assert (first.stats.recycled, again.stats.recycled) == (0, 1)
+        assert _outcome(lambda _: again, sql) == _outcome(oracle.execute, sql)
+
+    def test_equal_values_of_other_types_keep_apart(self):
+        """``2 == 2.0``: keyed by value alone, the float binding would be
+        served the int binding's rows."""
+        db, oracle = _tiny_db(), _tiny_db()
+        texts = ["select 2 * a as x from t where b > 0", "select 2.0 * a as x from t where b > 0"]
+        for sql in texts * 3:
+            assert _outcome(db.execute_prepared, sql) == _outcome(oracle.execute, sql), sql
+        assert db.plan_cache.stats()["recycled"] > 0
+
+    def test_the_least_recently_used_root_goes_first(self):
+        db = _tiny_db()
+        self._past_verification(db)
+        for value in range(RESULTS_PER_ENTRY + 1):
+            db.execute_prepared(_BY_A % value)
+        assert len(_roots(db)) == RESULTS_PER_ENTRY  # binding 0 is gone
+        assert db.execute_prepared(_BY_A % 0).stats.recycled == 0
+        # that evicted binding 1; binding 2 is now touched and outlives 3
+        assert db.execute_prepared(_BY_A % 2).stats.recycled == 1
+        assert db.execute_prepared(_BY_A % 50).stats.recycled == 0
+        assert db.execute_prepared(_BY_A % 2).stats.recycled == 1
+        assert db.execute_prepared(_BY_A % 3).stats.recycled == 0
+        assert len(_roots(db)) == RESULTS_PER_ENTRY
+
+    def test_a_replaced_array_read_through_a_kept_subtree_is_read_again(self):
+        """The literal-free scan of ``u`` is kept on the entry and taken,
+        not run, by later bindings; their roots still read ``u``."""
+
+        def two_tables() -> Database:
+            db = _tiny_db()
+            db.load_table(
+                Table(
+                    name="u",
+                    dtypes={"c": "int", "d": "int"},
+                    columns={"c": np.array([1, 2, 3, 5]), "d": np.array([0, 2, 9, 1])},
+                )
+            )
+            return db
+
+        sql = "select t.a, t.b, u.d from t, u where t.a = u.c and u.c >= u.d and t.b > %d"
+        db, oracle = two_tables(), two_tables()
+        for value in range(VERIFY_BINDINGS + 2):
+            db.execute_prepared(sql % value)
+        first = db.execute_prepared(sql % 1)
+        assert first.stats.recycled == 1
+        u = db.table("u")
+        u.columns["d"] = u.columns["d"] - 1
+        oracle.table("u").columns["d"] = u.columns["d"]
+        replaced = db.execute_prepared(sql % 1)
+        assert replaced.stats.recycled == 0
+        assert _outcome(lambda _: replaced, sql % 1) == _outcome(oracle.execute, sql % 1)
+        assert repr(replaced.rows) != repr(first.rows)
+
+    def test_two_threads_on_repeated_bindings_match_the_oracle(self):
+        """Two threads share one ``Database`` under a 1 µs switch
+        interval, each replaying the same bindings three times: kept
+        roots stored and served concurrently give the oracle's outcome."""
+        pool = generate_tpch_workload(instances_per_template=4, seed=31)
+        n = 4
+        stream = [pool[(t - 1) * n + c] for c in range(n) for t in (3, 5, 10, 18)] * 3
+        oracle = _fresh(_tpch_source())
+        want = [_outcome(oracle.execute, sql) for sql in stream]
+        db = _fresh(_tpch_source())
+        got: dict[int, list] = {}
+        errors: list[BaseException] = []
+
+        def worker(k: int) -> None:
+            try:
+                got[k] = [_outcome(db.execute_prepared, sql) for sql in stream]
+            except BaseException as exc:  # noqa: BLE001 - collected
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert got[0] == want and got[1] == want
+        assert _roots(db)
