@@ -1,7 +1,7 @@
 """Fault-tolerant serving: the primary dies, the stream doesn't notice.
 
 Same prediction-driven dispatch as ``backend_routing.py``, but the
-primary database now sits behind a :class:`FaultInjectingBackend`
+primary database now sits behind a ``ScheduledOutage`` wrapper
 running a scripted outage — a hard blackout followed by a flapping
 link, all on a logical clock that ticks once per batch. The binding is
 registered with a :class:`RetryPolicy` (transient bursts get
@@ -23,19 +23,17 @@ Run:  PYTHONPATH=src python examples/fault_tolerant_serving.py
 
 from repro import MiniDBBackend, QuercService
 from repro.apps.routing import RoutingPolicyAuditor
-from repro.backends import (
-    Blackout,
-    CircuitBreaker,
-    FaultInjectingBackend,
-    Flap,
-    RetryPolicy,
-)
+from repro.backends import Backend, CircuitBreaker, RetryPolicy
 from repro.embedding import BagOfTokensEmbedder
+from repro.errors import BackendError
 from repro.minidb import materialize_log_tables
 from repro.workloads import QueryStream, SnowSimConfig, generate_snowsim_workload
 
-BLACKOUT = (4.0, 16.0)  # primary dead for batches t=4..15
-FLAP = (16.0, 26.0, 2.0)  # then down/up alternating one-batch phases
+
+def primary_down(t: float) -> bool:
+    """Dead for batches t=4..15, then down/up alternating one-batch
+    phases until t=26."""
+    return 4 <= t < 16 or (16 <= t < 26 and (t - 16) % 2 < 1)
 
 
 class LogicalClock:
@@ -46,6 +44,22 @@ class LogicalClock:
 
     def __call__(self) -> float:
         return self.now
+
+
+class ScheduledOutage(Backend):
+    """Raises whenever ``down(clock())``; otherwise the inner backend."""
+
+    def __init__(self, inner: Backend, down, clock) -> None:
+        super().__init__(inner.name)
+        self.inner, self.down, self.clock = inner, down, clock
+
+    def execute(self, queries):
+        return self.execute_templated(queries)
+
+    def execute_templated(self, queries, template_ids=None):
+        if self.down(self.clock()):
+            raise BackendError(f"backend {self.name!r}: scheduled outage")
+        return self.inner.execute_templated(queries, template_ids)
 
 
 def main() -> None:
@@ -59,11 +73,7 @@ def main() -> None:
     clock = LogicalClock()
     service = QuercService()
     service.register_backend(
-        FaultInjectingBackend(
-            MiniDBBackend("primary", database),
-            [Blackout(*BLACKOUT), Flap(*FLAP)],
-            clock=clock,
-        ),
+        ScheduledOutage(MiniDBBackend("primary", database), primary_down, clock),
         fallback="standby",
         retry=RetryPolicy(
             max_attempts=2,

@@ -17,25 +17,11 @@
 * :class:`RetryPolicy` / :class:`CircuitBreaker`
   (:mod:`repro.backends.resilience`) — fault tolerance on the dispatch
   path: bounded retries with deterministic backoff, per-backend
-  circuit breaking, and candidate failover;
-* :class:`FaultInjectingBackend` (:mod:`repro.backends.faults`) — the
-  deterministic chaos harness that proves the above.
+  circuit breaking, and candidate failover.
 """
 
 from repro.backends.admission import AdmissionController, TokenBucket
 from repro.backends.base import Backend, BatchResult, NullBackend, QueryOutcome
-from repro.backends.faults import (
-    Blackout,
-    FailedOutcomes,
-    FaultInjectingBackend,
-    FaultPlan,
-    FaultSpec,
-    Flap,
-    InjectedFaultError,
-    LatencySpike,
-    RandomFaults,
-    TransientBurst,
-)
 from repro.backends.latency import LatencyProxyBackend
 from repro.backends.minidb_backend import MiniDBBackend
 from repro.backends.policy import (
@@ -66,16 +52,6 @@ __all__ = [
     "QueryOutcome",
     "LatencyProxyBackend",
     "MiniDBBackend",
-    "Blackout",
-    "FailedOutcomes",
-    "FaultInjectingBackend",
-    "FaultPlan",
-    "FaultSpec",
-    "Flap",
-    "InjectedFaultError",
-    "LatencySpike",
-    "RandomFaults",
-    "TransientBurst",
     "BreakerState",
     "CircuitBreaker",
     "RetryPolicy",

@@ -212,37 +212,43 @@ class AdmissionController:
         carried over and clamped, never topped up, so a resize cannot
         mint a token burst. A bucket created by adding a rate to a
         previously unlimited gate starts *empty*: arrivals that used
-        to pass uncounted begin paying immediately.
+        to pass uncounted begin paying immediately. Every argument is
+        validated before any knob changes: a call that raises leaves
+        the gate as it was.
         """
-        if max_in_flight is not _UNSET:
-            if max_in_flight is not None and max_in_flight < 1:
-                raise AdmissionError("max_in_flight must be >= 1 (or None)")
-            with self._lock:
-                self.max_in_flight = max_in_flight
-        if rate is not _UNSET or burst is not _UNSET:
-            new_rate = None if rate is _UNSET else rate
-            new_burst = None if burst is _UNSET else burst
-            with self._lock:
-                if rate is not _UNSET and rate is None:
-                    # burst without a rate is the constructor's error too
-                    if new_burst is not None:
-                        raise AdmissionError("burst requires a rate")
-                    self._bucket = None
-                elif self._bucket is not None:
-                    self._bucket.resize(rate=new_rate, burst=new_burst)
-                elif new_rate is not None:
-                    bucket = TokenBucket(
-                        new_rate,
-                        new_burst if new_burst is not None else new_rate,
-                        self._clock,
-                    )
-                    # start empty, not full: adding a rate limit must
-                    # meter the very next arrival, not grant a burst
-                    bucket._tokens = 0.0
-                    self._bucket = bucket
-                else:
-                    raise AdmissionError("burst requires a rate")
+        new_rate = None if rate is _UNSET else rate
+        new_burst = None if burst is _UNSET else burst
         with self._lock:
+            bound = None if max_in_flight is _UNSET else max_in_flight
+            if bound is not None and bound < 1:
+                raise AdmissionError("max_in_flight must be >= 1 (or None)")
+            if burst is not _UNSET and (
+                (rate is _UNSET and self._bucket is None)
+                or (rate is None and burst is not None)
+            ):
+                # burst without a rate is the constructor's error too
+                raise AdmissionError("burst requires a rate")
+            if new_rate is not None and new_rate <= 0:
+                raise AdmissionError("token rate must be positive")
+            if new_burst is not None and new_burst <= 0:
+                raise AdmissionError("burst capacity must be positive")
+            if max_in_flight is not _UNSET:
+                self.max_in_flight = max_in_flight
+            if rate is None:
+                self._bucket = None
+            elif self._bucket is not None:
+                if rate is not _UNSET or burst is not _UNSET:
+                    self._bucket.resize(rate=new_rate, burst=new_burst)
+            elif new_rate is not None:
+                bucket = TokenBucket(
+                    new_rate,
+                    new_burst if new_burst is not None else new_rate,
+                    self._clock,
+                )
+                # start empty, not full: adding a rate limit must
+                # meter the very next arrival, not grant a burst
+                bucket._tokens = 0.0
+                self._bucket = bucket
             self._resizes += 1
         return self.snapshot()
 

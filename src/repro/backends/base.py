@@ -75,7 +75,7 @@ class BatchResult:
 def rebadge(result: BatchResult, name: str) -> BatchResult:
     """Re-attribute a :class:`BatchResult` to ``name``.
 
-    Wrapper backends (latency proxies, fault injectors) delegate to an
+    Wrapper backends (latency proxies, say) delegate to an
     inner backend but are registered under their own binding; outcomes
     must carry the wrapper's name so reports and per-backend counters
     attribute them to the binding that dispatched, not the engine that

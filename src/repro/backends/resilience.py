@@ -143,7 +143,9 @@ class CircuitBreaker:
     backend's admission gate, and :meth:`record_success` /
     :meth:`record_failure` after each execute attempt (one observation
     per *call*, not per query — a wholesale raise and an all-failed
-    outcome batch both count as one failure).
+    outcome batch both count as one failure). An allowed offer the gate
+    admits none of never executes; the router hands it back with
+    :meth:`release` instead.
 
     Trip conditions (either, evaluated on every failure):
 
@@ -274,6 +276,13 @@ class CircuitBreaker:
                 self._probes_in_flight += 1
                 return n
             return n
+
+    def release(self) -> None:
+        """An allowed offer executed nothing (its admission gate took
+        none of it): hand back the half-open probe it may hold."""
+        with self._lock:
+            if self._state is BreakerState.HALF_OPEN:
+                self._probes_in_flight = max(0, self._probes_in_flight - 1)
 
     def record_success(self) -> None:
         """One execute call came back healthy."""

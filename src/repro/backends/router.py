@@ -974,9 +974,10 @@ class BatchRouter:
         sibling; a later hop rejects what it cannot take (no cascading).
 
         Returns one decision for this binding, plus the sibling's
-        decisions when work was handed across. The
-        overflow is dispositioned *before* execution, so a backend
-        that raises (strict mode) can never silently drop it. The
+        decisions when work was handed across. The overflow is
+        dispositioned *before* execution, so a backend that raises
+        (strict mode) can never silently drop it; a sibling that
+        raises on it re-raises only once this hop's rows ran. The
         dispatch-side counters land in **one** atomic ``add``, so a
         concurrent ``snapshot`` always sees ``dispatched == admitted +
         rejected + queued + spilled + queue_evicted``. Both the
@@ -992,7 +993,9 @@ class BatchRouter:
           sibling through the fallback machinery (counted as spill at
           the origin, offered fresh at the sibling), or is shed when
           none exists. Either way the origin's gate statistics record a
-          full rejection, so the load-aware policies keep steering away;
+          full rejection, so the load-aware policies keep steering away.
+          A half-open probe the gate then admits none of goes straight
+          back (:meth:`CircuitBreaker.release`): no call will report it;
         * a group whose every execute attempt **raised** (retry
           exhaustion or deadline expiry) fails over to a sibling as a
           recovery pass (``failover_from`` decisions, excluded from the
@@ -1006,6 +1009,8 @@ class BatchRouter:
         breaker = binding.breaker
         breaker_open = breaker is not None and breaker.allow(n) <= 0
         admitted_n = 0 if breaker_open else binding.admission.admit(n)
+        if breaker is not None and not breaker_open and not admitted_n:
+            breaker.release()  # no call will report a half-open probe back
         binding.load_signal.observe_admission(n, admitted_n)
         admitted, overflow = messages[:admitted_n], messages[admitted_n:]
 
@@ -1051,12 +1056,17 @@ class BatchRouter:
             failovers_out=1 if handoff else 0,
             failovers_in=1 if failover_from else 0,
         )
+        sibling_error: Exception | None = None
         if spilled_to:
             sibling = self.registry.get(spilled_to)
-            # one hop only: the sibling's own overflow is rejected
-            sibling_decisions = self._offer(
-                sibling, overflow, from_queue=from_queue, spilled_from=binding.name
-            )
+            # one hop only: the sibling's own overflow is rejected; its
+            # raise waits until this hop's admitted rows have run
+            try:
+                sibling_decisions = self._offer(
+                    sibling, overflow, from_queue=from_queue, spilled_from=binding.name
+                )
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                sibling_error = exc
 
         result: BatchResult | None = None
         retries_used = 0
@@ -1108,6 +1118,8 @@ class BatchRouter:
                     from_queue=from_queue,
                     failover_from=binding.name,
                 )
+        if sibling_error is not None:
+            raise sibling_error
         return [
             RouteDecision(
                 backend=binding.name,

@@ -4,33 +4,25 @@ Everything here runs on injected clocks and no-op sleeps — the chaos
 schedule (bursts, blackouts, flaps) is deterministic in logical time,
 so these tests replay identically on every run and never block on wall
 time. Coverage is bottom-up: the retry/backoff math, the breaker state
-machine, the fault-injection harness, then the router's resilience
-hooks end to end (retry → failover → short-circuit → recovery) and the
-counter invariants they must preserve.
+machine, then the router's resilience hooks end to end (retry →
+failover → short-circuit → recovery) and the counter invariants they
+must preserve. Backends fail through ``tests/scripted_backend.py``.
 """
 
 from __future__ import annotations
 
 import pytest
+from scripted_backend import FAIL, RAISE, ScriptedBackend, ScriptedFault
 
 from repro.backends import (
     BackendRegistry,
     BatchRouter,
-    Blackout,
     BreakerState,
     CircuitBreaker,
-    FailedOutcomes,
-    FaultInjectingBackend,
-    FaultPlan,
-    Flap,
-    InjectedFaultError,
-    LatencySpike,
     LeastLoadedPolicy,
     NullBackend,
-    RandomFaults,
     RetryPolicy,
     SpillPolicy,
-    TransientBurst,
 )
 from repro.core.labeled_query import LabeledQuery
 from repro.errors import BackendError
@@ -256,123 +248,6 @@ class TestCircuitBreaker:
             CircuitBreaker(half_open_probes=0)
 
 
-# -- fault harness ------------------------------------------------------------------
-
-
-class TestFaultHarness:
-    def test_transient_burst_then_clean(self):
-        clock = FakeClock()
-        backend = FaultInjectingBackend(
-            NullBackend("db"), [TransientBurst(2)], clock=clock
-        )
-        for _ in range(2):
-            with pytest.raises(InjectedFaultError):
-                backend.execute(["select 1"])
-        result = backend.execute(["select 1"])
-        assert result.ok_count == 1
-        assert result.backend == "db"  # rebadged to the wrapper's name
-        snap = backend.snapshot()
-        assert snap["injected_errors"] == 2
-        assert snap["clean_calls"] == 1
-
-    def test_failed_outcomes_answer_without_raising(self):
-        backend = FaultInjectingBackend(
-            NullBackend("db"), [FailedOutcomes(1, error="boom")]
-        )
-        result = backend.execute(["a", "b"])
-        assert result.ok_count == 0
-        assert result.failed_count == 2
-        assert all(o.error == "boom" for o in result.outcomes)
-        assert backend.execute(["a"]).ok_count == 1
-
-    def test_latency_spike_delays_then_delegates(self):
-        sleeps = SleepRecorder()
-        backend = FaultInjectingBackend(
-            NullBackend("db"), [LatencySpike(1, seconds=3.5)], sleep=sleeps
-        )
-        assert backend.execute(["q"]).ok_count == 1
-        assert sleeps.calls == [3.5]
-        assert backend.snapshot()["injected_delays"] == 1
-
-    def test_blackout_window_follows_the_clock(self):
-        clock = FakeClock()
-        backend = FaultInjectingBackend(
-            NullBackend("db"), [Blackout(start=5.0, end=10.0)], clock=clock
-        )
-        assert backend.execute(["q"]).ok_count == 1  # t=0: up
-        clock.advance(5.0)
-        with pytest.raises(InjectedFaultError):
-            backend.execute(["q"])  # t=5: dark
-        clock.advance(5.0)
-        assert backend.execute(["q"]).ok_count == 1  # t=10: back
-
-    def test_flap_duty_cycle(self):
-        clock = FakeClock()
-        backend = FaultInjectingBackend(
-            NullBackend("db"),
-            [Flap(start=0.0, end=10.0, period=2.0, duty=0.5)],
-            clock=clock,
-        )
-        up_down = []
-        for _ in range(10):
-            try:
-                backend.execute(["q"])
-                up_down.append("up")
-            except InjectedFaultError:
-                up_down.append("down")
-            clock.advance(1.0)
-        assert up_down == ["down", "up"] * 5
-
-    def test_random_faults_replay_with_seeded_rng(self):
-        from random import Random
-
-        def run(seed: int) -> list[bool]:
-            backend = FaultInjectingBackend(
-                NullBackend("db"),
-                [RandomFaults(0.5)],
-                rng=Random(seed),
-            )
-            outcomes = []
-            for _ in range(20):
-                try:
-                    backend.execute(["q"])
-                    outcomes.append(True)
-                except InjectedFaultError:
-                    outcomes.append(False)
-            return outcomes
-
-        assert run(42) == run(42)
-        assert run(42) != run(43)
-
-    def test_plan_first_spec_wins(self):
-        clock = FakeClock()
-        plan = FaultPlan(
-            [TransientBurst(1, error="first"), Blackout(0.0, 100.0, error="second")],
-            clock=clock,
-        )
-        assert plan.decide() == ("raise", "first")
-        assert plan.decide() == ("raise", "second")
-        assert plan.calls == 2
-
-    def test_plan_rejects_non_specs(self):
-        with pytest.raises(BackendError):
-            FaultPlan(["not a spec"])  # type: ignore[list-item]
-
-    def test_spec_validation(self):
-        with pytest.raises(BackendError):
-            TransientBurst(0)
-        with pytest.raises(BackendError):
-            Blackout(5.0, 5.0)
-        with pytest.raises(BackendError):
-            Flap(0.0, 10.0, period=0)
-        with pytest.raises(BackendError):
-            Flap(0.0, 10.0, period=2.0, duty=1.0)
-        with pytest.raises(BackendError):
-            RandomFaults(1.5)
-        with pytest.raises(BackendError):
-            LatencySpike(1, seconds=-1)
-
-
 # -- router integration -------------------------------------------------------------
 
 
@@ -380,9 +255,11 @@ class TestRouterResilience:
     def test_unconfigured_binding_raises_untouched(self):
         registry, router = make_router(default_backend="flaky")
         registry.register(
-            FaultInjectingBackend(NullBackend("flaky"), [TransientBurst(1)])
+            ScriptedBackend(
+                NullBackend("flaky"), lambda call, now: RAISE if call <= 1 else None
+            )
         )
-        with pytest.raises(InjectedFaultError):
+        with pytest.raises(ScriptedFault):
             router.dispatch("app", make_batch(2))
 
     def test_retry_recovers_within_attempts(self):
@@ -390,8 +267,8 @@ class TestRouterResilience:
         sleeps = SleepRecorder(clock)
         registry, router = make_router(default_backend="flaky")
         registry.register(
-            FaultInjectingBackend(
-                NullBackend("flaky"), [TransientBurst(2)], clock=clock
+            ScriptedBackend(
+                NullBackend("flaky"), lambda call, now: RAISE if call <= 2 else None
             ),
             retry=RetryPolicy(
                 max_attempts=3,
@@ -419,8 +296,10 @@ class TestRouterResilience:
         sleeps = SleepRecorder(clock)
         registry, router = make_router(default_backend="primary")
         registry.register(
-            FaultInjectingBackend(
-                NullBackend("primary"), [Blackout(0.0, 100.0)], clock=clock
+            ScriptedBackend(
+                NullBackend("primary"),
+                lambda call, now: RAISE if now < 100.0 else None,
+                clock,
             ),
             retry=RetryPolicy(
                 max_attempts=2, base_delay=0.1, jitter=0.0, clock=clock, sleep=sleeps
@@ -454,14 +333,16 @@ class TestRouterResilience:
         clock = FakeClock()
         registry, router = make_router(default_backend="only")
         registry.register(
-            FaultInjectingBackend(
-                NullBackend("only"), [Blackout(0.0, 100.0)], clock=clock
+            ScriptedBackend(
+                NullBackend("only"),
+                lambda call, now: RAISE if now < 100.0 else None,
+                clock,
             ),
             retry=RetryPolicy(
                 max_attempts=2, base_delay=0.0, clock=clock, sleep=lambda _s: None
             ),
         )
-        with pytest.raises(InjectedFaultError):
+        with pytest.raises(ScriptedFault):
             router.dispatch("app", make_batch(2))
         binding = registry.get("only")
         assert binding.counters.value("failed") == 2
@@ -472,8 +353,10 @@ class TestRouterResilience:
         sleeps = SleepRecorder(clock)
         registry, router = make_router(default_backend="primary")
         registry.register(
-            FaultInjectingBackend(
-                NullBackend("primary"), [Blackout(0.0, 100.0)], clock=clock
+            ScriptedBackend(
+                NullBackend("primary"),
+                lambda call, now: RAISE if now < 100.0 else None,
+                clock,
             ),
             retry=RetryPolicy(
                 max_attempts=10,
@@ -500,8 +383,10 @@ class TestRouterResilience:
         clock = FakeClock()
         registry, router = make_router(default_backend="primary")
         registry.register(
-            FaultInjectingBackend(
-                NullBackend("primary"), [Blackout(0.0, 50.0)], clock=clock
+            ScriptedBackend(
+                NullBackend("primary"),
+                lambda call, now: RAISE if now < 50.0 else None,
+                clock,
             ),
             breaker=CircuitBreaker(
                 failure_threshold=1, recovery_seconds=100.0, clock=clock
@@ -536,14 +421,14 @@ class TestRouterResilience:
         clock = FakeClock()
         registry, router = make_router(default_backend="only")
         registry.register(
-            FaultInjectingBackend(
-                NullBackend("only"), [TransientBurst(1)], clock=clock
+            ScriptedBackend(
+                NullBackend("only"), lambda call, now: RAISE if call <= 1 else None
             ),
             breaker=CircuitBreaker(
                 failure_threshold=1, recovery_seconds=100.0, clock=clock
             ),
         )
-        with pytest.raises(InjectedFaultError):
+        with pytest.raises(ScriptedFault):
             router.dispatch("app", make_batch(1))  # trips the breaker
         report = router.dispatch("app", make_batch(4))
         (decision,) = report.decisions
@@ -559,8 +444,10 @@ class TestRouterResilience:
         registry, router = make_router(default_backend="primary")
         primary_db = NullBackend("primary")
         registry.register(
-            FaultInjectingBackend(
-                primary_db, [Blackout(0.0, 10.0)], clock=clock
+            ScriptedBackend(
+                primary_db,
+                lambda call, now: RAISE if now < 10.0 else None,
+                clock,
             ),
             breaker=CircuitBreaker(
                 failure_threshold=1, recovery_seconds=20.0, clock=clock
@@ -581,13 +468,43 @@ class TestRouterResilience:
         assert transitions["half_opens"] == 1
         assert transitions["closes"] == 1
 
+    def test_probe_the_gate_refuses_is_handed_back(self):
+        """A half-open probe whose group the admission gate admits none
+        of never executes; it must not hold the probe slot forever."""
+        clock = FakeClock()
+        registry, router = make_router(default_backend="only")
+        registry.register(
+            ScriptedBackend(
+                NullBackend("only"), lambda call, now: RAISE if call <= 1 else None
+            ),
+            max_in_flight=1,
+            breaker=CircuitBreaker(
+                failure_threshold=1, recovery_seconds=1.0, clock=clock
+            ),
+            clock=clock,
+        )
+        with pytest.raises(ScriptedFault):
+            router.dispatch("app", make_batch(1))  # trips the breaker
+        binding = registry.get("only")
+        clock.advance(2.0)
+        assert binding.admission.admit(1) == 1  # a concurrent call holds the slot
+        (decision,) = router.dispatch("app", make_batch(1)).decisions
+        assert (decision.breaker_open, decision.rejected) == (False, 1)
+        assert binding.breaker.snapshot()["probes_in_flight"] == 0
+        binding.admission.release(1)
+        for t in (6.0, 50.0, 500.0):
+            clock.now = t
+            assert router.dispatch("app", make_batch(1)).executed_ok == 1
+            assert binding.breaker.state is BreakerState.CLOSED
+        assert_invariant(binding)
+
     def test_all_failed_outcomes_feed_breaker_but_do_not_retry(self):
         clock = FakeClock()
         sleeps = SleepRecorder(clock)
         registry, router = make_router(default_backend="primary")
         registry.register(
-            FaultInjectingBackend(
-                NullBackend("primary"), [FailedOutcomes(2)], clock=clock
+            ScriptedBackend(
+                NullBackend("primary"), lambda call, now: FAIL if call <= 2 else None
             ),
             retry=RetryPolicy(
                 max_attempts=5, base_delay=0.1, clock=clock, sleep=sleeps
@@ -608,8 +525,10 @@ class TestRouterResilience:
         clock = FakeClock()
         registry, router = make_router(default_backend="primary")
         registry.register(
-            FaultInjectingBackend(
-                NullBackend("primary"), [Blackout(0.0, 100.0)], clock=clock
+            ScriptedBackend(
+                NullBackend("primary"),
+                lambda call, now: RAISE if now < 100.0 else None,
+                clock,
             ),
             fallback="warm",
             spill=SpillPolicy.FALLBACK,
@@ -630,8 +549,10 @@ class TestRouterResilience:
         clock = FakeClock()
         registry, router = make_router(default_backend="primary")
         registry.register(
-            FaultInjectingBackend(
-                NullBackend("primary"), [Blackout(0.0, 100.0)], clock=clock
+            ScriptedBackend(
+                NullBackend("primary"),
+                lambda call, now: RAISE if now < 100.0 else None,
+                clock,
             ),
             retry=RetryPolicy(max_attempts=1, clock=clock, sleep=lambda _s: None),
         )
@@ -661,8 +582,10 @@ class TestRouterResilience:
         clock = FakeClock()
         registry, router = make_router(default_backend="A")
         registry.register(
-            FaultInjectingBackend(
-                NullBackend("A"), [Blackout(0.0, 100.0)], clock=clock
+            ScriptedBackend(
+                NullBackend("A"),
+                lambda call, now: RAISE if now < 100.0 else None,
+                clock,
             ),
             retry=RetryPolicy(max_attempts=1, clock=clock, sleep=lambda _s: None),
         )
@@ -684,8 +607,10 @@ class TestRouterResilience:
         clock = FakeClock()
         registry, router = make_router(default_backend="primary")
         registry.register(
-            FaultInjectingBackend(
-                NullBackend("primary"), [Blackout(0.0, 100.0)], clock=clock
+            ScriptedBackend(
+                NullBackend("primary"),
+                lambda call, now: RAISE if now < 100.0 else None,
+                clock,
             ),
             retry=RetryPolicy(max_attempts=1, clock=clock, sleep=lambda _s: None),
         )
@@ -784,8 +709,8 @@ class TestRouterResilience:
         clock = FakeClock()
         registry, router = make_router(default_backend="primary")
         registry.register(
-            FaultInjectingBackend(
-                NullBackend("primary"), [TransientBurst(1)], clock=clock
+            ScriptedBackend(
+                NullBackend("primary"), lambda call, now: RAISE if call <= 1 else None
             ),
             retry=RetryPolicy(
                 max_attempts=2, base_delay=0.0, clock=clock, sleep=lambda _s: None
@@ -812,10 +737,15 @@ class TestRouterResilience:
         clock = FakeClock()
         registry, router = make_router(default_backend="a")
         registry.register(
-            FaultInjectingBackend(
+            ScriptedBackend(
                 NullBackend("a"),
-                [Blackout(3.0, 12.0), Flap(12.0, 20.0, period=2.0)],
-                clock=clock,
+                # a blackout over [3, 12), then a flap: down 1 s of every 2 to 20
+                lambda call, now: (
+                    RAISE
+                    if 3.0 <= now < 12.0 or (12.0 <= now < 20.0 and now % 2.0 < 1.0)
+                    else None
+                ),
+                clock,
             ),
             retry=RetryPolicy(
                 max_attempts=2, base_delay=0.0, clock=clock, sleep=lambda _s: None

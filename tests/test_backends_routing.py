@@ -14,14 +14,13 @@ import threading
 
 import numpy as np
 import pytest
+from scripted_backend import RAISE, ScriptedBackend, ScriptedFault
 
 from repro.backends import (
     AdmissionController,
     BackendRegistry,
     BatchRouter,
-    Blackout,
     CircuitBreaker,
-    FaultInjectingBackend,
     LeastLoadedPolicy,
     MiniDBBackend,
     NullBackend,
@@ -561,6 +560,25 @@ class TestBatchRouterDispatch:
         assert b_counters["queued"] == 0
         registry.get("DB(B)").admission.release(4)
 
+    def test_fallback_sibling_raise_waits_for_the_origin(self, form):
+        """A FALLBACK sibling that raises on the overflow surfaces its
+        error only after the origin's admitted rows ran and gave their
+        slots back; otherwise the origin's gate stays full for good."""
+        registry, router = make_router()
+        primary = NullBackend("DB(A)")
+        registry.register(
+            primary, max_in_flight=2, spill=SpillPolicy.FALLBACK, fallback="DB(B)"
+        )
+        registry.register(
+            ScriptedBackend(NullBackend("DB(B)"), lambda call, now: RAISE)
+        )
+        with pytest.raises(ScriptedFault):
+            router.dispatch("X", form(make_batch(3, "DB(A)")))
+        origin = registry.get("DB(A)")
+        assert primary.accepted == 2
+        assert origin.counters.value("executed_ok") == 2
+        assert origin.admission.in_flight == 0
+
     def test_snapshot_mid_dispatch_is_internally_consistent(self, form):
         """Concurrent snapshots always reconcile: dispatched ==
         admitted + rejected + queued + spilled, per backend — the
@@ -716,8 +734,10 @@ def _scenario_failover():
         a_kwargs={
             "retry": RetryPolicy(max_attempts=2, clock=clock, sleep=lambda _s: None)
         },
-        a_wrap=lambda backend: FaultInjectingBackend(
-            backend, [Blackout(0.0, 100.0)], clock=clock
+        a_wrap=lambda backend: ScriptedBackend(
+            backend,
+            lambda call, now: RAISE if now < 100.0 else None,
+            clock,
         ),
     )
     return fleet, [_mixed(6)]

@@ -373,3 +373,28 @@ class TestAdmissionControllerResize:
         gate.resize(max_in_flight=8)
         gate.resize(rate=1.0)
         assert gate.snapshot()["resizes"] == 2
+
+    @pytest.mark.parametrize(
+        "limits, change, error",
+        [
+            (
+                {"rate": 10.0, "burst": 10.0},
+                {"max_in_flight": 2, "rate": -1.0},
+                "token rate must be positive",
+            ),
+            ({}, {"max_in_flight": 2, "burst": 5.0}, "burst requires a rate"),
+            (
+                {"rate": 10.0},
+                {"max_in_flight": None, "rate": 5.0, "burst": 0.0},
+                "burst capacity must be positive",
+            ),
+        ],
+        ids=["bad-rate", "burst-without-rate", "bad-burst"],
+    )
+    def test_rejected_resize_changes_nothing(self, limits, change, error):
+        """Every argument is checked before any knob moves."""
+        gate = AdmissionController(max_in_flight=8, clock=FakeClock(), **limits)
+        before = gate.snapshot()
+        with pytest.raises(AdmissionError, match=error):
+            gate.resize(**change)
+        assert gate.snapshot() == before

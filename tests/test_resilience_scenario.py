@@ -30,13 +30,12 @@ Run alone::
 
 from __future__ import annotations
 
+from scripted_backend import RAISE, ScriptedBackend
+
 from repro.backends import (
     BackendRegistry,
     BatchRouter,
-    Blackout,
     CircuitBreaker,
-    FaultInjectingBackend,
-    Flap,
     MiniDBBackend,
     RetryPolicy,
 )
@@ -46,12 +45,14 @@ from repro.workloads import SnowSimConfig, generate_snowsim_workload
 
 BATCH_SIZE = 32
 N_BATCHES = 40
-# the outage script, in logical batch time (t = batch index):
-#   t in [5, 25)  — blackout: the primary is dead for 20 batches
-#   t in [25, 38) — flapping: down/up alternating one-batch phases
-BLACKOUT = (5.0, 25.0)
-FLAP = (25.0, 38.0, 2.0)
 MIN_GOODPUT = 2.0
+
+
+def outage(call: int, now: float) -> str | None:
+    """The outage script, in logical batch time (t = batch index):
+    t in [5, 25) a blackout, the primary dead for 20 batches; t in
+    [25, 38) a flapping link, down/up alternating one-batch phases."""
+    return RAISE if 5 <= now < 25 or (25 <= now < 38 and (now - 25) % 2 < 1) else None
 
 
 class LogicalClock:
@@ -84,12 +85,8 @@ def _build_batches() -> list[list[LabeledQuery]]:
     return batches, materialize_log_tables(queries, rows_per_table=8)
 
 
-def _chaos_primary(database, clock: LogicalClock) -> FaultInjectingBackend:
-    return FaultInjectingBackend(
-        MiniDBBackend("primary", database),
-        [Blackout(*BLACKOUT), Flap(*FLAP)],
-        clock=clock,
-    )
+def _chaos_primary(database, clock: LogicalClock) -> ScriptedBackend:
+    return ScriptedBackend(MiniDBBackend("primary", database), outage, clock)
 
 
 def _run(batches, database, resilient: bool):

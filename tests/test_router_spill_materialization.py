@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scripted_backend import RAISE, ScriptedBackend
 
 from repro.backends import (
     BackendRegistry,
     BatchRouter,
-    Blackout,
     CircuitBreaker,
-    FaultInjectingBackend,
     NullBackend,
     RetryPolicy,
     SpillPolicy,
@@ -181,8 +180,10 @@ class TestSpillMaterialization:
         clock = FakeClock()
         registry = BackendRegistry()
         registry.register(
-            FaultInjectingBackend(
-                NullBackend("DB(A)"), [Blackout(0.0, 100.0)], clock=clock
+            ScriptedBackend(
+                NullBackend("DB(A)"),
+                lambda call, now: RAISE if now < 100.0 else None,
+                clock,
             ),
             retry=RetryPolicy(
                 max_attempts=1, clock=clock, sleep=lambda _s: None

@@ -14,13 +14,12 @@ appear unnoticed.
 from __future__ import annotations
 
 import pytest
+from scripted_backend import RAISE, ScriptedBackend
 
 from repro.backends import (
     CircuitBreaker,
-    FaultInjectingBackend,
     NullBackend,
     RetryPolicy,
-    TransientBurst,
 )
 from repro.core import QuercService, QueryClassifier
 from repro.core.labeler import ClassifierLabeler
@@ -97,12 +96,7 @@ EXPECTED_KEY_TREE = {
         "burst granted headroom in_flight max_in_flight offered rate "
         "rejection_rate resizes tokens_available"
     ),
-    "backends.primary.backend": (
-        "clean_calls injected_delays injected_errors "
-        "injected_failed_batches inner kind name plan"
-    ),
-    "backends.primary.backend.plan": "calls specs",
-    "backends.primary.backend.inner": "accepted kind name",
+    "backends.primary.backend": "kind name",
     "backends.primary.breaker": (
         "closes consecutive_failures failure_rate_threshold "
         "failure_threshold half_open_probes half_opens opens "
@@ -248,8 +242,8 @@ def test_stats_key_tree_is_pinned(fitted_bow):
     clock = FakeClock()
     service = QuercService()
     service.register_backend(
-        FaultInjectingBackend(
-            NullBackend("primary"), [TransientBurst(1)], clock=clock
+        ScriptedBackend(
+            NullBackend("primary"), lambda call, now: RAISE if call <= 1 else None
         ),
         retry=RetryPolicy(
             max_attempts=2, base_delay=0.0, clock=clock, sleep=lambda _s: None
@@ -304,7 +298,9 @@ def test_breaker_with_its_own_hook_still_counts_in_runtime_stats():
     breaker.on_transition = lambda old, new: fired.append((old, new))
     service = QuercService()
     service.register_backend(
-        FaultInjectingBackend(NullBackend("primary"), [TransientBurst(1)]),
+        ScriptedBackend(
+            NullBackend("primary"), lambda call, now: RAISE if call <= 1 else None
+        ),
         breaker=breaker,
     )
     service.register_backend(NullBackend("standby"))
