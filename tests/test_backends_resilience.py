@@ -4,9 +4,10 @@ Everything here runs on injected clocks and no-op sleeps — the chaos
 schedule (bursts, blackouts, flaps) is deterministic in logical time,
 so these tests replay identically on every run and never block on wall
 time. Coverage is bottom-up: the retry/backoff math, the breaker state
-machine, then the router's resilience hooks end to end (retry →
-failover → short-circuit → recovery) and the counter invariants they
-must preserve. Backends fail through ``tests/scripted_backend.py``.
+machine, the fault schedules of ``tests/scripted_backend.py`` (through
+which every backend here fails), then the router's resilience hooks end
+to end (retry → failover → short-circuit → recovery) and the counter
+invariants they must preserve.
 """
 
 from __future__ import annotations
@@ -246,6 +247,64 @@ class TestCircuitBreaker:
             CircuitBreaker(recovery_seconds=-1)
         with pytest.raises(BackendError):
             CircuitBreaker(half_open_probes=0)
+
+
+# -- fault harness ------------------------------------------------------------------
+
+
+class TestFaultHarness:
+    """The scripted wrapper's one-line schedules do what they claim."""
+
+    def test_transient_burst_then_clean(self):
+        backend = ScriptedBackend(
+            NullBackend("db"), lambda call, now: RAISE if call <= 2 else None
+        )
+        for _ in range(2):
+            with pytest.raises(ScriptedFault):
+                backend.execute(["select 1"])
+        result = backend.execute(["select 1"])
+        assert result.ok_count == 1
+        assert result.backend == "db"
+        assert backend.calls == 3
+
+    def test_failed_outcomes_answer_without_raising(self):
+        backend = ScriptedBackend(
+            NullBackend("db"), lambda call, now: FAIL if call <= 1 else None
+        )
+        result = backend.execute(["a", "b"])
+        assert result.ok_count == 0
+        assert result.failed_count == 2
+        assert all(o.error == "scripted failure" for o in result.outcomes)
+        assert backend.execute(["a"]).ok_count == 1
+
+    def test_blackout_window_follows_the_clock(self):
+        clock = FakeClock()
+        backend = ScriptedBackend(
+            NullBackend("db"), lambda call, now: RAISE if 5 <= now < 10 else None, clock
+        )
+        assert backend.execute(["q"]).ok_count == 1  # t=0: up
+        clock.advance(5.0)
+        with pytest.raises(ScriptedFault):
+            backend.execute(["q"])  # t=5: dark
+        clock.advance(5.0)
+        assert backend.execute(["q"]).ok_count == 1  # t=10: back
+
+    def test_flap_duty_cycle(self):
+        clock = FakeClock()
+        backend = ScriptedBackend(
+            NullBackend("db"),
+            lambda call, now: RAISE if 0 <= now < 10 and now % 2 < 1 else None,
+            clock,
+        )
+        up_down = []
+        for _ in range(10):
+            try:
+                backend.execute(["q"])
+                up_down.append("up")
+            except ScriptedFault:
+                up_down.append("down")
+            clock.advance(1.0)
+        assert up_down == ["down", "up"] * 5
 
 
 # -- router integration -------------------------------------------------------------
