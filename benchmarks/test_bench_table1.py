@@ -10,8 +10,7 @@ from repro.experiments import common
 
 def test_table1_labeling_accuracy(benchmark, table1_result, scale, report):
     labeled = common.snowsim_records(scale, "labeled")
-    pretrain = [r.query for r in common.snowsim_records(scale, "pretrain")]
-    embedder = common.make_doc2vec(scale).fit(pretrain)
+    embedder = common.pretrained_embedder(scale, "doc2vec")
     auditor = SecurityAuditor(embedder, n_trees=scale.forest_trees, seed=0)
 
     def one_cv_cell():

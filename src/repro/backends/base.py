@@ -146,22 +146,23 @@ class NullBackend(Backend):
     """Accepts every query and executes nothing.
 
     The zero-cost stand-in for a database Querc labels but does not
-    manage — useful as a spill/fallback target and in tests. Keeps a
-    bounded tail of accepted texts so tests can observe arrival order.
+    manage — useful as a spill/fallback target and in tests. Keeps the
+    last ``KEEP_LAST`` accepted texts so tests can observe arrival order.
     """
 
-    def __init__(self, name: str, keep_last: int = 256) -> None:
+    KEEP_LAST = 256
+
+    def __init__(self, name: str) -> None:
         super().__init__(name)
         self._lock = threading.Lock()
         self._accepted = 0
         self._tail: list[str] = []
-        self._keep_last = keep_last
 
     def execute(self, queries: Sequence[str]) -> BatchResult:
         with self._lock:
             self._accepted += len(queries)
             self._tail.extend(queries)
-            del self._tail[: -self._keep_last or None]
+            del self._tail[: -self.KEEP_LAST]
         outcomes = tuple(QueryOutcome(query=q, ok=True) for q in queries)
         return BatchResult(backend=self.name, outcomes=outcomes)
 

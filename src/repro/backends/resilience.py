@@ -236,12 +236,14 @@ class CircuitBreaker:
         if old is new:
             return
         self._state = new
+        # probes belong to one half-open spell: every transition ends or
+        # starts one, so a late reply never leaves a count behind
+        self._probes_in_flight = 0
         if new is BreakerState.OPEN:
             self._opens += 1
             self._opened_at = self.clock()
         elif new is BreakerState.HALF_OPEN:
             self._half_opens += 1
-            self._probes_in_flight = 0
         else:
             self._closes += 1
             self._consecutive_failures = 0
@@ -288,7 +290,6 @@ class CircuitBreaker:
         """One execute call came back healthy."""
         with self._lock:
             if self._state is BreakerState.HALF_OPEN:
-                self._probes_in_flight = max(0, self._probes_in_flight - 1)
                 self._transition(BreakerState.CLOSED)
                 return
             self._consecutive_failures = 0
@@ -298,7 +299,6 @@ class CircuitBreaker:
         """One execute call faulted (raised, or returned only failures)."""
         with self._lock:
             if self._state is BreakerState.HALF_OPEN:
-                self._probes_in_flight = max(0, self._probes_in_flight - 1)
                 self._transition(BreakerState.OPEN)
                 return
             if self._state is BreakerState.OPEN:

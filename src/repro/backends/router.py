@@ -454,6 +454,29 @@ class BackendRegistry:
         return {name: self.get(name).snapshot() for name in self.names()}
 
 
+def resilience_view(backends: dict) -> dict:
+    """``stats()["resilience"]`` projected from one :meth:`BatchRouter.snapshot`:
+    fleet totals, and each binding's resilience counters with its breaker
+    and retry policy (None when unconfigured)."""
+    keys = (
+        "retries", "failovers_out", "failovers_in", "deadline_expiries",
+        "queue_evicted", "breaker", "retry",
+    )
+    per_backend = {
+        name: {key: snap[key] for key in keys} for name, snap in backends.items()
+    }
+    totals = {
+        total: sum(entry[key] for entry in per_backend.values())
+        for total, key in (
+            ("retries", "retries"),
+            ("failovers", "failovers_out"),
+            ("deadline_expiries", "deadline_expiries"),
+            ("queue_evicted", "queue_evicted"),
+        )
+    }
+    return {**totals, "backends": per_backend}
+
+
 class BatchRouter:
     """Dispatch labeled batches to backends by predicted label.
 
@@ -805,36 +828,9 @@ class BatchRouter:
         }
 
     def resilience_snapshot(self) -> dict:
-        """The resilience layer's view, for ``stats()["resilience"]``.
-
-        Totals across backends (retries, failovers, deadline expiries,
-        queue evictions) plus each binding's own counters and its
-        breaker / retry-policy snapshots (None when unconfigured).
-        """
-        keys = (
-            "retries", "failovers_out", "failovers_in", "deadline_expiries",
-            "queue_evicted",
-        )
-        backends: dict[str, dict] = {}
-        for name in self.registry.names():
-            binding = self.registry.get(name)
-            snap = binding.counters.snapshot()
-            backends[name] = {
-                **{key: snap[key] for key in keys},
-                "breaker": binding.breaker.snapshot() if binding.breaker else None,
-                "retry": binding.retry.snapshot() if binding.retry else None,
-            }
-
-        def total(key: str):
-            return sum(entry[key] for entry in backends.values())
-
-        return {
-            "retries": total("retries"),
-            "failovers": total("failovers_out"),
-            "deadline_expiries": total("deadline_expiries"),
-            "queue_evicted": total("queue_evicted"),
-            "backends": backends,
-        }
+        """The resilience layer's view: :func:`resilience_view` of one
+        :meth:`snapshot`."""
+        return resilience_view(self.snapshot())
 
     # -- internals -----------------------------------------------------------------
 

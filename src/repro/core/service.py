@@ -21,6 +21,7 @@ from repro.backends.router import (
     BackendRegistry,
     BatchRouter,
     DispatchReport,
+    resilience_view,
 )
 from repro.core.classifier import QueryClassifier
 from repro.core.deployment import DeployedModel, ModelRegistry
@@ -483,17 +484,21 @@ class QuercService:
         per-application state (both None until used); ``server`` the
         serving tier's snapshot (sessions, frames, sheds, bytes, edge
         gates) when a :class:`repro.server.QuercServer` is attached.
+
+        Each owner is read once, and a number shown in several sections
+        is projected from that one reading, so the sections agree.
         """
+        runtime = self.runtime.snapshot()
         backends = self.router.snapshot()
-        resilience = self.router.resilience_snapshot()
-        server = self._server.stats() if self._server is not None else None
+        resilience = resilience_view(backends)
+        server = self._server._stats(runtime) if self._server is not None else None
         executor_stats = self._last_executor_stats
         if self._server is not None:
             live = self._server.executor_stats()
             if live is not None:
                 executor_stats = live
         return {
-            "runtime": self._runtime_stats(resilience, server),
+            "runtime": self._runtime_stats(runtime, backends, resilience, server),
             "backends": backends,
             "plan_cache": _aggregate_plan_cache(backends),
             "routing": self.router.routing_snapshot(),
@@ -516,15 +521,20 @@ class QuercService:
             },
         }
 
-    def _runtime_stats(self, resilience: dict, server: dict | None) -> dict:
+    def _runtime_stats(
+        self, runtime: dict, backends: dict, resilience: dict, server: dict | None
+    ) -> dict:
         """``stats()["runtime"]``: the pipeline's snapshot plus the keys
-        ``runtime`` has always carried for counts other objects keep —
-        fleet resilience totals from the backend bindings, transitions
-        from each distinct breaker, sheds from the server's edge gate."""
-        runtime = self.runtime.snapshot()
-        bindings = [self.backends.get(name) for name in self.backends.names()]
-        breakers = {id(b.breaker): b.breaker for b in bindings if b.breaker}
-        transitions = [breaker.snapshot() for breaker in breakers.values()]
+        ``runtime`` has always carried for counts other objects keep,
+        projected from the readings the other sections show — fleet
+        resilience totals, each distinct breaker's transitions, the
+        edge gate's sheds."""
+        # one reading per distinct breaker, however many bindings share it
+        transitions = {
+            id(self.backends.get(name).breaker): snap["breaker"]
+            for name, snap in backends.items()
+            if snap["breaker"] is not None
+        }.values()
         runtime.update(
             retries=resilience["retries"],
             failovers=resilience["failovers"],

@@ -7,6 +7,8 @@ the scale preset.
 
 from __future__ import annotations
 
+import functools
+
 from repro.apps.summarization import WorkloadSummarizer
 from repro.embedding import Doc2VecEmbedder, LSTMAutoencoderEmbedder, QueryEmbedder
 from repro.experiments.config import (
@@ -116,6 +118,16 @@ def make_lstm(scale: ExperimentScale, seed: int = 1) -> LSTMAutoencoderEmbedder:
     )
 
 
+@functools.cache
+def pretrained_embedder(scale: ExperimentScale, kind: str) -> QueryEmbedder:
+    """The ``"doc2vec"`` or ``"lstm"`` embedder fitted on the SnowSim
+    'pretrain' corpus, once per process and scale. Callers only
+    ``transform`` it, a pure function of the fitted state (Doc2Vec
+    reseeds its inference per call), so sharing it changes no result."""
+    make = {"doc2vec": make_doc2vec, "lstm": make_lstm}[kind]
+    return make(scale).fit([r.query for r in snowsim_records(scale, "pretrain")])
+
+
 def train_figure3_embedders(
     scale: ExperimentScale, tpch_workload: list[str]
 ) -> dict[str, QueryEmbedder]:
@@ -124,14 +136,12 @@ def train_figure3_embedders(
     The Snowflake-trained pair demonstrates transfer learning — trained
     on a completely unrelated workload, then applied to TPC-H.
     """
-    snow_corpus = [r.query for r in snowsim_records(scale, "pretrain")]
-    embedders: dict[str, QueryEmbedder] = {
+    return {
         "doc2vecTPCH": make_doc2vec(scale).fit(tpch_workload),
         "lstmTPCH": make_lstm(scale).fit(tpch_workload),
-        "doc2vecSnowflake": make_doc2vec(scale).fit(snow_corpus),
-        "lstmSnowflake": make_lstm(scale).fit(snow_corpus),
+        "doc2vecSnowflake": pretrained_embedder(scale, "doc2vec"),
+        "lstmSnowflake": pretrained_embedder(scale, "lstm"),
     }
-    return embedders
 
 
 def summarize_workload(

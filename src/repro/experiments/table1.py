@@ -69,8 +69,8 @@ def run(scale: ExperimentScale | str | None = None) -> Table1Result:
     labeled = common.snowsim_records(scale, "labeled")
 
     embedders = {
-        "Doc2Vec": common.make_doc2vec(scale).fit(pretrain),
-        "LSTMAutoencoder": common.make_lstm(scale).fit(pretrain),
+        "Doc2Vec": common.pretrained_embedder(scale, "doc2vec"),
+        "LSTMAutoencoder": common.pretrained_embedder(scale, "lstm"),
     }
 
     accuracies: dict[tuple[str, str], float] = {}

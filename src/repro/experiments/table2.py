@@ -65,9 +65,8 @@ class Table2Result:
 def run(scale: ExperimentScale | str | None = None) -> Table2Result:
     scale = scale if isinstance(scale, ExperimentScale) else get_scale(scale)
 
-    pretrain = [r.query for r in common.snowsim_records(scale, "pretrain")]
     labeled = common.snowsim_records(scale, "labeled")
-    embedder = common.make_lstm(scale).fit(pretrain)
+    embedder = common.pretrained_embedder(scale, "lstm")
     auditor = SecurityAuditor(embedder, n_trees=scale.forest_trees, seed=scale.seed)
 
     by_account = defaultdict(list)

@@ -82,22 +82,20 @@ class ArrivalRateForecaster:
     should expect, not the rate the last one saw.
     """
 
+    MAX_GAP_BUCKETS = 64  # catch-up bound after a clock jump
+
     def __init__(
         self,
         window_seconds: float = 1.0,
         alpha: float = 0.5,
         beta: float = 0.3,
         clock: Callable[[], float] = time.monotonic,
-        max_gap_buckets: int = 64,
     ) -> None:
         if window_seconds <= 0:
             raise ServiceError("window_seconds must be positive")
-        if max_gap_buckets < 1:
-            raise ServiceError("max_gap_buckets must be >= 1")
         self.window_seconds = float(window_seconds)
         self._holt = HoltForecaster(alpha=alpha, beta=beta)
         self._clock = clock
-        self._max_gap_buckets = int(max_gap_buckets)
         self._bucket_start: float | None = None
         self._bucket_count = 0
         self.total_observed = 0
@@ -109,12 +107,12 @@ class ArrivalRateForecaster:
             return
         gap = 0
         while now - self._bucket_start >= self.window_seconds:
-            if gap < self._max_gap_buckets:
+            if gap < self.MAX_GAP_BUCKETS:
                 self._holt.observe(self._bucket_count / self.window_seconds)
             self._bucket_count = 0
             self._bucket_start += self.window_seconds
             gap += 1
-        if gap >= self._max_gap_buckets:
+        if gap >= self.MAX_GAP_BUCKETS:
             # a pathological clock jump: don't replay unbounded zeros,
             # just land the bucket grid at the present
             self._bucket_start = now
@@ -163,15 +161,14 @@ class TemplateMixForecaster:
     cannot grow an unbounded key set.
     """
 
-    def __init__(
-        self, alpha: float = 0.3, min_share: float = 1e-4, max_keys: int = 512
-    ) -> None:
+    MIN_SHARE = 1e-4  # shares below this are pruned
+
+    def __init__(self, alpha: float = 0.3, max_keys: int = 512) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ServiceError("alpha must be in (0, 1]")
         if max_keys < 1:
             raise ServiceError("max_keys must be >= 1")
         self.alpha = float(alpha)
-        self.min_share = float(min_share)
         self.max_keys = int(max_keys)
         self._shares: dict = {}
         self.batches_observed = 0
@@ -193,13 +190,13 @@ class TemplateMixForecaster:
 
     def _prune(self) -> None:
         if len(self._shares) > self.max_keys or any(
-            share < self.min_share for share in self._shares.values()
+            share < self.MIN_SHARE for share in self._shares.values()
         ):
             kept = sorted(
                 (
                     (key, share)
                     for key, share in self._shares.items()
-                    if share >= self.min_share
+                    if share >= self.MIN_SHARE
                 ),
                 key=lambda item: (-item[1], str(item[0])),
             )[: self.max_keys]

@@ -30,6 +30,8 @@ from repro.forecast.blueprint import AdmissionPlan, Blueprint, BlueprintDiff
 from repro.forecast.forecaster import ArrivalRateForecaster, TemplateMixForecaster
 from repro.forecast.planner import ProvisioningPlanner
 
+DEFAULT_STAGE_COST = 1e-3  # s/query per stage until a lane measures one
+
 
 class PredictiveProvisioner:
     """Forecast per-tenant load and (optionally) re-provision for it.
@@ -49,11 +51,6 @@ class PredictiveProvisioner:
         clock: Callable[[], float] = time.monotonic,
         auto_apply: bool = True,
         route_label: str = "cluster",
-        rate_alpha: float = 0.5,
-        rate_beta: float = 0.3,
-        mix_alpha: float = 0.3,
-        default_label_cost: float = 1e-3,
-        default_dispatch_cost: float = 1e-3,
     ) -> None:
         if interval_seconds <= 0:
             raise ServiceError("interval_seconds must be positive")
@@ -65,14 +62,9 @@ class PredictiveProvisioner:
         self._clock = clock
         self.auto_apply = bool(auto_apply)
         self.route_label = route_label
-        self._rate_alpha = rate_alpha
-        self._rate_beta = rate_beta
-        self._mix_alpha = mix_alpha
-        self.default_label_cost = float(default_label_cost)
-        self.default_dispatch_cost = float(default_dispatch_cost)
         self._lock = threading.Lock()
         self._rates: dict[str, ArrivalRateForecaster] = {}
-        self._mix = TemplateMixForecaster(alpha=mix_alpha)
+        self._mix = TemplateMixForecaster()
         self._executor = None
         self._registry = None
         self._router = None
@@ -115,10 +107,7 @@ class PredictiveProvisioner:
             forecaster = self._rates.get(application)
             if forecaster is None:
                 forecaster = self._rates[application] = ArrivalRateForecaster(
-                    window_seconds=self.window_seconds,
-                    alpha=self._rate_alpha,
-                    beta=self._rate_beta,
-                    clock=self._clock,
+                    window_seconds=self.window_seconds, clock=self._clock
                 )
             forecaster.observe(count, now=now)
             if mix_counts:
@@ -137,8 +126,7 @@ class PredictiveProvisioner:
     # -- planning ------------------------------------------------------------------
 
     def _stage_costs(self, executor) -> tuple[float, float]:
-        label_cost = self.default_label_cost
-        dispatch_cost = self.default_dispatch_cost
+        label_cost = dispatch_cost = DEFAULT_STAGE_COST
         if executor is None:
             return label_cost, dispatch_cost
         lanes = executor.stats()["lanes"]

@@ -1,27 +1,25 @@
 """Clients for the Querc serving tier.
 
-Two faces over the same wire protocol: :class:`AsyncQuercClient` for
-asyncio callers (the soak tests drive dozens of these on one loop) and
-:class:`QuercClient`, a plain blocking wrapper for scripts, examples,
-and benchmarks. Both perform the versioned hello on ``connect``, match
-streamed ``result`` frames back to ``submit`` ids (the server replies
-in completion order, not submission order), and raise
+One client speaks the wire protocol: :class:`AsyncQuercClient`, for
+asyncio callers (the soak tests drive dozens of these on one loop). It
+performs the versioned hello on ``connect``, matches streamed
+``result`` frames back to ``submit`` ids (the server replies in
+completion order, not submission order), and raises
 :class:`~repro.errors.ServerReplyError` carrying the structured code
-when the server answers with an ``error`` frame.
+when the server answers with an ``error`` frame. :class:`QuercClient`
+is its blocking face for scripts and examples: the same calls, run on
+a private event loop and bounded by a timeout.
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
-import struct
-from collections.abc import Sequence
+import contextlib
+from collections.abc import Awaitable, Callable, Sequence
 
 from repro.errors import ProtocolError, ServerError, ServerReplyError
 from repro.server.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
-    HEADER_BYTES,
-    PROTOCOL_VERSION,
     FrameDecoder,
     encode_frame,
     goodbye_frame,
@@ -29,8 +27,6 @@ from repro.server.protocol import (
     ping_frame,
     submit_frame,
 )
-
-_HEADER = struct.Struct(">I")
 
 
 class BatchResult:
@@ -69,11 +65,12 @@ def _reply_error(frame: dict) -> ServerReplyError:
 class AsyncQuercClient:
     """Asyncio client: concurrent submits over one session.
 
-    ``submit`` returns once the frame is on the wire; ``result`` (or
-    awaiting the future from ``submit_future``) collects the reply.
-    ``run_batch`` is the submit-and-wait convenience. One background
+    ``submit_future`` returns once the frame is on the wire; awaiting
+    the future it returns collects the reply. ``run_batch`` is the
+    submit-and-wait convenience. One background
     task reads the socket and resolves futures by id, so any number of
-    in-flight batches share the single connection.
+    in-flight batches share the single connection; the hello reply is
+    the one future keyed by no id.
     """
 
     def __init__(
@@ -82,49 +79,42 @@ class AsyncQuercClient:
         port: int,
         application: str = "",
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        client_name: str = "repro-async-client",
     ) -> None:
         self.host = host
         self.port = port
         self.application = application
         self.max_frame_bytes = int(max_frame_bytes)
-        self.client_name = client_name
         self.session_id: int | None = None
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._decoder = FrameDecoder(self.max_frame_bytes)
-        self._pending: dict[int, asyncio.Future] = {}
+        self._pending: dict[int | None, asyncio.Future] = {}
         self._pongs: asyncio.Queue = asyncio.Queue()
         self._reader_task: asyncio.Task | None = None
         self._next_id = 1
         self._closed = False
+        self._lost: Exception | None = None  # why the session ended
 
     # -- lifecycle ------------------------------------------------------------------
 
     async def connect(self) -> "AsyncQuercClient":
-        if self._writer is not None:
+        """Open the session; a refused or failed hello closes the client."""
+        if self._writer is not None or self._closed:
             raise ServerError("client already connected")
         self._reader, self._writer = await asyncio.open_connection(
             self.host, self.port
         )
-        await self._send(
-            hello_frame(
-                application=self.application, client=self.client_name
-            )
-        )
-        reply = await self._read_frame()
-        if reply is None:
-            raise ServerError("server closed the connection during hello")
-        if reply.get("type") == "error":
-            raise _reply_error(reply)
-        if reply.get("type") != "hello_ok":
-            raise ProtocolError(
-                f"expected hello_ok, got {reply.get('type')!r}"
-            )
-        self.session_id = reply.get("session")
+        hello = self._pending[None] = asyncio.get_running_loop().create_future()
         self._reader_task = asyncio.create_task(
             self._read_loop(), name="querc-client-reader"
         )
+        try:
+            await self._send(hello_frame(application=self.application))
+            self.session_id = await hello
+        except BaseException:
+            hello.cancel()
+            await self.close()
+            raise
         return self
 
     async def close(self) -> None:
@@ -134,24 +124,16 @@ class AsyncQuercClient:
         self._closed = True
         if self._reader_task is not None:
             self._reader_task.cancel()
-            try:
+            with contextlib.suppress(asyncio.CancelledError, Exception):
                 await self._reader_task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
             self._reader_task = None
         if self._writer is not None:
-            try:
-                self._writer.write(
-                    encode_frame(goodbye_frame(), self.max_frame_bytes)
-                )
+            with contextlib.suppress(ConnectionError, OSError):
+                self._writer.write(encode_frame(goodbye_frame(), self.max_frame_bytes))
                 await self._writer.drain()
-            except (ConnectionError, OSError):
-                pass
             self._writer.close()
-            try:
+            with contextlib.suppress(ConnectionError, OSError):
                 await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
             self._writer = None
         self._fail_pending(ServerError("client closed"))
 
@@ -166,67 +148,49 @@ class AsyncQuercClient:
     async def _send(self, frame: dict) -> None:
         if self._writer is None:
             raise ServerError("client is not connected")
+        if self._lost is not None:
+            raise self._lost
         self._writer.write(encode_frame(frame, self.max_frame_bytes))
         await self._writer.drain()
-
-    async def _read_frame(self) -> dict | None:
-        """Read exactly one frame (handshake only; pre-reader-task)."""
-        assert self._reader is not None
-        while True:
-            data = await self._reader.read(1 << 16)
-            if not data:
-                return None
-            for event in self._decoder.feed(data):
-                if not event.ok:
-                    raise ProtocolError(event.detail, code=event.error)
-                return event.frame
 
     async def _read_loop(self) -> None:
         assert self._reader is not None
         try:
-            while True:
-                data = await self._reader.read(1 << 16)
-                if not data:
-                    self._fail_pending(
-                        ServerError("server closed the connection")
-                    )
-                    return
+            while data := await self._reader.read(1 << 16):
                 for event in self._decoder.feed(data):
                     if not event.ok:
-                        self._fail_pending(
-                            ProtocolError(event.detail, code=event.error)
-                        )
+                        self._lose(ProtocolError(event.detail, code=event.error))
                         return
                     self._dispatch(event.frame)
+            self._lose(ServerError("server closed the connection"))
         except (ConnectionError, OSError) as exc:
-            self._fail_pending(ServerError(f"connection lost: {exc}"))
+            self._lose(ServerError(f"connection lost: {exc}"))
+
+    def _lose(self, exc: Exception) -> None:
+        """The session is over: fail every waiter, and every later call."""
+        self._lost = exc
+        self._pongs.put_nowait(exc)
+        self._fail_pending(exc)
 
     def _dispatch(self, frame: dict) -> None:
         kind = frame.get("type")
-        if kind == "result":
-            future = self._pending.pop(frame.get("id"), None)
-            if future is not None and not future.done():
-                future.set_result(
-                    BatchResult(
-                        frame.get("id"),
-                        frame.get("labeled", []),
-                        frame.get("report"),
-                    )
-                )
-        elif kind == "error":
-            request_id = frame.get("id")
-            future = (
-                self._pending.pop(request_id, None)
-                if request_id is not None
-                else None
-            )
-            if future is not None and not future.done():
-                future.set_exception(_reply_error(frame))
-            # id-less error frames answer malformed bytes we did not
-            # send through submit; nothing to resolve
-        elif kind == "pong":
+        if kind == "pong":
             self._pongs.put_nowait(frame.get("token", 0))
-        # goodbye / unknown frames are ignorable here
+            return
+        if kind not in ("result", "error", "hello_ok"):
+            return  # goodbye / unknown frames are ignorable here
+        # hello_ok and an id-less error answer the hello, keyed None;
+        # after it, an id-less error answers bytes no submit sent
+        future = self._pending.pop(frame.get("id"), None)
+        if future is None or future.done():
+            return
+        if kind == "error":
+            future.set_exception(_reply_error(frame))
+        elif kind == "hello_ok":
+            future.set_result(frame.get("session"))
+        else:
+            labeled = frame.get("labeled", [])
+            future.set_result(BatchResult(frame["id"], labeled, frame.get("report")))
 
     def _fail_pending(self, exc: Exception) -> None:
         pending, self._pending = self._pending, {}
@@ -244,8 +208,6 @@ class AsyncQuercClient:
     ) -> asyncio.Future:
         """Send one batch; the returned future resolves to its
         :class:`BatchResult` (or raises :class:`ServerReplyError`)."""
-        if self._closed or self._writer is None:
-            raise ServerError("client is not connected")
         request_id = self._next_id
         self._next_id += 1
         future = asyncio.get_running_loop().create_future()
@@ -279,16 +241,20 @@ class AsyncQuercClient:
 
     async def ping(self, token: int = 0) -> int:
         await self._send(ping_frame(token))
-        return await self._pongs.get()
+        reply = await self._pongs.get()
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
 
 
 class QuercClient:
-    """Blocking client over one socket — the scripting face.
+    """The blocking face of :class:`AsyncQuercClient` — for scripts.
 
-    One request in flight at a time: ``run_batch`` submits and waits.
-    Replies that answer protocol noise (id-less error frames) surface
-    as :class:`ServerReplyError` too — a sync caller has nowhere else
-    to hear about them.
+    Each client owns a private event loop; ``connect``, ``run_batch``,
+    ``ping`` and ``close`` run the async client's calls on it, each
+    bounded by ``timeout`` seconds (``None``: unbounded) and raising the
+    builtin :class:`TimeoutError` when it runs out. Errors are the async
+    client's. Inside a running event loop, use the async client itself.
     """
 
     def __init__(
@@ -298,51 +264,46 @@ class QuercClient:
         application: str = "",
         timeout: float | None = 30.0,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        client_name: str = "repro-sync-client",
     ) -> None:
-        self.host = host
-        self.port = port
-        self.application = application
         self.timeout = timeout
-        self.max_frame_bytes = int(max_frame_bytes)
-        self.client_name = client_name
-        self.session_id: int | None = None
-        self._sock: socket.socket | None = None
-        self._decoder = FrameDecoder(self.max_frame_bytes)
-        self._next_id = 1
+        self._client = AsyncQuercClient(host, port, application, max_frame_bytes)
+        self._loop: asyncio.AbstractEventLoop | None = None
 
-    # -- lifecycle ------------------------------------------------------------------
+    @property
+    def session_id(self) -> int | None:
+        return self._client.session_id
+
+    def _run(self, call: Callable[..., Awaitable], *args, **kwargs):
+        if self._loop is None:
+            raise ServerError("client is not connected")
+        try:
+            return self._loop.run_until_complete(
+                asyncio.wait_for(call(*args, **kwargs), self.timeout)
+            )
+        except asyncio.TimeoutError:
+            # a class of its own before Python 3.11; callers catch the builtin
+            raise TimeoutError(f"no reply within {self.timeout} s") from None
 
     def connect(self) -> "QuercClient":
-        if self._sock is not None:
+        if self._loop is not None:
             raise ServerError("client already connected")
-        self._sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        )
-        self._send(
-            hello_frame(application=self.application, client=self.client_name)
-        )
-        reply = self._read_frame()
-        if reply.get("type") == "error":
-            raise _reply_error(reply)
-        if reply.get("type") != "hello_ok":
-            raise ProtocolError(f"expected hello_ok, got {reply.get('type')!r}")
-        self.session_id = reply.get("session")
+        self._loop = asyncio.new_event_loop()
+        try:
+            self._run(self._client.connect)
+        except BaseException:
+            self.close()
+            raise
         return self
 
     def close(self) -> None:
-        if self._sock is None:
+        """Goodbye (best-effort) and teardown. Idempotent."""
+        if self._loop is None:
             return
         try:
-            self._sock.sendall(
-                encode_frame(goodbye_frame(), self.max_frame_bytes)
-            )
-        except (ConnectionError, OSError):
-            pass
-        try:
-            self._sock.close()
+            self._run(self._client.close)
         finally:
-            self._sock = None
+            self._loop.close()
+            self._loop = None
 
     def __enter__(self) -> "QuercClient":
         return self.connect()
@@ -350,62 +311,18 @@ class QuercClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- wire -----------------------------------------------------------------------
-
-    def _send(self, frame: dict) -> None:
-        if self._sock is None:
-            raise ServerError("client is not connected")
-        self._sock.sendall(encode_frame(frame, self.max_frame_bytes))
-
-    def _read_frame(self) -> dict:
-        assert self._sock is not None
-        while True:
-            data = self._sock.recv(1 << 16)
-            if not data:
-                raise ServerError("server closed the connection")
-            events = self._decoder.feed(data)
-            if events:
-                event = events[0]
-                # frames arrive one reply per request here, so taking
-                # the first completed event per recv round is safe
-                if not event.ok:
-                    raise ProtocolError(event.detail, code=event.error)
-                return event.frame
-
-    # -- API ------------------------------------------------------------------------
-
     def run_batch(
         self,
         queries: Sequence[str],
         application: str = "",
         timestamps: Sequence[float] | None = None,
     ) -> BatchResult:
-        request_id = self._next_id
-        self._next_id += 1
-        self._send(
-            submit_frame(
-                request_id,
-                list(queries),
-                application=application,
-                timestamps=list(timestamps) if timestamps is not None else None,
-            )
+        return self._run(
+            self._client.run_batch,
+            queries,
+            application=application,
+            timestamps=timestamps,
         )
-        while True:
-            frame = self._read_frame()
-            kind = frame.get("type")
-            if kind == "result" and frame.get("id") == request_id:
-                return BatchResult(
-                    request_id, frame.get("labeled", []), frame.get("report")
-                )
-            if kind == "error":
-                raise _reply_error(frame)
-            # pong/goodbye/other ids: not ours, keep reading
 
     def ping(self, token: int = 0) -> int:
-        self._send(ping_frame(token))
-        while True:
-            frame = self._read_frame()
-            if frame.get("type") == "pong":
-                return frame.get("token", 0)
-            if frame.get("type") == "error":
-                raise _reply_error(frame)
+        return self._run(self._client.ping, token)

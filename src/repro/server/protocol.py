@@ -222,14 +222,10 @@ class FrameDecoder:
 # -- frame constructors -------------------------------------------------------------
 
 
-def hello_frame(
-    application: str = "", version: int = PROTOCOL_VERSION, client: str = ""
-) -> dict:
+def hello_frame(application: str = "", version: int = PROTOCOL_VERSION) -> dict:
     frame = {"type": "hello", "version": version}
     if application:
         frame["application"] = application
-    if client:
-        frame["client"] = client
     return frame
 
 

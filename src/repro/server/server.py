@@ -291,7 +291,11 @@ class QuercServer:
         ``server_*`` stage timings sit alongside the pipeline stages
         in ``stats()["runtime"]["stage_seconds"]``.
         """
-        snapshot = self.metrics.snapshot()
+        return self._stats(self.metrics.snapshot())
+
+    def _stats(self, snapshot: dict) -> dict:
+        """:meth:`stats` over a metrics snapshot ``QuercService.stats``
+        already took for ``runtime``: one reading for both sections."""
         edge = self.edge.snapshot()
         return {
             "address": list(self.address) if self.address else None,

@@ -202,6 +202,24 @@ class TestCircuitBreaker:
         assert breaker.allow(4) == 4
         assert breaker.allow(4) == 0  # quota exhausted until a probe reports
 
+    def test_closing_probe_leaves_no_probe_in_flight(self):
+        clock = FakeClock()
+        breaker = CircuitBreaker(
+            failure_threshold=1,
+            recovery_seconds=1.0,
+            half_open_probes=2,
+            clock=clock,
+        )
+        breaker.record_failure()
+        clock.advance(1.0)
+        assert breaker.allow(1) == 1
+        assert breaker.allow(1) == 1
+        breaker.record_success()  # closes the circuit
+        breaker.record_success()  # the second probe's late reply
+        snap = breaker.snapshot()
+        assert snap["state"] == "closed"
+        assert snap["probes_in_flight"] == 0
+
     def test_transition_callback_fires(self):
         clock = FakeClock()
         breaker = CircuitBreaker(

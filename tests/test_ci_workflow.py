@@ -91,3 +91,13 @@ def test_tier1_matrix_covers_both_numpy_majors():
     assert 'pip install -e ".[test]" "${{ matrix.numpy }}"' in tier1
     src = (REPO_ROOT / "src" / "repro" / "minidb").glob("*.py")
     assert not [p.name for p in src if "np.strings." in p.read_text(encoding="utf-8")]
+
+
+def test_docs_health_runs_the_network_serving_example():
+    # the example drives the sync and async clients against a live
+    # server, so it runs from an installed package, not only compiles
+    text = (WORKFLOWS / "ci.yml").read_text(encoding="utf-8")
+    docs = text.split("\n  docs-health:\n", 1)[1]
+    assert "python -m pip install -e ." in docs
+    assert "python examples/network_serving.py" in docs
+    assert (REPO_ROOT / "examples" / "network_serving.py").is_file()

@@ -6,7 +6,8 @@ expiries / queue evictions by each binding's ``BackendCounters``,
 breaker transitions by the ``CircuitBreaker``, edge sheds by the
 ``EdgeAdmission``. ``stats()["runtime"]`` and ``stats()["server"]``
 keep the keys they have always had and read those numbers from the
-owners. The shape pin below is the full nested key tree of a service
+owners, once per call: sections that repeat a number agree even when it
+moves while ``stats()`` runs. The shape pin below is the full nested key tree of a service
 with every optional part attached, so no key may move, vanish or
 appear unnoticed.
 """
@@ -22,6 +23,7 @@ from repro.backends import (
     RetryPolicy,
 )
 from repro.core import QuercService, QueryClassifier
+from repro.core.labeled_query import LabeledQuery
 from repro.core.labeler import ClassifierLabeler
 from repro.errors import ServerReplyError
 from repro.forecast import PredictiveProvisioner
@@ -320,3 +322,46 @@ def test_breaker_with_its_own_hook_still_counts_in_runtime_stats():
     assert fired == [("closed", "open")]
     assert stats["runtime"]["breaker_opens"] == 1
     assert stats["runtime"]["failovers"] == stats["resilience"]["failovers"] == 1
+
+
+class _DispatchesOnSnapshot(ScriptedBackend):
+    """Raises on its first execute. Its first ``snapshot()`` sends one
+    batch through the router that serves it, and the retry policy runs
+    it again — so a retry lands while ``stats()`` is reading."""
+
+    router = None
+
+    def snapshot(self) -> dict:
+        router, self.router = self.router, None
+        if router is not None:
+            router.dispatch("tenant", [LabeledQuery.make("select 1")], "primary")
+        return super().snapshot()
+
+
+def test_sections_agree_when_a_counter_moves_during_stats():
+    """``backends``, ``resilience`` and ``runtime`` show one reading of
+    a binding's counters, even when the count moves mid-``stats()``."""
+    backend = _DispatchesOnSnapshot(
+        NullBackend("primary"), lambda call, now: RAISE if call <= 1 else None
+    )
+    service = QuercService()
+    service.register_backend(
+        backend,
+        retry=RetryPolicy(max_attempts=2, base_delay=0.0, sleep=lambda _s: None),
+    )
+    backend.router = service.router
+    try:
+        stats = service.stats()
+        after = service.stats()
+    finally:
+        service.close()
+
+    assert backend.calls == 2  # the raise and its retry ran inside stats()
+    retries = (
+        stats["backends"]["primary"]["retries"],
+        stats["resilience"]["backends"]["primary"]["retries"],
+        stats["resilience"]["retries"],
+        stats["runtime"]["retries"],
+    )
+    assert len(set(retries)) == 1, retries
+    assert after["runtime"]["retries"] == after["backends"]["primary"]["retries"] == 1
