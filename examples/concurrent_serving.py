@@ -1,11 +1,10 @@
-"""Concurrent staged serving: the Qworker fan-out with tuned batches.
+"""Concurrent staged serving: the Qworker fan-out.
 
 Two tenants (X on SnowSim logs, Y on a TPC-H stream) share one
-service. Their interleaved streams are re-chunked live by a
-``BatchSizeTuner`` (sizes adapt to each tenant's measured labeling
-cost) and flow through ``process_routed_concurrent``: one lane per
-application, the embed/predict stage of batch *n+1* overlapped with
-the route/execute stage of batch *n*. The backends sit behind a
+service. Their interleaved fixed-size batches flow through
+``process_routed_concurrent``: one lane per application, the
+embed/predict stage of batch *n+1* overlapped with the route/execute
+stage of batch *n*. The backends sit behind a
 ``LatencyProxyBackend`` simulating a remote database — the wall time
 the staged executor reclaims.
 
@@ -19,7 +18,6 @@ from repro.apps.routing import RoutingPolicyAuditor
 from repro.backends import LatencyProxyBackend
 from repro.embedding import BagOfTokensEmbedder
 from repro.minidb import materialize_log_tables
-from repro.runtime import BatchSizeTuner
 from repro.workloads import (
     QueryLogRecord,
     QueryStream,
@@ -27,7 +25,6 @@ from repro.workloads import (
     generate_snowsim_workload,
     generate_tpch_workload,
     interleave_streams,
-    rebatch_streams,
 )
 
 
@@ -60,20 +57,13 @@ def main() -> None:
     service.add_application("Y", backend="DB(Y)")
     service.attach_classifier("X", auditor.to_classifier("cluster"))
 
-    # the tuner targets 25ms of labeling per batch; the staged executor
-    # feeds it per-batch observations, the stream layer asks it for sizes
-    tuner = service.set_batch_tuner(
-        BatchSizeTuner(initial=32, min_size=8, max_size=256, target_seconds=0.025)
-    )
-
     streams = [
         QueryStream("X", serve, batch_size=32),
         QueryStream("Y", tpch, batch_size=32),
     ]
     # hand the generator straight through: the lanes consume it under
-    # backpressure, so the tuner's observations from early batches
-    # re-size the later ones while the stream is still flowing
-    batches = rebatch_streams(interleave_streams(streams), tuner)
+    # backpressure, so the stream is never materialized ahead of them
+    batches = interleave_streams(streams)
 
     start = time.perf_counter()
     results = service.process_routed_concurrent(batches)
@@ -92,11 +82,6 @@ def main() -> None:
         )
     print(f"overlap: {stats['executor']['overlap']:.2f} "
           "(lane-busy seconds / wall seconds; >1 means stages ran concurrently)")
-    for app, lane in stats["tuner"]["applications"].items():
-        print(
-            f"tuner {app}: batch size {lane['size']} "
-            f"({lane['per_query_ewma_seconds'] * 1e6:.0f}us/query observed)"
-        )
 
 
 if __name__ == "__main__":

@@ -55,7 +55,6 @@ from repro.embedding import (
 )
 from repro.errors import ReproError
 from repro.runtime import (
-    BatchSizeTuner,
     EmbeddingCache,
     InferencePipeline,
     RuntimeMetrics,
@@ -86,7 +85,6 @@ __all__ = [
     "EmbeddingCache",
     "RuntimeMetrics",
     "StagedExecutor",
-    "BatchSizeTuner",
     "ReproError",
     "__version__",
 ]

@@ -127,9 +127,8 @@ class AdmissionController:
     ``offered``/``granted`` counts, a lifetime :attr:`rejection_rate`,
     and the live :attr:`headroom` (free fraction of the in-flight
     bound). The load-aware routing policies
-    (:mod:`repro.backends.policy`) and the batch-size tuner's
-    admission feedback both consume these — a gate that is turning
-    work away is the signal to place elsewhere and batch smaller.
+    (:mod:`repro.backends.policy`) consume these — a gate that is
+    turning work away is the signal to place elsewhere.
     """
 
     def __init__(
@@ -179,7 +178,7 @@ class AdmissionController:
         frame is indivisible, so a gate that can only take part of it
         must shed the whole frame — before any slot or token is spent.
         A refused offer still counts toward ``offered`` (and therefore
-        the rejection rate the routing and tuning layers watch).
+        the rejection rate the routing policies watch).
         """
         if n <= 0:
             return True

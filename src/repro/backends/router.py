@@ -301,6 +301,26 @@ class BackendBinding:
             ),
         )
 
+    def view_of(self, snapshot: dict) -> CandidateView:
+        """:meth:`load_view` projected from one :meth:`snapshot` of this
+        binding, so it agrees with that reading; only the
+        :meth:`~repro.backends.base.Backend.load_hint` prior is read
+        now, and only when no execution had been observed."""
+        latency = snapshot["load"]["latency_ewma_seconds"]
+        if latency is None:
+            latency = self.backend.load_hint().get("per_query_seconds")
+        breaker = snapshot["breaker"]
+        return CandidateView(
+            name=self.name,
+            latency_ewma=latency,
+            rejection_rate=snapshot["load"]["rejection_ewma"],
+            in_flight=snapshot["admission"]["in_flight"],
+            headroom=snapshot["admission"]["headroom"],
+            pending=snapshot["pending"],
+            cost_units=snapshot["cost_units"],
+            breaker=breaker["state"] if breaker is not None else "closed",
+        )
+
     def snapshot(self) -> dict:
         return {
             **self.counters.snapshot(),
@@ -396,8 +416,7 @@ class DispatchReport:
 
     @property
     def retries(self) -> int:
-        """Execute re-attempts across every decision (resilience signal
-        for the tuner's feedback hook)."""
+        """Execute re-attempts across every decision."""
         return sum(d.retries for d in self.decisions)
 
     @property
@@ -794,16 +813,21 @@ class BatchRouter:
         """Per-backend counters + admission state, for ``stats()``."""
         return self.registry.snapshot()
 
-    def routing_snapshot(self) -> dict:
+    def routing_snapshot(self, backends: dict | None = None) -> dict:
         """The policy layer's view, for ``stats()["routing"]``.
 
         ``decisions`` counts, per label, how many batches each backend
         won; ``reranks`` is the number of policy consultations and
         ``static_fallbacks`` how often the static chain decided
         instead (policy abstained or empty candidate set);
-        ``signals`` is every backend's live
-        :class:`~repro.backends.policy.CandidateView`.
+        ``signals`` is every backend's
+        :class:`~repro.backends.policy.CandidateView`, projected from
+        ``backends`` — one :meth:`snapshot`, taken now when omitted —
+        so it agrees with the ``backends`` section of the same
+        ``stats()``.
         """
+        if backends is None:
+            backends = self.snapshot()
         with self._lock:
             policy = self._policy
             candidates = {
@@ -822,8 +846,8 @@ class BatchRouter:
             "reranks": reranks,
             "static_fallbacks": fallbacks,
             "signals": {
-                name: self.registry.get(name).load_view().as_dict()
-                for name in self.registry.names()
+                name: self.registry.get(name).view_of(snap).as_dict()
+                for name, snap in backends.items()
             },
         }
 

@@ -33,7 +33,6 @@ from repro.errors import ServiceError
 from repro.runtime.cache import EmbeddingCache
 from repro.runtime.executor import StagedExecutor
 from repro.runtime.pipeline import InferencePipeline
-from repro.runtime.tuner import BatchSizeTuner
 from repro.server.edge import EDGE_SHEDS
 from repro.workloads.logs import QueryLogRecord
 from repro.workloads.stream import StreamBatch
@@ -89,10 +88,7 @@ class QuercService:
             metrics=self.runtime.metrics,
         )
         self._applications: dict[str, Application] = {}
-        # concurrent serving state: the tuner adapts stream batch
-        # sizes off observed labeling cost; the last staged run's
-        # stats are kept for stats()
-        self._tuner: BatchSizeTuner | None = None
+        # the last staged run's stats are kept for stats()
         self._last_executor_stats: dict | None = None
         # the serving tier (repro.server.QuercServer) registers itself
         # here so stats() carries a "server" section
@@ -277,17 +273,6 @@ class QuercService:
 
     # -- concurrent stream processing ---------------------------------------------
 
-    def set_batch_tuner(self, tuner: BatchSizeTuner | None) -> BatchSizeTuner | None:
-        """Attach a :class:`BatchSizeTuner`; the staged executor feeds
-        it per-batch labeling observations and the stream layer can ask
-        it for sizes (``repro.workloads.stream.rebatch_streams``)."""
-        self._tuner = tuner
-        return tuner
-
-    @property
-    def batch_tuner(self) -> BatchSizeTuner | None:
-        return self._tuner
-
     def set_provisioner(self, provisioner):
         """Attach a :class:`~repro.forecast.PredictiveProvisioner`.
 
@@ -334,11 +319,10 @@ class QuercService:
         ordering (and therefore labels and backend outcomes) is
         identical to the serial loop.
 
-        ``batches`` is consumed lazily under the lanes' backpressure —
-        hand it the generator from
-        :func:`~repro.workloads.stream.rebatch_streams` and the
-        tuner's observations from early batches re-size the later
-        ones while the stream is still being consumed.
+        ``batches`` is consumed lazily under the lanes' backpressure,
+        so a generator such as
+        :func:`~repro.workloads.stream.interleave_streams` is never
+        materialized ahead of the pool.
 
         Returns one ``(labeled, report)`` pair per input batch, in
         input order. The first batch failure is re-raised — but unlike
@@ -371,44 +355,26 @@ class QuercService:
 
         The same construction :meth:`process_routed_concurrent` uses —
         label via :meth:`_stage_label`, dispatch via
-        :meth:`_stage_dispatch`, tuner feedback closed over dispatch
-        reports — but handed to the caller to own. The serving tier
-        (:class:`repro.server.QuercServer`) builds its long-lived
-        executor through here, so a network batch takes *exactly* the
-        library path. The caller must ``close()`` it.
+        :meth:`_stage_dispatch`, the provisioner (if any) fed from
+        every dispatch completion — but handed to the caller to own.
+        The serving tier (:class:`repro.server.QuercServer`) builds its
+        long-lived executor through here, so a network batch takes
+        *exactly* the library path. The caller must ``close()`` it.
         """
-        tuner = self._tuner
         provisioner = self._provisioner
         feedback = None
-        if tuner is not None or provisioner is not None:
-            # close the admission loop: every dispatch report's
-            # offered/admitted shortfall shrinks that tenant's batches;
-            # resilience churn (retries, failovers) shrinks them too —
-            # a flaky backend gets cheaper groups to re-run. The
-            # provisioner rides the same completions: it observes each
-            # tenant's arrivals + label mix and replans on its interval
+        if provisioner is not None:
+            # the provisioner observes each tenant's arrivals + label
+            # mix on every dispatch completion and replans on its
+            # interval
             def feedback(application: str, result):
-                if provisioner is not None:
-                    provisioner.observe_result(application, result)
-                    provisioner.tick()
-                if tuner is None:
-                    return
-                _, report = result
-                if not isinstance(report, DispatchReport):
-                    return
-                if report.offered:
-                    tuner.observe_admission(
-                        report.offered, report.admitted, application=application
-                    )
-                tuner.observe_faults(
-                    report.retries, report.failovers, application=application
-                )
+                provisioner.observe_result(application, result)
+                provisioner.tick()
 
         executor = StagedExecutor(
             self._stage_label,
             self._stage_dispatch,
             queue_depth=queue_depth,
-            tuner=tuner,
             dispatch_feedback=feedback,
             label_workers=label_workers,
             dispatch_workers=dispatch_workers,
@@ -470,7 +436,7 @@ class QuercService:
         backend exposing a plan cache, with the fleet-wide hit rate;
         ``routing`` the policy layer — installed policy, route table,
         candidate sets, per-label placement decisions, and every
-        backend's live load view; ``resilience`` the fault-tolerance
+        backend's load view; ``resilience`` the fault-tolerance
         layer — fleet totals (retries, failovers, deadline expiries,
         queue evictions) plus each backend's breaker state machine and
         retry policy; ``applications`` the per-app processed counts
@@ -480,10 +446,9 @@ class QuercService:
         live executor; ``forecast`` the predictive provisioner's
         snapshot — per-tenant rate forecasts, the mix, and the last
         blueprint diff (``None`` until :meth:`set_provisioner`);
-        ``tuner`` the batch-size tuner's
-        per-application state (both None until used); ``server`` the
-        serving tier's snapshot (sessions, frames, sheds, bytes, edge
-        gates) when a :class:`repro.server.QuercServer` is attached.
+        ``server`` the serving tier's snapshot (sessions, frames, sheds,
+        bytes, edge gates) when a :class:`repro.server.QuercServer` is
+        attached.
 
         Each owner is read once, and a number shown in several sections
         is projected from that one reading, so the sections agree.
@@ -501,7 +466,7 @@ class QuercService:
             "runtime": self._runtime_stats(runtime, backends, resilience, server),
             "backends": backends,
             "plan_cache": _aggregate_plan_cache(backends),
-            "routing": self.router.routing_snapshot(),
+            "routing": self.router.routing_snapshot(backends),
             "resilience": resilience,
             "executor": executor_stats,
             "forecast": (
@@ -509,7 +474,6 @@ class QuercService:
                 if self._provisioner is not None
                 else None
             ),
-            "tuner": self._tuner.snapshot() if self._tuner is not None else None,
             "server": server,
             "applications": {
                 name: {

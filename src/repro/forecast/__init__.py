@@ -1,8 +1,7 @@
 """Workload forecasting and predictive provisioning.
 
 Everything below this package in the stack is *reactive*: EWMA load
-signals re-rank candidates after latency has already moved, AIMD
-shrinks batches after admission has already rejected work. The paper's
+signals re-rank candidates after latency has already moved. The paper's
 premise — query streams are dominated by a stable template
 distribution — makes workloads *predictable*, and WiSeDB and Tempo
 both show that learning arrival-rate/mix trajectories and provisioning

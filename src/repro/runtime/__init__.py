@@ -19,9 +19,7 @@ hit rate there is the cache's own count).
 
 On top of the pipeline, :class:`StagedExecutor` runs the label stage
 and the route/execute stage concurrently across batches, one lane per
-application (the paper's Qworker fan-out), and
-:class:`BatchSizeTuner` adapts stream batch sizes to the labeling cost
-those lanes actually observe.
+application (the paper's Qworker fan-out).
 """
 
 from repro.runtime.cache import EmbeddingCache
@@ -29,7 +27,6 @@ from repro.runtime.columnar import ColumnarBatch, ColumnarSlice
 from repro.runtime.executor import StagedExecutor
 from repro.runtime.metrics import STAGES, RuntimeMetrics
 from repro.runtime.pipeline import InferencePipeline, embed_queries
-from repro.runtime.tuner import BatchSizeTuner
 
 __all__ = [
     "EmbeddingCache",
@@ -40,5 +37,4 @@ __all__ = [
     "InferencePipeline",
     "embed_queries",
     "StagedExecutor",
-    "BatchSizeTuner",
 ]

@@ -67,13 +67,10 @@ queue — or, after the last stage or an error, resolve its future.
 Anything per-stage (a wait timestamp taken at enqueue and read at pop,
 a differently ordered ready-queue) therefore has one place to go.
 
-A :class:`~repro.runtime.tuner.BatchSizeTuner` can be attached; every
-stage-A completion feeds it a ``(queries, seconds)`` observation — the
-tuner's only labeling feed — so the stream layer's batch sizes track
-the labeling cost the pool is actually measuring. ``dispatch_feedback``
-runs on the worker that completed stage B, before the batch's future
-resolves. Neither hook can kill a worker: their failures are counted
-per lane and the batch still resolves.
+``dispatch_feedback`` runs on the worker that completed stage B,
+before the batch's future resolves. No completion hook can kill a
+worker: its failures are counted per lane and the batch still
+resolves.
 """
 
 from __future__ import annotations
@@ -88,7 +85,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ServiceError
-from repro.runtime.tuner import BatchSizeTuner
 
 _SENTINEL = object()
 # retire token for live shrink: exactly one worker consumes it between
@@ -167,7 +163,7 @@ class _Stage:
 
     ``index`` is the stage's position in every per-stage pair on a
     :class:`_Lane`; ``fn(application, payload)`` does the work and
-    ``hook(lane, payload, result, elapsed)`` runs after each success.
+    ``hook(lane, payload, result)`` runs after each success.
     ``ready`` holds at most one entry per lane (plus shutdown and
     retire tokens), so it is bounded by the tenant count. ``workers``
     (the target), ``spawned`` (keeps thread names unique across
@@ -180,7 +176,7 @@ class _Stage:
     index: int
     name: str
     fn: Callable[[str, Any], Any]
-    hook: Callable[[_Lane, Any, Any, float], None] | None
+    hook: Callable[[_Lane, Any, Any], None] | None
     workers: int
     ready: queue.SimpleQueue = field(default_factory=queue.SimpleQueue)
     spawned: int = 0
@@ -211,11 +207,10 @@ class StagedExecutor:
     ``dispatch_feedback(application, result)``, when given, runs on
     the pool worker that completed stage B, after every successful
     completion and before the future resolves — the hook the service
-    uses to feed admission outcomes from each
-    :class:`~repro.backends.router.DispatchReport` back into the
-    :class:`~repro.runtime.tuner.BatchSizeTuner`. Feedback (and tuner)
-    failures are counted per lane (``feedback_errors``) and never fail
-    the batch or the worker.
+    uses to feed each tenant's dispatch results to the attached
+    :class:`~repro.forecast.PredictiveProvisioner`. Feedback failures
+    are counted per lane (``feedback_errors``) and never fail the batch
+    or the worker.
 
     Use as a context manager, or call :meth:`close` — pending work is
     drained (every accepted future resolves) before the pool shuts
@@ -227,7 +222,6 @@ class StagedExecutor:
         label_fn: Callable[[str, Any], Any],
         dispatch_fn: Callable[[str, Any], Any],
         queue_depth: int = 4,
-        tuner: BatchSizeTuner | None = None,
         dispatch_feedback: Callable[[str, Any], None] | None = None,
         clock: Callable[[], float] = time.perf_counter,
         label_workers: int = 2,
@@ -238,7 +232,6 @@ class StagedExecutor:
         if label_workers < 1 or dispatch_workers < 1:
             raise ServiceError("label_workers and dispatch_workers must be >= 1")
         self.queue_depth = int(queue_depth)
-        self.tuner = tuner
         self._clock = clock
         self._lanes: dict[str, _Lane] = {}
         self._lanes_lock = threading.Lock()
@@ -264,7 +257,7 @@ class StagedExecutor:
         self._workers_retired = 0
         feedback = None
         if dispatch_feedback is not None:
-            def feedback(lane: _Lane, staged: Any, result: Any, elapsed: float):
+            def feedback(lane: _Lane, staged: Any, result: Any):
                 dispatch_feedback(lane.application, result)
 
         self._stages = (
@@ -493,7 +486,7 @@ class StagedExecutor:
         hook_failed = False
         if error is None and stage.hook is not None:
             try:
-                stage.hook(lane, payload, result, elapsed)
+                stage.hook(lane, payload, result)
             except BaseException:  # noqa: BLE001 - a hook never fails the batch or the worker
                 hook_failed = True
         with lane.cond:
@@ -514,19 +507,14 @@ class StagedExecutor:
                     return
         self._resolve_future(future, value=result, error=error)
 
-    def _after_label(
-        self, lane: _Lane, item: Any, staged: Any, elapsed: float
-    ) -> None:
-        """Stage A's completion hook: count the batch's queries and
-        feed the tuner its ``(queries, seconds)`` observation."""
+    def _after_label(self, lane: _Lane, item: Any, staged: Any) -> None:
+        """Stage A's completion hook: count the batch's queries."""
         try:
             n = len(item)
         except Exception:  # noqa: BLE001 - a hostile __len__ must not kill the worker
             n = 1
         with lane.cond:
             lane.labeled_queries += n
-        if self.tuner is not None:
-            self.tuner.observe(n, elapsed, application=lane.application)
 
     # -- lifecycle -----------------------------------------------------------------
 

@@ -9,12 +9,7 @@ and drives the labeling experiments (Tables 1 and 2).
 from repro.workloads.tpch import TPCH_TEMPLATE_IDS, generate_tpch_workload
 from repro.workloads.snowflake_sim import SnowSimConfig, generate_snowsim_workload
 from repro.workloads.logs import QueryLogRecord
-from repro.workloads.stream import (
-    QueryStream,
-    StreamBatch,
-    interleave_streams,
-    rebatch_streams,
-)
+from repro.workloads.stream import QueryStream, StreamBatch, interleave_streams
 
 __all__ = [
     "TPCH_TEMPLATE_IDS",
@@ -25,5 +20,4 @@ __all__ = [
     "QueryStream",
     "StreamBatch",
     "interleave_streams",
-    "rebatch_streams",
 ]

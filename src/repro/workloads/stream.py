@@ -86,46 +86,3 @@ def _interleave(streams: list[QueryStream]) -> Iterator[StreamBatch]:
                 yield batch
         live = still_live
 
-
-def rebatch_streams(
-    batches: "Iterator[StreamBatch] | Sequence[StreamBatch]",
-    sizer,
-) -> Iterator[StreamBatch]:
-    """Re-chunk a (possibly interleaved, multi-tenant) batch stream to
-    tuner-recommended sizes, per application.
-
-    ``sizer`` is either a :class:`~repro.runtime.tuner.BatchSizeTuner`
-    (its per-application ``recommend`` is consulted as each batch is
-    emitted, so sizes adapt *while* the stream is being consumed) or
-    any ``callable(application) -> int``.
-
-    Records keep their arrival order within each application;
-    ``time_step`` is renumbered per application to reflect the new
-    batching. Leftover records flush as a final short batch per
-    application, in first-arrival order, so no query is ever dropped.
-    """
-    recommend = getattr(sizer, "recommend", None) or sizer
-    buffers: dict[str, list[QueryLogRecord]] = {}
-    steps: dict[str, int] = {}
-
-    def _emit(application: str, take: int) -> StreamBatch:
-        buffer = buffers[application]
-        step = steps.get(application, 0)
-        steps[application] = step + 1
-        records = tuple(buffer[:take])
-        del buffer[:take]
-        return StreamBatch(
-            application=application, time_step=step, records=records
-        )
-
-    for batch in batches:
-        buffer = buffers.setdefault(batch.application, [])
-        buffer.extend(batch.records)
-        while True:
-            size = max(1, int(recommend(batch.application)))
-            if len(buffer) < size:
-                break
-            yield _emit(batch.application, size)
-    for application, buffer in buffers.items():
-        if buffer:
-            yield _emit(application, len(buffer))

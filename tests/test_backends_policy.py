@@ -4,9 +4,10 @@ Bottom-up over the new layer: the :class:`LoadSignal` EWMA math, each
 :class:`RoutingPolicy`'s ranking (deterministic, name-tied), the
 router consulting a policy per batch with candidate sets and static
 fallback, the multi-backend split (every group offered in order, the
-first error re-raised), the tuner's admission-headroom feedback, and the
-service-level wiring (``set_routing_policy`` + ``stats()["routing"]``
-+ the staged executor's dispatch feedback).
+first error re-raised), the binding's load view projected from one
+snapshot, and the service-level wiring
+(``set_routing_policy`` + ``stats()["routing"]`` + the staged
+executor's dispatch feedback).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.backends import (
     BackendRegistry,
     BatchRouter,
     CandidateView,
+    CircuitBreaker,
     CostBudgetPolicy,
     LatencyEwmaPolicy,
     LeastLoadedPolicy,
@@ -27,8 +29,8 @@ from repro.backends import (
 from repro.backends.base import Backend
 from repro.backends.latency import LatencyProxyBackend
 from repro.core.labeled_query import LabeledQuery
-from repro.errors import BackendError, ServiceError
-from repro.runtime import BatchSizeTuner, StagedExecutor
+from repro.errors import BackendError
+from repro.runtime import StagedExecutor
 from repro.runtime.metrics import RuntimeMetrics
 
 
@@ -391,70 +393,6 @@ class TestParallelFanout:
         ]
 
 
-class TestTunerAdmissionFeedback:
-    def test_rejections_shrink_below_latency_fit(self):
-        tuner = BatchSizeTuner(
-            initial=64, min_size=8, max_size=512, target_seconds=0.1
-        )
-        # labeling is cheap: the latency fit alone would grow the size
-        tuner.observe(64, 0.001, application="X")
-        grown = tuner.recommend("X")
-        assert grown > 64
-        # a rejecting gate drags it down despite the latency headroom
-        for _ in range(8):
-            tuner.observe_admission(grown, grown // 4, application="X")
-            tuner.observe(tuner.recommend("X"), 0.001, application="X")
-        assert tuner.recommend("X") < grown
-
-    def test_recovery_regrows_after_gate_opens(self):
-        tuner = BatchSizeTuner(initial=64, min_size=8, target_seconds=0.1)
-        tuner.observe(64, 0.001, application="X")
-        for _ in range(10):
-            tuner.observe_admission(64, 0, application="X")
-        shrunk = tuner.recommend("X")
-        assert shrunk == 8
-        for _ in range(20):
-            tuner.observe_admission(64, 64, application="X")
-            tuner.observe(shrunk, 0.001, application="X")
-        assert tuner.recommend("X") > shrunk
-
-    def test_admission_only_lane_still_backs_off(self):
-        tuner = BatchSizeTuner(initial=128, min_size=8, max_growth=2.0)
-        tuner.observe_admission(128, 0, application="X")
-        first = tuner.recommend("X")
-        # one step never shrinks past the max_growth bound, same as _fit
-        assert 128 > first >= 64
-        for _ in range(5):
-            tuner.observe_admission(128, 0, application="X")
-        assert tuner.recommend("X") < first
-        lane = tuner.snapshot()["applications"]["X"]
-        assert lane["rejection_ewma"] > 0.5
-        assert lane["admission_samples"] == 6
-
-    def test_degenerate_admission_observation_ignored(self):
-        tuner = BatchSizeTuner(initial=32)
-        assert tuner.observe_admission(0, 0, application="X") == 32
-
-    def test_clean_admission_never_grows_the_size(self):
-        """Admission observations carry no latency data: with cheap
-        labeling AND clean admissions, growth stays one bounded step
-        per labeling observation (not max_growth^2 per batch)."""
-        tuner = BatchSizeTuner(
-            initial=32, min_size=8, max_size=512, target_seconds=0.1, max_growth=2.0
-        )
-        tuner.observe(32, 0.0001, application="X")  # one growth step
-        after_label = tuner.recommend("X")
-        assert after_label == 64
-        tuner.observe_admission(64, 64, application="X")
-        assert tuner.recommend("X") == after_label  # no second step
-
-    def test_invalid_rejection_threshold(self):
-        with pytest.raises(ServiceError):
-            BatchSizeTuner(rejection_threshold=0.0)
-        with pytest.raises(ServiceError):
-            BatchSizeTuner(rejection_threshold=1.0)
-
-
 class TestExecutorDispatchFeedback:
     def test_feedback_called_per_batch(self):
         seen = []
@@ -481,6 +419,156 @@ class TestExecutorDispatchFeedback:
             assert executor.submit("X", 1).result(timeout=5.0) == 1
         assert executor.stats()["lanes"]["X"]["feedback_errors"] == 1
         assert executor.stats()["lanes"]["X"]["dispatch_errors"] == 0
+
+
+class _Hinted(NullBackend):
+    """A backend with a latency prior that counts how often it is read,
+    and how often its snapshot is taken."""
+
+    def __init__(self, name: str, per_query_seconds: float = 0.25) -> None:
+        super().__init__(name)
+        self.per_query_seconds = per_query_seconds
+        self.hint_reads = 0
+        self.snapshots = 0
+
+    def load_hint(self) -> dict:
+        self.hint_reads += 1
+        return {"per_query_seconds": self.per_query_seconds}
+
+    def snapshot(self) -> dict:
+        self.snapshots += 1
+        return super().snapshot()
+
+
+def park(router, binding, rows: int) -> None:
+    """Fill ``binding``'s gate and send ``rows`` at it, so they queue."""
+    binding.admission.admit(binding.admission.max_in_flight)
+    router.dispatch("X", make_batch(rows), binding.name)
+
+
+class TestProjectedSignals:
+    """:meth:`BackendBinding.view_of` and ``routing_snapshot(backends)``:
+    a policy's :class:`CandidateView`, projected from one binding
+    snapshot instead of read live."""
+
+    def test_view_of_a_fresh_snapshot_is_the_live_view(self):
+        registry, router = make_router()
+        binding = registry.register(_Hinted("DB(A)"), max_in_flight=2, spill="queue")
+        park(router, binding, 3)
+        view = binding.view_of(binding.snapshot())
+        assert view == binding.load_view()
+        assert (view.in_flight, view.headroom, view.pending) == (2, 0.0, 3)
+
+    def test_view_of_reads_the_snapshot_not_the_live_binding(self):
+        registry, router = make_router()
+        binding = registry.register(_Hinted("DB(A)"), max_in_flight=1, spill="queue")
+        before = binding.snapshot()
+        park(router, binding, 2)
+        old, live = binding.view_of(before), binding.load_view()
+        assert (old.in_flight, old.headroom, old.pending) == (0, 1.0, 0)
+        assert (live.in_flight, live.headroom, live.pending) == (1, 0.0, 2)
+
+    def test_view_of_carries_the_snapshots_rejection_rate(self):
+        registry, router = make_router()
+        binding = registry.register(_Hinted("DB(A)"), max_in_flight=1)
+        binding.admission.admit(1)
+        report = router.dispatch("X", make_batch(4), "DB(A)")
+        assert report.rejected == 4
+        snap = binding.snapshot()
+        assert snap["load"]["rejection_ewma"] > 0.0
+        view = binding.view_of(snap)
+        assert view.rejection_rate == snap["load"]["rejection_ewma"]
+        assert view == binding.load_view()
+
+    def test_view_of_falls_back_to_load_hint_without_observed_latency(self):
+        registry, _ = make_router()
+        hinted = registry.register(_Hinted("DB(A)", per_query_seconds=0.25))
+        plain = registry.register(NullBackend("DB(B)"))
+        assert hinted.view_of(hinted.snapshot()).latency_ewma == 0.25
+        assert hinted.backend.hint_reads == 1
+        # no execution observed and no prior: the policies' optimism
+        assert plain.view_of(plain.snapshot()).latency_ewma is None
+
+    def test_view_of_never_reads_load_hint_once_latency_is_observed(self):
+        registry, router = make_router()
+        binding = registry.register(_Hinted("DB(A)", per_query_seconds=0.25))
+        router.dispatch("X", make_batch(2), "DB(A)")
+        snap = binding.snapshot()
+        observed = snap["load"]["latency_ewma_seconds"]
+        assert observed is not None
+        reads = binding.backend.hint_reads
+        assert binding.view_of(snap).latency_ewma == observed
+        assert binding.backend.hint_reads == reads
+
+    def test_view_of_reports_the_breaker_state(self):
+        registry, router = make_router()
+        broken = registry.register(
+            _Boom("DB(A)"),
+            breaker=CircuitBreaker(failure_threshold=1, recovery_seconds=100.0),
+        )
+        plain = registry.register(NullBackend("DB(B)"))
+        assert broken.view_of(broken.snapshot()).breaker == "closed"
+        # the raise trips the breaker; the group fails over to DB(B)
+        assert router.dispatch("X", make_batch(2), "DB(A)").failovers == 1
+        view = broken.view_of(broken.snapshot())
+        assert view.breaker == "open" and view.breaker_open
+        assert view == broken.load_view()
+        # no breaker configured reads as closed
+        assert plain.view_of(plain.snapshot()).breaker == "closed"
+
+    def test_routing_snapshot_projects_signals_from_the_given_reading(self):
+        registry, router = make_router()
+        binding = registry.register(_Hinted("DB(A)"), max_in_flight=1, spill="queue")
+        registry.register(NullBackend("DB(B)"))
+        reading = router.snapshot()
+        park(router, binding, 2)
+        then = router.routing_snapshot(reading)["signals"]
+        now = router.routing_snapshot()["signals"]
+        assert (then["DB(A)"]["in_flight"], then["DB(A)"]["pending"]) == (0, 0)
+        assert (now["DB(A)"]["in_flight"], now["DB(A)"]["pending"]) == (1, 2)
+        assert then["DB(B)"] == now["DB(B)"]
+
+    def test_routing_snapshot_reads_each_binding_once(self):
+        registry, router = make_router()
+        backends = [_Hinted("DB(A)"), _Hinted("DB(B)")]
+        for backend in backends:
+            registry.register(backend)
+        router.routing_snapshot()
+        assert [b.snapshots for b in backends] == [1, 1]
+        reading = router.snapshot()
+        router.routing_snapshot(reading)
+        # a reading handed in is not taken again
+        assert [b.snapshots for b in backends] == [2, 2]
+
+    def test_routing_snapshot_keys_are_unchanged(self):
+        registry, router = make_router()
+        registry.register(_Hinted("DB(A)"))
+        registry.register(_Boom("DB(B)"))
+        router.set_policy(LeastLoadedPolicy())
+        router.dispatch("X", make_batch(2, "east"))
+        bare = router.routing_snapshot()
+        assert set(bare) == {
+            "policy",
+            "route_table",
+            "candidates",
+            "decisions",
+            "reranks",
+            "static_fallbacks",
+            "signals",
+        }
+        assert set(bare["signals"]) == {"DB(A)", "DB(B)"}
+        for signal in bare["signals"].values():
+            assert set(signal) == {
+                "latency_ewma_seconds",
+                "rejection_rate",
+                "in_flight",
+                "headroom",
+                "pending",
+                "cost_units",
+                "breaker",
+            }
+        # nothing moved: a bare call and one over a reading agree
+        assert router.routing_snapshot(router.snapshot()) == bare
 
 
 class TestServiceRoutingPolicy:

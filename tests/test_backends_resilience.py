@@ -13,6 +13,7 @@ invariants they must preserve.
 from __future__ import annotations
 
 import pytest
+from fake_clock import FakeClock
 from scripted_backend import FAIL, RAISE, ScriptedBackend, ScriptedFault
 
 from repro.backends import (
@@ -28,17 +29,6 @@ from repro.backends import (
 from repro.core.labeled_query import LabeledQuery
 from repro.errors import BackendError
 from repro.runtime.metrics import RuntimeMetrics
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 class SleepRecorder:

@@ -14,6 +14,7 @@ import threading
 
 import numpy as np
 import pytest
+from fake_clock import FakeClock
 from scripted_backend import RAISE, ScriptedBackend, ScriptedFault
 
 from repro.backends import (
@@ -35,22 +36,12 @@ from repro.minidb import materialize_log_tables
 from repro.runtime.columnar import ColumnarBatch
 from repro.runtime.metrics import RuntimeMetrics
 from repro.workloads import (
+    QueryLogRecord,
     QueryStream,
     SnowSimConfig,
     generate_snowsim_workload,
     interleave_streams,
 )
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 def make_batch(n: int, cluster: str = "", query: str = "select 1") -> list[LabeledQuery]:
@@ -898,6 +889,25 @@ class TestInterleaveStreams:
         assert order == [
             ("X", 0), ("Y", 0), ("X", 1), ("Y", 1), ("Y", 2),
         ]
+
+    def test_fixed_batch_sizes_and_order_per_application(self):
+        """Each stream keeps its own batch size and its arrival order;
+        only the last batch of a stream may be short."""
+        xs = [QueryLogRecord(query=f"select x_{i} from t") for i in range(25)]
+        ys = [QueryLogRecord(query=f"select y_{i} from t") for i in range(10)]
+        out = list(
+            interleave_streams(
+                [QueryStream("X", xs, batch_size=10), QueryStream("Y", ys, batch_size=7)]
+            )
+        )
+        x = [b for b in out if b.application == "X"]
+        y = [b for b in out if b.application == "Y"]
+        assert [len(b) for b in x] == [10, 10, 5]
+        assert [len(b) for b in y] == [7, 3]
+        assert [b.time_step for b in x] == [0, 1, 2]
+        assert [b.time_step for b in y] == [0, 1]
+        assert [r.query for b in x for r in b.records] == [r.query for r in xs]
+        assert [r.query for b in y for r in b.records] == [r.query for r in ys]
 
     def test_duplicate_application_rejected(self, snow_records):
         from repro.errors import WorkloadError

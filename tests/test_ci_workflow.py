@@ -101,3 +101,13 @@ def test_docs_health_runs_the_network_serving_example():
     assert "python -m pip install -e ." in docs
     assert "python examples/network_serving.py" in docs
     assert (REPO_ROOT / "examples" / "network_serving.py").is_file()
+
+
+def test_docs_health_runs_the_concurrent_serving_example():
+    # two tenants through process_routed_concurrent's stage pool, from
+    # an installed package
+    text = (WORKFLOWS / "ci.yml").read_text(encoding="utf-8")
+    docs = text.split("\n  docs-health:\n", 1)[1]
+    assert "python -m pip install -e ." in docs
+    assert "python examples/concurrent_serving.py" in docs
+    assert (REPO_ROOT / "examples" / "concurrent_serving.py").is_file()

@@ -21,6 +21,7 @@ import threading
 import time
 
 import pytest
+from fake_clock import FakeClock
 
 from repro.backends.admission import AdmissionController, TokenBucket
 from repro.errors import AdmissionError, ServiceError
@@ -28,17 +29,6 @@ from repro.forecast import Blueprint, BlueprintDiff, PredictiveProvisioner
 from repro.runtime.executor import StagedExecutor
 
 WAIT = 10.0
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 def doubling_executor(**kwargs) -> StagedExecutor:

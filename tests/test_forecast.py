@@ -12,6 +12,7 @@ blueprint diff via ``stats()["forecast"]``.
 from __future__ import annotations
 
 import pytest
+from fake_clock import FakeClock
 
 from repro.backends import NullBackend
 from repro.core.service import QuercService
@@ -28,17 +29,6 @@ from repro.forecast import (
 )
 from repro.workloads.logs import QueryLogRecord
 from repro.workloads.stream import StreamBatch
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 # -- estimators ---------------------------------------------------------------

@@ -30,6 +30,7 @@ Run alone::
 
 from __future__ import annotations
 
+from fake_clock import FakeClock
 from scripted_backend import RAISE, ScriptedBackend
 
 from repro.backends import (
@@ -55,14 +56,6 @@ def outage(call: int, now: float) -> str | None:
     return RAISE if 5 <= now < 25 or (25 <= now < 38 and (now - 25) % 2 < 1) else None
 
 
-class LogicalClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
 def _build_batches() -> list[list[LabeledQuery]]:
     config = SnowSimConfig(
         account_profile=((73881, 6), (18487, 4)),
@@ -85,13 +78,13 @@ def _build_batches() -> list[list[LabeledQuery]]:
     return batches, materialize_log_tables(queries, rows_per_table=8)
 
 
-def _chaos_primary(database, clock: LogicalClock) -> ScriptedBackend:
+def _chaos_primary(database, clock: FakeClock) -> ScriptedBackend:
     return ScriptedBackend(MiniDBBackend("primary", database), outage, clock)
 
 
 def _run(batches, database, resilient: bool):
     """One full pass over the chaos schedule; returns the tallies."""
-    clock = LogicalClock()
+    clock = FakeClock()
     registry = BackendRegistry()
     if resilient:
         registry.register(

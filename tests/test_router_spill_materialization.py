@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from fake_clock import FakeClock
 from scripted_backend import RAISE, ScriptedBackend
 
 from repro.backends import (
@@ -27,14 +28,6 @@ from repro.backends import (
 )
 from repro.core.labeled_query import LabeledQuery
 from repro.runtime.columnar import ColumnarBatch
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
 
 
 def columnar_batch(n: int, cluster: str = "east") -> ColumnarBatch:

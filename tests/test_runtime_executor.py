@@ -1,12 +1,11 @@
-"""The staged executor's shared stage pool and the batch-size tuner.
+"""The staged executor's shared stage pool.
 
 The overlap and isolation properties are proven with events, not
 timing: a test that requires stage B of batch *n* to wait on stage A
 of batch *n+1* can only pass when the stages genuinely run
 concurrently, and the per-lane serialization invariant is proven by
 counting concurrent stage entries per application under a pool wide
-enough to violate it. Tuner tests drive the controller with synthetic
-observations and an injectable clock — fully deterministic, no sleeps.
+enough to violate it.
 """
 
 from __future__ import annotations
@@ -15,31 +14,20 @@ import threading
 import time
 
 import pytest
+from scripted_backend import ScriptedBackend
 
 from repro.backends import NullBackend
 from repro.core import QuercService
 from repro.errors import ServiceError
-from repro.runtime import BatchSizeTuner, StagedExecutor
+from repro.runtime import StagedExecutor
 from repro.workloads import (
     QueryLogRecord,
     QueryStream,
     StreamBatch,
     interleave_streams,
-    rebatch_streams,
 )
 
 WAIT = 20.0  # generous: only ever hit when pipelining is broken
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 class _Hostile(BaseException):
@@ -217,15 +205,24 @@ class TestStagedExecutor:
         ) as ex:
             assert ex.map(batches) == [("X", 0), ("Y", 0), ("X", 1)]
 
-    def test_executor_feeds_tuner_with_batch_sizes(self):
-        tuner = BatchSizeTuner(initial=8, clock=FakeClock())
-        with StagedExecutor(
-            lambda app, b: b, lambda app, b: b, tuner=tuner
-        ) as ex:
-            ex.map([_batch("X", 0, n=6), _batch("Y", 0, n=3)])
-        snap = tuner.snapshot()["applications"]
-        assert snap["X"]["samples"] == 1
-        assert snap["Y"]["samples"] == 1
+    def test_one_completion_hook_per_stage_and_no_tuner(self):
+        """The stage pool's only feedback is ``dispatch_feedback``:
+        there is no batch-size tuner to attach, here or anywhere in the
+        public API."""
+        import importlib.util
+
+        import repro
+        import repro.runtime
+        import repro.workloads
+
+        with pytest.raises(TypeError):
+            StagedExecutor(_identity, _identity, tuner=object())
+        for module in (repro, repro.runtime, repro.workloads):
+            exported = set(getattr(module, "__all__", ())) | set(dir(module))
+            assert not exported & {"BatchSizeTuner", "rebatch_streams"}
+        assert importlib.util.find_spec("repro.runtime.tuner") is None
+        assert not hasattr(QuercService, "set_batch_tuner")
+        assert "tuner" not in QuercService().stats()
 
     def test_stats_shape_and_bounded_queues(self):
         with StagedExecutor(
@@ -517,21 +514,18 @@ class TestSharedStagePool:
         ids=["label", "dispatch", "both"],
     )
     def test_hostile_hooks_never_kill_a_worker(self, hostile):
-        """A stage's completion hook raising — the tuner after stage A,
-        the feedback after stage B, even a BaseException — is counted
-        per lane; the batch resolves, the pool survives, and close()
-        still drains (a dead worker would wedge it)."""
+        """A stage's completion hook raising — the query count after
+        stage A (a batch whose ``len()`` raises), the feedback after
+        stage B, even a BaseException — is counted per lane; the batch
+        resolves, the pool survives, and close() still drains (a dead
+        worker would wedge it)."""
         seen: list[str] = []
 
         class ExplodingLen:
             def __len__(self):
-                raise ValueError("no length for you")
-
-        class Tuner:
-            def observe(self, queries, seconds, application=""):
                 if "label" in hostile:
-                    raise _Hostile("tuner down")
-                seen.append("tuner")
+                    raise _Hostile("no length for you")
+                raise ValueError("no length for you")
 
         def feedback(app, result):
             if "dispatch" in hostile:
@@ -541,7 +535,6 @@ class TestSharedStagePool:
         with StagedExecutor(
             _identity,
             lambda app, item: "placed",
-            tuner=Tuner(),
             dispatch_feedback=feedback,
             label_workers=1,
             dispatch_workers=1,
@@ -553,9 +546,10 @@ class TestSharedStagePool:
         # a hostile hook failed on every batch — and none of it failed
         # a batch or a worker, or kept the healthy hook from running
         assert lane["feedback_errors"] == 3 * len(hostile)
-        assert len(seen) == 3 * (2 - len(hostile))
+        assert len(seen) == 3 * ("dispatch" not in hostile)
         assert lane["dispatched_batches"] == lane["labeled_batches"] == 3
-        assert lane["labeled_queries"] == 3  # an unsizable batch counts as one
+        # an unsizable batch counts as one; a hostile count adds nothing
+        assert lane["labeled_queries"] == 3 * ("label" not in hostile)
         assert lane["label_errors"] == lane["dispatch_errors"] == 0
         assert stats["pool"]["workers_alive"] == 2
 
@@ -717,26 +711,127 @@ class TestProcessRoutedConcurrent:
             assert got_report.admitted == want_report.admitted
             assert got_report.executed_ok == want_report.executed_ok
 
-    def test_stats_carry_executor_and_tuner_sections(self):
+    def test_stats_carry_the_executor_section(self):
         service = self._service()
         assert service.stats()["executor"] is None
-        assert service.stats()["tuner"] is None
-        service.set_batch_tuner(BatchSizeTuner(initial=8, clock=FakeClock()))
         service.process_routed_concurrent(self._batches())
         stats = service.stats()
         assert set(stats["executor"]["lanes"]) == {"X", "Y"}
         assert stats["executor"]["lanes"]["X"]["labeled_queries"] == 40
-        assert set(stats["tuner"]["applications"]) == {"X", "Y"}
-        # the pool is the tuner's feed: one observation per labeled batch
-        for app, lane in stats["executor"]["lanes"].items():
-            assert (
-                stats["tuner"]["applications"][app]["samples"]
-                == lane["labeled_batches"]
-            )
         # every query was placed exactly once on its tenant's backend
         for name, queries in (("DB(X)", 40), ("DB(Y)", 24)):
             backend = stats["backends"][name]
             assert backend["dispatched"] == backend["admitted"] == queries
+
+    def test_no_provisioner_means_no_dispatch_feedback(self):
+        """Without a provisioner the staged executor gets no completion
+        hook after stage B at all."""
+        service = self._service()
+        with service.create_staged_executor() as ex:
+            assert ex._stages[1].hook is None
+            for batch in self._batches():
+                labeled, report = ex.submit(batch.application, batch).result(WAIT)
+                assert report is not None and len(labeled) == len(batch)
+            stats = ex.stats()
+        assert all(lane["feedback_errors"] == 0 for lane in stats["lanes"].values())
+
+    def test_provisioner_observes_every_dispatch_completion(self):
+        """The dispatch feedback is the provisioner's ``observe_result``
+        then ``tick``, once per completed batch, with that batch's
+        ``(labeled, report)`` result."""
+        calls: list[tuple] = []
+
+        class Recorder:
+            def bind(self, **parts):
+                calls.append(("bind", tuple(sorted(parts))))
+
+            def observe_result(self, application, result):
+                labeled, report = result
+                calls.append(("observe", application, len(labeled), report.offered))
+
+            def tick(self):
+                calls.append(("tick",))
+
+        service = self._service()
+        service.set_provisioner(Recorder())
+        batches = self._batches()
+        with service.create_staged_executor(
+            label_workers=1, dispatch_workers=1
+        ) as ex:
+            for batch in batches:
+                ex.submit(batch.application, batch).result(WAIT)
+        assert calls[:2] == [
+            ("bind", ("registry", "router")),
+            ("bind", ("executor", "registry", "router")),
+        ]
+        fed = calls[2:]
+        assert fed[1::2] == [("tick",)] * len(batches)
+        # one dispatch worker: completions arrive in submission order
+        assert fed[0::2] == [
+            ("observe", b.application, len(b), len(b)) for b in batches
+        ]
+
+    def test_failing_provisioner_never_fails_a_batch(self):
+        class Broken:
+            def bind(self, **parts):
+                pass
+
+            def observe_result(self, application, result):
+                raise RuntimeError("forecaster down")
+
+            def tick(self):
+                raise AssertionError("tick after a failed observation")
+
+            def snapshot(self):
+                return {}
+
+        service = self._service()
+        service.set_provisioner(Broken())
+        results = service.process_routed_concurrent(self._batches())
+        assert [len(labeled) for labeled, _ in results] == [8] * 8
+        lanes = service.stats()["executor"]["lanes"]
+        assert {app: lane["feedback_errors"] for app, lane in lanes.items()} == {
+            "X": 5,
+            "Y": 3,
+        }
+        assert all(lane["dispatch_errors"] == 0 for lane in lanes.values())
+
+    def test_batches_are_consumed_lazily_under_backpressure(self):
+        """The input is pulled one accepted batch at a time: with stage
+        B held, at most one batch sits in each stage's queue, one in
+        stage B, and one in the blocked ``submit``."""
+        entered, release = threading.Event(), threading.Event()
+
+        def hold(call, now):
+            entered.set()
+            assert release.wait(WAIT)
+
+        service = QuercService()
+        service.register_backend(ScriptedBackend(NullBackend("DB(X)"), hold))
+        service.add_application("X", backend="DB(X)")
+        pulled: list[int] = []
+
+        def batches():
+            for step in range(12):
+                pulled.append(step)
+                yield _batch("X", step)
+
+        results: list = []
+        runner = threading.Thread(
+            target=lambda: results.extend(
+                service.process_routed_concurrent(batches(), queue_depth=1)
+            )
+        )
+        runner.start()
+        try:
+            assert entered.wait(WAIT)
+            assert len(pulled) <= 4
+        finally:
+            release.set()
+            runner.join(WAIT)
+        assert not runner.is_alive()
+        assert pulled == list(range(12))
+        assert [len(labeled) for labeled, _ in results] == [4] * 12
 
     def test_sink_failure_surfaces_after_dispatch_ran(self):
         """The training fork failing must not stop the batch from
@@ -822,144 +917,3 @@ class TestProcessRoutedConcurrent:
             assert got.processed_count == want.processed_count
             assert [m.query for m in got.window] == [m.query for m in want.window]
 
-
-# -- BatchSizeTuner -----------------------------------------------------------
-
-
-class TestBatchSizeTuner:
-    def test_converges_to_latency_budget(self):
-        """Constant per-query cost c: the size settles at ~target/c and
-        the expected batch latency lands within the budget."""
-        cost = 0.001
-        tuner = BatchSizeTuner(
-            initial=8,
-            min_size=4,
-            max_size=512,
-            target_seconds=0.05,
-            clock=FakeClock(),
-        )
-        size = tuner.recommend()
-        for _ in range(12):
-            size = tuner.observe(size, size * cost)
-        assert size == 50  # target / cost
-        snap = tuner.snapshot()["applications"][""]
-        assert snap["expected_batch_seconds"] <= 0.05 + cost
-        # steady state: another observation doesn't move it
-        assert tuner.observe(size, size * cost) == 50
-
-    def test_reconverges_after_cost_shift(self):
-        tuner = BatchSizeTuner(
-            initial=32, min_size=4, max_size=512, target_seconds=0.04,
-            clock=FakeClock(),
-        )
-        size = tuner.recommend()
-        for _ in range(10):
-            size = tuner.observe(size, size * 0.0005)  # cheap: grows
-        assert size == 80
-        for _ in range(20):
-            size = tuner.observe(size, size * 0.004)  # 8x costlier: shrinks
-        assert size == 10
-
-    def test_growth_per_step_is_bounded(self):
-        tuner = BatchSizeTuner(
-            initial=16, max_size=1024, target_seconds=1.0, max_growth=2.0,
-            clock=FakeClock(),
-        )
-        assert tuner.observe(16, 16 * 1e-6) == 32  # ideal is huge; step capped
-        assert tuner.recommend() == 32
-
-    def test_shrink_per_step_is_bounded_and_clamped(self):
-        tuner = BatchSizeTuner(
-            initial=64, min_size=24, max_size=128, target_seconds=0.01,
-            max_growth=2.0, clock=FakeClock(),
-        )
-        assert tuner.observe(64, 64.0) == 32  # one step down, not a cliff
-        assert tuner.observe(32, 32.0) == 24  # clamped at min_size
-
-    def test_lanes_are_per_application(self):
-        tuner = BatchSizeTuner(
-            initial=32, min_size=4, max_size=512, target_seconds=0.05,
-            clock=FakeClock(),
-        )
-        for _ in range(10):
-            tuner.observe(tuner.recommend("X"), tuner.recommend("X") * 0.01, "X")
-            tuner.observe(tuner.recommend("Y"), tuner.recommend("Y") * 0.0001, "Y")
-        assert tuner.recommend("X") == 5  # slow app: small batches
-        assert tuner.recommend("Y") == 500  # fast app: big batches
-        assert tuner.recommend("Z") == 32  # unseen app: initial
-
-    def test_zero_and_negative_observations_ignored(self):
-        tuner = BatchSizeTuner(initial=32, clock=FakeClock())
-        assert tuner.observe(0, 1.0) == 32
-        assert tuner.observe(10, -1.0) == 32
-        assert tuner.snapshot()["applications"] == {}
-
-    def test_injectable_clock_stamps_observations(self):
-        clock = FakeClock()
-        tuner = BatchSizeTuner(initial=16, clock=clock)
-        clock.advance(123.0)
-        tuner.observe(16, 0.01)
-        snap = tuner.snapshot()["applications"][""]
-        assert snap["last_observed_at"] == 123.0
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ServiceError):
-            BatchSizeTuner(initial=4, min_size=8)
-        with pytest.raises(ServiceError):
-            BatchSizeTuner(target_seconds=0)
-        with pytest.raises(ServiceError):
-            BatchSizeTuner(smoothing=0)
-        with pytest.raises(ServiceError):
-            BatchSizeTuner(max_growth=1.0)
-
-
-# -- tuner-driven rebatching --------------------------------------------------
-
-
-class TestRebatchStreams:
-    def test_rechunks_interleaved_streams_per_application(self):
-        streams = [
-            QueryStream("X", _records(25, "x"), batch_size=4),
-            QueryStream("Y", _records(10, "y"), batch_size=3),
-        ]
-        sizes = {"X": 10, "Y": 7}
-        out = list(
-            rebatch_streams(interleave_streams(streams), lambda app: sizes[app])
-        )
-        x = [b for b in out if b.application == "X"]
-        y = [b for b in out if b.application == "Y"]
-        assert [len(b) for b in x] == [10, 10, 5]  # final flush is short
-        assert [len(b) for b in y] == [7, 3]
-        assert [b.time_step for b in x] == [0, 1, 2]
-        assert [b.time_step for b in y] == [0, 1]
-        # arrival order within each application is preserved exactly
-        assert [r.query for b in x for r in b.records] == [
-            r.query for r in _records(25, "x")
-        ]
-        assert [r.query for b in y for r in b.records] == [
-            r.query for r in _records(10, "y")
-        ]
-
-    def test_tuner_recommendations_apply_mid_stream(self):
-        tuner = BatchSizeTuner(
-            initial=5, min_size=2, max_size=64, target_seconds=0.05,
-            clock=FakeClock(),
-        )
-        stream = QueryStream("X", _records(30, "x"), batch_size=6)
-        out = []
-        for batch in rebatch_streams(stream.batches(), tuner):
-            out.append(len(batch))
-            # labeling got cheap: the tuner doubles the size (growth cap)
-            tuner.observe(len(batch), len(batch) * 1e-4, application="X")
-        assert out[0] == 5  # initial
-        assert out[1] > out[0]  # adapted while the stream was live
-        assert sum(out) == 30
-
-    def test_minimum_size_is_one(self):
-        out = list(
-            rebatch_streams(
-                QueryStream("X", _records(3, "x"), batch_size=3).batches(),
-                lambda app: 0,  # degenerate sizer: clamped to 1
-            )
-        )
-        assert [len(b) for b in out] == [1, 1, 1]

@@ -29,6 +29,7 @@ import asyncio
 import json
 
 import pytest
+from fake_clock import FakeClock
 
 from repro.backends import (
     BatchResult,
@@ -57,17 +58,6 @@ APPS = ("tenant-a", "tenant-b", "tenant-c", "tenant-d")
 LABELS = ("cluster", "tier")
 BATCH = 5
 BATCHES_PER_APP = 4
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 class CountingBackend(NullBackend):

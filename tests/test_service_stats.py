@@ -15,6 +15,7 @@ appear unnoticed.
 from __future__ import annotations
 
 import pytest
+from fake_clock import FakeClock
 from scripted_backend import RAISE, ScriptedBackend
 
 from repro.backends import (
@@ -28,17 +29,8 @@ from repro.core.labeler import ClassifierLabeler
 from repro.errors import ServerReplyError
 from repro.forecast import PredictiveProvisioner
 from repro.ml.forest import RandomizedForestClassifier
-from repro.runtime import BatchSizeTuner
 from repro.server import EdgeAdmission, QuercClient, QuercServer, ServerThread
 from repro.workloads import QueryLogRecord, StreamBatch
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
 
 
 def key_tree(node, path: str = "", out: dict | None = None) -> dict:
@@ -57,7 +49,7 @@ def key_tree(node, path: str = "", out: dict | None = None) -> dict:
 EXPECTED_KEY_TREE = {
     "": (
         "applications backends executor forecast plan_cache resilience "
-        "routing runtime server tuner"
+        "routing runtime server"
     ),
     "runtime": (
         "batches breaker_closes breaker_half_opens breaker_opens cache "
@@ -199,16 +191,6 @@ EXPECTED_KEY_TREE = {
     "forecast.last_diff.recommended.admission.primary": "burst max_in_flight rate",
     "forecast.last_diff.recommended.admission.standby": "burst max_in_flight rate",
     "forecast.last_diff.recommended.candidates": "",
-    "tuner": (
-        "applications initial max_size min_size rejection_threshold "
-        "target_seconds"
-    ),
-    "tuner.applications": "tenant",
-    "tuner.applications.tenant": (
-        "admission_samples expected_batch_seconds fault_ewma fault_samples "
-        "last_batch_seconds last_observed_at per_query_ewma_seconds "
-        "rejection_ewma samples size"
-    ),
     "server": (
         "active_sessions address bytes_in bytes_out edge frames_in "
         "frames_out frames_shed max_frame_bytes max_inflight_per_session "
@@ -237,7 +219,7 @@ def _tier_classifier(embedder) -> QueryClassifier:
 
 
 def test_stats_key_tree_is_pinned(fitted_bow):
-    """A retry + breaker binding, a tuner, a provisioner and a running
+    """A retry + breaker binding, a provisioner and a running
     server behind an edge gate; two served batches and one shed frame.
     The key tree matches the literal, and every re-sourced number equals
     its owner's."""
@@ -255,7 +237,6 @@ def test_stats_key_tree_is_pinned(fitted_bow):
     service.register_backend(NullBackend("standby"))
     service.add_application("tenant", backend="primary")
     service.attach_classifier("tenant", _tier_classifier(fitted_bow))
-    service.set_batch_tuner(BatchSizeTuner(clock=clock))
     service.set_provisioner(PredictiveProvisioner(clock=clock, auto_apply=False))
     server = QuercServer(service, edge=EdgeAdmission(max_in_flight_queries=4))
     try:
@@ -365,3 +346,107 @@ def test_sections_agree_when_a_counter_moves_during_stats():
     )
     assert len(set(retries)) == 1, retries
     assert after["runtime"]["retries"] == after["backends"]["primary"]["retries"] == 1
+
+
+class _PricedDispatchesOnSnapshot(_DispatchesOnSnapshot):
+    """:class:`_DispatchesOnSnapshot` with a latency prior, so the
+    routing signal falls back to ``load_hint`` until the first
+    execution is observed."""
+
+    def load_hint(self) -> dict:
+        return {"per_query_seconds": 0.5}
+
+
+def test_routing_signals_agree_with_backends_when_a_batch_lands_during_stats():
+    """``routing.signals`` is projected from the ``backends`` reading:
+    a batch executed while ``stats()`` reads the binding moves neither
+    section, and only the ``load_hint`` prior fills a missing latency."""
+    backend = _PricedDispatchesOnSnapshot(
+        NullBackend("primary"), lambda call, now: None
+    )
+    service = QuercService()
+    service.register_backend(backend)
+    backend.router = service.router
+    try:
+        stats = service.stats()
+    finally:
+        service.close()
+
+    assert backend.calls == 1  # the batch executed inside stats()
+    binding = stats["backends"]["primary"]
+    signal = stats["routing"]["signals"]["primary"]
+    latency = binding["load"]["latency_ewma_seconds"]
+    if latency is None:
+        latency = backend.load_hint()["per_query_seconds"]
+    assert signal["latency_ewma_seconds"] == latency
+    assert signal["rejection_rate"] == binding["load"]["rejection_ewma"]
+    assert signal["in_flight"] == binding["admission"]["in_flight"]
+    assert signal["headroom"] == binding["admission"]["headroom"]
+    assert signal["pending"] == binding["pending"]
+    assert signal["cost_units"] == binding["cost_units"]
+    assert signal["breaker"] == "closed"
+
+
+class _CountsSnapshots(NullBackend):
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
+        self.snapshots = 0
+
+    def snapshot(self) -> dict:
+        self.snapshots += 1
+        return super().snapshot()
+
+
+def test_stats_reads_each_backend_once():
+    """One ``stats()`` takes one snapshot of every backend: ``backends``,
+    ``plan_cache``, ``routing`` and ``resilience`` share it."""
+    backends = [_CountsSnapshots("primary"), _CountsSnapshots("standby")]
+    service = QuercService()
+    for backend in backends:
+        service.register_backend(backend)
+    try:
+        service.stats()
+        assert [b.snapshots for b in backends] == [1, 1]
+        service.stats()
+        assert [b.snapshots for b in backends] == [2, 2]
+    finally:
+        service.close()
+
+
+def test_routing_signals_agree_with_backends_for_every_binding():
+    """Every binding's signal is its ``backends`` entry seen as a
+    policy would: a tripped breaker, parked rows and a full gate show
+    the same in both sections."""
+    service = QuercService()
+    service.register_backend(
+        ScriptedBackend(NullBackend("primary"), lambda call, now: RAISE),
+        breaker=CircuitBreaker(failure_threshold=1, recovery_seconds=100.0),
+    )
+    service.register_backend(NullBackend("standby"), max_in_flight=2, spill="queue")
+    service.register_backend(NullBackend("idle"))
+    router = service.router
+    try:
+        report = router.dispatch("tenant", [LabeledQuery.make("select 1")], "primary")
+        gate = service.backends.get("standby").admission
+        gate.admit(2)
+        router.dispatch("tenant", [LabeledQuery.make("select 2")] * 3, "standby")
+        stats = service.stats()
+    finally:
+        service.close()
+
+    assert report.failovers == 1
+    signals = stats["routing"]["signals"]
+    assert set(signals) == set(stats["backends"]) == {"primary", "standby", "idle"}
+    for name, binding in stats["backends"].items():
+        signal = signals[name]
+        assert signal["latency_ewma_seconds"] == binding["load"]["latency_ewma_seconds"]
+        assert signal["rejection_rate"] == binding["load"]["rejection_ewma"]
+        assert signal["in_flight"] == binding["admission"]["in_flight"]
+        assert signal["headroom"] == binding["admission"]["headroom"]
+        assert signal["pending"] == binding["pending"]
+        assert signal["cost_units"] == binding["cost_units"]
+        breaker = binding["breaker"]
+        assert signal["breaker"] == (breaker["state"] if breaker else "closed")
+    assert signals["primary"]["breaker"] == "open"
+    assert (signals["standby"]["in_flight"], signals["standby"]["pending"]) == (2, 3)
+    assert signals["standby"]["headroom"] == 0.0
